@@ -46,6 +46,7 @@ from .grass import (
     SubmodulePoint,
     _assemble,
     _chart_points,
+    _chart_sweepable,
     chart_equations,
     coker_rep,
     coords_to_point,
@@ -177,17 +178,19 @@ def no_proper_topstable_deg(
     are linearly ordered by top-preserving epimorphisms, and (ii) the
     radical JM satisfies dim Hom(P, JM) = dim Hom(M, JM).
 
-    The summand search is decompose_local: exhaustive over a small finite
-    field, certified by the trace form over Q. The verdict carries the
-    Unknown sentinel when that search is inconclusive, i.e. over Q when no
-    split is found and End/J != K for some piece.
+    With a simple top M is local and is its own summand. Otherwise the
+    summand search is decompose_local: certified by the trace form over Q,
+    exhaustive over a small finite field. The verdict carries the Unknown
+    sentinel when that search is inconclusive, i.e. over Q when no split is
+    found and End/J != K for some piece.
     """
     M = coker_rep(P, C)
     if top_dims(alg, M) != P.top.mult:
         raise TopMismatch(
             f"quotient has top {top_dims(alg, M)}, cover was built for {P.top.mult}"
         )
-    pieces = decompose_local(alg, M, limits, seed)
+    # a simple top makes M local by definition: nothing to split
+    pieces = [M] if P.top.simple else decompose_local(alg, M, limits, seed)
     if pieces is NotSumOfLocals:
         return DegenerationVerdict(
             False, "module is not a direct sum of local modules"
@@ -376,16 +379,18 @@ def maximal_topdeg_candidates(
                 "cannot sweep a stratum over an infinite field; "
                 "supply explicit candidate points"
             )
-        rng = random.Random(limits.seed)
-        seen: dict[tuple, SubmodulePoint] = {}
-        for sigma in skeleta_with_dims(P, tuple(d)):
-            pres = chart_equations(P, sigma)
-            values, exhaustive = _chart_points(pres, limits, rng)
-            if not exhaustive:
+        # refuse an over-budget stratum before sweeping any of its charts
+        charts = [chart_equations(P, sigma) for sigma in skeleta_with_dims(P, tuple(d))]
+        for pres in charts:
+            if not _chart_sweepable(pres, limits):
                 raise SearchTooLarge(
                     f"chart with {len(pres.variables)} variables exceeds "
                     f"the sweep budget {limits.chart_sweep}"
                 )
+        rng = random.Random(limits.seed)
+        seen: dict[tuple, SubmodulePoint] = {}
+        for pres in charts:
+            values, _ = _chart_points(pres, limits, rng)
             for vals in values:
                 pt = coords_to_point(pres, vals)
                 seen.setdefault(pt.rows, pt)

@@ -905,6 +905,14 @@ def _socle_dims(P: ProjectiveCover) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return _vertex_dims(P.rep, jp), _vertex_dims(P.rep, span_rref(f, soc_vecs))
 
 
+def _chart_sweepable(pres: ChartPresentation, limits: SearchLimits) -> bool:
+    """Whether _chart_points sweeps the chart exhaustively: it has no
+    variables, or its q^N coordinate tuples fit limits.chart_sweep."""
+    f = pres.cover.alg.field
+    nvars = len(pres.variables)
+    return nvars == 0 or (f.is_finite and f.order**nvars <= limits.chart_sweep)
+
+
 def _chart_points(
     pres: ChartPresentation, limits: SearchLimits, rng: random.Random
 ) -> tuple[list[list[Scalar]], bool]:
@@ -920,7 +928,7 @@ def _chart_points(
     if nvars == 0:
         vals: list[Scalar] = []
         return ([vals] if ok(vals) else []), True
-    if f.is_finite and f.order**nvars <= limits.chart_sweep:
+    if _chart_sweepable(pres, limits):
         pts = [list(v) for v in itertools.product(f.elements(), repeat=nvars) if ok(list(v))]
         return pts, True
     cands = [[f.zero()] * nvars]

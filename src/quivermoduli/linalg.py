@@ -32,16 +32,6 @@ def mat_copy(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
 
-def mat_add(field: Field, a: Matrix, b: Matrix) -> Matrix:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        raise DimensionMismatch("matrix addition shape mismatch")
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(field: Field, c: Scalar, a: Matrix) -> Matrix:
-    return [[field.mul(c, x) for x in row] for row in a]
-
-
 def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0]) if b else 0}")
@@ -92,18 +82,6 @@ def transpose(a: Matrix) -> Matrix:
     if not a:
         return []
     return [list(col) for col in zip(*a)]
-
-
-def vec_add(field: Field, u: Vector, v: Vector) -> Vector:
-    return [field.add(x, y) for x, y in zip(u, v)]
-
-
-def vec_sub(field: Field, u: Vector, v: Vector) -> Vector:
-    return [field.sub(x, y) for x, y in zip(u, v)]
-
-
-def vec_scale(field: Field, c: Scalar, v: Vector) -> Vector:
-    return [field.mul(c, x) for x in v]
 
 
 def is_zero_vec(field: Field, v: Vector) -> bool:
@@ -257,32 +235,6 @@ def space_contains(field: Field, outer_rref: list[Vector], inner_rref: list[Vect
     return all(in_span(field, outer_rref, v) for v in inner_rref)
 
 
-def space_sum(field: Field, a_rref: list[Vector], b_rref: list[Vector]) -> list[Vector]:
-    return span_rref(field, [r[:] for r in a_rref] + [r[:] for r in b_rref])
-
-
-def space_intersection(field: Field, a_rref: list[Vector], b_rref: list[Vector], ncols: int) -> list[Vector]:
-    """Zassenhaus-free intersection via kernels: x in A cap B iff x in A and
-    the A-coordinates of x satisfy the B-membership conditions."""
-    if not a_rref or not b_rref:
-        return []
-    # x = sum t_i a_i must reduce to 0 modulo B: linear conditions on t.
-    residues = [reduce_mod(field, b_rref, row) for row in a_rref]
-    cond = transpose(residues)  # conditions indexed by ambient coordinate
-    ker = kernel_basis(field, cond, len(a_rref)) if cond else kernel_basis(field, [], len(a_rref))
-    vecs = []
-    for t in ker:
-        v = [field.zero()] * ncols
-        for ti, row in zip(t, a_rref):
-            if field.is_zero(ti):
-                continue
-            for j in range(ncols):
-                if not field.is_zero(row[j]):
-                    v[j] = field.add(v[j], field.mul(ti, row[j]))
-        vecs.append(v)
-    return span_rref(field, vecs)
-
-
 # -- sparse elimination ------------------------------------------------------
 
 
@@ -345,10 +297,3 @@ def sparse_kernel_basis(field: Field, rows: list[SparseRow], ncols: int) -> list
                 v[c] = field.neg(coeff)
         basis.append(v)
     return basis
-
-
-def sparse_rank(field: Field, rows: list[SparseRow]) -> int:
-    pivots: dict[int, SparseRow] = {}
-    for row in rows:
-        sparse_row_reduce(field, pivots, row)
-    return len(pivots)

@@ -440,14 +440,15 @@ def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: i
             ]
             if poly_det(generic).is_zero():
                 return False
-        # All generic determinants nonzero: an invertible combination exists;
-        # search expanding integer boxes until one is found.
-        bound = 1
-        while True:
+        # All generic determinants nonzero, so their product is a nonzero
+        # polynomial of degree <= sum d_v = n in each variable. It cannot
+        # vanish on all of {-b..b}^k once 2b + 1 > n (Combinatorial
+        # Nullstellensatz), so the boxes up to b = ceil(n/2) find a witness.
+        for bound in range(1, (M.total + 1) // 2 + 1):
             for coeffs in itertools.product(range(-bound, bound + 1), repeat=k):
                 if check([f.of_int(c) for c in coeffs]):
                     return True
-            bound += 1
+        raise AssertionError("nonzero generic determinant without an invertible integer point")
     return Unknown
 
 
@@ -709,24 +710,66 @@ def _column_space(f: Field, m: Matrix) -> list[Vector]:
     return span_rref(f, [list(col) for col in zip(*m)]) if m and m[0] else []
 
 
-def _mat_trace(f: Field, m: Matrix) -> Scalar:
-    t = f.zero()
-    for i in range(len(m)):
-        t = f.add(t, m[i][i])
-    return t
+def _projective_coeffs(f: Field, k: int):
+    """Coefficient vectors in K^k whose first nonzero entry is 1, in the
+    order itertools.product(f.elements(), repeat=k) meets them."""
+    zero, one = f.zero(), f.one()
+    for lead in reversed(range(k)):
+        for tail in itertools.product(f.elements(), repeat=k - 1 - lead):
+            yield [zero] * lead + [one] + list(tail)
+
+
+def _trace_gram_rank(M: Rep, basis: list[dict[int, Matrix]]) -> int:
+    """Rank of the Gram matrix of the trace form tr(ab) on End(M).
+
+    An endomorphism is block-diagonal by vertex, so tr(ab) is
+    sum_v sum_ij a_v[i][j] * b_v[j][i] and needs no global matrices.
+    """
+    f = M.field
+    k = len(basis)
+    gram = [[f.zero()] * k for _ in range(k)]
+    for s in range(k):
+        for t in range(s, k):
+            acc = f.zero()
+            for v in M.alg.quiver.vertices:
+                a, b = basis[s][v], basis[t][v]
+                for i in range(M.dim_at(v)):
+                    for j in range(M.dim_at(v)):
+                        if not f.is_zero(a[i][j]) and not f.is_zero(b[j][i]):
+                            acc = f.add(acc, f.mul(a[i][j], b[j][i]))
+            gram[s][t] = gram[t][s] = acc
+    return rank(f, gram)
 
 
 def _split_once(M: Rep, blocks: dict[int, Matrix]):
-    """Fitting split along an endomorphism: (ker f^n, im f^n) when proper."""
+    """Fitting split along an endomorphism: (ker f^n, im f^n) when proper.
+
+    f is graded, so ker f^n and im f^n are the sums over vertices v of
+    ker f_v^(d_v) and im f_v^(d_v): a d_v x d_v block reaches its Fitting
+    exponent by d_v. Both spaces come back as global RREF row lists; the
+    per-vertex RREF bases, embedded in vertex order, already are one.
+    """
     f = M.field
     n = M.total
-    F = hom_global_matrix(M, M, blocks)
-    Fn = mat_pow(f, F, n)
-    r = rank(f, Fn)
+    powers = {v: mat_pow(f, blocks[v], M.dim_at(v)) for v in M.alg.quiver.vertices if M.dim_at(v)}
+    r = sum(rank(f, p) for p in powers.values())
     if r == 0 or r == n:
         return None
-    ker = span_rref(f, kernel_basis(f, Fn, n))
-    img = _column_space(f, Fn)
+
+    def embed(v: int, rows: list[Vector]) -> list[Vector]:
+        o = M.offset(v)
+        out = []
+        for row in rows:
+            w = [f.zero()] * n
+            w[o : o + len(row)] = row
+            out.append(w)
+        return out
+
+    ker: list[Vector] = []
+    img: list[Vector] = []
+    for v, p in powers.items():
+        ker += embed(v, span_rref(f, kernel_basis(f, p, M.dim_at(v))))
+        img += embed(v, _column_space(f, p))
     return ker, img
 
 
@@ -734,17 +777,22 @@ def _indecomposables(M: Rep, limits: SearchLimits, seed: int):
     """Split M into indecomposables; None when inconclusive.
 
     A split is a Fitting split (ker f^n, im f^n) of some endomorphism f and
-    is exact. A piece that no tried endomorphism splits is certified
-    indecomposable in one of two ways:
+    is exact; _split_once computes it per vertex block. Certificates come
+    first, then the split search:
 
-    * over a finite field with q^dim End <= limits.endo_enum, by the
-      exhaustive sweep of End(M): every endomorphism is invertible or
-      nilpotent, so End(M) is local;
-    * over Q, by the trace form tr(ab) on End(M): its Gram matrix has rank
-      dim End/J, and rank 1 means End/J = K.
+    * over Q, the trace form tr(ab) on End(M) has a Gram matrix of rank
+      dim End/J; rank 1 means End/J = K, so End(M) is local and M is
+      returned whole before any split is tried. With rank 2 or more the
+      search below runs;
+    * over a finite field with q^dim End <= limits.endo_enum, End(M) is
+      swept exhaustively, one endomorphism per line (f and c*f have the
+      same Fitting split). When nothing splits, every endomorphism is
+      invertible or nilpotent, so End(M) is local;
+    * otherwise unit, random and shifted endomorphisms are tried, which
+      is sound but incomplete.
 
-    Otherwise, over a larger finite field or over Q with End/J != K, the
-    answer is None.
+    The answer is None when the search finds no split and no certificate
+    applies: over a larger finite field, or over Q with End/J != K.
     """
     if M.total == 0:
         return []
@@ -752,6 +800,11 @@ def _indecomposables(M: Rep, limits: SearchLimits, seed: int):
     basis = hom_basis(M, M)
     k = len(basis)
     if k == 1:
+        return [M]
+    if not f.is_finite and _trace_gram_rank(M, basis) == 1:
+        # In characteristic zero the radical of the trace form on a faithful
+        # module equals the Jacobson radical of End(M), so a rank-one Gram
+        # matrix certifies that End(M) is local, i.e. M is indecomposable.
         return [M]
 
     def recurse(space_pair):
@@ -765,10 +818,8 @@ def _indecomposables(M: Rep, limits: SearchLimits, seed: int):
         return left + right
 
     if f.is_finite and f.order**k <= limits.endo_enum:
-        for coeffs in itertools.product(f.elements(), repeat=k):
-            if all(f.is_zero(c) for c in coeffs):
-                continue
-            blocks = _combine_blocks(M, M, basis, list(coeffs))
+        for coeffs in _projective_coeffs(f, k):
+            blocks = _combine_blocks(M, M, basis, coeffs)
             hit = _split_once(M, blocks)
             if hit is not None:
                 return recurse(hit)
@@ -796,27 +847,18 @@ def _indecomposables(M: Rep, limits: SearchLimits, seed: int):
             hit = _split_once(M, shifted)
             if hit is not None:
                 return recurse(hit)
-
-    if not f.is_finite:
-        # In characteristic zero the radical of the trace form on a faithful
-        # module equals the Jacobson radical of End(M), so a rank-one Gram
-        # matrix certifies that End(M) is local, i.e. M is indecomposable.
-        mats = [hom_global_matrix(M, M, b) for b in basis]
-        gram = [
-            [_mat_trace(f, mat_mul(f, a, b)) for b in mats] for a in mats
-        ]
-        if rank(f, gram) == 1:
-            return [M]
     return None
 
 
 def decompose_local(alg: Algebra, M: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: int | None = None):
     """list of local summands | NotSumOfLocals | Unknown.
 
-    The summands come from _indecomposables, which certifies a piece with
-    no split by the exhaustive endomorphism sweep over a small F_q or by
-    Gram rank 1 of the trace form over Q. Unknown means neither applied:
-    over Q, no split was found and End/J != K for some piece.
+    The summands come from _indecomposables. Over Q each piece is first
+    tested by the trace-form certificate (Gram rank 1 means End is local)
+    and only then searched for a Fitting split, taken per vertex block with
+    exponent d_v; over a small F_q the search sweeps End(M) up to scalars
+    and certifies a piece with no split. Unknown means no certificate
+    applied: over Q, no split was found and End/J != K for some piece.
     """
     pieces = _indecomposables(M, limits, limits.seed if seed is None else seed)
     if pieces is None:

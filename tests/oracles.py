@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from quivermoduli.fields import Field
-from quivermoduli.linalg import in_span, is_zero_vec, mat_vec, span_rref
+from quivermoduli.linalg import in_span, is_zero_vec, kernel_basis, mat_vec, span_rref
 
 
 def count_walks(arrows: list[tuple[str, int, int]], start: int, length: int) -> list[tuple[str, ...]]:
@@ -104,3 +104,29 @@ def brute_force_submodule_dims(M) -> set[tuple[int, ...]]:
             dims.append(len(span_rref(f, proj)) if proj and k else 0)
         out.add(tuple(dims))
     return out
+
+
+def fitting_split_oracle(M, blocks):
+    """Fitting split of a graded endomorphism read off its global matrix:
+    F^n by n plain multiplications, then (ker F^n, im F^n) as RREF row
+    lists, or None when F^n is zero or invertible."""
+    f = M.field
+    n = M.total
+    F = [[f.zero()] * n for _ in range(n)]
+    for vert in M.alg.quiver.vertices:
+        o, k = M.offset(vert), M.dim_at(vert)
+        for i in range(k):
+            for j in range(k):
+                F[o + i][o + j] = blocks[vert][i][j]
+    Fn = [[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        prod = [[f.zero()] * n for _ in range(n)]
+        for i in range(n):
+            for t in range(n):
+                for j in range(n):
+                    prod[i][j] = f.add(prod[i][j], f.mul(Fn[i][t], F[t][j]))
+        Fn = prod
+    img = span_rref(f, [list(col) for col in zip(*Fn)])
+    if not img or len(img) == n:
+        return None
+    return span_rref(f, kernel_basis(f, Fn, n)), img

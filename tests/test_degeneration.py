@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from quivermoduli import Element, Field, QQ
+from quivermoduli import Element, Field, QQ, Unknown, degeneration
+from quivermoduli.config import SearchLimits
 from quivermoduli.degeneration import (
     hom_order_leq,
     maximal_topdeg_candidates,
@@ -177,6 +178,47 @@ def test_generic_stratum_has_only_maximal_points(kronecker_f3):
     assert len(cands) == 4
     assert all(c.verdict.holds is True for c in cands)
     assert len({c.point.rows for c in cands}) == 4
+
+
+def test_sweep_refuses_an_over_budget_stratum_before_sweeping(monkeypatch):
+    # the (2, 1) stratum has a chart without variables and one with a
+    # variable; 3 tuples exceed a budget of 2, so nothing may be swept
+    swept = []
+    real = degeneration._chart_points
+
+    def counting(pres, limits, rng):
+        swept.append(len(pres.variables))
+        return real(pres, limits, rng)
+
+    monkeypatch.setattr(degeneration, "_chart_points", counting)
+    alg = loop_bridge_over(Field(3))
+    P = projective_cover(alg, (1, 0))
+    with pytest.raises(SearchTooLarge) as err:
+        maximal_topdeg_candidates(alg, P, (2, 1), limits=SearchLimits().with_sweep(2))
+    assert str(err.value) == "chart with 1 variables exceeds the sweep budget 2"
+    assert swept == []
+
+
+def test_simple_top_needs_no_split_search(monkeypatch):
+    # End(P/Cba) is two-dimensional; with no room to sweep or try
+    # endomorphisms the split search would answer Unknown
+    alg = loop_bridge_over(Field(2))
+    P, Cb, Cba = bridge_points(alg)
+    expected = no_proper_topstable_deg(alg, P, Cba)
+    searched = []
+    real = degeneration.decompose_local
+
+    def counting(alg, M, limits, seed):
+        searched.append(M.d)
+        return real(alg, M, limits, seed)
+
+    monkeypatch.setattr(degeneration, "decompose_local", counting)
+    verdict = no_proper_topstable_deg(
+        alg, P, Cba, SearchLimits(endo_enum=1, split_tries=0)
+    )
+    assert verdict.holds is not Unknown
+    assert verdict == expected
+    assert searched == []
 
 
 def test_sweep_refuses_infinite_fields(loop_bridge):

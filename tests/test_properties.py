@@ -16,7 +16,7 @@ from conftest import (
     rel,
     two_loop_two_arrow_algebra,
 )
-from oracles import brute_force_submodule_dims
+from oracles import brute_force_submodule_dims, fitting_split_oracle
 from quivermoduli import Field, QQ, build_algebra, make_quiver
 from quivermoduli.degeneration import (
     hom_order_leq,
@@ -40,7 +40,10 @@ from quivermoduli.grass import (
 )
 from quivermoduli.reps import (
     Rep,
+    _combine_blocks,
+    _split_once,
     base_change,
+    hom_basis,
     hom_dim,
     is_isomorphic,
     radical_layering,
@@ -136,10 +139,11 @@ _SUB_SHAPES = {
 
 
 @st.composite
-def small_reps(draw):
+def small_reps(draw, fields=(Field(2), Field(3))):
     shape = draw(st.sampled_from(sorted(_SUB_SHAPES)))
     arrows, nverts, words, max_len = _SUB_SHAPES[shape]
-    f = Field(draw(st.sampled_from([2, 3])))
+    f = draw(st.sampled_from(fields))
+    lo, hi = (0, f.p - 1) if f.is_finite else (-2, 2)
     cap = 2 if words else 3
     d = draw(
         st.lists(st.integers(0, cap), min_size=nverts, max_size=nverts).filter(
@@ -152,7 +156,7 @@ def small_reps(draw):
     for a in q.arrows:
         rows, cols = d[a.end - 1], d[a.start - 1]
         mats[a.label] = [
-            [f.of_int(draw(st.integers(0, f.p - 1))) for _ in range(cols)]
+            [f.of_int(draw(st.integers(lo, hi))) for _ in range(cols)]
             for _ in range(rows)
         ]
     M = Rep(alg, tuple(d), mats)
@@ -169,6 +173,28 @@ def small_reps(draw):
 )
 def test_submodule_sweep_matches_the_all_subspace_oracle(M):
     assert submodule_dim_vectors(M) == brute_force_submodule_dims(M)
+
+
+# ----------------------------------------------------- Fitting split oracle
+
+
+@given(M=small_reps(fields=(Field(2), Field(3), QQ)), data=st.data())
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_block_fitting_split_matches_the_global_oracle(M, data):
+    f = M.field
+    scalars = st.sampled_from(f.elements()) if f.is_finite else st.integers(-2, 2).map(f.of_int)
+    basis = hom_basis(M, M)
+    blocks = _combine_blocks(M, M, basis, [data.draw(scalars) for _ in basis])
+    c = data.draw(scalars)
+    for blk in blocks.values():
+        for i in range(len(blk)):
+            blk[i][i] = f.sub(blk[i][i], c)
+    assert _split_once(M, blocks) == fitting_split_oracle(M, blocks)
 
 
 # ------------------------------------------------------ base-change invariance

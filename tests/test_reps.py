@@ -4,6 +4,7 @@ subspace oracles."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,8 @@ from quivermoduli import (
     build_algebra,
     make_quiver,
 )
+from quivermoduli import polys, reps
+from quivermoduli.config import SearchLimits
 from quivermoduli.reps import (
     GroupElement,
     Rep,
@@ -342,6 +345,54 @@ def test_rational_split_search_stays_honest(loop_bridge, kronecker):
     # certificate applies and the answer must be Unknown rather than a guess
     M = kron_pair(kronecker, [[0, -1], [1, 0]])
     assert decompose_local(kronecker, M) is Unknown
+
+
+def test_endomorphism_sweep_meets_each_line_at_its_first_product_entry():
+    # f and c*f split alike, and product order meets x/c before x, so
+    # sweeping one vector per line keeps the first split found
+    for f in (Field(2), Field(3)):
+        for k in range(1, 5):
+            lines = [
+                list(c)
+                for c in itertools.product(f.elements(), repeat=k)
+                if any(c) and next(x for x in c if x) == 1
+            ]
+            assert list(reps._projective_coeffs(f, k)) == lines
+
+
+def test_rational_certificate_comes_before_the_split_search(loop_bridge, kronecker, monkeypatch):
+    calls = []
+    real = reps._split_once
+
+    def counting(M, blocks):
+        calls.append(M.d)
+        return real(M, blocks)
+
+    monkeypatch.setattr(reps, "_split_once", counting)
+    # Gram rank 1 decides P1 of loop bridge before any split attempt
+    P = rep_of_projective(loop_bridge, 1)
+    assert [p.d for p in decompose_local(loop_bridge, P)] == [P.d]
+    assert calls == []
+    # Gram rank 2 (End = Q(i)) still runs the whole search, then gives up
+    M = kron_pair(kronecker, [[0, -1], [1, 0]])
+    assert decompose_local(kronecker, M) is Unknown
+    assert len(calls) == 6 * (hom_dim(M, M) + SearchLimits().split_tries)
+
+
+def test_rational_isomorphism_box_search_is_bounded(kronecker, monkeypatch):
+    # no single basis endomorphism of End(S1^2) = M_2(Q) is invertible and
+    # no random tries are allowed, so only the symbolic fallback can decide
+    dets = []
+    real = polys.poly_det
+
+    def counting(m):
+        dets.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(polys, "poly_det", counting)
+    M = zero_rep(kronecker, (2, 0))
+    assert is_isomorphic(M, M, SearchLimits(iso_tries=0)) is True
+    assert dets == [2]
 
 
 def test_rational_trace_form_refutes_a_sum_of_locals(kronecker):
