@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .errors import NotAdmissible, SearchTooLarge
 from .fields import Field, Scalar
+from .linalg import Echelon
 from .quiver import (
     Element,
     PathWord,
@@ -174,9 +175,6 @@ class Algebra:
                     return False
         return True
 
-    def element_from_coords(self, coords: dict[PathWord, Scalar]) -> Element:
-        return Element(dict(coords))
-
     def __repr__(self) -> str:
         return (
             f"Algebra(n={self.quiver.n}, arrows={len(self.quiver.arrows)}, "
@@ -214,8 +212,11 @@ def build_algebra(
     path_of = {i: p for p, i in rank_of.items()}
 
     # Span of the ideal inside the length window: all products p*r*q whose
-    # every term still fits, converted to sparse rows over path ranks.
-    rows: list[dict[int, Scalar]] = []
+    # every term still fits, as sparse rows. Columns run in reverse rank
+    # order, so the pivot of a row (its smallest column) is its
+    # deglex-largest path.
+    top = len(all_paths) - 1
+    ideal = Echelon(field)
     for rel in relations:
         lens = rel.lengths()
         lmax = max(lens)
@@ -229,66 +230,20 @@ def build_algebra(
                     continue
                 row: dict[int, Scalar] = {}
                 for w, c in rel.terms.items():
-                    pwq = compose(quiver, p, compose(quiver, w, q))
-                    r = rank_of[pwq]
-                    s = field.add(row.get(r, field.zero()), c)
-                    if field.is_zero(s):
-                        row.pop(r, None)
-                    else:
-                        row[r] = s
-                if row:
-                    rows.append(row)
+                    col = top - rank_of[compose(quiver, p, compose(quiver, w, q))]
+                    row[col] = field.add(row.get(col, field.zero()), c)
+                ideal.insert(row)
 
-    # Eliminate with pivot = deglex-largest surviving rank.
-    pivots: dict[int, dict[int, Scalar]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            m = max(row)
-            if m in pivots:
-                coeff = row.pop(m)
-                for k, v in pivots[m].items():
-                    if k == m:
-                        continue
-                    nv = field.sub(row.get(k, field.zero()), field.mul(coeff, v))
-                    if field.is_zero(nv):
-                        row.pop(k, None)
-                    else:
-                        row[k] = nv
-            else:
-                inv = field.inv(row[m])
-                pivots[m] = {k: field.mul(inv, v) for k, v in row.items()}
-                break
-
-    basis_ranks = [i for i in range(len(all_paths)) if i not in pivots]
-    basis = tuple(path_of[i] for i in basis_ranks)
-
-    # Fully reduced normal forms, pivots processed in ascending rank order so
-    # every smaller pivot is already resolved.
-    nf_ranks: dict[int, dict[int, Scalar]] = {}
-    for pr in sorted(pivots):
-        acc: dict[int, Scalar] = {}
-        for k, v in pivots[pr].items():
-            if k == pr:
-                continue
-            neg = field.neg(v)
-            if k in pivots:
-                for kk, vv in nf_ranks[k].items():
-                    s = field.add(acc.get(kk, field.zero()), field.mul(neg, vv))
-                    if field.is_zero(s):
-                        acc.pop(kk, None)
-                    else:
-                        acc[kk] = s
-            else:
-                s = field.add(acc.get(k, field.zero()), neg)
-                if field.is_zero(s):
-                    acc.pop(k, None)
-                else:
-                    acc[k] = s
-        nf_ranks[pr] = acc
-
+    # The pivot paths are eliminated and the rest form the basis. A fully
+    # reduced row is supported on its pivot and basis paths, so it is the
+    # normal form of its pivot path: the pivot equals minus the rest.
+    pivots = {top - c for c in ideal.rows}
+    basis = tuple(path_of[i] for i in range(len(all_paths)) if i not in pivots)
     nf_table = {
-        path_of[pr]: {path_of[k]: v for k, v in acc.items()} for pr, acc in nf_ranks.items()
+        path_of[top - c]: {
+            path_of[top - k]: field.neg(v) for k, v in ideal.rows[c].items() if k != c
+        }
+        for c in sorted(ideal.rows, reverse=True)
     }
 
     # Loewy certificate: smallest m with every length-m path reducing to zero.

@@ -38,6 +38,7 @@ from .grass import (
     ProjectiveCover,
     chart_equations,
     coker_rep,
+    describe_endo,
     endo_invariant,
     endo_space,
     enumerate_skeleta,
@@ -48,7 +49,6 @@ from .grass import (
     skeleta_of_point,
     skeleta_with_dims,
 )
-from .quiver import PathWord
 from .reps import radical_layering, rep_of_projective
 from .stability import Weight, classify_stability, stable_factors, theta_of
 
@@ -116,12 +116,6 @@ def _skel_names(P: ProjectiveCover, sk) -> list[str]:
 
 def _skel_str(names: list[str]) -> str:
     return "{" + ", ".join(names) + "}"
-
-
-def _endo_str(t: tuple[int, int, PathWord]) -> str:
-    r, s, u = t
-    rhs = f"z{s + 1}" if u.length == 0 else f"{u}*z{s + 1}"
-    return f"z{r + 1} -> {rhs}"
 
 
 def _holds_json(h):
@@ -308,7 +302,7 @@ def _cmd_orbit(doc, flags, limits):
     endo = endo_space(P)
     od = orbit_dims(P, pt, endo)
     invariant, witness = endo_invariant(P, pt, endo)
-    moved_by = None if witness is None else _endo_str(witness)
+    moved_by = None if witness is None else describe_endo(witness)
     result = {
         "aut": od.aut,
         "unipotent": od.unipotent,
@@ -487,7 +481,7 @@ def _cmd_moduli_report(doc, flags, limits):
     rep = moduli_report(alg, tuple(doc.top), tuple(doc.d), limits)
     f = alg.field
     witness_rows = None if rep.witness is None else _fmt_rows(f, rep.witness.rows)
-    witness_endo = None if rep.witness_endo is None else _endo_str(rep.witness_endo)
+    witness_endo = None if rep.witness_endo is None else describe_endo(rep.witness_endo)
     result = {
         "top": list(doc.top),
         "d": list(doc.d),

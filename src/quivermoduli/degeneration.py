@@ -56,13 +56,14 @@ from .grass import (
     submodule_point,
 )
 from .linalg import (
+    Echelon,
     Vector,
-    in_span,
-    is_zero_vec,
+    dense,
+    identity,
     kernel_basis,
     mat_vec,
-    space_contains,
     span_rref,
+    sparse,
     transpose,
 )
 from .reps import (
@@ -72,7 +73,6 @@ from .reps import (
     hom_basis,
     hom_dim,
     hom_global_matrix,
-    path_matrix,
     rep_of_projective,
     sub_rep,
     top_dims,
@@ -102,25 +102,17 @@ class DegenerationVerdict:
 
 
 def _radical_span(M: Rep) -> list[Vector]:
-    f = M.field
-    units = []
-    for i in range(M.total):
-        v = [f.zero()] * M.total
-        v[i] = f.one()
-        units.append(v)
-    return arrow_images_span(M, units)
+    return arrow_images_span(M, identity(M.field, M.total))
 
 
 def _local_generator(piece: Rep, v: int) -> Vector:
     """A vector of the local module ``piece`` generating it, normed to v."""
     f = piece.field
-    rad = _radical_span(piece)
-    o, n = piece.offset(v), piece.dim_at(v)
-    for i in range(n):
-        unit = [f.zero()] * piece.total
-        unit[o + i] = f.one()
-        if not in_span(f, rad, unit):
-            return unit
+    rad = Echelon.of(f, _radical_span(piece))
+    o = piece.offset(v)
+    for i in range(o, o + piece.dim_at(v)):
+        if not rad.contains({i: f.one()}):
+            return [f.one() if j == i else f.zero() for j in range(piece.total)]
     raise TopMismatch(f"local summand has no top class at vertex {v}")
 
 
@@ -132,19 +124,14 @@ def _presentation_kernel(alg: Algebra, v: int, piece: Rep, gen: Vector) -> list[
     """
     f = alg.field
     paths = alg.basis_at(v)
-    cols = [path_act(piece, p, gen) for p in paths]
+    gen = sparse(f, gen)
+    cols = []
+    for p in paths:
+        col = piece.project(gen, p.start)  # a length-0 path is e_start
+        for label in p.arrows:
+            col = piece.act(label, col)
+        cols.append(dense(f, col, piece.total))
     return span_rref(f, kernel_basis(f, transpose(cols), ncols=len(paths)))
-
-
-def path_act(M: Rep, p, vec: Vector) -> Vector:
-    """Image of a global vector under the action of a basis path."""
-    f = M.field
-    blk = mat_vec(f, path_matrix(M, p), M.block(vec, p.start))
-    out = [f.zero()] * M.total
-    o = M.offset(p.end)
-    for i, x in enumerate(blk):
-        out[o + i] = x
-    return out
 
 
 def _top_epi_exists(a: Rep, b: Rep, v: int) -> bool:
@@ -155,11 +142,10 @@ def _top_epi_exists(a: Rep, b: Rep, v: int) -> bool:
     """
     f = a.field
     gen = _local_generator(a, v)
-    rad_b = _radical_span(b)
+    rad_b = Echelon.of(f, _radical_span(b))
     for blocks in hom_basis(a, b):
-        mat = hom_global_matrix(a, b, blocks)
-        w = mat_vec(f, mat, gen)
-        if not in_span(f, rad_b, w):
+        w = mat_vec(f, hom_global_matrix(a, b, blocks), gen)
+        if not rad_b.contains(sparse(f, w)):
             return True
     return False
 
@@ -216,7 +202,8 @@ def no_proper_topstable_deg(
             kernels.append(_presentation_kernel(alg, v, piece, gen))
         kernel_dims.append((v, tuple(len(k) for k in kernels)))
         for big, small, kb, ks in zip(group, group[1:], kernels, kernels[1:]):
-            if space_contains(f, ks, kb):
+            small_kernel = Echelon.of(f, ks)
+            if all(small_kernel.contains(sparse(f, row)) for row in kb):
                 continue
             # Kernels of the canonical presentations are incomparable, but a
             # different norming of the generators might still chain them; an
@@ -229,12 +216,7 @@ def no_proper_topstable_deg(
                     tuple(kernel_dims),
                 )
 
-    units = []
-    for i in range(M.total):
-        u = [f.zero()] * M.total
-        u[i] = f.one()
-        units.append(u)
-    JM = sub_rep(M, arrow_images_span(M, units))
+    JM = sub_rep(M, _radical_span(M))
     hp = hom_dim(P.rep, JM)
     hm = hom_dim(M, JM)
     if hp != hm:
@@ -306,10 +288,10 @@ def one_param_limit(
                 combo[k] = f.add(combo[k], f.mul(a[i], pairs[i][1][k]))
         pivot = None
         for i in reversed(support):
-            if not is_zero_vec(f, pairs[i][1]):
+            if not all(f.is_zero(x) for x in pairs[i][1]):
                 pivot = i
                 break
-        if pivot is None or is_zero_vec(f, combo):
+        if pivot is None or all(f.is_zero(x) for x in combo):
             raise NotSubmodule("row family degenerated; C was not a point")
         pairs[pivot] = (combo, list(zero))
 

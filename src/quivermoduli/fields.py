@@ -86,9 +86,6 @@ class Field:
             return pow(a, -1, self.p)
         return Fraction(1) / a
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 

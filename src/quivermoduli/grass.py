@@ -29,17 +29,17 @@ from .errors import (
 )
 from .fields import Scalar
 from .linalg import (
+    Echelon,
     Matrix,
     Vector,
-    in_span,
+    dense,
     is_invertible,
-    is_zero_vec,
     kernel_basis,
     mat_vec,
     rank,
-    reduce_mod,
     solve,
     span_rref,
+    sparse,
     transpose,
 )
 from .polys import Poly, PolyRing
@@ -48,6 +48,7 @@ from .reps import (
     Rep,
     SemisimpleSequence,
     _vertex_dims,
+    closure,
     direct_sum,
     is_arrow_stable,
     quotient_rep,
@@ -215,7 +216,8 @@ def submodule_point(P: ProjectiveCover, vectors: list[Vector]) -> SubmodulePoint
 
 
 def point_from_generators(P: ProjectiveCover, gens) -> SubmodulePoint:
-    """The submodule generated by the given elements (closed under arrows).
+    """The submodule generated by the given elements: their vertex
+    components, closed under the arrows.
 
     Each generator is an (Element, copy) pair or a list of such pairs; lists
     are summed, so generators may mix copies (e.g. a1*z1 - a2*b*z2).
@@ -229,26 +231,7 @@ def point_from_generators(P: ProjectiveCover, gens) -> SubmodulePoint:
             for i, c in enumerate(P.element_vector(x, r)):
                 v[i] = f.add(v[i], c)
         vecs.append(v)
-    span = span_rref(f, vecs)
-    while True:
-        imgs = []
-        for w in span:
-            for a in P.alg.quiver.arrows:
-                blk = P.rep.block(w, a.start)
-                if is_zero_vec(f, blk):
-                    continue
-                img = mat_vec(f, P.rep.mats[a.label], blk)
-                if is_zero_vec(f, img):
-                    continue
-                v = [f.zero()] * P.total
-                o = P.rep.offset(a.end)
-                for i, x in enumerate(img):
-                    v[o + i] = x
-                imgs.append(v)
-        bigger = span_rref(f, span + imgs)
-        if len(bigger) == len(span):
-            return submodule_point(P, span)
-        span = bigger
+    return submodule_point(P, closure(P.rep, vecs))
 
 
 def is_grass_point(
@@ -262,12 +245,10 @@ def is_grass_point(
         if any(not f.is_zero(row[j]) for j in zpos):
             return False
     # vertex grading (idempotent stability)
+    span = Echelon.of(f, rows)
     for row in rows:
         for v in P.alg.quiver.vertices:
-            o, n = P.rep.offset(v), P.rep.dim_at(v)
-            proj = [f.zero()] * P.total
-            proj[o : o + n] = row[o : o + n]
-            if not in_span(f, rows, proj):
+            if not span.contains(P.rep.project(sparse(f, row), v)):
                 return False
     if not is_arrow_stable(P.rep, rows):
         return False
@@ -409,12 +390,12 @@ def skeleta_of_point(P: ProjectiveCover, C: SubmodulePoint) -> list[Skeleton]:
     """The skeleta sigma with P = C (+) span(sigma) and matching layering."""
     f = P.alg.field
     S = radical_layering(P.alg, coker_rep(P, C))
-    rows = C.row_lists()
+    span = Echelon.of(f, C.rows)
     res: dict[BElem, Vector] = {}
 
     def residue(b: BElem) -> Vector:
         if b not in res:
-            res[b] = reduce_mod(f, rows, P.unit(b))
+            res[b] = dense(f, span.reduce({P.index[b]: f.one()}), P.total)
         return res[b]
 
     out = []
@@ -684,6 +665,13 @@ def point_to_coords(
     return values
 
 
+def describe_endo(elem: tuple[int, int, PathWord]) -> str:
+    """The basis endomorphism (r, s, u) of P, which maps z_r to u*z_s."""
+    r, s, u = elem
+    rhs = f"z{s + 1}" if u.length == 0 else f"{u}*z{s + 1}"
+    return f"z{r + 1} -> {rhs}"
+
+
 @dataclass(eq=False)
 class EndoSpace:
     """Basis of End(P): elems[j] = (r, s, u) is the map z_r -> u*z_s, zero on
@@ -703,9 +691,7 @@ class EndoSpace:
         return len(self.elems)
 
     def describe(self, j: int) -> str:
-        r, s, u = self.elems[j]
-        rhs = f"z{s + 1}" if u.length == 0 else f"{u}*z{s + 1}"
-        return f"z{r + 1} -> {rhs}"
+        return describe_endo(self.elems[j])
 
     def identity_coords(self) -> list[Scalar]:
         f = self.cover.alg.field
@@ -805,11 +791,12 @@ def _stab_rank(
     the rank of coefficient -> (residues of images of C mod C)."""
     f = P.alg.field
     rows = C.row_lists()
+    span = Echelon.of(f, rows)
     cols = []
     for j in subset:
         col: list[Scalar] = []
         for v in rows:
-            col.extend(reduce_mod(f, rows, mat_vec(f, endo.mats[j], v)))
+            col.extend(dense(f, span.reduce(sparse(f, mat_vec(f, endo.mats[j], v))), P.total))
         cols.append(col)
     return rank(f, transpose(cols)) if cols else 0
 
@@ -836,9 +823,10 @@ def endo_invariant(
         endo = endo_space(P)
     f = P.alg.field
     rows = C.row_lists()
+    span = Echelon.of(f, rows)
     for j, elem in enumerate(endo.elems):
         for v in rows:
-            if not in_span(f, rows, mat_vec(f, endo.mats[j], v)):
+            if not span.contains(sparse(f, mat_vec(f, endo.mats[j], v))):
                 return False, elem
     return True, None
 
@@ -849,15 +837,12 @@ def is_homogeneous_point(P: ProjectiveCover, C: SubmodulePoint) -> bool:
     if not P.alg.is_homogeneous_ideal():
         raise IdealNotGraded("the defining ideal is not length-graded")
     f = P.alg.field
-    rows = C.row_lists()
+    span = Echelon.of(f, C.rows)
     lengths = sorted({p.length for p, _ in P.belems})
-    for row in rows:
+    for row in C.rows:
         for l in lengths:
-            comp = [
-                row[i] if P.belems[i][0].length == l else f.zero()
-                for i in range(P.total)
-            ]
-            if not in_span(f, rows, comp):
+            comp = {i: x for i, x in enumerate(row) if P.belems[i][0].length == l}
+            if not span.contains(comp):
                 return False
     return True
 
@@ -884,13 +869,7 @@ def _socle_dims(P: ProjectiveCover) -> tuple[tuple[int, ...], tuple[int, ...]]:
     n = len(jp)
     rows: list[list[Scalar]] = []
     for a in P.alg.quiver.arrows:
-        imgs = []
-        for w in jp:
-            img = [f.zero()] * P.total
-            o = P.rep.offset(a.end)
-            for i, x in enumerate(mat_vec(f, P.rep.mats[a.label], P.rep.block(w, a.start))):
-                img[o + i] = x
-            imgs.append(img)
+        imgs = [dense(f, P.rep.act(a.label, sparse(f, w)), P.total) for w in jp]
         rows.extend([imgs[j][i] for j in range(n)] for i in range(P.total))
     ker = kernel_basis(f, rows, ncols=n) if rows else []
     soc_vecs = []
@@ -1013,7 +992,7 @@ def moduli_report(
                         kind="NoCoarse",
                         reason=(
                             f"point on chart {where} at ({labels or 'origin'}) is moved "
-                            f"by the endomorphism {endo.describe(endo.elems.index(g))}"
+                            f"by the endomorphism {describe_endo(g)}"
                         ),
                         witness=C,
                         witness_endo=g,

@@ -3,9 +3,15 @@
 Dense matrices are lists of row lists; vectors are lists. Sparse rows are
 dicts mapping column index to a nonzero scalar. Everything is computed with
 exact field arithmetic, no floating point anywhere.
+
+Every elimination goes through one kernel, Echelon: a row space kept in
+fully reduced echelon form under incremental insertion. The dense functions
+below (rref, kernels, solve, inverse, det) are thin views of it.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .errors import DimensionMismatch, NotInvertible
 from .fields import Field, Scalar
@@ -26,10 +32,6 @@ def identity(field: Field, n: int) -> Matrix:
     for i in range(n):
         m[i][i] = one
     return m
-
-
-def mat_copy(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
 
 
 def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
@@ -55,12 +57,13 @@ def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
 def mat_vec(field: Field, a: Matrix, v: Vector) -> Vector:
     if a and len(a[0]) != len(v):
         raise DimensionMismatch("matrix/vector shape mismatch")
+    support = [(j, y) for j, y in enumerate(v) if not field.is_zero(y)]
     out = []
     for row in a:
         s = field.zero()
-        for x, y in zip(row, v):
-            if not field.is_zero(x) and not field.is_zero(y):
-                s = field.add(s, field.mul(x, y))
+        for j, y in support:
+            if not field.is_zero(row[j]):
+                s = field.add(s, field.mul(row[j], y))
         out.append(s)
     return out
 
@@ -68,7 +71,7 @@ def mat_vec(field: Field, a: Matrix, v: Vector) -> Vector:
 def mat_pow(field: Field, a: Matrix, k: int) -> Matrix:
     n = len(a)
     out = identity(field, n)
-    base = mat_copy(a)
+    base = [row[:] for row in a]
     while k > 0:
         if k & 1:
             out = mat_mul(field, out, base)
@@ -84,59 +87,135 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def is_zero_vec(field: Field, v: Vector) -> bool:
-    return all(field.is_zero(x) for x in v)
+# -- the elimination kernel ----------------------------------------------------
+
+
+def sparse(field: Field, v: Vector) -> SparseRow:
+    return {j: x for j, x in enumerate(v) if not field.is_zero(x)}
+
+
+def dense(field: Field, row: SparseRow, ncols: int) -> Vector:
+    out = [field.zero()] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _axpy(field: Field, out: SparseRow, c: Scalar, row: SparseRow) -> None:
+    """out -= c * row in place, dropping the entries that cancel."""
+    zero = field.zero()
+    for k, v in row.items():
+        nv = field.sub(out.get(k, zero), field.mul(c, v))
+        if field.is_zero(nv):
+            out.pop(k, None)
+        else:
+            out[k] = nv
+
+
+class Echelon:
+    """A row space in fully reduced echelon form, grown one row at a time.
+
+    Stored rows are sparse and keyed by their pivot, the smallest column of
+    the row, where the entry is 1; no stored row has a nonzero entry at any
+    other row's pivot. A space has exactly one such form for a fixed column
+    order, so the stored rows are its RREF whatever order rows arrive in.
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: Field, rows: Iterable[SparseRow] = ()):
+        self.field = field
+        self.rows: dict[int, SparseRow] = {}
+        for row in rows:
+            self.insert(row)
+
+    @classmethod
+    def of(cls, field: Field, vectors: Iterable[Vector]) -> Echelon:
+        """The span of dense vectors."""
+        return cls(field, (sparse(field, v) for v in vectors))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row: SparseRow) -> SparseRow:
+        """Residue of a row modulo the space: a new row, zero at every pivot."""
+        f = self.field
+        out = {k: v for k, v in row.items() if not f.is_zero(v)}
+        for c in [c for c in out if c in self.rows]:
+            # pivot rows are zero at every other pivot, so one pass suffices
+            _axpy(f, out, out[c], self.rows[c])
+        return out
+
+    def contains(self, row: SparseRow) -> bool:
+        return not self.reduce(row)
+
+    def insert(self, row: SparseRow) -> int | None:
+        """Add a row to the space; its new pivot, or None if it was inside."""
+        return self._place(self.reduce(row))
+
+    def _place(self, res: SparseRow) -> int | None:
+        """Store a residue: scale its lead to 1, clear its pivot elsewhere."""
+        if not res:
+            return None
+        f = self.field
+        p = min(res)
+        inv = f.inv(res[p])
+        res = {k: f.mul(inv, v) for k, v in res.items()}
+        for r in self.rows.values():
+            c = r.get(p)
+            if c is not None:
+                _axpy(f, r, c, res)
+        self.rows[p] = res
+        return p
+
+    def pivots(self) -> list[int]:
+        return sorted(self.rows)
+
+    def rref(self, ncols: int) -> list[Vector]:
+        """The stored rows as dense vectors, in pivot order."""
+        return [dense(self.field, self.rows[p], ncols) for p in self.pivots()]
+
+    def kernel(self, ncols: int) -> list[Vector]:
+        """Basis of {x : r . x = 0 for every stored row r}, one vector per
+        free column in ascending order, with 1 at that column."""
+        f = self.field
+        basis = []
+        for free in range(ncols):
+            if free in self.rows:
+                continue
+            v = [f.zero()] * ncols
+            v[free] = f.one()
+            for p, row in self.rows.items():
+                c = row.get(free)
+                if c is not None:
+                    v[p] = f.neg(c)
+            basis.append(v)
+        return basis
+
+
+# -- dense views ------------------------------------------------------------------
 
 
 def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref_rows_without_zero_rows, pivot_cols)."""
-    rows = [row[:] for row in a if not all(field.is_zero(x) for x in row)]
-    ncols = len(a[0]) if a else 0
-    pivots: list[int] = []
-    out: list[Vector] = []
-    for row in rows:
-        for pcol, prow in zip(pivots, out):
-            c = row[pcol]
-            if not field.is_zero(c):
-                for j in range(ncols):
-                    if not field.is_zero(prow[j]):
-                        row[j] = field.sub(row[j], field.mul(c, prow[j]))
-        lead = next((j for j in range(ncols) if not field.is_zero(row[j])), None)
-        if lead is None:
-            continue
-        inv = field.inv(row[lead])
-        row = [field.mul(inv, x) for x in row]
-        for pcol, prow in zip(pivots, out):
-            c = prow[lead]
-            if not field.is_zero(c):
-                for j in range(ncols):
-                    if not field.is_zero(row[j]):
-                        prow[j] = field.sub(prow[j], field.mul(c, row[j]))
-        out.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [out[i] for i in order], sorted(pivots)
+    ech = Echelon.of(field, a)
+    return ech.rref(len(a[0]) if a else 0), ech.pivots()
 
 
 def rank(field: Field, a: Matrix) -> int:
-    return len(rref(field, a)[1])
+    return len(Echelon.of(field, a))
 
 
 def kernel_basis(field: Field, a: Matrix, ncols: int | None = None) -> list[Vector]:
     """Basis of the right kernel {x : a @ x = 0}."""
     if ncols is None:
         ncols = len(a[0]) if a else 0
-    red, pivots = rref(field, a)
-    pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
-    basis = []
-    for f in free:
-        v = [field.zero()] * ncols
-        v[f] = field.one()
-        for prow, pcol in zip(red, pivots):
-            v[pcol] = field.neg(prow[f])
-        basis.append(v)
-    return basis
+    return Echelon.of(field, a).kernel(ncols)
+
+
+def sparse_kernel_basis(field: Field, rows: list[SparseRow], ncols: int) -> list[Vector]:
+    """Basis of {x in K^ncols : r . x = 0 for every sparse row r}."""
+    return Echelon(field, rows).kernel(ncols)
 
 
 def solve(field: Field, a: Matrix, b: Vector) -> Vector | None:
@@ -166,27 +245,24 @@ def inverse(field: Field, a: Matrix) -> Matrix:
 
 
 def det(field: Field, a: Matrix) -> Scalar:
+    """Each row's residue is the row minus a combination of earlier rows,
+    so the residues form a matrix of the same determinant that is
+    triangular in pivot order: det is the product of their leading entries
+    times the sign of that order."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("determinant of non-square matrix")
-    m = mat_copy(a)
+    ech = Echelon(field)
     d = field.one()
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not field.is_zero(m[r][col])), None)
-        if piv is None:
+    order: list[int] = []
+    for row in a:
+        res = ech.reduce(sparse(field, row))
+        if not res:
             return field.zero()
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            d = field.neg(d)
-        d = field.mul(d, m[col][col])
-        inv = field.inv(m[col][col])
-        for r in range(col + 1, n):
-            c = field.mul(inv, m[r][col])
-            if field.is_zero(c):
-                continue
-            for j in range(col, n):
-                m[r][j] = field.sub(m[r][j], field.mul(c, m[col][j]))
-    return d
+        order.append(ech._place(res))
+        d = field.mul(d, res[order[-1]])
+    inversions = sum(1 for i in range(n) for j in range(i) if order[j] > order[i])
+    return field.neg(d) if inversions % 2 else d
 
 
 def is_invertible(field: Field, a: Matrix) -> bool:
@@ -212,88 +288,6 @@ def space_key(rows: list[Vector]) -> SpaceKey:
     return tuple(tuple(r) for r in rows)
 
 
-def in_span(field: Field, rref_rows: list[Vector], v: Vector) -> bool:
-    return is_zero_vec(field, reduce_mod(field, rref_rows, v))
-
-
 def reduce_mod(field: Field, rref_rows: list[Vector], v: Vector) -> Vector:
     """Residue of v after eliminating the pivots of an RREF row list."""
-    out = v[:]
-    for row in rref_rows:
-        lead = next((j for j, x in enumerate(row) if not field.is_zero(x)), None)
-        if lead is None:
-            continue
-        c = out[lead]
-        if not field.is_zero(c):
-            for j in range(len(out)):
-                if not field.is_zero(row[j]):
-                    out[j] = field.sub(out[j], field.mul(c, row[j]))
-    return out
-
-
-def space_contains(field: Field, outer_rref: list[Vector], inner_rref: list[Vector]) -> bool:
-    return all(in_span(field, outer_rref, v) for v in inner_rref)
-
-
-# -- sparse elimination ------------------------------------------------------
-
-
-def sparse_row_reduce(field: Field, pivots: dict[int, SparseRow], row: SparseRow) -> int | None:
-    """Insert a sparse row into an eliminated set keyed by pivot column
-    (the smallest column of the stored row). Returns the new pivot or None."""
-    row = dict(row)
-    while row:
-        c = min(row)
-        if c in pivots:
-            coeff = row.pop(c)
-            for k, v in pivots[c].items():
-                if k == c:
-                    continue
-                nv = field.sub(row.get(k, field.zero()), field.mul(coeff, v))
-                if field.is_zero(nv):
-                    row.pop(k, None)
-                else:
-                    row[k] = nv
-        else:
-            inv = field.inv(row[c])
-            pivots[c] = {k: field.mul(inv, v) for k, v in row.items()}
-            return c
-    return None
-
-
-def sparse_kernel_basis(field: Field, rows: list[SparseRow], ncols: int) -> list[Vector]:
-    """Basis of {x in K^ncols : r . x = 0 for every sparse row r}."""
-    pivots: dict[int, SparseRow] = {}
-    for row in rows:
-        sparse_row_reduce(field, pivots, row)
-    # Back-substitute so every stored row is supported on its pivot and free
-    # columns only; process pivots from the largest down.
-    order = sorted(pivots, reverse=True)
-    for c in order:
-        row = pivots[c]
-        changed = True
-        while changed:
-            changed = False
-            for k in sorted(k for k in row if k != c and k in pivots):
-                coeff = row.pop(k)
-                for kk, vv in pivots[k].items():
-                    if kk == k:
-                        continue
-                    nv = field.sub(row.get(kk, field.zero()), field.mul(coeff, vv))
-                    if field.is_zero(nv):
-                        row.pop(kk, None)
-                    else:
-                        row[kk] = nv
-                changed = True
-                break
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [field.zero()] * ncols
-        v[f] = field.one()
-        for c, row in pivots.items():
-            coeff = row.get(f)
-            if coeff is not None:
-                v[c] = field.neg(coeff)
-        basis.append(v)
-    return basis
+    return dense(field, Echelon.of(field, rref_rows).reduce(sparse(field, v)), len(v))

@@ -51,9 +51,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.terms)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -142,22 +139,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.format()})"
-
-
-def poly_mat_mul(a: list[list[Poly]], b: list[list[Poly]]) -> list[list[Poly]]:
-    if not a or not b:
-        return []
-    ring = a[0][0].ring
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            if a[i][k].is_zero():
-                continue
-            for j in range(cols):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
 
 
 def poly_det(a: list[list[Poly]]) -> Poly:

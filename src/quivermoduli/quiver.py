@@ -49,16 +49,6 @@ class Quiver:
         except KeyError:
             raise KeyError(f"unknown arrow label {label!r}") from None
 
-    def has_arrow(self, label: str) -> bool:
-        return label in self._by_label
-
-    def arrow_index(self, label: str) -> int:
-        """Declaration index; used as the lex tiebreak in the deglex order."""
-        return self._labels_ordered().index(label)
-
-    def _labels_ordered(self) -> list[str]:
-        return [a.label for a in self.arrows]
-
     def arrows_out(self, v: int) -> list[Arrow]:
         return [a for a in self.arrows if a.start == v]
 

@@ -4,7 +4,8 @@ isomorphism testing, submodule enumeration, and local decompositions.
 A Rep assigns to each arrow a d_end x d_start matrix. Vectors of the module
 live in the flattened space K^|d| with vertex blocks in vertex order; every
 submodule is graded by vertices (idempotents act), so per-vertex dimensions
-of subspaces are read off block projections.
+of subspaces are read off block projections. Rep.act and Rep.project, the
+arrow and idempotent actions, take and return them as sparse rows.
 """
 
 from __future__ import annotations
@@ -26,27 +27,27 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .linalg import (
+    Echelon,
     Matrix,
+    SparseRow,
     Vector,
     identity,
-    in_span,
     is_invertible,
-    is_zero_vec,
     inverse,
     kernel_basis,
     mat_mul,
     mat_pow,
     mat_vec,
     rank,
-    reduce_mod,
     solve,
     space_key,
     span_rref,
+    sparse,
     sparse_kernel_basis,
     transpose,
     zeros,
 )
-from .quiver import Element, PathWord
+from .quiver import Element, PathWord, idempotent
 
 SemisimpleSequence = tuple[tuple[int, ...], ...]
 
@@ -76,6 +77,25 @@ class Rep:
 
     def dim_at(self, v: int) -> int:
         return self.d[v - 1]
+
+    def project(self, vec: SparseRow, v: int) -> SparseRow:
+        """The component e_v * vec of a sparse global vector at vertex v."""
+        o = self.offset(v)
+        return {j: x for j, x in vec.items() if o <= j < o + self.d[v - 1]}
+
+    def act(self, label: str, vec: SparseRow) -> SparseRow:
+        """The image of a sparse global vector under one arrow."""
+        f = self.field
+        a = self.alg.quiver.arrow(label)
+        start, end = self.offset(a.start), self.offset(a.end)
+        out: SparseRow = {}
+        for j, y in vec.items():
+            if start <= j < start + self.d[a.start - 1]:
+                for i, row in enumerate(self.mats[label]):
+                    x = row[j - start]
+                    if not f.is_zero(x):
+                        out[end + i] = f.add(out.get(end + i, f.zero()), f.mul(x, y))
+        return {k: x for k, x in out.items() if not f.is_zero(x)}
 
     def __repr__(self) -> str:
         return f"Rep(d={self.d}, field={self.field})"
@@ -234,21 +254,29 @@ def random_group_element(field: Field, d: tuple[int, ...], rng: random.Random) -
 def arrow_images_span(M: Rep, space: list[Vector]) -> list[Vector]:
     """RREF span of the arrow images of the given global vectors."""
     f = M.field
-    vecs = []
-    for w in space:
+    rows = [sparse(f, w) for w in space]
+    return Echelon(f, (M.act(a.label, w) for w in rows for a in M.alg.quiver.arrows)).rref(M.total)
+
+
+def closure(M: Rep, vecs: list[Vector]) -> list[Vector]:
+    """RREF basis of the submodule generated by the given global vectors:
+    the span of their vertex components, closed under the arrows."""
+    f = M.field
+    span = Echelon(f)
+    queue: list[SparseRow] = []
+
+    def push(w: SparseRow) -> None:
+        if span.insert(w) is not None:
+            queue.append(w)
+
+    for v in vecs:
+        for vert in M.alg.quiver.vertices:
+            push(M.project(sparse(f, v), vert))
+    while queue:
+        w = queue.pop()
         for a in M.alg.quiver.arrows:
-            blk = M.block(w, a.start)
-            if is_zero_vec(f, blk):
-                continue
-            img = mat_vec(f, M.mats[a.label], blk)
-            if is_zero_vec(f, img):
-                continue
-            v = [f.zero()] * M.total
-            o = M.offset(a.end)
-            for i, x in enumerate(img):
-                v[o + i] = x
-            vecs.append(v)
-    return span_rref(f, vecs)
+            push(M.act(a.label, w))
+    return span.rref(M.total)
 
 
 def _vertex_dims(M: Rep, space: list[Vector]) -> tuple[int, ...]:
@@ -455,55 +483,6 @@ def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: i
 # -- submodule enumeration (finite fields) -----------------------------------
 
 
-def _cyclic_span(M: Rep, v: Vector) -> list[Vector]:
-    """RREF basis of the submodule generated by one vector."""
-    f = M.field
-    span: list[Vector] = []
-    queue: list[Vector] = []
-
-    def push(w: Vector) -> None:
-        res = reduce_mod(f, span, w)
-        if not is_zero_vec(f, res):
-            lead = next(i for i, x in enumerate(res) if not f.is_zero(x))
-            inv = f.inv(res[lead])
-            res = [f.mul(inv, x) for x in res]
-            # keep span fully reduced
-            for r in span:
-                c = r[lead]
-                if not f.is_zero(c):
-                    for j in range(len(r)):
-                        if not f.is_zero(res[j]):
-                            r[j] = f.sub(r[j], f.mul(c, res[j]))
-            span.append(res)
-            span.sort(key=lambda r: next(i for i, x in enumerate(r) if not f.is_zero(x)))
-            queue.append(res)
-
-    # idempotent components generate the same submodule as v itself
-    for vert in M.alg.quiver.vertices:
-        o, n = M.offset(vert), M.dim_at(vert)
-        blk = v[o : o + n]
-        if not is_zero_vec(f, blk):
-            w = [f.zero()] * M.total
-            for i, x in enumerate(blk):
-                w[o + i] = x
-            push(w)
-    while queue:
-        w = queue.pop()
-        for a in M.alg.quiver.arrows:
-            blk = M.block(w, a.start)
-            if is_zero_vec(f, blk):
-                continue
-            img = mat_vec(f, M.mats[a.label], blk)
-            if is_zero_vec(f, img):
-                continue
-            nw = [f.zero()] * M.total
-            o = M.offset(a.end)
-            for i, x in enumerate(img):
-                nw[o + i] = x
-            push(nw)
-    return span
-
-
 def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[Vector]]:
     """All submodules as RREF row lists: cyclic spans closed under sums."""
     f = M.field
@@ -521,7 +500,7 @@ def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[
         lead = next((i for i, x in enumerate(vec) if not f.is_zero(x)), None)
         if lead is None or not f.is_one(vec[lead]):
             continue
-        sp = _cyclic_span(M, vec)
+        sp = closure(M, [vec])
         seen.setdefault(space_key(sp), sp)
         if len(seen) > limits.submodule_spaces:
             raise SearchTooLarge("submodule count exceeds budget")
@@ -546,77 +525,39 @@ def submodule_dim_vectors(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> set[
 
 def is_arrow_stable(M: Rep, space: list[Vector]) -> bool:
     f = M.field
-    for w in space:
-        for a in M.alg.quiver.arrows:
-            blk = M.block(w, a.start)
-            if is_zero_vec(f, blk):
-                continue
-            img = mat_vec(f, M.mats[a.label], blk)
-            v = [f.zero()] * M.total
-            o = M.offset(a.end)
-            for i, x in enumerate(img):
-                v[o + i] = x
-            if not in_span(f, space, v):
-                return False
-    return True
+    rows = [sparse(f, w) for w in space]
+    span = Echelon(f, rows)
+    return all(span.contains(M.act(a.label, w)) for w in rows for a in M.alg.quiver.arrows)
 
 
 # -- annihilators -------------------------------------------------------------
 
 
 def ideal_span(alg: Algebra, gens: list[Element]) -> list[Element]:
-    """Spanning set (a basis) of the two-sided ideal generated by gens,
-    as normal-formed elements; closed under arrow and idempotent actions."""
-    from .quiver import idempotent
-
+    """A basis of the two-sided ideal generated by gens, as normal-formed
+    elements: the generators closed under arrow and idempotent actions."""
     f = alg.field
-    dim = alg.dim
-    index = {p: i for i, p in enumerate(alg.basis)}
-
-    def coords(x: Element) -> Vector:
-        v = [f.zero()] * dim
-        for p, c in x.terms.items():
-            v[index[p]] = c
-        return v
-
-    span: list[Vector] = []
-    basis_elems: list[Element] = []
+    span = Echelon(f)
     queue: list[Element] = []
 
     def push(x: Element) -> None:
         x = alg.normal_form(x)
-        if x.is_zero():
-            return
-        res = reduce_mod(f, span, coords(x))
-        if is_zero_vec(f, res):
-            return
-        lead = next(i for i, c in enumerate(res) if not f.is_zero(c))
-        inv = f.inv(res[lead])
-        res = [f.mul(inv, c) for c in res]
-        for r in span:
-            c = r[lead]
-            if not f.is_zero(c):
-                for j in range(dim):
-                    if not f.is_zero(res[j]):
-                        r[j] = f.sub(r[j], f.mul(c, res[j]))
-        span.append(res)
-        el = Element({alg.basis[i]: c for i, c in enumerate(res) if not f.is_zero(c)})
-        basis_elems.append(el)
-        queue.append(el)
+        if span.insert({alg.basis_index[p]: c for p, c in x.terms.items()}) is not None:
+            queue.append(x)
 
     for g in gens:
         push(g)
     multipliers = [Element.from_path(idempotent(v), f.one()) for v in alg.quiver.vertices]
-    from .quiver import PathWord as _PW
-
     for a in alg.quiver.arrows:
-        multipliers.append(Element.from_path(_PW(a.start, (a.label,), a.end), f.one()))
+        multipliers.append(Element.from_path(PathWord(a.start, (a.label,), a.end), f.one()))
     while queue:
         x = queue.pop()
         for m in multipliers:
             push(alg.mul(m, x))
             push(alg.mul(x, m))
-    return basis_elems
+    return [
+        Element({alg.basis[i]: c for i, c in span.rows[p].items()}) for p in span.pivots()
+    ]
 
 
 def annihilator_dim(alg: Algebra, M: Rep, ideal_gens: list[Element]) -> int:
@@ -659,7 +600,7 @@ def sub_rep(M: Rep, space: list[Vector]) -> Rep:
         for w in bases[a.start]:
             img = mat_vec(f, M.mats[a.label], w)
             if not bases[a.end]:
-                if not is_zero_vec(f, img):
+                if any(not f.is_zero(x) for x in img):
                     raise NotSubmodule("arrow image leaves the subspace")
                 cols.append([])
                 continue
@@ -678,26 +619,19 @@ def quotient_rep(M: Rep, space: list[Vector]) -> Rep:
     if not is_arrow_stable(M, space):
         raise NotSubmodule("subspace is not stable under the arrow action")
     bases = _graded_basis(M, space)
-    keep: dict[int, list[int]] = {}
-    for v in M.alg.quiver.vertices:
-        n = M.dim_at(v)
-        pivots = set()
-        for row in bases[v]:
-            pivots.add(next(i for i, x in enumerate(row) if not f.is_zero(x)))
-        keep[v] = [i for i in range(n) if i not in pivots]
+    spans = {v: Echelon.of(f, bases[v]) for v in bases}
+    keep = {v: [i for i in range(M.dim_at(v)) if i not in spans[v].rows] for v in bases}
     d = tuple(len(keep[v]) for v in M.alg.quiver.vertices)
 
     def project(v: int, blockvec: Vector) -> Vector:
-        res = reduce_mod(f, bases[v], blockvec)
-        return [res[i] for i in keep[v]]
+        res = spans[v].reduce(sparse(f, blockvec))
+        return [res.get(i, f.zero()) for i in keep[v]]
 
     mats = {}
     for a in M.alg.quiver.arrows:
         cols = []
         for i in keep[a.start]:
-            unit = [f.zero()] * M.dim_at(a.start)
-            unit[i] = f.one()
-            img = mat_vec(f, M.mats[a.label], unit)
+            img = [row[i] for row in M.mats[a.label]]
             cols.append(project(a.end, img))
         mats[a.label] = [list(row) for row in zip(*cols)] if cols and d[a.end - 1] else zeros(f, d[a.end - 1], d[a.start - 1])
     return Rep(M.alg, d, mats)

@@ -10,7 +10,68 @@ from __future__ import annotations
 import itertools
 
 from quivermoduli.fields import Field
-from quivermoduli.linalg import in_span, is_zero_vec, kernel_basis, mat_vec, span_rref
+from quivermoduli.linalg import kernel_basis, span_rref
+
+
+# -- textbook linear algebra, sharing nothing with quivermoduli.linalg ---------
+
+
+def naive_rank(field: Field, rows) -> int:
+    """Rank by column-by-column Gaussian elimination on a dense copy."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = field.inv(m[rank][col])
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                c = field.mul(m[i][col], inv)
+                m[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def naive_in_span(field: Field, rows, v) -> bool:
+    """Is v in the span of the (independent) rows?"""
+    return naive_rank(field, list(rows) + [v]) == naive_rank(field, rows)
+
+
+def naive_mat_vec(field: Field, a, v):
+    out = []
+    for row in a:
+        s = field.zero()
+        for x, y in zip(row, v):
+            s = field.add(s, field.mul(x, y))
+        out.append(s)
+    return out
+
+
+def leibniz_det(field: Field, a):
+    """Sum over all permutations of signed products of entries."""
+    n = len(a)
+    total = field.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = field.one()
+        for i in range(n):
+            term = field.mul(term, a[i][perm[i]])
+        total = field.sub(total, term) if inversions % 2 else field.add(total, term)
+    return total
+
+
+def span_by_enumeration(field: Field, rows, ncols: int) -> set[tuple]:
+    """Every vector of the span over a finite field: all combinations."""
+    out = set()
+    for coeffs in itertools.product(field.elements(), repeat=len(rows)):
+        v = [field.zero()] * ncols
+        for c, row in zip(coeffs, rows):
+            v = [field.add(x, field.mul(c, y)) for x, y in zip(v, row)]
+        out.add(tuple(v))
+    return out
 
 
 def count_walks(arrows: list[tuple[str, int, int]], start: int, length: int) -> list[tuple[str, ...]]:
@@ -68,15 +129,12 @@ def brute_force_submodule_dims(M) -> set[tuple[int, ...]]:
         stable = True
         for w in rows:
             for a in M.alg.quiver.arrows:
-                blk = M.block(w, a.start)
-                if is_zero_vec(f, blk):
-                    continue
-                img = mat_vec(f, M.mats[a.label], blk)
+                img = naive_mat_vec(f, M.mats[a.label], M.block(w, a.start))
                 v = [f.zero()] * n
                 o = M.offset(a.end)
                 for i, x in enumerate(img):
                     v[o + i] = x
-                if not in_span(f, rows, v):
+                if not naive_in_span(f, rows, v):
                     stable = False
                     break
             if not stable:
@@ -90,7 +148,7 @@ def brute_force_submodule_dims(M) -> set[tuple[int, ...]]:
                 v = [f.zero()] * n
                 for i in range(k):
                     v[o + i] = w[o + i]
-                if not in_span(f, rows, v):
+                if not naive_in_span(f, rows, v):
                     stable = False
                     break
             if not stable:
@@ -101,7 +159,7 @@ def brute_force_submodule_dims(M) -> set[tuple[int, ...]]:
         for vert in M.alg.quiver.vertices:
             o, k = M.offset(vert), M.dim_at(vert)
             proj = [w[o : o + k] for w in rows]
-            dims.append(len(span_rref(f, proj)) if proj and k else 0)
+            dims.append(naive_rank(f, proj) if proj and k else 0)
         out.add(tuple(dims))
     return out
 

@@ -149,6 +149,18 @@ def test_point_from_generators_takes_arrow_closure(loop_bridge):
     assert is_grass_point(P, C, (2, 1)) and is_grass_point(P, Cba, (2, 1))
 
 
+def test_point_from_generators_takes_vertex_components(loop_bridge):
+    # a*z1 ends at vertex 1 and b*z1 at vertex 2: the submodule generated by
+    # their sum contains both, since the idempotents act
+    P = projective_cover(loop_bridge, (1, 0))
+    q = loop_bridge.quiver
+    C = point_from_generators(P, [(rel(q, (1, ["a"]), (1, ["b"])), 0)])
+    apart = point_from_generators(P, [(rel(q, (1, ["a"])), 0), (rel(q, (1, ["b"])), 0)])
+    assert C.dim == 3
+    assert C == apart
+    assert is_grass_point(P, C, C.dims)
+
+
 def test_raw_span_need_not_be_a_point(loop_bridge):
     P = projective_cover(loop_bridge, (1, 0))
     f = loop_bridge.field
