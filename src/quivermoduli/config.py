@@ -9,7 +9,9 @@ from dataclasses import dataclass, replace
 class SearchLimits:
     """Caps on the exhaustive and randomized searches.
 
-    submodule_vectors: max number of generator vectors swept (q^|d|).
+    submodule_vectors: max q^|d| for a submodule enumeration. The sweep
+        closes only the vertex-homogeneous vectors, one per line, but the
+        cap is on q^|d|, the size of the whole module.
     submodule_spaces: max number of distinct submodules tracked.
     iso_enum: max size q^k of a hom space enumerated exhaustively.
     iso_tries: randomized witness attempts before giving up.

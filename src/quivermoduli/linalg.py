@@ -137,6 +137,12 @@ class Echelon:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def copy(self) -> Echelon:
+        """An independent copy: inserting into it leaves this space alone."""
+        out = Echelon(self.field)
+        out.rows = {p: dict(r) for p, r in self.rows.items()}
+        return out
+
     def reduce(self, row: SparseRow) -> SparseRow:
         """Residue of a row modulo the space: a new row, zero at every pivot."""
         f = self.field

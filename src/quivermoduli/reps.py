@@ -484,7 +484,18 @@ def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: i
 
 
 def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[Vector]]:
-    """All submodules as RREF row lists: cyclic spans closed under sums."""
+    """All submodules as RREF row lists.
+
+    Idempotents act, so every submodule U is the sum of its vertex parts
+    e_v U, hence the sum of the cyclic submodules of its vertex-homogeneous
+    vectors. Only those vectors are closed, one per line: sum over v of
+    (q^d_v - 1)/(q - 1) calls to closure instead of (q^|d| - 1)/(q - 1).
+    The lattice then grows from {0} one distinct cyclic submodule C at a
+    time: every U found so far also yields U + C, which is U's echelon form
+    with C's rows inserted, unless U already holds C's generator. After the
+    last C it holds every sum of cyclics, i.e. every submodule. The
+    submodule_vectors budget caps q^|d|, not the number of vectors closed.
+    """
     f = M.field
     if not f.is_finite:
         raise FieldNotFinite("submodule enumeration requires a finite field")
@@ -492,31 +503,31 @@ def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[
     q = f.order
     if q**n > limits.submodule_vectors:
         raise SearchTooLarge(f"would sweep {q**n} generator vectors (budget {limits.submodule_vectors})")
-    elements = f.elements()
-    seen: dict[tuple, list[Vector]] = {(): []}
-    for coeffs in itertools.product(elements, repeat=n):
-        vec = list(coeffs)
-        # scale-normalize: first nonzero coordinate = 1
-        lead = next((i for i, x in enumerate(vec) if not f.is_zero(x)), None)
-        if lead is None or not f.is_one(vec[lead]):
-            continue
-        sp = closure(M, [vec])
-        seen.setdefault(space_key(sp), sp)
-        if len(seen) > limits.submodule_spaces:
-            raise SearchTooLarge("submodule count exceeds budget")
-    # close under pairwise sums to a fixpoint
-    work = list(seen.values())
-    while work:
-        w = work.pop()
-        for other in list(seen.values()):
-            s = span_rref(f, [r[:] for r in w] + [r[:] for r in other])
-            key = space_key(s)
+    cyclics: dict[tuple, tuple[SparseRow, list[SparseRow]]] = {}
+    for v in M.alg.quiver.vertices:
+        o = M.offset(v)
+        for coeffs in _projective_coeffs(f, M.dim_at(v)):
+            vec = [f.zero()] * n
+            vec[o : o + len(coeffs)] = coeffs
+            sp = closure(M, [vec])
+            cyclics.setdefault(space_key(sp), (sparse(f, vec), [sparse(f, r) for r in sp]))
+    # an RREF is unique, so its (pivot, column, entry) triples name the space
+    seen = {frozenset()}
+    lattice = [Echelon(f)]
+    for gen, rows in cyclics.values():
+        for span in lattice[:]:
+            if span.contains(gen):
+                continue
+            total = span.copy()
+            for row in rows:
+                total.insert(row)
+            key = frozenset((p, c, x) for p, r in total.rows.items() for c, x in r.items())
             if key not in seen:
-                seen[key] = s
-                work.append(s)
+                seen.add(key)
+                lattice.append(total)
                 if len(seen) > limits.submodule_spaces:
                     raise SearchTooLarge("submodule count exceeds budget")
-    return list(seen.values())
+    return [span.rref(n) for span in lattice]
 
 
 def submodule_dim_vectors(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> set[tuple[int, ...]]:

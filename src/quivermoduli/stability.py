@@ -22,7 +22,7 @@ from enum import Enum
 from .config import DEFAULT_LIMITS, SearchLimits
 from .errors import DimensionMismatch, NotSemistable, SingularBlock, Unknown
 from .fields import Field, Scalar
-from .linalg import det
+from .linalg import Vector, det
 from .reps import (
     GroupElement,
     Rep,
@@ -30,7 +30,6 @@ from .reps import (
     is_isomorphic,
     quotient_rep,
     sub_rep,
-    submodule_dim_vectors,
     submodule_spans,
 )
 
@@ -107,17 +106,24 @@ class StabilityClass(Enum):
 
 def classify_stability(M: Rep, theta: Weight, limits: SearchLimits = DEFAULT_LIMITS) -> StabilityClass:
     """Stability type of M from its exact submodule dimension-vector set."""
+    return _classify(M, theta, limits)[0]
+
+
+def _classify(M: Rep, theta: Weight, limits: SearchLimits):
+    """Stability type of M and its submodule spans; no spans when the
+    weight of M alone makes it unstable."""
     if M.total == 0:
         raise ValueError("the zero module has no stability type")
     if theta_of(theta, M.d) != 0:
-        return StabilityClass.UNSTABLE
-    proper = {e for e in submodule_dim_vectors(M, limits) if any(e) and e != M.d}
-    values = {theta_of(theta, e) for e in proper}
+        return StabilityClass.UNSTABLE, []
+    spans = submodule_spans(M, limits)
+    dims = {_vertex_dims(M, sp) for sp in spans}
+    values = {theta_of(theta, e) for e in dims if any(e) and e != M.d}
     if any(v < 0 for v in values):
-        return StabilityClass.UNSTABLE
+        return StabilityClass.UNSTABLE, spans
     if 0 in values:
-        return StabilityClass.SEMISTABLE_NOT_STABLE
-    return StabilityClass.STABLE
+        return StabilityClass.SEMISTABLE_NOT_STABLE, spans
+    return StabilityClass.STABLE, spans
 
 
 def stable_factors(M: Rep, theta: Weight, limits: SearchLimits = DEFAULT_LIMITS) -> list[Rep]:
@@ -127,25 +133,28 @@ def stable_factors(M: Rep, theta: Weight, limits: SearchLimits = DEFAULT_LIMITS)
     broken lexicographically on dimension vectors, then on row spans) and
     recurses on the quotient. The multiset of factors is independent of
     the extraction order; the fixed order just makes output deterministic.
+    M's lattice is enumerated once, for both the semistability verdict and
+    the first pick; each quotient gets its own.
     """
-    if classify_stability(M, theta, limits) is StabilityClass.UNSTABLE:
+    verdict, spans = _classify(M, theta, limits)
+    if verdict is StabilityClass.UNSTABLE:
         raise NotSemistable(f"module with dimension vector {M.d} is unstable for {theta}")
     factors: list[Rep] = []
     current = M
-    while current.total:
-        pick = _minimal_zero_weight_submodule(current, theta, limits)
+    while True:
+        pick = _minimal_zero_weight_submodule(current, theta, spans)
         if pick is None:
             factors.append(current)
-            break
+            return factors
         factors.append(sub_rep(current, pick))
         current = quotient_rep(current, pick)
-    return factors
+        spans = submodule_spans(current, limits)
 
 
-def _minimal_zero_weight_submodule(M: Rep, theta: Weight, limits: SearchLimits):
+def _minimal_zero_weight_submodule(M: Rep, theta: Weight, spans: list[list[Vector]]):
     best = None
     best_key = None
-    for sp in submodule_spans(M, limits):
+    for sp in spans:
         if not sp or len(sp) == M.total:
             continue
         dims = _vertex_dims(M, sp)

@@ -120,46 +120,42 @@ def all_rref_matrices(field: Field, ncols: int):
                 yield rows
 
 
-def brute_force_submodule_dims(M) -> set[tuple[int, ...]]:
-    """All-subspace sweep: dimension vector of every arrow-stable subspace."""
+def brute_force_submodule_spans(M) -> set[tuple]:
+    """All-subspace sweep: the RREF rows, as a tuple of tuples, of every
+    subspace stable under the arrows and the vertex idempotents."""
     f = M.field
     n = M.total
+
+    def embed(vert, block):
+        v = [f.zero()] * n
+        o = M.offset(vert)
+        for i, x in enumerate(block):
+            v[o + i] = x
+        return v
+
     out = set()
     for rows in all_rref_matrices(f, n):
-        stable = True
-        for w in rows:
-            for a in M.alg.quiver.arrows:
-                img = naive_mat_vec(f, M.mats[a.label], M.block(w, a.start))
-                v = [f.zero()] * n
-                o = M.offset(a.end)
-                for i, x in enumerate(img):
-                    v[o + i] = x
-                if not naive_in_span(f, rows, v):
-                    stable = False
-                    break
-            if not stable:
-                break
-        if not stable:
-            continue
-        # idempotent stability: one projection must stay inside as well
-        for w in rows:
-            for vert in M.alg.quiver.vertices:
-                o, k = M.offset(vert), M.dim_at(vert)
-                v = [f.zero()] * n
-                for i in range(k):
-                    v[o + i] = w[o + i]
-                if not naive_in_span(f, rows, v):
-                    stable = False
-                    break
-            if not stable:
-                break
-        if not stable:
-            continue
+        arrow_images = (
+            embed(a.end, naive_mat_vec(f, M.mats[a.label], M.block(w, a.start)))
+            for w in rows
+            for a in M.alg.quiver.arrows
+        )
+        # idempotent stability: every vertex component must stay inside too
+        components = (embed(vert, M.block(w, vert)) for w in rows for vert in M.alg.quiver.vertices)
+        if all(naive_in_span(f, rows, v) for v in itertools.chain(arrow_images, components)):
+            out.add(tuple(tuple(r) for r in rows))
+    return out
+
+
+def brute_force_submodule_dims(M) -> set[tuple[int, ...]]:
+    """Dimension vector of every subspace found by brute_force_submodule_spans."""
+    f = M.field
+    out = set()
+    for rows in brute_force_submodule_spans(M):
         dims = []
         for vert in M.alg.quiver.vertices:
-            o, k = M.offset(vert), M.dim_at(vert)
-            proj = [w[o : o + k] for w in rows]
-            dims.append(naive_rank(f, proj) if proj and k else 0)
+            proj = [M.block(list(w), vert) for w in rows]
+            dims.append(naive_rank(f, proj) if proj and M.dim_at(vert) else 0)
         out.add(tuple(dims))
     return out
 

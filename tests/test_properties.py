@@ -16,7 +16,7 @@ from conftest import (
     rel,
     two_loop_two_arrow_algebra,
 )
-from oracles import brute_force_submodule_dims, fitting_split_oracle
+from oracles import brute_force_submodule_dims, brute_force_submodule_spans, fitting_split_oracle
 from quivermoduli import Field, QQ, build_algebra, make_quiver
 from quivermoduli.degeneration import (
     hom_order_leq,
@@ -38,6 +38,7 @@ from quivermoduli.grass import (
     skeleta_of_point,
     skeleta_with_dims,
 )
+from quivermoduli.linalg import space_key
 from quivermoduli.reps import (
     Rep,
     _combine_blocks,
@@ -50,6 +51,7 @@ from quivermoduli.reps import (
     random_group_element,
     rep_validate,
     submodule_dim_vectors,
+    submodule_spans,
 )
 from quivermoduli.stability import classify_stability, local_top_weight
 
@@ -173,6 +175,11 @@ def small_reps(draw, fields=(Field(2), Field(3))):
 )
 def test_submodule_sweep_matches_the_all_subspace_oracle(M):
     assert submodule_dim_vectors(M) == brute_force_submodule_dims(M)
+    # dimension vectors alone would hide a missed submodule whose dims
+    # match one that was found
+    keys = [space_key(sp) for sp in submodule_spans(M)]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == brute_force_submodule_spans(M)
 
 
 # ----------------------------------------------------- Fitting split oracle

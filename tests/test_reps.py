@@ -15,6 +15,7 @@ from quivermoduli import (
     NotSubmodule,
     NotSumOfLocals,
     QQ,
+    SearchTooLarge,
     ShapeMismatch,
     Unknown,
     build_algebra,
@@ -22,6 +23,7 @@ from quivermoduli import (
 )
 from quivermoduli import polys, reps
 from quivermoduli.config import SearchLimits
+from quivermoduli.linalg import space_key
 from quivermoduli.reps import (
     GroupElement,
     Rep,
@@ -41,12 +43,13 @@ from quivermoduli.reps import (
     simple_rep,
     sub_rep,
     submodule_dim_vectors,
+    submodule_spans,
     top_dims,
     zero_rep,
 )
 
 from conftest import loop_bridge_over, rel
-from oracles import brute_force_submodule_dims
+from oracles import brute_force_submodule_dims, brute_force_submodule_spans
 
 
 def kron_point(alg, lam):
@@ -238,6 +241,47 @@ def test_submodule_dims_match_brute_force_glued():
     alg = build_algebra(q, [], Field(3), 2)
     M = kron_pullback(alg)
     assert submodule_dim_vectors(M) == brute_force_submodule_dims(M)
+
+
+def _diag3(*xs):
+    return [[xs[i] if i == j else 0 for j in range(3)] for i in range(3)]
+
+
+_G3 = GroupElement({1: [[1, 1, 0], [0, 1, 1], [1, 1, 1]], 2: [[0, 1, 1], [1, 0, 1], [1, 1, 1]]})
+
+
+@pytest.mark.parametrize(
+    "mats, count",
+    [
+        # the three points [1:0], [0:1], [1:1] of the Kronecker line over F2
+        ({"a1": _diag3(1, 0, 1), "a2": _diag3(0, 1, 1)}, 50),
+        # a1 = 1, a2 one Jordan block J_3(1)
+        ({"a1": _diag3(1, 1, 1), "a2": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]}, 42),
+    ],
+    ids=["three points", "jordan block"],
+)
+def test_benchmark_shaped_lattices_match_the_oracle(kronecker_f2, mats, count):
+    M = base_change(Rep(kronecker_f2, (3, 3), mats), _G3)
+    keys = [space_key(sp) for sp in submodule_spans(M)]
+    assert len(keys) == len(set(keys)) == count
+    assert set(keys) == brute_force_submodule_spans(M)
+
+
+def test_vector_budget_refuses_before_any_closure(kronecker_f2, monkeypatch):
+    def closure(*args):
+        raise AssertionError("closure called over budget")
+
+    monkeypatch.setattr(reps, "closure", closure)
+    P = rep_of_projective(kronecker_f2, 1)  # |d| = 3
+    with pytest.raises(SearchTooLarge, match=r"^would sweep 8 generator vectors \(budget 7\)$"):
+        submodule_spans(P, SearchLimits(submodule_vectors=7))
+
+
+def test_space_budget_caps_the_lattice_size(kronecker_f2):
+    P = rep_of_projective(kronecker_f2, 1)  # 6 submodules, {0} and P included
+    assert len(submodule_spans(P, SearchLimits(submodule_spaces=6))) == 6
+    with pytest.raises(SearchTooLarge, match=r"^submodule count exceeds budget$"):
+        submodule_spans(P, SearchLimits(submodule_spaces=5))
 
 
 # -- subquotients --------------------------------------------------------------

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from quivermoduli import Field, FieldNotFinite, QQ, SingularBlock
+from quivermoduli import Field, FieldNotFinite, QQ, SingularBlock, reps, stability
 from quivermoduli.errors import DimensionMismatch, NotSemistable
 from quivermoduli.reps import (
     GroupElement,
@@ -172,6 +172,20 @@ def test_split_pair_factors_into_two_stables(kronecker_f3):
     assert [g.d for g in factors] == [(1, 1), (1, 1)]
     for g in factors:
         assert classify_stability(g, theta) is StabilityClass.STABLE
+
+
+def test_stable_factors_enumerates_each_lattice_once(kronecker_f3, monkeypatch):
+    calls: dict[tuple[int, ...], int] = {}
+    original = reps.submodule_spans
+
+    def counted(M, *args, **kwargs):
+        calls[M.d] = calls.get(M.d, 0) + 1
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(reps, "submodule_spans", counted)
+    monkeypatch.setattr(stability, "submodule_spans", counted)
+    stable_factors(kron_split_pair(kronecker_f3), Weight((-1, 1)))
+    assert calls == {(2, 2): 1, (1, 1): 1}
 
 
 def test_unstable_module_has_no_factors(kronecker_f3):
