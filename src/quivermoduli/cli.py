@@ -11,6 +11,7 @@ parse or did not type-check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -550,7 +551,10 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="input document path, or - for stdin")
     common.add_argument("--field", help="override the document's base field (Q, F2, ...)")

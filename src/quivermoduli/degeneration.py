@@ -45,14 +45,13 @@ from .grass import (
     ProjectiveCover,
     SubmodulePoint,
     _assemble,
-    _chart_points,
     _chart_sweepable,
     chart_equations,
     coker_rep,
-    coords_to_point,
     endo_space,
     is_grass_point,
     skeleta_with_dims,
+    stratum_points,
     submodule_point,
 )
 from .linalg import (
@@ -370,13 +369,7 @@ def maximal_topdeg_candidates(
                     f"the sweep budget {limits.chart_sweep}"
                 )
         rng = random.Random(limits.seed)
-        seen: dict[tuple, SubmodulePoint] = {}
-        for pres in charts:
-            values, _ = _chart_points(pres, limits, rng)
-            for vals in values:
-                pt = coords_to_point(pres, vals)
-                seen.setdefault(pt.rows, pt)
-        points = list(seen.values())
+        points = [pt for _, _, pt in stratum_points(charts, limits, rng)]
     else:
         points = list(candidates)
 

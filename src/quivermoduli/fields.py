@@ -89,9 +89,6 @@ class Field:
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
-    def is_one(self, a: Scalar) -> bool:
-        return a == self.one()
-
     # -- enumeration and formatting ------------------------------------
 
     def elements(self) -> list[Scalar]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .algebra import Algebra
@@ -301,57 +302,23 @@ def make_skeleton(P: ProjectiveCover, elems) -> Skeleton:
     return Skeleton(tuple(elems), tuple(tuple(r) for r in rows))
 
 
-def enumerate_skeleta(P: ProjectiveCover, S: SemisimpleSequence) -> list[Skeleton]:
-    """All skeleta of P whose layering is S, in deglex order."""
+def _grow_skeleta(
+    P: ProjectiveCover, d: tuple[int, ...], S: SemisimpleSequence | None = None
+) -> list[Skeleton]:
+    """All skeleta of P with per-vertex member counts d, in deglex order.
+
+    Members are grown from the generators one path length at a time. With a
+    layering S the grower picks exactly S[l][v] members of length l ending
+    at v; otherwise it picks any count up to what is left of d.
+    """
     quiver = P.alg.quiver
-    n = quiver.n
-    S = _trim(tuple(tuple(row) for row in S))
-    if not S:
-        return []
-    tops = tuple(sum(1 for v in P.gens if v == w) for w in quiver.vertices)
-    if S[0] != tops:
-        return []
-    zrow = P.generator_elems()
-    found: list[Skeleton] = []
-
-    def grow(chosen: list[BElem], frontier: list[BElem], layer: int) -> None:
-        if layer == len(S):
-            found.append(make_skeleton(P, chosen))
-            return
-        cands: dict[int, list[BElem]] = {v: [] for v in quiver.vertices}
-        for p, r in frontier:
-            for a in quiver.arrows_out(p.end):
-                q = extend(p, a)
-                if q in P.alg.basis_index:
-                    cands[q.end].append((q, r))
-        for v in quiver.vertices:
-            cands[v].sort(key=P.belem_key)
-        pools = []
-        for v in quiver.vertices:
-            need = S[layer][v - 1]
-            if need > len(cands[v]):
-                return
-            pools.append(list(itertools.combinations(cands[v], need)))
-        for picks in itertools.product(*pools):
-            step = [b for group in picks for b in group]
-            grow(chosen + step, step, layer + 1)
-
-    grow(list(zrow), list(zrow), 1)
-    found.sort(key=lambda s: tuple(P.belem_key(b) for b in s.elems))
-    return found
-
-
-def skeleta_with_dims(P: ProjectiveCover, d: tuple[int, ...]) -> list[Skeleton]:
-    """All skeleta of P with per-vertex member counts d, in deglex order."""
-    quiver = P.alg.quiver
-    tops = tuple(sum(1 for v in P.gens if v == w) for w in quiver.vertices)
+    tops = P.top.mult
     if any(t > dv for t, dv in zip(tops, d)):
         return []
-    left0 = tuple(dv - t for dv, t in zip(d, tops))
     zrow = P.generator_elems()
     found: list[Skeleton] = []
 
-    def grow(chosen: list[BElem], frontier: list[BElem], left: tuple[int, ...]) -> None:
+    def grow(chosen: list[BElem], frontier: list[BElem], layer: int, left: tuple[int, ...]) -> None:
         if not any(left):
             found.append(make_skeleton(P, chosen))
             return
@@ -361,29 +328,33 @@ def skeleta_with_dims(P: ProjectiveCover, d: tuple[int, ...]) -> list[Skeleton]:
                 q = extend(p, a)
                 if q in P.alg.basis_index:
                     cands[q.end].append((q, r))
-        if not any(cands.values()):
-            return
-        for v in quiver.vertices:
-            cands[v].sort(key=P.belem_key)
         pools = []
         for v in quiver.vertices:
-            top_k = min(left[v - 1], len(cands[v]))
-            pools.append(
-                [c for k in range(top_k + 1) for c in itertools.combinations(cands[v], k)]
-            )
+            cands[v].sort(key=P.belem_key)
+            sizes = range(left[v - 1] + 1) if S is None else (S[layer][v - 1],)
+            pools.append([c for k in sizes for c in itertools.combinations(cands[v], k)])
         for picks in itertools.product(*pools):
             step = [b for group in picks for b in group]
-            if not step:
-                continue
-            nxt = tuple(
-                left[v - 1] - sum(1 for p, _ in step if p.end == v)
-                for v in quiver.vertices
-            )
-            grow(chosen + step, step, nxt)
+            if step:
+                nxt = tuple(n - len(group) for n, group in zip(left, picks))
+                grow(chosen + step, step, layer + 1, nxt)
 
-    grow(list(zrow), list(zrow), left0)
+    grow(list(zrow), list(zrow), 1, tuple(dv - t for dv, t in zip(d, tops)))
     found.sort(key=lambda s: tuple(P.belem_key(b) for b in s.elems))
     return found
+
+
+def enumerate_skeleta(P: ProjectiveCover, S: SemisimpleSequence) -> list[Skeleton]:
+    """All skeleta of P whose layering is S, in deglex order."""
+    S = _trim(tuple(tuple(row) for row in S))
+    if not S or S[0] != P.top.mult:
+        return []
+    return _grow_skeleta(P, tuple(map(sum, zip(*S))), S)
+
+
+def skeleta_with_dims(P: ProjectiveCover, d: tuple[int, ...]) -> list[Skeleton]:
+    """All skeleta of P with per-vertex member counts d, in deglex order."""
+    return _grow_skeleta(P, d)
 
 
 def skeleta_of_point(P: ProjectiveCover, C: SubmodulePoint) -> list[Skeleton]:
@@ -535,43 +506,21 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
     for b in sorted(P.belems, key=lambda t: t[0].length):
         residues[b] = rho(b)
 
-    arrow_mats: dict[str, list[list[Poly]]] = {}
-    for a in quiver.arrows:
-        cols = []
-        for b in sig_list:
-            if b[0].end == a.start:
-                cols.append(column(a.label, b))
-            else:
-                cols.append([ring.zero() for _ in sig_list])
-        arrow_mats[a.label] = [[cols[j][i] for j in range(len(sig_list))] for i in range(len(sig_list))]
-
-    def word_action(p: PathWord) -> list[list[Poly]]:
-        size = len(sig_list)
-        mat = [[ring.one() if i == j else ring.zero() for j in range(size)] for i in range(size)]
-        for label in p.arrows:
-            step = arrow_mats[label]
-            mat = [
-                [
-                    sum((step[i][k] * mat[k][j] for k in range(size)), ring.zero())
-                    for j in range(size)
-                ]
-                for i in range(size)
-            ]
-        return mat
-
+    # one equation per nonzero entry of each relation's action on sigma,
+    # relation by relation, column by column, deduplicated up to scalars;
+    # each word acts by pushing the column through its arrows in turn
     equations: list[Poly] = []
     seen = set()
     for rel in alg.relations:
-        size = len(sig_list)
-        total = [[ring.zero() for _ in range(size)] for _ in range(size)]
-        for p, c in rel.terms.items():
-            mat = word_action(p)
-            for i in range(size):
-                for j in range(size):
-                    total[i][j] = total[i][j] + mat[i][j].scale(c)
-        for j in range(size):
-            for i in range(size):
-                e = total[i][j]
+        for b in sig_list:
+            total = [ring.zero() for _ in sig_list]
+            for p, c in rel.terms.items():
+                vec = unit_vec(b)
+                for label in p.arrows:
+                    vec = apply_column(label, vec)
+                for i, entry in enumerate(vec):
+                    total[i] = total[i] + entry.scale(c)
+            for e in total:
                 if e.is_zero():
                     continue
                 key = e.monic_key()
@@ -894,10 +843,9 @@ def _chart_sweepable(pres: ChartPresentation, limits: SearchLimits) -> bool:
 
 def _chart_points(
     pres: ChartPresentation, limits: SearchLimits, rng: random.Random
-) -> tuple[list[list[Scalar]], bool]:
-    """Equation-satisfying coordinate tuples of a chart, and whether the
-    list is exhaustive. Finite fields are swept completely within budget;
-    the rationals are sampled (zeros, units, then seeded small randoms)."""
+) -> list[list[Scalar]]:
+    """Equation-satisfying coordinate tuples of a chart: all of them when
+    _chart_sweepable, else a sample (zeros, units, then seeded randoms)."""
     f = pres.cover.alg.field
     nvars = len(pres.variables)
 
@@ -906,10 +854,9 @@ def _chart_points(
 
     if nvars == 0:
         vals: list[Scalar] = []
-        return ([vals] if ok(vals) else []), True
+        return [vals] if ok(vals) else []
     if _chart_sweepable(pres, limits):
-        pts = [list(v) for v in itertools.product(f.elements(), repeat=nvars) if ok(list(v))]
-        return pts, True
+        return [list(v) for v in itertools.product(f.elements(), repeat=nvars) if ok(list(v))]
     cands = [[f.zero()] * nvars]
     for k in range(nvars):
         unit = [f.zero()] * nvars
@@ -926,7 +873,24 @@ def _chart_points(
         seen.add(key)
         if ok(v):
             pts.append(v)
-    return pts, False
+    return pts
+
+
+def stratum_points(
+    charts: Iterable[ChartPresentation], limits: SearchLimits, rng: random.Random
+) -> Iterator[tuple[ChartPresentation, list[Scalar], SubmodulePoint]]:
+    """Each distinct point of the charts once, as (chart, coordinates,
+    point), at the first chart and coordinates that reach it.
+
+    Charts are taken one at a time, so a caller that stops early leaves the
+    later charts unbuilt and the rng unread."""
+    seen: set[tuple] = set()
+    for pres in charts:
+        for vals in _chart_points(pres, limits, rng):
+            pt = coords_to_point(pres, vals)
+            if pt.rows not in seen:
+                seen.add(pt.rows)
+                yield pres, vals, pt
 
 
 def moduli_report(
@@ -970,34 +934,32 @@ def moduli_report(
         ]
     else:
         dvecs = [tuple(d)]
-    swept_all = True
-    any_chart = False
-    for dvec in dvecs:
-        for sigma in skeleta_with_dims(P, dvec):
-            pres = chart_equations(P, sigma)
-            pts, exhaustive = _chart_points(pres, limits, rng)
-            any_chart = True
-            if not exhaustive:
-                swept_all = False
-            for vals in pts:
-                C = coords_to_point(pres, vals)
-                ok, g = endo_invariant(P, C, endo)
-                if not ok:
-                    labels = ", ".join(
-                        f"{name}={alg.field.format(v)}"
-                        for name, v in zip(pres.ring.names, vals)
-                    )
-                    where = "{" + ", ".join(P.describe(b) for b in sigma.elems) + "}"
-                    return ModuliVerdict(
-                        kind="NoCoarse",
-                        reason=(
-                            f"point on chart {where} at ({labels or 'origin'}) is moved "
-                            f"by the endomorphism {describe_endo(g)}"
-                        ),
-                        witness=C,
-                        witness_endo=g,
-                        exhaustive=False,
-                    )
+    charts: list[ChartPresentation] = []
+
+    def presentations() -> Iterator[ChartPresentation]:
+        for dvec in dvecs:
+            for sigma in skeleta_with_dims(P, dvec):
+                charts.append(chart_equations(P, sigma))
+                yield charts[-1]
+
+    for pres, vals, C in stratum_points(presentations(), limits, rng):
+        ok, g = endo_invariant(P, C, endo)
+        if not ok:
+            labels = ", ".join(
+                f"{name}={alg.field.format(v)}" for name, v in zip(pres.ring.names, vals)
+            )
+            where = "{" + ", ".join(P.describe(b) for b in pres.sigma.elems) + "}"
+            return ModuliVerdict(
+                kind="NoCoarse",
+                reason=(
+                    f"point on chart {where} at ({labels or 'origin'}) is moved "
+                    f"by the endomorphism {describe_endo(g)}"
+                ),
+                witness=C,
+                witness_endo=g,
+                exhaustive=False,
+            )
+    swept_all = all(_chart_sweepable(pres, limits) for pres in charts)
     if top.squarefree and swept_all:
         return ModuliVerdict(
             kind="Fine",
@@ -1016,7 +978,7 @@ def moduli_report(
         kind="Unknown",
         reason=(
             "sampled points were all invariant but the sweep was not exhaustive"
-            if any_chart and not swept_all
+            if charts and not swept_all
             else "no decision criterion applies"
         ),
         exhaustive=False,

@@ -4,12 +4,14 @@ isomorphism testing, submodule enumeration, and local decompositions.
 A Rep assigns to each arrow a d_end x d_start matrix. Vectors of the module
 live in the flattened space K^|d| with vertex blocks in vertex order; every
 submodule is graded by vertices (idempotents act), so per-vertex dimensions
-of subspaces are read off block projections. Rep.act and Rep.project, the
-arrow and idempotent actions, take and return them as sparse rows.
+of subspaces are read off the pivots of their RREF bases. Rep.act and
+Rep.project, the arrow and idempotent actions, take and return them as
+sparse rows.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -280,12 +282,18 @@ def closure(M: Rep, vecs: list[Vector]) -> list[Vector]:
 
 
 def _vertex_dims(M: Rep, space: list[Vector]) -> tuple[int, ...]:
+    """Dimension vector of a vertex-graded subspace of M.
+
+    ``space`` must be the RREF basis of a subspace U = (+)_v e_v*U. Each
+    such row then lies in one vertex block, so dim e_v*U is the number of
+    rows whose pivot lies in the block of v.
+    """
     f = M.field
-    dims = []
-    for v in M.alg.quiver.vertices:
-        o, n = M.offset(v), M.dim_at(v)
-        proj = [w[o : o + n] for w in space]
-        dims.append(rank(f, proj) if proj and n else 0)
+    ends = list(itertools.accumulate(M.d))
+    dims = [0] * len(M.d)
+    for w in space:
+        pivot = next(i for i, x in enumerate(w) if not f.is_zero(x))
+        dims[bisect.bisect_right(ends, pivot)] += 1
     return tuple(dims)
 
 
@@ -305,7 +313,9 @@ def radical_layering(alg: Algebra, M: Rep) -> SemisimpleSequence:
 
 
 def top_dims(alg: Algebra, M: Rep) -> tuple[int, ...]:
-    return radical_layering(alg, M)[0] if alg.loewy else M.d
+    """Dimension vector of the top M/JM."""
+    jm = arrow_images_span(M, identity(M.field, M.total))
+    return tuple(d - j for d, j in zip(M.d, _vertex_dims(M, jm)))
 
 
 def hom_basis(M: Rep, N: Rep) -> list[dict[int, Matrix]]:

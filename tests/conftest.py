@@ -72,15 +72,25 @@ def star3():
     return build_algebra(q, [], QQ, 2)
 
 
-@pytest.fixture
-def cycle_flag():
+def cycle_flag_algebra(field):
     """Four parallel arrows 1->2, then 2->3, then 3->1; all length-4 paths zero."""
     q = make_quiver(
         3,
         [("a1", 1, 2), ("a2", 1, 2), ("a3", 1, 2), ("a4", 1, 2), ("b", 2, 3), ("c", 3, 1)],
     )
     rels = monomials(q, all_paths_of_length(q, 4))
-    return build_algebra(q, rels, QQ, 4)
+    return build_algebra(q, rels, field, 4)
+
+
+@pytest.fixture
+def cycle_flag():
+    return cycle_flag_algebra(QQ)
+
+
+def fork_merge_algebra(field):
+    """Arrows a, b: 1 -> 2 and c: 2 -> 3 with the merge relation ca = cb."""
+    q = make_quiver(3, [("a", 1, 2), ("b", 1, 2), ("c", 2, 3)])
+    return build_algebra(q, [rel(q, (1, ["c", "a"]), (-1, ["c", "b"]))], field, 3)
 
 
 def double_loop_algebra(field):

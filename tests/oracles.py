@@ -11,6 +11,7 @@ import itertools
 
 from quivermoduli.fields import Field
 from quivermoduli.linalg import kernel_basis, span_rref
+from quivermoduli.quiver import PathWord
 
 
 # -- textbook linear algebra, sharing nothing with quivermoduli.linalg ---------
@@ -184,3 +185,86 @@ def fitting_split_oracle(M, blocks):
     if not img or len(img) == n:
         return None
     return span_rref(f, kernel_basis(f, Fn, n)), img
+
+
+# -- skeleta and chart equations -----------------------------------------------
+
+
+def brute_force_skeleta(P) -> list[tuple]:
+    """Every subpath-closed subset of P.belems containing the generators,
+    found by testing every subset of the other basis elements. Each is a
+    tuple of members in P.belem_key order; the list is in deglex order of
+    those tuples."""
+    quiver = P.alg.quiver
+    gens = [b for b in P.belems if b[0].length == 0]
+    rest = [b for b in P.belems if b not in gens]
+    out = []
+    for k in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            have = set(gens) | set(extra)
+            if all((p.initial(p.length - 1, quiver), r) in have for p, r in extra):
+                out.append(tuple(sorted(have, key=P.belem_key)))
+    out.sort(key=lambda s: tuple(P.belem_key(b) for b in s))
+    return out
+
+
+def dense_relation_equations(pres) -> list:
+    """Chart equations from dense products of polynomial matrices.
+
+    The matrix of each arrow on the skeleton is read off pres.residues: its
+    column at b is the residue of the arrow-image of b, through the normal
+    form when that image is not a basis path. Each relation is the sum of
+    the products along its words, the empty word being the identity; every
+    nonzero entry, relation by relation, column by column and row by row,
+    is an equation unless a scalar multiple came before."""
+    P = pres.cover
+    alg = P.alg
+    ring = pres.ring
+    sig = list(pres.sigma.elems)
+    n = len(sig)
+
+    def zero_matrix():
+        return [[ring.zero() for _ in range(n)] for _ in range(n)]
+
+    mats = {}
+    for a in alg.quiver.arrows:
+        m = zero_matrix()
+        for j, (p, r) in enumerate(sig):
+            if p.end != a.start:
+                continue
+            q = PathWord(p.start, p.arrows + (a.label,), a.end)
+            for w, c in alg.nf_path(q).items():
+                for i, entry in enumerate(pres.residues[(w, r)]):
+                    m[i][j] = m[i][j] + entry.scale(c)
+        mats[a.label] = m
+
+    def word_matrix(word):
+        m = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+        for label in word.arrows:
+            step = mats[label]
+            prod = zero_matrix()
+            for i in range(n):
+                for k in range(n):
+                    if step[i][k].is_zero():
+                        continue
+                    for j in range(n):
+                        prod[i][j] = prod[i][j] + step[i][k] * m[k][j]
+            m = prod
+        return m
+
+    equations = []
+    seen = set()
+    for rel in alg.relations:
+        total = zero_matrix()
+        for word, c in rel.terms.items():
+            m = word_matrix(word)
+            for i in range(n):
+                for j in range(n):
+                    total[i][j] = total[i][j] + m[i][j].scale(c)
+        for j in range(n):
+            for i in range(n):
+                e = total[i][j]
+                if not e.is_zero() and e.monic_key() not in seen:
+                    seen.add(e.monic_key())
+                    equations.append(e)
+    return equations

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from quivermoduli import Element, Field, QQ, Unknown, degeneration
+from quivermoduli import Element, Field, QQ, Unknown, degeneration, grass
 from quivermoduli.config import SearchLimits
 from quivermoduli.degeneration import (
     hom_order_leq,
@@ -184,19 +184,22 @@ def test_sweep_refuses_an_over_budget_stratum_before_sweeping(monkeypatch):
     # the (2, 1) stratum has a chart without variables and one with a
     # variable; 3 tuples exceed a budget of 2, so nothing may be swept
     swept = []
-    real = degeneration._chart_points
+    real = grass._chart_points
 
     def counting(pres, limits, rng):
         swept.append(len(pres.variables))
         return real(pres, limits, rng)
 
-    monkeypatch.setattr(degeneration, "_chart_points", counting)
+    monkeypatch.setattr(grass, "_chart_points", counting)
     alg = loop_bridge_over(Field(3))
     P = projective_cover(alg, (1, 0))
     with pytest.raises(SearchTooLarge) as err:
         maximal_topdeg_candidates(alg, P, (2, 1), limits=SearchLimits().with_sweep(2))
     assert str(err.value) == "chart with 1 variables exceeds the sweep budget 2"
     assert swept == []
+    # the patched name is the one the sweep calls: within budget it is hit
+    maximal_topdeg_candidates(alg, P, (2, 1))
+    assert sorted(swept) == [0, 1]
 
 
 def test_simple_top_needs_no_split_search(monkeypatch):

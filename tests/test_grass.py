@@ -40,7 +40,7 @@ from quivermoduli.grass import (
 )
 from quivermoduli.reps import radical_layering
 
-from conftest import all_paths_of_length, monomials, path_word, rel
+from conftest import all_paths_of_length, fork_merge_algebra, monomials, path_word, rel
 
 
 def skeleton_names(sk):
@@ -49,12 +49,6 @@ def skeleton_names(sk):
     for p, copy in sk.elems:
         by.setdefault(copy, []).append(str(p))
     return {copy: sorted(names) for copy, names in by.items()}
-
-
-def fork_merge():
-    """Arrows a, b: 1 -> 2 and c: 2 -> 3 with the merge relation ca = cb."""
-    q = make_quiver(3, [("a", 1, 2), ("b", 1, 2), ("c", 2, 3)])
-    return build_algebra(q, [rel(q, (1, ["c", "a"]), (-1, ["c", "b"]))], QQ, 3)
 
 
 def pair_of_loops(extra_vertex=False):
@@ -257,7 +251,7 @@ def test_bridge_stratum_is_line_plus_point(loop_bridge):
 
 
 def test_merge_relation_cuts_chart_by_an_equation():
-    alg = fork_merge()
+    alg = fork_merge_algebra(QQ)
     q = alg.quiver
     P = projective_cover(alg, (1, 0, 0))
     f = alg.field

@@ -1,22 +1,33 @@
 """Randomized invariants: chart points inherit their skeleton's layering,
+skeleta and chart relations agree with brute-force and dense oracles,
 submodule sweeps agree with an all-subspace oracle, layerings and verdicts
 survive base change, and charts of squarefree tops absorb automorphisms."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cycle_flag_algebra,
     double_loop_algebra,
+    fork_merge_algebra,
     loop_bridge_over,
     monomials,
     rel,
     two_loop_two_arrow_algebra,
 )
-from oracles import brute_force_submodule_dims, brute_force_submodule_spans, fitting_split_oracle
+from oracles import (
+    brute_force_skeleta,
+    brute_force_submodule_dims,
+    brute_force_submodule_spans,
+    dense_relation_equations,
+    fitting_split_oracle,
+    naive_rank,
+)
 from quivermoduli import Field, QQ, build_algebra, make_quiver
 from quivermoduli.degeneration import (
     hom_order_leq,
@@ -24,25 +35,28 @@ from quivermoduli.degeneration import (
     one_param_limit,
 )
 from quivermoduli.dsl import doc_point, parse_input, render_document
-from quivermoduli.errors import EquationsViolated, NotInvertible
+from quivermoduli.errors import EquationsViolated, NotInvertible, UnsupportedAlgebra
 from quivermoduli.grass import (
     apply_auto,
     chart_equations,
     coker_rep,
     coords_to_point,
     endo_space,
+    enumerate_skeleta,
     is_grass_point,
+    make_skeleton,
     point_from_generators,
     point_to_coords,
     projective_cover,
     skeleta_of_point,
     skeleta_with_dims,
 )
-from quivermoduli.linalg import space_key
+from quivermoduli.linalg import space_key, span_rref
 from quivermoduli.reps import (
     Rep,
     _combine_blocks,
     _split_once,
+    _vertex_dims,
     base_change,
     hom_basis,
     hom_dim,
@@ -129,6 +143,86 @@ def test_every_point_skeleton_is_an_enumerated_skeleton():
             assert set(found) <= allowed, name
 
 
+# ------------------------------------------- skeleton and relation oracles
+
+
+def _covers_of_small_tops():
+    """(name, cover) for every top of total at most 2 over the fixture
+    algebras."""
+    algebras = [
+        ("kronecker", _kronecker(QQ)),
+        ("loop bridge", loop_bridge_over(QQ)),
+        ("star3", _star3(QQ)),
+        ("cycle flag", cycle_flag_algebra(QQ)),
+        ("double loop", double_loop_algebra(QQ)),
+        ("two loops two arrows", two_loop_two_arrow_algebra(QQ)),
+        ("fork merge", fork_merge_algebra(QQ)),
+    ]
+    return [
+        (f"{name} {top}", projective_cover(alg, top))
+        for name, alg in algebras
+        for top in itertools.product(range(3), repeat=alg.quiver.n)
+        if 1 <= sum(top) <= 2
+    ]
+
+
+SMALL_TOP_COVERS = _covers_of_small_tops()
+
+
+@st.composite
+def skeleta_of_small_tops(draw):
+    """A cover from SMALL_TOP_COVERS and any skeleton of it: each basis
+    element, shortest first, may join once its parent path has."""
+    name, P = draw(st.sampled_from(SMALL_TOP_COVERS))
+    have = set(P.generator_elems())
+    for p, r in sorted(P.belems, key=P.belem_key):
+        parent = (p.initial(p.length - 1, P.alg.quiver), r) if p.length else None
+        if parent in have and draw(st.booleans()):
+            have.add((p, r))
+    return name, P, make_skeleton(P, have)
+
+
+@given(case=skeleta_of_small_tops())
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_chart_relations_match_the_dense_word_products(case):
+    name, P, sigma = case
+    try:
+        pres = chart_equations(P, sigma)
+    except UnsupportedAlgebra:
+        # a residue that reduces through itself (the merge relation): no chart
+        assume(False)
+    expected = dense_relation_equations(pres)
+    assert [e.terms for e in pres.equations] == [e.terms for e in expected], name
+
+
+def test_skeleton_growers_match_the_brute_force_oracle():
+    checked = 0
+    for name, P in SMALL_TOP_COVERS:
+        if len(P.belems) - P.top.total > 12:
+            continue  # the oracle tests 2^(|P| - |top|) subsets
+        n = P.alg.quiver.n
+        by_dims: dict[tuple, list] = {}
+        by_layering: dict[tuple, list] = {}
+        for elems in brute_force_skeleta(P):
+            rows = [[0] * n for _ in range(P.alg.loewy)]
+            for p, _ in elems:
+                rows[p.length][p.end - 1] += 1
+            by_dims.setdefault(tuple(map(sum, zip(*rows))), []).append(elems)
+            by_layering.setdefault(tuple(map(tuple, rows)), []).append(elems)
+        for d in itertools.product(*(range(m + 1) for m in P.dims)):
+            got = [s.elems for s in skeleta_with_dims(P, d)]
+            assert got == by_dims.get(d, []), (name, d)
+        for S, expected in by_layering.items():
+            assert [s.elems for s in enumerate_skeleta(P, S)] == expected, (name, S)
+            checked += len(expected)
+    assert checked >= 1000
+
+
 # ---------------------------------------------------- submodule sweep oracle
 
 # (arrows, vertices, zero relations, max_len); the window must reach past the
@@ -180,6 +274,28 @@ def test_submodule_sweep_matches_the_all_subspace_oracle(M):
     keys = [space_key(sp) for sp in submodule_spans(M)]
     assert len(keys) == len(set(keys))
     assert set(keys) == brute_force_submodule_spans(M)
+
+
+@given(M=small_reps(fields=(Field(2), Field(3), QQ)), data=st.data())
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_vertex_dims_count_the_pivots_of_a_graded_subspace(M, data):
+    f = M.field
+    scalars = st.sampled_from(f.elements()) if f.is_finite else st.integers(-2, 2).map(f.of_int)
+    vecs = []
+    for v in M.alg.quiver.vertices:
+        o = M.offset(v)
+        for _ in range(data.draw(st.integers(0, M.dim_at(v) + 1))):
+            w = [f.zero()] * M.total
+            w[o : o + M.dim_at(v)] = [data.draw(scalars) for _ in range(M.dim_at(v))]
+            vecs.append(w)
+    space = span_rref(f, vecs)
+    expected = tuple(naive_rank(f, [M.block(w, v) for w in space]) for v in M.alg.quiver.vertices)
+    assert _vertex_dims(M, space) == expected
 
 
 # ----------------------------------------------------- Fitting split oracle
