@@ -46,9 +46,10 @@ from .grass import (
     SubmodulePoint,
     _assemble,
     _chart_sweepable,
+    _stab_rank,
     chart_equations,
     coker_rep,
-    endo_space,
+    in_radical,
     is_grass_point,
     skeleta_with_dims,
     stratum_points,
@@ -58,7 +59,6 @@ from .linalg import (
     Echelon,
     Vector,
     dense,
-    identity,
     kernel_basis,
     mat_vec,
     span_rref,
@@ -67,13 +67,12 @@ from .linalg import (
 )
 from .reps import (
     Rep,
-    arrow_images_span,
     decompose_local,
     hom_basis,
     hom_dim,
     hom_global_matrix,
+    is_arrow_stable,
     rep_of_projective,
-    sub_rep,
     top_dims,
 )
 
@@ -100,19 +99,18 @@ class DegenerationVerdict:
         return self.holds is True
 
 
-def _radical_span(M: Rep) -> list[Vector]:
-    return arrow_images_span(M, identity(M.field, M.total))
-
-
-def _local_generator(piece: Rep, v: int) -> Vector:
-    """A vector of the local module ``piece`` generating it, normed to v."""
+def _top(piece: Rep) -> tuple[int, Vector, Echelon]:
+    """The top vertex v of a local module, a generator normed to v (the
+    first basis vector outside the radical) and the radical, the span of
+    the arrow images of the basis."""
     f = piece.field
-    rad = Echelon.of(f, _radical_span(piece))
-    o = piece.offset(v)
-    for i in range(o, o + piece.dim_at(v)):
-        if not rad.contains({i: f.one()}):
-            return [f.one() if j == i else f.zero() for j in range(piece.total)]
-    raise TopMismatch(f"local summand has no top class at vertex {v}")
+    arrows = piece.alg.quiver.arrows
+    rad = Echelon(
+        f, (piece.act(a.label, {i: f.one()}) for i in range(piece.total) for a in arrows)
+    )
+    i = next(i for i in range(piece.total) if not rad.contains({i: f.one()}))
+    v = next(v for v in piece.alg.quiver.vertices if i < piece.offset(v) + piece.dim_at(v))
+    return v, [f.one() if j == i else f.zero() for j in range(piece.total)], rad
 
 
 def _presentation_kernel(alg: Algebra, v: int, piece: Rep, gen: Vector) -> list[Vector]:
@@ -133,17 +131,15 @@ def _presentation_kernel(alg: Algebra, v: int, piece: Rep, gen: Vector) -> list[
     return span_rref(f, kernel_basis(f, transpose(cols), ncols=len(paths)))
 
 
-def _top_epi_exists(a: Rep, b: Rep, v: int) -> bool:
+def _top_epi_exists(a: Rep, gen_a: Vector, b: Rep, rad_b: Echelon) -> bool:
     """Is there a top-preserving epimorphism a -> b between local modules?
 
     For local b it suffices that some homomorphism carries the generator of
     a outside the radical of b: the image then generates b.
     """
     f = a.field
-    gen = _local_generator(a, v)
-    rad_b = Echelon.of(f, _radical_span(b))
     for blocks in hom_basis(a, b):
-        w = mat_vec(f, hom_global_matrix(a, b, blocks), gen)
+        w = mat_vec(f, hom_global_matrix(a, b, blocks), gen_a)
         if not rad_b.contains(sparse(f, w)):
             return True
     return False
@@ -163,61 +159,82 @@ def no_proper_topstable_deg(
     are linearly ordered by top-preserving epimorphisms, and (ii) the
     radical JM satisfies dim Hom(P, JM) = dim Hom(M, JM).
 
-    With a simple top M is local and is its own summand. Otherwise the
-    summand search is decompose_local: certified by the trace form over Q,
-    exhaustive over a small finite field. The verdict carries the Unknown
-    sentinel when that search is inconclusive, i.e. over Q when no split is
-    found and End/J != K for some piece.
+    With a simple top M is local and is its own summand, and it is never
+    built: the cover map P -> M is onto, so the presentation kernel is C
+    itself. Otherwise the summand search is decompose_local: certified by
+    the trace form over Q, exhaustive over a small finite field. The
+    verdict carries the Unknown sentinel when that search is inconclusive,
+    i.e. over Q when no split is found and End/J != K for some piece.
+
+    Both numbers of (ii) are read off (P, C). top(P/C) = P/(JP + C) is the
+    top of P exactly when C lies in JP, and then JM = JP/C. Path lengths
+    grade the radical of P, so Hom(P, JP) = (+)_r e_{v_r} JP has the basis
+    ``endo.unipotent``.
+
+    * By Yoneda, Hom(P, N) = (+)_r e_{v_r} N, so
+      hp = dim Hom(P, JM) = |unipotent| - sum_r dim e_{v_r} C.
+    * A map M -> JM is a map P -> JM that kills C. Each lifts through
+      JP -> JM to some psi in Hom(P, JP), and it kills C exactly when
+      psi(C) lies in C. The lifts of 0 are Hom(P, C), of dimension
+      sum_r dim e_{v_r} C, and they all keep C inside C.
+    * So hm = dim{psi : psi(C) in C} - sum_r dim e_{v_r} C = hp - rank,
+      where rank is that of psi -> psi(C) mod C on Hom(P, JP): the
+      dimension of the unipotent orbit of C, orbit_dims(P, C).unipotent.
     """
-    M = coker_rep(P, C)
-    if top_dims(alg, M) != P.top.mult:
+    if P.top.simple:
+        # the refusal coker_rep would give, without building the quotient
+        if not is_arrow_stable(P.rep, C.row_lists()):
+            raise NotSubmodule("subspace is not stable under the arrow action")
+    else:
+        M = coker_rep(P, C)
+    if not in_radical(P, C):
         raise TopMismatch(
-            f"quotient has top {top_dims(alg, M)}, cover was built for {P.top.mult}"
-        )
-    # a simple top makes M local by definition: nothing to split
-    pieces = [M] if P.top.simple else decompose_local(alg, M, limits, seed)
-    if pieces is NotSumOfLocals:
-        return DegenerationVerdict(
-            False, "module is not a direct sum of local modules"
-        )
-    if pieces is Unknown:
-        return DegenerationVerdict(
-            Unknown, "splitting search budget exhausted before a decision"
+            f"quotient has top {top_dims(alg, coker_rep(P, C))}, "
+            f"cover was built for {P.top.mult}"
         )
 
-    by_vertex: dict[int, list[Rep]] = {}
-    for piece in pieces:
-        t = top_dims(alg, piece)
-        v = next(vv for vv, x in zip(alg.quiver.vertices, t) if x)
-        by_vertex.setdefault(v, []).append(piece)
+    if P.top.simple:
+        kernel_dims = [(P.gens[0], (C.dim,))]
+    else:
+        pieces = decompose_local(alg, M, limits, seed)
+        if pieces is NotSumOfLocals:
+            return DegenerationVerdict(
+                False, "module is not a direct sum of local modules"
+            )
+        if pieces is Unknown:
+            return DegenerationVerdict(
+                Unknown, "splitting search budget exhausted before a decision"
+            )
+        f = alg.field
+        by_vertex: dict[int, list[tuple[Rep, Vector, Echelon]]] = {}
+        for piece in pieces:
+            v, gen, rad = _top(piece)
+            by_vertex.setdefault(v, []).append((piece, gen, rad))
+        kernel_dims = []
+        for v in sorted(by_vertex):
+            group = sorted(by_vertex[v], key=lambda t: -t[0].total)
+            kernels = [_presentation_kernel(alg, v, piece, gen) for piece, gen, _ in group]
+            kernel_dims.append((v, tuple(len(k) for k in kernels)))
+            for (big, gen, _), (small, _, rad), kb, ks in zip(
+                group, group[1:], kernels, kernels[1:]
+            ):
+                small_kernel = Echelon.of(f, ks)
+                if all(small_kernel.contains(sparse(f, row)) for row in kb):
+                    continue
+                # Kernels of the canonical presentations are incomparable, but a
+                # different norming of the generators might still chain them;
+                # an epimorphism big -> small is the generator-independent test.
+                if not _top_epi_exists(big, gen, small, rad):
+                    return DegenerationVerdict(
+                        False,
+                        f"presentation kernels at vertex {v} are not comparable: "
+                        f"no top-preserving epimorphism chains the summands",
+                        tuple(kernel_dims),
+                    )
 
-    f = alg.field
-    kernel_dims = []
-    for v in sorted(by_vertex):
-        group = sorted(by_vertex[v], key=lambda r: -r.total)
-        kernels = []
-        for piece in group:
-            gen = _local_generator(piece, v)
-            kernels.append(_presentation_kernel(alg, v, piece, gen))
-        kernel_dims.append((v, tuple(len(k) for k in kernels)))
-        for big, small, kb, ks in zip(group, group[1:], kernels, kernels[1:]):
-            small_kernel = Echelon.of(f, ks)
-            if all(small_kernel.contains(sparse(f, row)) for row in kb):
-                continue
-            # Kernels of the canonical presentations are incomparable, but a
-            # different norming of the generators might still chain them; an
-            # epimorphism big -> small is the generator-independent test.
-            if not _top_epi_exists(big, small, v):
-                return DegenerationVerdict(
-                    False,
-                    f"presentation kernels at vertex {v} are not comparable: "
-                    f"no top-preserving epimorphism chains the summands",
-                    tuple(kernel_dims),
-                )
-
-    JM = sub_rep(M, _radical_span(M))
-    hp = hom_dim(P.rep, JM)
-    hm = hom_dim(M, JM)
+    endo = P.endo
+    hp = len(endo.unipotent) - sum(P.dims[v - 1] - C.dims[v - 1] for v in P.gens)
+    hm = hp - _stab_rank(P, C, endo, endo.unipotent)
     if hp != hm:
         return DegenerationVerdict(
             False,
@@ -253,7 +270,7 @@ def one_param_limit(
     the row module at tau infinite.
     """
     if endo is None:
-        endo = endo_space(P)
+        endo = P.endo
     f = P.alg.field
     if len(coeffs) != len(endo.elems):
         raise DimensionMismatch(
@@ -373,7 +390,7 @@ def maximal_topdeg_candidates(
     else:
         points = list(candidates)
 
-    endo = endo_space(P) if base is not None else None
+    endo = P.endo if base is not None else None
     out = []
     for pt in points:
         verdict = no_proper_topstable_deg(alg, P, pt, limits)

@@ -32,6 +32,7 @@ from .fields import Scalar
 from .linalg import (
     Echelon,
     Matrix,
+    SparseRow,
     Vector,
     dense,
     is_invertible,
@@ -110,7 +111,7 @@ class ProjectiveCover:
     order inside each block).
     """
 
-    __slots__ = ("alg", "top", "gens", "rep", "belems", "index")
+    __slots__ = ("alg", "top", "gens", "rep", "belems", "index", "_endo")
 
     def __init__(self, alg: Algebra, top: TopSpec):
         self.alg = alg
@@ -137,6 +138,15 @@ class ProjectiveCover:
                 belems.extend((p, r) for p in alg.basis_at(gv) if p.end == v)
         self.belems = tuple(belems)
         self.index = {b: i for i, b in enumerate(belems)}
+        self._endo: EndoSpace | None = None
+
+    @property
+    def endo(self) -> EndoSpace:
+        """The basis of End(P), built by endo_space on first use and kept
+        as long as the cover, so that a sweep over one cover builds it once."""
+        if self._endo is None:
+            self._endo = endo_space(self)
+        return self._endo
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -235,16 +245,23 @@ def point_from_generators(P: ProjectiveCover, gens) -> SubmodulePoint:
     return submodule_point(P, closure(P.rep, vecs))
 
 
+def in_radical(P: ProjectiveCover, C: SubmodulePoint) -> bool:
+    """Does C lie in JP? Path lengths grade the radical, so JP is spanned by
+    the basis elements other than the generators z_r: C lies in JP exactly
+    when every row of C is zero at the z_r coordinates."""
+    f = P.alg.field
+    zpos = [P.index[b] for b in P.generator_elems()]
+    return all(f.is_zero(row[j]) for row in C.rows for j in zpos)
+
+
 def is_grass_point(
     P: ProjectiveCover, C: SubmodulePoint, d: tuple[int, ...]
 ) -> bool:
     """Is C a submodule of JP with dim P/C = d?"""
+    if not in_radical(P, C):
+        return False
     f = P.alg.field
     rows = C.row_lists()
-    zpos = [P.index[b] for b in P.generator_elems()]
-    for row in rows:
-        if any(not f.is_zero(row[j]) for j in zpos):
-            return False
     # vertex grading (idempotent stability)
     span = Echelon.of(f, rows)
     for row in rows:
@@ -624,13 +641,15 @@ def describe_endo(elem: tuple[int, int, PathWord]) -> str:
 @dataclass(eq=False)
 class EndoSpace:
     """Basis of End(P): elems[j] = (r, s, u) is the map z_r -> u*z_s, zero on
-    the other generators. unipotent/degree0/torus list the indices of the
+    the other generators. images[j] sends the coordinate of each basis
+    element p*z_r to the sparse row of its image, the normal form of p*u
+    on copy s. unipotent/degree0/torus list the indices of the
     strictly-length-raising, the length-zero, and the diagonal length-zero
     basis elements."""
 
     cover: ProjectiveCover
     elems: tuple[tuple[int, int, PathWord], ...]
-    mats: list[Matrix]
+    images: list[dict[int, SparseRow]]
     unipotent: tuple[int, ...]
     degree0: tuple[int, ...]
     torus: tuple[int, ...]
@@ -652,6 +671,19 @@ class EndoSpace:
     def coeff_index(self, r: int, s: int, u: PathWord) -> int:
         return self.elems.index((r, s, u))
 
+    def apply(self, j: int, vec: SparseRow) -> SparseRow:
+        """The image of a sparse vector under the basis endomorphism j."""
+        f = self.cover.alg.field
+        images = self.images[j]
+        out: SparseRow = {}
+        for i, y in vec.items():
+            img = images.get(i)
+            if img is None:
+                continue
+            for k, x in img.items():
+                out[k] = f.add(out.get(k, f.zero()), f.mul(x, y))
+        return {k: x for k, x in out.items() if not f.is_zero(x)}
+
 
 def endo_space(P: ProjectiveCover) -> EndoSpace:
     alg = P.alg
@@ -663,35 +695,33 @@ def endo_space(P: ProjectiveCover) -> EndoSpace:
                 if u.end == vr:
                     elems.append((r, s, u))
     elems.sort(key=lambda t: (t[0], t[1], deglex_key(alg.quiver, t[2])))
-    mats = []
+    images = []
     for r, s, u in elems:
-        m = [[f.zero()] * P.total for _ in range(P.total)]
+        cols: dict[int, SparseRow] = {}
         for p, r2 in P.belems:
             if r2 != r:
                 continue
-            col = P.index[(p, r2)]
             word = compose(alg.quiver, p, u)
-            for w, c in alg.nf_path(word).items():
-                m[P.index[(w, s)]][col] = c
-        mats.append(m)
+            img = {P.index[(w, s)]: c for w, c in alg.nf_path(word).items() if not f.is_zero(c)}
+            if img:
+                cols[P.index[(p, r2)]] = img
+        images.append(cols)
     unip = tuple(j for j, (_, _, u) in enumerate(elems) if u.length >= 1)
     deg0 = tuple(j for j, (_, _, u) in enumerate(elems) if u.length == 0)
     torus = tuple(j for j in deg0 if elems[j][0] == elems[j][1])
-    return EndoSpace(P, tuple(elems), mats, unip, deg0, torus)
+    return EndoSpace(P, tuple(elems), images, unip, deg0, torus)
 
 
 def _assemble(endo: EndoSpace, coeffs: list[Scalar]) -> Matrix:
     f = endo.cover.alg.field
     n = endo.cover.total
     out = [[f.zero()] * n for _ in range(n)]
-    for c, m in zip(coeffs, endo.mats):
+    for c, images in zip(coeffs, endo.images):
         if f.is_zero(c):
             continue
-        for i in range(n):
-            row = m[i]
-            for j in range(n):
-                if not f.is_zero(row[j]):
-                    out[i][j] = f.add(out[i][j], f.mul(c, row[j]))
+        for col, img in images.items():
+            for i, x in img.items():
+                out[i][col] = f.add(out[i][col], f.mul(c, x))
     return out
 
 
@@ -707,7 +737,7 @@ def apply_auto(
     otherwise NotInvertible is raised.
     """
     if endo is None:
-        endo = endo_space(P)
+        endo = P.endo
     f = P.alg.field
     coeffs = [f.of_int(c) if isinstance(c, int) else c for c in coeffs]
     if len(coeffs) != endo.dim:
@@ -733,33 +763,51 @@ class OrbitDims:
     graded: int
 
 
+def _stab_residues(
+    P: ProjectiveCover, C: SubmodulePoint, endo: EndoSpace, subset: Iterable[int]
+) -> list[SparseRow]:
+    """Per endo index in the subset, the residues modulo C of the images of
+    the rows of C, stacked into one sparse row (row k of C fills the
+    coordinates k*|P| to (k+1)*|P| - 1). The linear map coefficient ->
+    stacked residue has kernel the endomorphisms in the span that keep C
+    inside itself."""
+    f = P.alg.field
+    n = P.total
+    rows = [sparse(f, r) for r in C.rows]
+    span = Echelon(f, rows)
+    out = []
+    for j in subset:
+        stacked: SparseRow = {}
+        for k, row in enumerate(rows):
+            for i, x in span.reduce(endo.apply(j, row)).items():
+                stacked[k * n + i] = x
+        out.append(stacked)
+    return out
+
+
 def _stab_rank(
     P: ProjectiveCover, C: SubmodulePoint, endo: EndoSpace, subset: tuple[int, ...]
 ) -> int:
     """Orbit dimension of the subgroup spanned by the given endo indices:
     the rank of coefficient -> (residues of images of C mod C)."""
-    f = P.alg.field
-    rows = C.row_lists()
-    span = Echelon.of(f, rows)
-    cols = []
-    for j in subset:
-        col: list[Scalar] = []
-        for v in rows:
-            col.extend(dense(f, span.reduce(sparse(f, mat_vec(f, endo.mats[j], v))), P.total))
-        cols.append(col)
-    return rank(f, transpose(cols)) if cols else 0
+    return len(Echelon(P.alg.field, _stab_residues(P, C, endo, subset)))
 
 
 def orbit_dims(
     P: ProjectiveCover, C: SubmodulePoint, endo: EndoSpace | None = None
 ) -> OrbitDims:
     if endo is None:
-        endo = endo_space(P)
-    all_idx = tuple(range(endo.dim))
+        endo = P.endo
+    f = P.alg.field
+    residues = _stab_residues(P, C, endo, range(endo.dim))
+
+    def rank_of(subset: Iterable[int]) -> int:
+        return len(Echelon(f, (residues[j] for j in subset)))
+
     return OrbitDims(
-        aut=_stab_rank(P, C, endo, all_idx),
-        unipotent=_stab_rank(P, C, endo, endo.unipotent),
-        graded=_stab_rank(P, C, endo, endo.degree0),
+        aut=rank_of(range(endo.dim)),
+        unipotent=rank_of(endo.unipotent),
+        graded=rank_of(endo.degree0),
     )
 
 
@@ -769,13 +817,13 @@ def endo_invariant(
     """Is C stable under every endomorphism of P? On failure the second
     component is a violating basis endomorphism (r, s, u): z_r -> u*z_s."""
     if endo is None:
-        endo = endo_space(P)
+        endo = P.endo
     f = P.alg.field
-    rows = C.row_lists()
-    span = Echelon.of(f, rows)
+    rows = [sparse(f, r) for r in C.rows]
+    span = Echelon(f, rows)
     for j, elem in enumerate(endo.elems):
-        for v in rows:
-            if not span.contains(sparse(f, mat_vec(f, endo.mats[j], v))):
+        for row in rows:
+            if not span.contains(endo.apply(j, row)):
                 return False, elem
     return True, None
 

@@ -35,22 +35,24 @@ def all_paths_of_length(quiver, k):
     return [list(labels) for labels, _ in frontier]
 
 
+def kronecker_over(field):
+    q = make_quiver(2, [("a1", 1, 2), ("a2", 1, 2)])
+    return build_algebra(q, [], field, 2)
+
+
 @pytest.fixture
 def kronecker():
-    q = make_quiver(2, [("a1", 1, 2), ("a2", 1, 2)])
-    return build_algebra(q, [], QQ, 2)
+    return kronecker_over(QQ)
 
 
 @pytest.fixture
 def kronecker_f2():
-    q = make_quiver(2, [("a1", 1, 2), ("a2", 1, 2)])
-    return build_algebra(q, [], Field(2), 2)
+    return kronecker_over(Field(2))
 
 
 @pytest.fixture
 def kronecker_f3():
-    q = make_quiver(2, [("a1", 1, 2), ("a2", 1, 2)])
-    return build_algebra(q, [], Field(3), 2)
+    return kronecker_over(Field(3))
 
 
 @pytest.fixture

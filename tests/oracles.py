@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 
 from quivermoduli.fields import Field
-from quivermoduli.linalg import kernel_basis, span_rref
+from quivermoduli.grass import coker_rep
+from quivermoduli.linalg import identity, kernel_basis, span_rref
 from quivermoduli.quiver import PathWord
+from quivermoduli.reps import arrow_images_span, hom_dim, sub_rep
 
 
 # -- textbook linear algebra, sharing nothing with quivermoduli.linalg ---------
@@ -185,6 +187,51 @@ def fitting_split_oracle(M, blocks):
     if not img or len(img) == n:
         return None
     return span_rref(f, kernel_basis(f, Fn, n)), img
+
+
+# -- orbits and hom dimensions of Grassmannian points ---------------------------
+
+
+def radical_hom_dims_oracle(P, C) -> tuple[int, int]:
+    """(dim Hom(P, JM), dim Hom(M, JM)) for M = P/C by the direct route:
+    build M, its radical JM as a submodule, and solve for both Hom spaces."""
+    M = coker_rep(P, C)
+    JM = sub_rep(M, arrow_images_span(M, identity(M.field, M.total)))
+    return hom_dim(P.rep, JM), hom_dim(M, JM)
+
+
+def dense_endo_matrix(P, elem):
+    """The matrix of the basis endomorphism (r, s, u) of P, z_r -> u*z_s:
+    its column at p*z_r holds the normal form of the path "first u, then p"
+    on copy s, and every other column is zero."""
+    r, s, u = elem
+    f = P.alg.field
+    m = [[f.zero()] * P.total for _ in range(P.total)]
+    for (p, r2), col in P.index.items():
+        if r2 != r:
+            continue
+        word = PathWord(u.start, u.arrows + p.arrows, p.end)
+        for w, c in P.alg.nf_path(word).items():
+            m[P.index[(w, s)]][col] = c
+    return m
+
+
+def naive_orbit_dim(P, C, elems) -> int:
+    """Rank of psi -> (psi(c_1), ..., psi(c_m)) mod C^m on the span of the
+    given basis endomorphisms, for the rows c_k of C: the rank of the
+    stacked images together with m copies of C, less m * dim C."""
+    f = P.alg.field
+    n, m = P.total, C.dim
+    stacked = []
+    for elem in elems:
+        a = dense_endo_matrix(P, elem)
+        stacked.append([x for row in C.rows for x in naive_mat_vec(f, a, row)])
+    for k in range(m):
+        for row in C.rows:
+            v = [f.zero()] * (n * m)
+            v[k * n : (k + 1) * n] = row
+            stacked.append(v)
+    return naive_rank(f, stacked) - m * m
 
 
 # -- skeleta and chart equations -----------------------------------------------

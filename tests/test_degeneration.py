@@ -16,6 +16,7 @@ from quivermoduli.degeneration import (
 from quivermoduli.errors import (
     DimensionMismatch,
     NotNilpotentDirection,
+    NotSubmodule,
     SearchTooLarge,
     TopMismatch,
 )
@@ -24,10 +25,11 @@ from quivermoduli.grass import (
     endo_space,
     point_from_generators,
     projective_cover,
+    submodule_point,
 )
 from quivermoduli.quiver import idempotent
 from quivermoduli.reps import rep_of_projective
-from conftest import loop_bridge_over, rel
+from conftest import kronecker_over, loop_bridge_over, rel
 
 
 def endo_index(endo, desc):
@@ -101,8 +103,52 @@ def test_quotient_must_share_the_cover_top(loop_bridge):
     whole = point_from_generators(
         P, [(Element.from_path(idempotent(1), QQ.one()), 0)]
     )
-    with pytest.raises(TopMismatch):
+    with pytest.raises(TopMismatch) as err:
         no_proper_topstable_deg(loop_bridge, P, whole)
+    assert str(err.value) == "quotient has top (0, 0), cover was built for (1, 0)"
+
+
+def test_simple_top_refuses_a_subspace_that_is_not_a_submodule(loop_bridge):
+    # span(a*z1) misses b*a*z1, its image under b
+    P = projective_cover(loop_bridge, (1, 0))
+    a = next(b for b in P.belems if b[0].arrows == ("a",))
+    C = submodule_point(P, [P.unit(a)])
+    with pytest.raises(NotSubmodule) as err:
+        no_proper_topstable_deg(loop_bridge, P, C)
+    assert str(err.value) == "subspace is not stable under the arrow action"
+
+
+def test_simple_top_verdict_builds_no_quotient(monkeypatch, loop_bridge):
+    P, Cb, Cba = bridge_points(loop_bridge)
+    built = []
+    monkeypatch.setattr(
+        degeneration, "coker_rep", lambda P, C: built.append(C) or coker_rep(P, C)
+    )
+    assert no_proper_topstable_deg(loop_bridge, P, Cb).hom_dims == (1, 0)
+    assert no_proper_topstable_deg(loop_bridge, P, Cba).hom_dims == (1, 1)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "alg, top, d",
+    [(loop_bridge_over(Field(3)), (1, 0), (2, 1)), (kronecker_over(Field(2)), (2, 0), (2, 2))],
+    ids=["loop bridge/F3", "kronecker/F2"],
+)
+def test_a_sweep_builds_the_endomorphisms_of_its_cover_once(monkeypatch, alg, top, d):
+    # count the spaces endo_space builds, whichever binding of it is called
+    built = []
+    real = grass.EndoSpace
+
+    def counting(P, *fields):
+        built.append(P)
+        return real(P, *fields)
+
+    monkeypatch.setattr(grass, "EndoSpace", counting)
+    P = projective_cover(alg, top)
+    base = maximal_topdeg_candidates(alg, P, d)[0].point
+    found = maximal_topdeg_candidates(alg, P, d, base=base)
+    assert len(found) >= 1
+    assert built == [P]
 
 
 # -- one-parameter limits -----------------------------------------------------

@@ -26,10 +26,14 @@ from oracles import (
     brute_force_submodule_spans,
     dense_relation_equations,
     fitting_split_oracle,
+    naive_in_span,
+    naive_orbit_dim,
     naive_rank,
+    radical_hom_dims_oracle,
 )
 from quivermoduli import Field, QQ, build_algebra, make_quiver
 from quivermoduli.degeneration import (
+    _presentation_kernel,
     hom_order_leq,
     no_proper_topstable_deg,
     one_param_limit,
@@ -45,18 +49,20 @@ from quivermoduli.grass import (
     enumerate_skeleta,
     is_grass_point,
     make_skeleton,
+    orbit_dims,
     point_from_generators,
     point_to_coords,
     projective_cover,
     skeleta_of_point,
     skeleta_with_dims,
 )
-from quivermoduli.linalg import space_key, span_rref
+from quivermoduli.linalg import identity, space_key, span_rref
 from quivermoduli.reps import (
     Rep,
     _combine_blocks,
     _split_once,
     _vertex_dims,
+    arrow_images_span,
     base_change,
     hom_basis,
     hom_dim,
@@ -417,6 +423,97 @@ def test_degeneration_verdict_is_constant_on_orbits():
                 continue
             moves += 1
             assert no_proper_topstable_deg(alg, P, moved).holds == verdict.holds
+
+
+# ------------------------------------------ hom dimensions and orbits from (P, C)
+
+
+def _verdict_charts():
+    """(name, cover, chart) for strata with simple and non-simple tops over
+    F2, F3 and Q."""
+    cases = [
+        ("kronecker/F2", _kronecker(Field(2)), (1, 0), (1, 1)),
+        ("kronecker/F2", _kronecker(Field(2)), (2, 0), (2, 2)),
+        ("kronecker/F3", _kronecker(Field(3)), (2, 0), (2, 3)),
+        ("loop bridge/F3", loop_bridge_over(Field(3)), (1, 0), (2, 1)),
+        ("loop bridge/F2", loop_bridge_over(Field(2)), (2, 0), (4, 1)),
+        ("loop bridge/Q", loop_bridge_over(QQ), (1, 1), (2, 1)),
+        ("loop bridge/Q", loop_bridge_over(QQ), (2, 0), (4, 2)),
+        ("two loops two arrows/Q", two_loop_two_arrow_algebra(QQ), (1, 0), (2, 2)),
+        ("double loop/F3", double_loop_algebra(Field(3)), (1, 0), (2, 1)),
+    ]
+    out = []
+    for name, alg, top, d in cases:
+        P = projective_cover(alg, top)
+        out += [(f"{name} {top} {d}", P, chart_equations(P, s)) for s in skeleta_with_dims(P, d)]
+    return out
+
+
+VERDICT_CHARTS = _verdict_charts()
+
+
+@st.composite
+def chart_points(draw):
+    """A point of one of VERDICT_CHARTS at drawn coordinates."""
+    name, P, pres = draw(st.sampled_from(VERDICT_CHARTS))
+    f = P.alg.field
+    scalars = st.sampled_from(f.elements()) if f.is_finite else st.integers(-2, 2).map(f.of_int)
+    vals = [draw(scalars) for _ in pres.variables]
+    try:
+        C = coords_to_point(pres, vals)
+    except EquationsViolated:
+        assume(False)
+    return name, P, C
+
+
+def _simple_top_kernel_dims(P, C):
+    """kernel_dims of a simple-top verdict by the quotient route: the
+    presentation kernel of M = P/C at a generator outside its radical."""
+    alg = P.alg
+    f = alg.field
+    M = coker_rep(P, C)
+    v = P.gens[0]
+    rad = arrow_images_span(M, identity(f, M.total))
+    units = [[f.one() if j == i else f.zero() for j in range(M.total)] for i in range(M.total)]
+    o = M.offset(v)
+    gen = next(u for u in units[o : o + M.dim_at(v)] if not naive_in_span(f, rad, u))
+    return ((v, (len(_presentation_kernel(alg, v, M, gen)),)),)
+
+
+_CHART_POINT_SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+@given(case=chart_points())
+@_CHART_POINT_SETTINGS
+def test_verdict_hom_dims_match_the_quotient_route(case):
+    name, P, C = case
+    hp, hm = radical_hom_dims_oracle(P, C)
+    # condition (ii) of the closed-orbit test: the unipotent orbit is a point
+    assert hp - hm == orbit_dims(P, C).unipotent, name
+    verdict = no_proper_topstable_deg(P.alg, P, C)
+    if verdict.hom_dims is not None:
+        assert verdict.hom_dims == (hp, hm), name
+    if P.top.simple:
+        assert verdict.kernel_dims == _simple_top_kernel_dims(P, C), name
+
+
+@given(case=chart_points())
+@_CHART_POINT_SETTINGS
+def test_orbit_dims_match_the_dense_oracle(case):
+    name, P, C = case
+    endo = P.endo
+    od = orbit_dims(P, C)
+    for got, subset in (
+        (od.aut, range(endo.dim)),
+        (od.unipotent, endo.unipotent),
+        (od.graded, endo.degree0),
+    ):
+        assert got == naive_orbit_dim(P, C, [endo.elems[j] for j in subset]), name
 
 
 # ------------------------------------------------------------- document texts
