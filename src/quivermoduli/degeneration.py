@@ -161,10 +161,13 @@ def no_proper_topstable_deg(
 
     With a simple top M is local and is its own summand, and it is never
     built: the cover map P -> M is onto, so the presentation kernel is C
-    itself. Otherwise the summand search is decompose_local: certified by
-    the trace form over Q, exhaustive over a small finite field. The
-    verdict carries the Unknown sentinel when that search is inconclusive,
-    i.e. over Q when no split is found and End/J != K for some piece.
+    itself. Otherwise the summand search is decompose_local: over Q the
+    residue route, which reads End/J off the trace form and either splits a
+    piece once along a non-unit outside J or certifies End/J a field;
+    exhaustive over a small finite field. The verdict carries the Unknown
+    sentinel when that search is inconclusive, i.e. over Q when some piece
+    is neither split nor certified, as when End/J is a field of degree 4
+    or more.
 
     Both numbers of (ii) are read off (P, C). top(P/C) = P/(JP + C) is the
     top of P exactly when C lies in JP, and then JM = JP/C. Path lengths

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import Algebra
 from .config import DEFAULT_LIMITS, SearchLimits
@@ -55,12 +57,14 @@ SemisimpleSequence = tuple[tuple[int, ...], ...]
 
 
 class Rep:
-    __slots__ = ("alg", "d", "mats")
+    __slots__ = ("alg", "d", "mats", "_arrows")
 
     def __init__(self, alg: Algebra, d: tuple[int, ...], mats: dict[str, Matrix]):
         self.alg = alg
         self.d = tuple(d)
         self.mats = {k: [row[:] for row in m] for k, m in mats.items()}
+        # label -> (start offset, end offset, sparse columns), built by act
+        self._arrows: dict[str, tuple[int, int, list[list[tuple[int, Scalar]]]]] | None = None
 
     @property
     def field(self) -> Field:
@@ -86,17 +90,32 @@ class Rep:
         return {j: x for j, x in vec.items() if o <= j < o + self.d[v - 1]}
 
     def act(self, label: str, vec: SparseRow) -> SparseRow:
-        """The image of a sparse global vector under one arrow."""
+        """The image of a sparse global vector under one arrow.
+
+        Each arrow matrix is read once, on the first call, into its nonzero
+        entries per column, so an entry of vec costs one pass over the
+        nonzero entries of its column.
+        """
         f = self.field
-        a = self.alg.quiver.arrow(label)
-        start, end = self.offset(a.start), self.offset(a.end)
+        if self._arrows is None:
+            self._arrows = {
+                a.label: (
+                    self.offset(a.start),
+                    self.offset(a.end),
+                    [
+                        [(i, row[j]) for i, row in enumerate(self.mats[a.label]) if not f.is_zero(row[j])]
+                        for j in range(self.dim_at(a.start))
+                    ],
+                )
+                for a in self.alg.quiver.arrows
+            }
+        start, end, cols = self._arrows[label]
+        zero = f.zero()
         out: SparseRow = {}
         for j, y in vec.items():
-            if start <= j < start + self.d[a.start - 1]:
-                for i, row in enumerate(self.mats[label]):
-                    x = row[j - start]
-                    if not f.is_zero(x):
-                        out[end + i] = f.add(out.get(end + i, f.zero()), f.mul(x, y))
+            if start <= j < start + len(cols):
+                for i, x in cols[j - start]:
+                    out[end + i] = f.add(out.get(end + i, zero), f.mul(x, y))
         return {k: x for k, x in out.items() if not f.is_zero(x)}
 
     def __repr__(self) -> str:
@@ -674,26 +693,179 @@ def _projective_coeffs(f: Field, k: int):
             yield [zero] * lead + [one] + list(tail)
 
 
-def _trace_gram_rank(M: Rep, basis: list[dict[int, Matrix]]) -> int:
-    """Rank of the Gram matrix of the trace form tr(ab) on End(M).
+def _trace(f: Field, a: dict[int, Matrix], b: dict[int, Matrix]) -> Scalar:
+    """tr(ab) of two endomorphisms. Both are block-diagonal by vertex, so
+    tr(ab) is sum_v sum_ij a_v[i][j] * b_v[j][i] and needs no global matrix."""
+    acc = f.zero()
+    for v, av in a.items():
+        bv = b[v]
+        for i, row in enumerate(av):
+            for j, x in enumerate(row):
+                if not f.is_zero(x) and not f.is_zero(bv[j][i]):
+                    acc = f.add(acc, f.mul(x, bv[j][i]))
+    return acc
 
-    An endomorphism is block-diagonal by vertex, so tr(ab) is
-    sum_v sum_ij a_v[i][j] * b_v[j][i] and needs no global matrices.
-    """
+
+def _trace_gram(M: Rep, basis: list[dict[int, Matrix]]) -> Matrix:
+    """Gram matrix of the trace form tr(ab) on End(M) in the given basis."""
     f = M.field
     k = len(basis)
     gram = [[f.zero()] * k for _ in range(k)]
     for s in range(k):
         for t in range(s, k):
-            acc = f.zero()
-            for v in M.alg.quiver.vertices:
-                a, b = basis[s][v], basis[t][v]
-                for i in range(M.dim_at(v)):
-                    for j in range(M.dim_at(v)):
-                        if not f.is_zero(a[i][j]) and not f.is_zero(b[j][i]):
-                            acc = f.add(acc, f.mul(a[i][j], b[j][i]))
-            gram[s][t] = gram[t][s] = acc
-    return rank(f, gram)
+            gram[s][t] = gram[t][s] = _trace(f, basis[s], basis[t])
+    return gram
+
+
+def _residue_minpoly(M: Rep, b: dict[int, Matrix], basis: list[dict[int, Matrix]], r: int) -> list[Scalar]:
+    """Minimal polynomial of b in End(M)/J, monic, low degree first.
+
+    Over Q an endomorphism x lies in J exactly when its trace vector
+    (tr(x b_t))_t vanishes (see _indecomposables), so a polynomial in b lies
+    in J exactly when the same combination of the trace vectors of
+    1, b, b^2, ... is zero. Each power enters one Echelon as its trace
+    vector followed by a tag column of its own; the first power whose trace
+    part reduces to zero carries the relation in its tags. The trace
+    vectors span an r-dimensional space, r = dim End/J, so at most r + 1
+    powers are taken.
+    """
+    f = M.field
+    k = len(basis)
+    span = Echelon(f)
+    power = {v: identity(f, M.dim_at(v)) for v in M.alg.quiver.vertices if M.dim_at(v)}
+    for i in range(r + 1):
+        row = {t: x for t, bt in enumerate(basis) if not f.is_zero(x := _trace(f, power, bt))}
+        row[k + i] = f.one()
+        p = span.insert(row)
+        if p >= k:
+            rel = span.rows[p]
+            lead = f.inv(rel[k + i])
+            return [f.mul(lead, rel.get(k + j, f.zero())) for j in range(i + 1)]
+        power = {v: mat_mul(f, m, b[v]) for v, m in power.items()}
+    raise AssertionError("more than dim End/J independent trace vectors")
+
+
+def _rational_root(mu: list[Fraction]) -> Fraction | None:
+    """A rational root of a monic polynomial (coefficients low degree first),
+    or None when it has none. Exact, with no floating point.
+
+    Degree 2 reads the root off the discriminant when it is a square.
+    Otherwise, with the coefficients scaled to integers a_0..a_m, a root p/q
+    in lowest terms has q | a_m and lies strictly inside Cauchy's bound B.
+    Sturm's sequence counts the distinct real roots in (lo, hi] when neither
+    end is a root, and bisection of (-B, B] stops once an interval holding
+    one root is narrower than 1/a_m^2. Two fractions with denominators at
+    most a_m lie at least that far apart, so the fraction with denominator
+    at most a_m nearest the midpoint is the only candidate in it.
+    """
+    if len(mu) == 3:
+        disc = mu[1] * mu[1] - 4 * mu[0]
+        if disc < 0:
+            return None
+        num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+        if num * num != disc.numerator or den * den != disc.denominator:
+            return None
+        return (Fraction(num, den) - mu[1]) / 2
+
+    def value(poly: list[Fraction], x: Fraction) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(poly):
+            acc = acc * x + c
+        return acc
+
+    def remainder(u: list[Fraction], w: list[Fraction]) -> list[Fraction]:
+        u = u[:]
+        while len(u) >= len(w):
+            c, s = u[-1] / w[-1], len(u) - len(w)
+            for i, x in enumerate(w):
+                u[s + i] -= c * x
+            while u and u[-1] == 0:
+                u.pop()
+        return u
+
+    chain = [mu, [i * c for i, c in enumerate(mu)][1:]]
+    while rem := remainder(chain[-2], chain[-1]):
+        chain.append([-c for c in rem])
+
+    def variations(x: Fraction) -> int:
+        signs = [s > 0 for s in (value(p, x) for p in chain) if s != 0]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    den = math.lcm(*(c.denominator for c in mu))
+    bound = 1 + max(abs(c) for c in mu[:-1])
+    stack = [(-bound, variations(-bound), bound, variations(bound))]
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        mid = (lo + hi) / 2
+        if vlo - vhi == 1 and (hi - lo) * den * den < 1:
+            mid = mid.limit_denominator(den)
+            if value(mu, mid) == 0:
+                return mid
+            continue
+        if value(mu, mid) == 0:
+            return mid
+        vmid = variations(mid)
+        stack += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
+    return None
+
+
+def _split_nonunit(M: Rep, x: dict[int, Matrix], basis: list[dict[int, Matrix]]):
+    """A proper Fitting split of M from a non-unit x of End(M) outside J.
+
+    J is the radical of the trace form, so tr(x b) != 0 for some basis
+    element b. Then x b is not nilpotent, having a nonzero trace, and not a
+    unit, since x is not, so its Fitting split is proper.
+    """
+    f = M.field
+    b = next(b for b in basis if not f.is_zero(_trace(f, x, b)))
+    hit = _split_once(M, {v: mat_mul(f, x[v], b[v]) for v in x if M.dim_at(v)})
+    if hit is None:
+        raise AssertionError("a non-unit with nonzero trace has no proper Fitting split")
+    return hit
+
+
+def _top_nonunit(M: Rep, basis: list[dict[int, Matrix]], gram: Matrix) -> dict[int, Matrix] | None:
+    """A non-unit x of End(M) outside J, or None.
+
+    If w lies outside JM and x(w) lies in JM, then x kills the image of w
+    in the top M/JM, so x is not a unit. The unit vectors off the pivots of
+    JM span a complement of JM; for each such w the x with x(w) in JM form
+    a linear space, and one of its basis vectors c lies outside J exactly
+    when c.G, its trace vector, is not zero. This finds x whenever End/J
+    has a zero divisor that kills one of those vectors in the top: for a
+    sum of local modules, whenever two summands are isomorphic or have
+    different tops, where a single basis element need not have a rational
+    eigenvalue.
+    """
+    f = M.field
+    k = len(basis)
+    radical = Echelon(f, (M.act(a.label, {i: f.one()}) for i in range(M.total) for a in M.alg.quiver.arrows))
+    for v in M.alg.quiver.vertices:
+        o = M.offset(v)
+        for i in range(M.dim_at(v)):
+            if o + i in radical.rows:
+                continue
+            # x(w) mod JM for each basis element, as equations on coefficients
+            eqs: dict[int, SparseRow] = {}
+            for s, b in enumerate(basis):
+                col = {o + j: row[i] for j, row in enumerate(b[v]) if not f.is_zero(row[i])}
+                for j, y in radical.reduce(col).items():
+                    eqs.setdefault(j, {})[s] = y
+            for c in sparse_kernel_basis(f, list(eqs.values()), k):
+                if any(sum(f.mul(c[s], gram[s][t]) for s in range(k)) for t in range(k)):
+                    return _combine_blocks(M, M, basis, c)
+    return None
+
+
+def _shift(M: Rep, blocks: dict[int, Matrix], c: Scalar) -> dict[int, Matrix]:
+    """The endomorphism blocks - c * identity."""
+    f = M.field
+    return {
+        v: [[f.sub(x, c) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(blk)]
+        for v, blk in blocks.items()
+    }
 
 
 def _split_once(M: Rep, blocks: dict[int, Matrix]):
@@ -732,22 +904,36 @@ def _indecomposables(M: Rep, limits: SearchLimits, seed: int):
     """Split M into indecomposables; None when inconclusive.
 
     A split is a Fitting split (ker f^n, im f^n) of some endomorphism f and
-    is exact; _split_once computes it per vertex block. Certificates come
-    first, then the split search:
+    is exact; _split_once computes it per vertex block. It is proper exactly
+    when f is neither invertible nor nilpotent.
 
-    * over Q, the trace form tr(ab) on End(M) has a Gram matrix of rank
-      dim End/J; rank 1 means End/J = K, so End(M) is local and M is
-      returned whole before any split is tried. With rank 2 or more the
-      search below runs;
-    * over a finite field with q^dim End <= limits.endo_enum, End(M) is
+    * Over Q, the residue route reads End/J off the trace form tr(ab) on
+      End(M). In characteristic zero its radical is J (Dickson), so x lies
+      in J exactly when its trace vector (tr(x b_t))_t is zero; row s of
+      the Gram matrix is the trace vector of b_s, and its rank r is
+      dim End/J. Rank 1 means End/J = K: End(M) is local and M is returned
+      whole. Otherwise each basis element b outside J gets its minimal
+      polynomial mu modulo J from the trace vectors of its powers
+      (_residue_minpoly). A rational root c of mu makes b - c a non-unit
+      outside J, and one Fitting split along it is proper
+      (_split_nonunit). If deg mu = r and mu has no rational root with
+      deg mu <= 3, mu is irreducible and End/J = Q[b] = Q[x]/(mu) is a
+      field: End(M) is local, and M is returned whole (the field
+      certificate). When no basis element decides, a non-unit outside J is
+      sought among the endomorphisms that kill a vector of the top
+      (_top_nonunit), which covers matrix factors of End/J whose basis
+      elements have no rational eigenvalue.
+    * Over a finite field with q^dim End <= limits.endo_enum, End(M) is
       swept exhaustively, one endomorphism per line (f and c*f have the
       same Fitting split). When nothing splits, every endomorphism is
-      invertible or nilpotent, so End(M) is local;
-    * otherwise unit, random and shifted endomorphisms are tried, which
+      invertible or nilpotent, so End(M) is local.
+    * Otherwise, over Q when the residue route finds neither a split nor a
+      certificate, unit, random and shifted endomorphisms are tried, which
       is sound but incomplete.
 
     The answer is None when the search finds no split and no certificate
-    applies: over a larger finite field, or over Q with End/J != K.
+    applies: over a larger finite field, or over Q when the residue route
+    neither splits M nor certifies End/J a field.
     """
     if M.total == 0:
         return []
@@ -755,11 +941,6 @@ def _indecomposables(M: Rep, limits: SearchLimits, seed: int):
     basis = hom_basis(M, M)
     k = len(basis)
     if k == 1:
-        return [M]
-    if not f.is_finite and _trace_gram_rank(M, basis) == 1:
-        # In characteristic zero the radical of the trace form on a faithful
-        # module equals the Jacobson radical of End(M), so a rank-one Gram
-        # matrix certifies that End(M) is local, i.e. M is indecomposable.
         return [M]
 
     def recurse(space_pair):
@@ -771,6 +952,28 @@ def _indecomposables(M: Rep, limits: SearchLimits, seed: int):
         if right is None:
             return None
         return left + right
+
+    if not f.is_finite:
+        gram = _trace_gram(M, basis)
+        r = rank(f, gram)
+        if r == 1:
+            return [M]
+        for b, trace_row in zip(basis, gram):
+            if not any(trace_row):
+                continue  # b lies in J
+            mu = _residue_minpoly(M, b, basis, r)
+            m = len(mu) - 1
+            if m == 1:
+                continue  # b is a scalar modulo J
+            c = _rational_root(mu)
+            if c is not None:
+                # b - c is not a unit, as mu(c) = 0, and not in J, as m > 1
+                return recurse(_split_nonunit(M, _shift(M, b, c), basis))
+            if m == r and m <= 3:
+                return [M]  # End/J = Q[b] = Q[x]/(mu) is a field
+        x = _top_nonunit(M, basis, gram)
+        if x is not None:
+            return recurse(_split_nonunit(M, x, basis))
 
     if f.is_finite and f.order**k <= limits.endo_enum:
         for coeffs in _projective_coeffs(f, k):
@@ -792,14 +995,7 @@ def _indecomposables(M: Rep, limits: SearchLimits, seed: int):
     for coeffs in candidates:
         blocks = _combine_blocks(M, M, basis, coeffs)
         for c in shifts:
-            shifted = {
-                v: [
-                    [f.sub(blocks[v][i][j], c if i == j else f.zero()) for j in range(M.dim_at(v))]
-                    for i in range(M.dim_at(v))
-                ]
-                for v in M.alg.quiver.vertices
-            }
-            hit = _split_once(M, shifted)
+            hit = _split_once(M, _shift(M, blocks, c))
             if hit is not None:
                 return recurse(hit)
     return None
@@ -808,12 +1004,16 @@ def _indecomposables(M: Rep, limits: SearchLimits, seed: int):
 def decompose_local(alg: Algebra, M: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: int | None = None):
     """list of local summands | NotSumOfLocals | Unknown.
 
-    The summands come from _indecomposables. Over Q each piece is first
-    tested by the trace-form certificate (Gram rank 1 means End is local)
-    and only then searched for a Fitting split, taken per vertex block with
-    exponent d_v; over a small F_q the search sweeps End(M) up to scalars
-    and certifies a piece with no split. Unknown means no certificate
-    applied: over Q, no split was found and End/J != K for some piece.
+    The summands come from _indecomposables. Over Q each piece goes the
+    residue route: End/J is read off the trace form; Gram rank 1, or a
+    basis element generating End/J as a field of degree <= 3, certifies the
+    piece local, and a rational root of a basis element's minimal
+    polynomial modulo J, or an endomorphism killing a vector of the top,
+    gives one proper Fitting split, taken per vertex block with exponent
+    d_v. Only when none applies does the shifted-endomorphism search run.
+    Over a small F_q the search sweeps End(M) up to scalars and certifies a
+    piece with no split. Unknown means no certificate applied: over Q, the
+    residue route and the search neither split nor certified some piece.
     """
     pieces = _indecomposables(M, limits, limits.seed if seed is None else seed)
     if pieces is None:

@@ -53,6 +53,29 @@ def naive_mat_vec(field: Field, a, v):
     return out
 
 
+def naive_mat_mul(field: Field, a, b):
+    return [
+        [
+            sum((field.mul(a[i][t], b[t][j]) for t in range(len(b))), field.zero())
+            for j in range(len(b[0]) if b else 0)
+        ]
+        for i in range(len(a))
+    ]
+
+
+def naive_is_nilpotent(field: Field, a) -> bool:
+    """Is a^n = 0 for the n x n matrix a? Each unit vector is multiplied by a
+    n times."""
+    n = len(a)
+    for i in range(n):
+        v = [field.one() if j == i else field.zero() for j in range(n)]
+        for _ in range(n):
+            v = naive_mat_vec(field, a, v)
+        if any(x != 0 for x in v):
+            return False
+    return True
+
+
 def leibniz_det(field: Field, a):
     """Sum over all permutations of signed products of entries."""
     n = len(a)

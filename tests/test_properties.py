@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,9 @@ from oracles import (
     dense_relation_equations,
     fitting_split_oracle,
     naive_in_span,
+    naive_is_nilpotent,
+    naive_mat_mul,
+    naive_mat_vec,
     naive_orbit_dim,
     naive_rank,
     radical_hom_dims_oracle,
@@ -56,20 +60,26 @@ from quivermoduli.grass import (
     skeleta_of_point,
     skeleta_with_dims,
 )
-from quivermoduli.linalg import identity, space_key, span_rref
+from quivermoduli import reps
+from quivermoduli.linalg import identity, kernel_basis, space_key, span_rref, sparse
 from quivermoduli.reps import (
     Rep,
     _combine_blocks,
     _split_once,
+    _trace_gram,
     _vertex_dims,
     arrow_images_span,
     base_change,
+    decompose_local,
+    direct_sum,
     hom_basis,
     hom_dim,
     is_isomorphic,
     radical_layering,
     random_group_element,
+    rep_of_projective,
     rep_validate,
+    simple_rep,
     submodule_dim_vectors,
     submodule_spans,
 )
@@ -324,6 +334,95 @@ def test_block_fitting_split_matches_the_global_oracle(M, data):
         for i in range(len(blk)):
             blk[i][i] = f.sub(blk[i][i], c)
     assert _split_once(M, blocks) == fitting_split_oracle(M, blocks)
+
+
+# ------------------------------------------------------ residue route over Q
+
+
+@given(M=small_reps(fields=(QQ,)))
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_the_trace_form_radical_is_a_nil_ideal(M):
+    # Dickson: in characteristic zero the radical of the trace form on
+    # End(M) is J, so each x in the kernel of the Gram matrix is nilpotent,
+    # and so is x*b for every endomorphism b, since J is an ideal
+    f = M.field
+    basis = hom_basis(M, M)
+    for coeffs in kernel_basis(f, _trace_gram(M, basis), len(basis)):
+        x = _combine_blocks(M, M, basis, coeffs)
+        for y in [x] + [{v: naive_mat_mul(f, x[v], b[v]) for v in x} for b in basis]:
+            assert all(naive_is_nilpotent(f, blk) for blk in y.values())
+
+
+def _local_pools():
+    """(algebra, modules with a simple top) over Q: simples, indecomposable
+    projectives and, for the Kronecker quiver, the (1,1) points."""
+    kronecker = _kronecker(QQ)
+    points = [
+        Rep(kronecker, (1, 1), {"a1": [[QQ.of_int(s)]], "a2": [[QQ.of_int(t)]]})
+        for s, t in ((1, 0), (0, 1), (1, 1), (1, -2))
+    ]
+    pools = []
+    for alg, extra in ((kronecker, points), (loop_bridge_over(QQ), []), (two_loop_two_arrow_algebra(QQ), [])):
+        verts = alg.quiver.vertices
+        pools.append((alg, [simple_rep(alg, v) for v in verts] + [rep_of_projective(alg, v) for v in verts] + extra))
+    return pools
+
+
+LOCAL_POOLS = _local_pools()
+
+
+@given(data=st.data(), seed=st.integers(0, 2**16))
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_rational_decomposition_recovers_a_sum_of_locals(data, seed):
+    # a module with a simple top has End/J = Q, so every residue field of
+    # the sum is Q and the residue route needs one Fitting split per piece
+    alg, pool = data.draw(st.sampled_from(LOCAL_POOLS))
+    summands = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    assume(sum(sum(N.d) for N in summands) <= 9)
+    M = summands[0]
+    for N in summands[1:]:
+        M = direct_sum(M, N)
+    M = base_change(M, random_group_element(QQ, M.d, random.Random(seed)))
+    calls = []
+
+    def counting(M, blocks):
+        calls.append(M.d)
+        return _split_once(M, blocks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reps, "_split_once", counting)
+        pieces = decompose_local(alg, M)
+    assert sorted(p.d for p in pieces) == sorted(N.d for N in summands)
+    assert len(calls) == len(summands) - 1
+
+
+@given(M=small_reps(fields=(Field(2), Field(3), QQ)), data=st.data())
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_arrow_action_matches_the_dense_product(M, data):
+    f = M.field
+    scalars = st.sampled_from(f.elements()) if f.is_finite else st.integers(-2, 2).map(f.of_int)
+    vec = [data.draw(scalars) for _ in range(M.total)]
+    for a in M.alg.quiver.arrows:
+        expected = [f.zero()] * M.total
+        o = M.offset(a.end)
+        for i, x in enumerate(naive_mat_vec(f, M.mats[a.label], M.block(vec, a.start))):
+            expected[o + i] = x
+        assert M.act(a.label, sparse(f, vec)) == sparse(f, expected)
 
 
 # ------------------------------------------------------ base-change invariance

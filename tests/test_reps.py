@@ -371,11 +371,30 @@ def test_indecomposable_nonlocal_is_flagged(kronecker):
 
 
 def kron_pair(alg, a2):
-    """The (2,2) Kronecker module with a1 acting as the identity and a2 as a2."""
+    """The (n,n) Kronecker module with a1 acting as the identity and a2 as a2."""
     f = alg.field
-    one, zero = f.one(), f.zero()
-    mats = {"a1": [[one, zero], [zero, one]], "a2": [[f.of_int(c) for c in row] for row in a2]}
-    return Rep(alg, (2, 2), mats)
+    n = len(a2)
+    ident = [[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]
+    return Rep(alg, (n, n), {"a1": ident, "a2": [[f.of_int(c) for c in row] for row in a2]})
+
+
+def companion(*coeffs):
+    """Companion matrix of x^n + c_(n-1) x^(n-1) + ... + c_0, given c_0..c_(n-1)."""
+    n = len(coeffs)
+    return [[-coeffs[i] if j == n - 1 else int(i == j + 1) for j in range(n)] for i in range(n)]
+
+
+def counted_splits(monkeypatch):
+    """The vertex dims of M at each _split_once call, collected from here on."""
+    calls = []
+    real = reps._split_once
+
+    def counting(M, blocks):
+        calls.append(M.d)
+        return real(M, blocks)
+
+    monkeypatch.setattr(reps, "_split_once", counting)
+    return calls
 
 
 def test_rational_split_search_stays_honest(loop_bridge, kronecker):
@@ -385,9 +404,15 @@ def test_rational_split_search_stays_honest(loop_bridge, kronecker):
     out = decompose_local(loop_bridge, P)
     assert isinstance(out, list) and len(out) == 1
     assert out[0].d == P.d
-    # End(M) = Q(i) has no idempotent to find and Gram rank 2, so neither
-    # certificate applies and the answer must be Unknown rather than a guess
+    # End(M) = Q(i): a basis element generates End/J with minimal polynomial
+    # of degree 2 = dim End/J and no rational root, so End is a field and
+    # M is indecomposable with top (2, 0)
     M = kron_pair(kronecker, [[0, -1], [1, 0]])
+    assert decompose_local(kronecker, M) is NotSumOfLocals
+    # End(M) = Q(2^(1/4)) is a field of degree 4: no rational root splits
+    # it and no certificate covers degree 4, so the answer must be Unknown
+    # rather than a guess
+    M = kron_pair(kronecker, companion(-2, 0, 0, 0))
     assert decompose_local(kronecker, M) is Unknown
 
 
@@ -405,22 +430,46 @@ def test_endomorphism_sweep_meets_each_line_at_its_first_product_entry():
 
 
 def test_rational_certificate_comes_before_the_split_search(loop_bridge, kronecker, monkeypatch):
-    calls = []
-    real = reps._split_once
-
-    def counting(M, blocks):
-        calls.append(M.d)
-        return real(M, blocks)
-
-    monkeypatch.setattr(reps, "_split_once", counting)
+    calls = counted_splits(monkeypatch)
     # Gram rank 1 decides P1 of loop bridge before any split attempt
     P = rep_of_projective(loop_bridge, 1)
     assert [p.d for p in decompose_local(loop_bridge, P)] == [P.d]
     assert calls == []
-    # Gram rank 2 (End = Q(i)) still runs the whole search, then gives up
+    # End = Q(i) is certified a field before any split attempt
     M = kron_pair(kronecker, [[0, -1], [1, 0]])
+    assert decompose_local(kronecker, M) is NotSumOfLocals
+    assert calls == []
+    # End = Q(2^(1/4)) has no rational root and degree 4, so the whole
+    # search still runs, then gives up
+    M = kron_pair(kronecker, companion(-2, 0, 0, 0))
     assert decompose_local(kronecker, M) is Unknown
     assert len(calls) == 6 * (hom_dim(M, M) + SearchLimits().split_tries)
+
+
+@pytest.mark.parametrize(
+    "a2",
+    [companion(-2, 0), companion(-2, 0, 0), companion(1, 0, 2, 0)],
+    ids=["x^2-2", "x^3-2", "(x^2+1)^2"],
+)
+def test_rational_residue_field_certifies_without_a_split(kronecker, monkeypatch, a2):
+    # End/J is Q(sqrt 2), Q(2^(1/3)) or, for the local End = Q[x]/((x^2+1)^2),
+    # Q(i): a field generated by one basis element, so the module is
+    # indecomposable, and its top (n, 0) is not simple
+    calls = counted_splits(monkeypatch)
+    M = kron_pair(kronecker, a2)
+    assert decompose_local(kronecker, M) is NotSumOfLocals
+    assert calls == []
+
+
+@pytest.mark.parametrize("a2", [[[0, 1], [1, 0]], [[1, 0], [0, 1]]], ids=["QxQ", "M2(Q)"])
+def test_rational_residue_root_splits_at_the_first_try(kronecker, monkeypatch, a2):
+    # End/J = Q x Q (a2 swaps, eigenvalues 1 and -1) or M_2(Q) (a2 = 1): a
+    # basis element with a rational root gives the one split needed
+    calls = counted_splits(monkeypatch)
+    M = kron_pair(kronecker, a2)
+    out = decompose_local(kronecker, M)
+    assert [p.d for p in out] == [(1, 1), (1, 1)]
+    assert calls == [(2, 2)]
 
 
 def test_rational_isomorphism_box_search_is_bounded(kronecker, monkeypatch):
