@@ -33,7 +33,7 @@ from .dsl import (
     parse_input,
     parse_points,
 )
-from .errors import DocumentError, DomainError, IdealNotGraded, TypeMismatch, Unknown
+from .errors import DocumentError, DomainError, IdealNotGraded, TypeMismatch
 from .fields import Field, parse_field_name
 from .grass import (
     ProjectiveCover,
@@ -117,14 +117,6 @@ def _skel_names(P: ProjectiveCover, sk) -> list[str]:
 
 def _skel_str(names: list[str]) -> str:
     return "{" + ", ".join(names) + "}"
-
-
-def _holds_json(h):
-    return "unknown" if h is Unknown else bool(h)
-
-
-def _holds_str(h) -> str:
-    return "unknown" if h is Unknown else ("yes" if h is True else "no")
 
 
 def _yesno(b: bool) -> str:
@@ -365,7 +357,7 @@ def _cmd_stable_factors(doc, flags, limits):
 
 def _verdict_dict(f: Field, verdict) -> dict:
     return {
-        "holds": _holds_json(verdict.holds),
+        "holds": verdict.holds,
         "reason": verdict.reason,
         "hom_dims": list(verdict.hom_dims) if verdict.hom_dims else None,
         "kernel_dims": [
@@ -387,7 +379,7 @@ def _cmd_maxdeg_test(doc, flags, limits):
         verdict = no_proper_topstable_deg(alg, P, base, limits)
         result["point"] = _verdict_dict(f, verdict)
         lines.append(f"point verdict: no proper top-stable degeneration = "
-                     f"{_holds_str(verdict.holds)}")
+                     f"{_yesno(verdict.holds)}")
         lines.append(f"reason: {verdict.reason}")
         if verdict.hom_dims is not None:
             hp, hm = verdict.hom_dims

@@ -9,6 +9,8 @@ from dataclasses import dataclass, replace
 class SearchLimits:
     """Caps on the exhaustive and randomized searches.
 
+    Local decompositions need none: they are exact over every field.
+
     submodule_vectors: max q^|d| for a submodule enumeration. The sweep
         closes only the vertex-homogeneous vectors, one per line, but the
         cap is on q^|d|, the size of the whole module.
@@ -16,8 +18,6 @@ class SearchLimits:
     iso_enum: max size q^k of a hom space enumerated exhaustively.
     iso_tries: randomized witness attempts before giving up.
     sym_vars / sym_dim: symbolic-determinant fallback bounds (variables, block size).
-    endo_enum: max size q^k of an endomorphism algebra enumerated for splitting.
-    split_tries: randomized endomorphism candidates for splitting attempts.
     chart_sweep: max number of chart coordinate tuples enumerated (q^N).
     seed: default RNG seed for all randomized subroutines.
     """
@@ -28,8 +28,6 @@ class SearchLimits:
     iso_tries: int = 64
     sym_vars: int = 10
     sym_dim: int = 8
-    endo_enum: int = 4096
-    split_tries: int = 64
     chart_sweep: int = 1 << 17
     seed: int = 0
 

@@ -19,8 +19,8 @@ module answers three questions about that picture.
   finite field and keeps the points whose orbits are closed, optionally
   filtered against a start module by the hom-order.
 
-All arithmetic is exact; verdicts marked Unknown mean a search budget was
-exhausted, never a numerical failure.
+All arithmetic is exact, and every closed-orbit verdict is decided: the
+summand search behind it is exact over Q and over F_q alike.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import (
     NotSumOfLocals,
     SearchTooLarge,
     TopMismatch,
-    Unknown,
 )
 from .fields import Scalar
 from .grass import (
@@ -67,6 +66,7 @@ from .linalg import (
 )
 from .reps import (
     Rep,
+    _radical,
     decompose_local,
     hom_basis,
     hom_dim,
@@ -84,19 +84,19 @@ from .reps import (
 class DegenerationVerdict:
     """Outcome of the closed-orbit test, with the evidence that decided it.
 
-    ``holds`` is True, False, or the Unknown sentinel.  ``kernel_dims``
+    ``holds`` is True or False.  ``kernel_dims``
     records, per top vertex, the kernel dimensions of the local summands in
     chain order; ``hom_dims`` records (dim Hom(P, JM), dim Hom(M, JM)) when
     that comparison was reached.
     """
 
-    holds: object
+    holds: bool
     reason: str
     kernel_dims: tuple[tuple[int, tuple[int, ...]], ...] = ()
     hom_dims: tuple[int, int] | None = None
 
     def __bool__(self) -> bool:
-        return self.holds is True
+        return self.holds
 
 
 def _top(piece: Rep) -> tuple[int, Vector, Echelon]:
@@ -104,10 +104,7 @@ def _top(piece: Rep) -> tuple[int, Vector, Echelon]:
     first basis vector outside the radical) and the radical, the span of
     the arrow images of the basis."""
     f = piece.field
-    arrows = piece.alg.quiver.arrows
-    rad = Echelon(
-        f, (piece.act(a.label, {i: f.one()}) for i in range(piece.total) for a in arrows)
-    )
+    rad = _radical(piece)
     i = next(i for i in range(piece.total) if not rad.contains({i: f.one()}))
     v = next(v for v in piece.alg.quiver.vertices if i < piece.offset(v) + piece.dim_at(v))
     return v, [f.one() if j == i else f.zero() for j in range(piece.total)], rad
@@ -161,13 +158,11 @@ def no_proper_topstable_deg(
 
     With a simple top M is local and is its own summand, and it is never
     built: the cover map P -> M is onto, so the presentation kernel is C
-    itself. Otherwise the summand search is decompose_local: over Q the
-    residue route, which reads End/J off the trace form and either splits a
-    piece once along a non-unit outside J or certifies End/J a field;
-    exhaustive over a small finite field. The verdict carries the Unknown
-    sentinel when that search is inconclusive, i.e. over Q when some piece
-    is neither split nor certified, as when End/J is a field of degree 4
-    or more.
+    itself. Otherwise the summand search is decompose_local, which splits
+    M along non-units read off the action of End(M) on the top M/JM, by
+    one exact route over Q and F_q: it returns the local summands or
+    proves that M is not a sum of local modules, so the verdict is always
+    decided.
 
     Both numbers of (ii) are read off (P, C). top(P/C) = P/(JP + C) is the
     top of P exactly when C lies in JP, and then JM = JP/C. Path lengths
@@ -203,10 +198,6 @@ def no_proper_topstable_deg(
         if pieces is NotSumOfLocals:
             return DegenerationVerdict(
                 False, "module is not a direct sum of local modules"
-            )
-        if pieces is Unknown:
-            return DegenerationVerdict(
-                Unknown, "splitting search budget exhausted before a decision"
             )
         f = alg.field
         by_vertex: dict[int, list[tuple[Rep, Vector, Echelon]]] = {}

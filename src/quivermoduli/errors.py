@@ -97,7 +97,8 @@ class _Sentinel:
 #: Returned when a decision procedure is inconclusive within its budget.
 Unknown = _Sentinel("Unknown")
 
-#: Returned by decompose_local when M decomposes but some piece has non-simple top.
+#: Returned by decompose_local when M is not a direct sum of local modules:
+#: some indecomposable summand has a non-simple top.
 NotSumOfLocals = _Sentinel("NotSumOfLocals")
 
 

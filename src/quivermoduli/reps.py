@@ -182,30 +182,23 @@ def direct_sum(M: Rep, N: Rep) -> Rep:
     return Rep(M.alg, d, mats)
 
 
-def path_matrix(M: Rep, p: PathWord) -> Matrix:
-    """Evaluation of a path on M: a d_end x d_start matrix."""
-    f = M.field
-    if p.length == 0:
-        return identity(f, M.dim_at(p.start))
-    m = None
-    for lbl in p.arrows:
-        step = M.mats[lbl]
-        m = step if m is None else mat_mul(f, step, m)
-    return m
+def _element_image(M: Rep, x: Element, vec: SparseRow) -> SparseRow:
+    """The image x.vec of a sparse global vector under an algebra element.
 
-
-def element_matrix(M: Rep, x: Element) -> Matrix:
-    """Evaluation of a parallel linear combination of paths."""
+    Each path's term projects vec to the path's start vertex and pushes it
+    along the arrows one Rep.act at a time, so no path matrix is formed and
+    a zero-dimensional vertex on the way needs no special case.
+    """
     f = M.field
-    terms = list(x.terms.items())
-    s, e = terms[0][0].start, terms[0][0].end
-    out = zeros(f, M.dim_at(e), M.dim_at(s))
-    for p, c in terms:
-        pm = path_matrix(M, p)
-        for i in range(len(out)):
-            for j in range(len(out[0]) if out else 0):
-                out[i][j] = f.add(out[i][j], f.mul(c, pm[i][j]))
-    return out
+    zero = f.zero()
+    out: SparseRow = {}
+    for p, c in x.terms.items():
+        w = M.project(vec, p.start)
+        for lbl in p.arrows:
+            w = M.act(lbl, w)
+        for i, y in w.items():
+            out[i] = f.add(out.get(i, zero), f.mul(c, y))
+    return {i: y for i, y in out.items() if not f.is_zero(y)}
 
 
 def global_matrix(M: Rep, x: Element) -> Matrix:
@@ -213,12 +206,9 @@ def global_matrix(M: Rep, x: Element) -> Matrix:
     f = M.field
     n = M.total
     out = zeros(f, n, n)
-    for p, c in x.terms.items():
-        pm = path_matrix(M, p)
-        ro, co = M.offset(p.end), M.offset(p.start)
-        for i in range(M.dim_at(p.end)):
-            for j in range(M.dim_at(p.start)):
-                out[ro + i][co + j] = f.add(out[ro + i][co + j], f.mul(c, pm[i][j]))
+    for j in range(n):
+        for i, y in _element_image(M, x, {j: f.one()}).items():
+            out[i][j] = y
     return out
 
 
@@ -232,12 +222,8 @@ def rep_validate(alg: Algebra, M: Rep) -> bool:
             raise ShapeMismatch(
                 f"arrow {a.label}: expected {r}x{c}, got {len(m)}x{len(m[0]) if m else 0}"
             )
-    f = alg.field
-    for rel in alg.relations:
-        mat = element_matrix(M, rel)
-        if any(not f.is_zero(x) for row in mat for x in row):
-            return False
-    return True
+    one = alg.field.one()
+    return not any(_element_image(M, rel, {j: one}) for rel in alg.relations for j in range(M.total))
 
 
 def base_change(M: Rep, g: GroupElement) -> Rep:
@@ -512,6 +498,15 @@ def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: i
 # -- submodule enumeration (finite fields) -----------------------------------
 
 
+def _projective_coeffs(f: Field, k: int):
+    """Coefficient vectors in K^k whose first nonzero entry is 1, in the
+    order itertools.product(f.elements(), repeat=k) meets them."""
+    zero, one = f.zero(), f.one()
+    for lead in reversed(range(k)):
+        for tail in itertools.product(f.elements(), repeat=k - 1 - lead):
+            yield [zero] * lead + [one] + list(tail)
+
+
 def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[Vector]]:
     """All submodules as RREF row lists.
 
@@ -680,19 +675,6 @@ def quotient_rep(M: Rep, space: list[Vector]) -> Rep:
 # -- local decomposition ------------------------------------------------------
 
 
-def _column_space(f: Field, m: Matrix) -> list[Vector]:
-    return span_rref(f, [list(col) for col in zip(*m)]) if m and m[0] else []
-
-
-def _projective_coeffs(f: Field, k: int):
-    """Coefficient vectors in K^k whose first nonzero entry is 1, in the
-    order itertools.product(f.elements(), repeat=k) meets them."""
-    zero, one = f.zero(), f.one()
-    for lead in reversed(range(k)):
-        for tail in itertools.product(f.elements(), repeat=k - 1 - lead):
-            yield [zero] * lead + [one] + list(tail)
-
-
 def _trace(f: Field, a: dict[int, Matrix], b: dict[int, Matrix]) -> Scalar:
     """tr(ab) of two endomorphisms. Both are block-diagonal by vertex, so
     tr(ab) is sum_v sum_ij a_v[i][j] * b_v[j][i] and needs no global matrix."""
@@ -704,45 +686,6 @@ def _trace(f: Field, a: dict[int, Matrix], b: dict[int, Matrix]) -> Scalar:
                 if not f.is_zero(x) and not f.is_zero(bv[j][i]):
                     acc = f.add(acc, f.mul(x, bv[j][i]))
     return acc
-
-
-def _trace_gram(M: Rep, basis: list[dict[int, Matrix]]) -> Matrix:
-    """Gram matrix of the trace form tr(ab) on End(M) in the given basis."""
-    f = M.field
-    k = len(basis)
-    gram = [[f.zero()] * k for _ in range(k)]
-    for s in range(k):
-        for t in range(s, k):
-            gram[s][t] = gram[t][s] = _trace(f, basis[s], basis[t])
-    return gram
-
-
-def _residue_minpoly(M: Rep, b: dict[int, Matrix], basis: list[dict[int, Matrix]], r: int) -> list[Scalar]:
-    """Minimal polynomial of b in End(M)/J, monic, low degree first.
-
-    Over Q an endomorphism x lies in J exactly when its trace vector
-    (tr(x b_t))_t vanishes (see _indecomposables), so a polynomial in b lies
-    in J exactly when the same combination of the trace vectors of
-    1, b, b^2, ... is zero. Each power enters one Echelon as its trace
-    vector followed by a tag column of its own; the first power whose trace
-    part reduces to zero carries the relation in its tags. The trace
-    vectors span an r-dimensional space, r = dim End/J, so at most r + 1
-    powers are taken.
-    """
-    f = M.field
-    k = len(basis)
-    span = Echelon(f)
-    power = {v: identity(f, M.dim_at(v)) for v in M.alg.quiver.vertices if M.dim_at(v)}
-    for i in range(r + 1):
-        row = {t: x for t, bt in enumerate(basis) if not f.is_zero(x := _trace(f, power, bt))}
-        row[k + i] = f.one()
-        p = span.insert(row)
-        if p >= k:
-            rel = span.rows[p]
-            lead = f.inv(rel[k + i])
-            return [f.mul(lead, rel.get(k + j, f.zero())) for j in range(i + 1)]
-        power = {v: mat_mul(f, m, b[v]) for v, m in power.items()}
-    raise AssertionError("more than dim End/J independent trace vectors")
 
 
 def _rational_root(mu: list[Fraction]) -> Fraction | None:
@@ -811,54 +754,6 @@ def _rational_root(mu: list[Fraction]) -> Fraction | None:
     return None
 
 
-def _split_nonunit(M: Rep, x: dict[int, Matrix], basis: list[dict[int, Matrix]]):
-    """A proper Fitting split of M from a non-unit x of End(M) outside J.
-
-    J is the radical of the trace form, so tr(x b) != 0 for some basis
-    element b. Then x b is not nilpotent, having a nonzero trace, and not a
-    unit, since x is not, so its Fitting split is proper.
-    """
-    f = M.field
-    b = next(b for b in basis if not f.is_zero(_trace(f, x, b)))
-    hit = _split_once(M, {v: mat_mul(f, x[v], b[v]) for v in x if M.dim_at(v)})
-    if hit is None:
-        raise AssertionError("a non-unit with nonzero trace has no proper Fitting split")
-    return hit
-
-
-def _top_nonunit(M: Rep, basis: list[dict[int, Matrix]], gram: Matrix) -> dict[int, Matrix] | None:
-    """A non-unit x of End(M) outside J, or None.
-
-    If w lies outside JM and x(w) lies in JM, then x kills the image of w
-    in the top M/JM, so x is not a unit. The unit vectors off the pivots of
-    JM span a complement of JM; for each such w the x with x(w) in JM form
-    a linear space, and one of its basis vectors c lies outside J exactly
-    when c.G, its trace vector, is not zero. This finds x whenever End/J
-    has a zero divisor that kills one of those vectors in the top: for a
-    sum of local modules, whenever two summands are isomorphic or have
-    different tops, where a single basis element need not have a rational
-    eigenvalue.
-    """
-    f = M.field
-    k = len(basis)
-    radical = Echelon(f, (M.act(a.label, {i: f.one()}) for i in range(M.total) for a in M.alg.quiver.arrows))
-    for v in M.alg.quiver.vertices:
-        o = M.offset(v)
-        for i in range(M.dim_at(v)):
-            if o + i in radical.rows:
-                continue
-            # x(w) mod JM for each basis element, as equations on coefficients
-            eqs: dict[int, SparseRow] = {}
-            for s, b in enumerate(basis):
-                col = {o + j: row[i] for j, row in enumerate(b[v]) if not f.is_zero(row[i])}
-                for j, y in radical.reduce(col).items():
-                    eqs.setdefault(j, {})[s] = y
-            for c in sparse_kernel_basis(f, list(eqs.values()), k):
-                if any(sum(f.mul(c[s], gram[s][t]) for s in range(k)) for t in range(k)):
-                    return _combine_blocks(M, M, basis, c)
-    return None
-
-
 def _shift(M: Rep, blocks: dict[int, Matrix], c: Scalar) -> dict[int, Matrix]:
     """The endomorphism blocks - c * identity."""
     f = M.field
@@ -896,129 +791,151 @@ def _split_once(M: Rep, blocks: dict[int, Matrix]):
     img: list[Vector] = []
     for v, p in powers.items():
         ker += embed(v, span_rref(f, kernel_basis(f, p, M.dim_at(v))))
-        img += embed(v, _column_space(f, p))
+        img += embed(v, span_rref(f, transpose(p)))
     return ker, img
 
 
-def _indecomposables(M: Rep, limits: SearchLimits, seed: int):
-    """Split M into indecomposables; None when inconclusive.
-
-    A split is a Fitting split (ker f^n, im f^n) of some endomorphism f and
-    is exact; _split_once computes it per vertex block. It is proper exactly
-    when f is neither invertible nor nilpotent.
-
-    * Over Q, the residue route reads End/J off the trace form tr(ab) on
-      End(M). In characteristic zero its radical is J (Dickson), so x lies
-      in J exactly when its trace vector (tr(x b_t))_t is zero; row s of
-      the Gram matrix is the trace vector of b_s, and its rank r is
-      dim End/J. Rank 1 means End/J = K: End(M) is local and M is returned
-      whole. Otherwise each basis element b outside J gets its minimal
-      polynomial mu modulo J from the trace vectors of its powers
-      (_residue_minpoly). A rational root c of mu makes b - c a non-unit
-      outside J, and one Fitting split along it is proper
-      (_split_nonunit). If deg mu = r and mu has no rational root with
-      deg mu <= 3, mu is irreducible and End/J = Q[b] = Q[x]/(mu) is a
-      field: End(M) is local, and M is returned whole (the field
-      certificate). When no basis element decides, a non-unit outside J is
-      sought among the endomorphisms that kill a vector of the top
-      (_top_nonunit), which covers matrix factors of End/J whose basis
-      elements have no rational eigenvalue.
-    * Over a finite field with q^dim End <= limits.endo_enum, End(M) is
-      swept exhaustively, one endomorphism per line (f and c*f have the
-      same Fitting split). When nothing splits, every endomorphism is
-      invertible or nilpotent, so End(M) is local.
-    * Otherwise, over Q when the residue route finds neither a split nor a
-      certificate, unit, random and shifted endomorphisms are tried, which
-      is sound but incomplete.
-
-    The answer is None when the search finds no split and no certificate
-    applies: over a larger finite field, or over Q when the residue route
-    neither splits M nor certifies End/J a field.
-    """
-    if M.total == 0:
-        return []
+def _radical(M: Rep) -> Echelon:
+    """JM, the span of the arrow images of the basis of M."""
     f = M.field
-    basis = hom_basis(M, M)
-    k = len(basis)
-    if k == 1:
-        return [M]
+    return Echelon(f, (M.act(a.label, {i: f.one()}) for i in range(M.total) for a in M.alg.quiver.arrows))
 
-    def recurse(space_pair):
-        ker, img = space_pair
-        left = _indecomposables(sub_rep(M, ker), limits, seed)
-        if left is None:
-            return None
-        right = _indecomposables(sub_rep(M, img), limits, seed)
-        if right is None:
-            return None
-        return left + right
 
+def _top_action(M: Rep, radical: Echelon, x: dict[int, Matrix]) -> dict[int, Matrix]:
+    """pi(x), the action of an endomorphism x on the top M/JM, per vertex.
+
+    The top basis is the unit vectors off the pivots of JM. The residue of
+    a vector modulo the radical is zero at every pivot, and its entries off
+    the pivots are the coordinates of its class in the top. JM is graded,
+    so the residue of a column of x_v stays in the block of v.
+    """
+    f = M.field
+    out = {}
+    for v in M.alg.quiver.vertices:
+        o = M.offset(v)
+        top = [t for t in range(M.dim_at(v)) if o + t not in radical.rows]
+        cols = [radical.reduce({o + i: row[t] for i, row in enumerate(x[v]) if not f.is_zero(row[t])}) for t in top]
+        out[v] = [[col.get(o + i, f.zero()) for col in cols] for i in top]
+    return out
+
+
+def _minimal_polynomial(f: Field, a: dict[int, Matrix]) -> list[Scalar]:
+    """Minimal polynomial of a per-vertex block matrix, monic, low degree first.
+
+    The powers 1, a, a^2, ... enter one Echelon flattened, each followed by
+    a tag column of its own. The first power whose residue is zero off the
+    tags carries the relation in its tags.
+    """
+    n = sum(len(blk) ** 2 for blk in a.values())
+    span = Echelon(f)
+    power = {v: identity(f, len(blk)) for v, blk in a.items()}
+    for i in itertools.count():
+        flat = (x for blk in power.values() for row in blk for x in row)
+        row = {j: x for j, x in enumerate(flat) if not f.is_zero(x)}
+        row[n + i] = f.one()
+        p = span.insert(row)
+        if p >= n:
+            rel = span.rows[p]
+            lead = f.inv(rel[n + i])
+            return [f.mul(lead, rel.get(n + j, f.zero())) for j in range(i + 1)]
+        power = {v: mat_mul(f, m, a[v]) for v, m in power.items()}
+
+
+def _root(f: Field, mu: list[Scalar]) -> Scalar | None:
+    """A root in K of a monic polynomial (low degree first), or None: the
+    first of the q elements of F_q that is one, or _rational_root over Q.
+    This is the only place where the split route asks for its field."""
     if not f.is_finite:
-        gram = _trace_gram(M, basis)
-        r = rank(f, gram)
-        if r == 1:
-            return [M]
-        for b, trace_row in zip(basis, gram):
-            if not any(trace_row):
-                continue  # b lies in J
-            mu = _residue_minpoly(M, b, basis, r)
-            m = len(mu) - 1
-            if m == 1:
-                continue  # b is a scalar modulo J
-            c = _rational_root(mu)
-            if c is not None:
-                # b - c is not a unit, as mu(c) = 0, and not in J, as m > 1
-                return recurse(_split_nonunit(M, _shift(M, b, c), basis))
-            if m == r and m <= 3:
-                return [M]  # End/J = Q[b] = Q[x]/(mu) is a field
-        x = _top_nonunit(M, basis, gram)
-        if x is not None:
-            return recurse(_split_nonunit(M, x, basis))
-
-    if f.is_finite and f.order**k <= limits.endo_enum:
-        for coeffs in _projective_coeffs(f, k):
-            blocks = _combine_blocks(M, M, basis, coeffs)
-            hit = _split_once(M, blocks)
-            if hit is not None:
-                return recurse(hit)
-        # every endomorphism is invertible or nilpotent: End is local
-        return [M]
-
-    # randomized + shifted attempts, sound but incomplete
-    rng = random.Random(seed)
-    shifts = f.elements() if f.is_finite else [f.of_int(c) for c in (0, 1, -1, 2, -2, 3)]
-    candidates: list[list[Scalar]] = []
-    for i in range(k):
-        candidates.append([f.one() if j == i else f.zero() for j in range(k)])
-    for _ in range(limits.split_tries):
-        candidates.append([f.random(rng) for _ in range(k)])
-    for coeffs in candidates:
-        blocks = _combine_blocks(M, M, basis, coeffs)
-        for c in shifts:
-            hit = _split_once(M, _shift(M, blocks, c))
-            if hit is not None:
-                return recurse(hit)
+        return _rational_root(mu)
+    for c in f.elements():
+        acc = f.zero()
+        for m in reversed(mu):
+            acc = f.add(f.mul(acc, c), m)
+        if f.is_zero(acc):
+            return c
     return None
 
 
-def decompose_local(alg: Algebra, M: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: int | None = None):
-    """list of local summands | NotSumOfLocals | Unknown.
+def _nonunit(M: Rep, radical: Echelon, basis: list[dict[int, Matrix]]) -> dict[int, Matrix] | None:
+    """Steps 2 and 3 of _pieces: an endomorphism whose Fitting split is
+    proper whenever M is a sum of local modules, or None."""
+    f = M.field
+    tops = [_top_action(M, radical, b) for b in basis]
+    # step 2: the x_c with pi(x_c) w = 0, for w the first top vector
+    v = next(v for v, blk in tops[0].items() if blk)
+    eqs = [{s: y for s, t in enumerate(tops) if not f.is_zero(y := t[v][i][0])} for i in range(len(tops[0][v]))]
+    top = zero_rep(M.alg, tuple(len(blk) for blk in tops[0].values()))  # M/JM, semisimple
+    for c in sparse_kernel_basis(f, eqs, len(basis)):
+        xt = _combine_blocks(top, top, tops, c)
+        for b, bt in zip(basis, tops):
+            if not f.is_zero(_trace(f, xt, bt)):
+                x = _combine_blocks(M, M, basis, c)
+                return {u: mat_mul(f, x[u], b[u]) for u in x}
+    # step 3: B = K^t, and the first non-scalar pi(b) has an eigenvalue
+    for b, bt in zip(basis, tops):
+        mu = _minimal_polynomial(f, bt)
+        if len(mu) > 2:
+            c = _root(f, mu)
+            return None if c is None else _shift(M, b, c)
+    return None
 
-    The summands come from _indecomposables. Over Q each piece goes the
-    residue route: End/J is read off the trace form; Gram rank 1, or a
-    basis element generating End/J as a field of degree <= 3, certifies the
-    piece local, and a rational root of a basis element's minimal
-    polynomial modulo J, or an endomorphism killing a vector of the top,
-    gives one proper Fitting split, taken per vertex block with exponent
-    d_v. Only when none applies does the shifted-endomorphism search run.
-    Over a small F_q the search sweeps End(M) up to scalars and certifies a
-    piece with no split. Unknown means no certificate applied: over Q, the
-    residue route and the search neither split nor certified some piece.
+
+def _pieces(M: Rep) -> list[Rep] | None:
+    """The local summands of M, or None when M is not a direct sum of local
+    modules. The route is the same over Q and over F_q.
+
+    * The top action. Every endomorphism keeps JM, so
+      pi: End(M) -> End_K(M/JM) is an algebra map; B is its image. In the
+      top basis of unit vectors off the pivots of JM's Echelon, pi(b) is a
+      per-vertex block dict (_top_action), so _trace, _combine_blocks and
+      _shift work on it unchanged.
+    * Proper splits. A Fitting split (ker x^n, im x^n) is proper exactly
+      when x is neither a unit nor nilpotent. If pi(x) is singular, x is
+      not a unit. If tr pi(x) != 0, x is not nilpotent, in any
+      characteristic.
+    * The form replaces Dickson. Let M = (+)_j L_j^(n_j), with the L_j
+      local and pairwise non-isomorphic. Then End(L_j)/J = K and
+      B/rad B = prod_j M_(n_j)(K), and the top has each natural
+      M_(n_j)(K)-module exactly once as a composition factor. So the
+      radical of the form tr(pi(x) pi(y)) on End(M) is J, in every
+      characteristic. B itself need not be semisimple: for P1 (+) S1 the
+      map P1 -> S1 lies in J and acts on the top as a nonzero nilpotent.
+    * The steps, with w the first top vector:
+      1. If dim M/JM = 1, M is local, and End(M) is not built.
+      2. Solve pi(x_c) w = 0 for c. A solution c and an index s with
+         (c G)_s = tr(pi(x_c) pi(b_s)) != 0, G the Gram matrix of the
+         form, give x_c b_s, which splits M. For a sum of locals this step
+         fails only when every n_j = 1, rad B = 0 and w has no zero
+         coordinate in an adapted basis. If some n_j >= 2, an A_j kills
+         w_j; if w_j = 0, e_j does; if rad B holds E_(j'j), then
+         e_j' - (w_j'/w_j) E_(j'j) does.
+      3. Otherwise B = K^t is reduced. The first b with non-scalar pi(b)
+         has an eigenvalue c in K (_root), and b - c splits M.
+      4. If no step splits M, M is not a sum of locals. Otherwise both
+         pieces are decomposed in turn, and by Krull-Schmidt M is a sum
+         of locals exactly when both pieces are.
     """
-    pieces = _indecomposables(M, limits, limits.seed if seed is None else seed)
-    if pieces is None:
-        return Unknown
-    for piece in pieces:
-        if sum(top_dims(alg, piece)) != 1:
-            return NotSumOfLocals
-    return pieces
+    if M.total == 0:
+        return []
+    radical = _radical(M)
+    if M.total - len(radical) == 1:
+        return [M]
+    x = _nonunit(M, radical, hom_basis(M, M))
+    split = None if x is None else _split_once(M, x)
+    if split is None:
+        return None
+    left = _pieces(sub_rep(M, split[0]))
+    right = None if left is None else _pieces(sub_rep(M, split[1]))
+    return None if right is None else left + right
+
+
+def decompose_local(alg: Algebra, M: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: int | None = None):
+    """list of local summands | NotSumOfLocals.
+
+    The summands come from _pieces, which splits M along non-units read off
+    the action of End(M) on the top M/JM, by the same route over Q and
+    F_q. Each summand has a simple top by construction, and NotSumOfLocals
+    is a proof, never a search running out. alg, limits and seed are unused.
+    """
+    pieces = _pieces(M)
+    return NotSumOfLocals if pieces is None else pieces

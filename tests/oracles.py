@@ -13,7 +13,7 @@ from quivermoduli.fields import Field
 from quivermoduli.grass import coker_rep
 from quivermoduli.linalg import identity, kernel_basis, span_rref
 from quivermoduli.quiver import PathWord
-from quivermoduli.reps import arrow_images_span, hom_dim, sub_rep
+from quivermoduli.reps import arrow_images_span, hom_basis, hom_dim, sub_rep
 
 
 # -- textbook linear algebra, sharing nothing with quivermoduli.linalg ---------
@@ -210,6 +210,34 @@ def fitting_split_oracle(M, blocks):
     if not img or len(img) == n:
         return None
     return span_rref(f, kernel_basis(f, Fn, n)), img
+
+
+def sum_of_locals_oracle(M):
+    """Sorted dimension vectors of the local summands of M over F_q, or None
+    when M is not a direct sum of local modules, by sweeping all of End(M).
+
+    The first endomorphism in product order with a proper Fitting split
+    (fitting_split_oracle) splits M, and both pieces are swept in turn.
+    When none has one, every endomorphism is a unit or nilpotent, so End(M)
+    is local and M indecomposable: M is local exactly when its top is
+    one-dimensional.
+    """
+    f = M.field
+    basis = hom_basis(M, M)
+    for coeffs in itertools.product(f.elements(), repeat=len(basis)):
+        blocks = {
+            v: [
+                [f.of_int(sum(c * b[v][i][j] for c, b in zip(coeffs, basis))) for j in range(M.dim_at(v))]
+                for i in range(M.dim_at(v))
+            ]
+            for v in M.alg.quiver.vertices
+        }
+        split = fitting_split_oracle(M, blocks)
+        if split is not None:
+            left, right = (sum_of_locals_oracle(sub_rep(M, space)) for space in split)
+            return None if left is None or right is None else sorted(left + right)
+    top = M.total - len(arrow_images_span(M, identity(f, M.total)))
+    return [M.d] if top == 1 else None
 
 
 # -- orbits and hom dimensions of Grassmannian points ---------------------------

@@ -326,6 +326,28 @@ def test_stability_command_verdict(tmp_path, capsys):
     assert lines[1] == "verdict: SemistableNotStable"
 
 
+A3_ZERO_MIDDLE = """\
+quiver {
+  vertices: 1 2 3;
+  arrows: a: 1 -> 2, b: 2 -> 3;
+}
+algebra {
+  field: F2;
+  max_len: 3;
+  relations: [1*b*a];
+}
+module { d: (1, 0, 1); }
+weight { theta: (1, 0, -1); }
+"""
+
+
+def test_stability_of_a_module_zero_at_a_middle_vertex(tmp_path, capsys):
+    # the relation b*a runs through vertex 2, where the module is zero
+    code, out, _ = run_cli(tmp_path, capsys, A3_ZERO_MIDDLE, "stability")
+    assert code == 0
+    assert out.splitlines() == ["theta = (1, 0, -1), d = (1, 0, 1), theta(d) = 0", "verdict: Unstable"]
+
+
 def test_stable_factors_command_splits_the_pair(tmp_path, capsys):
     code, out, _ = run_cli(tmp_path, capsys, KRONECKER_F3, "stable-factors")
     assert code == 0

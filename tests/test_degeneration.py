@@ -249,8 +249,8 @@ def test_sweep_refuses_an_over_budget_stratum_before_sweeping(monkeypatch):
 
 
 def test_simple_top_needs_no_split_search(monkeypatch):
-    # End(P/Cba) is two-dimensional; with no room to sweep or try
-    # endomorphisms the split search would answer Unknown
+    # End(P/Cba) is two-dimensional, but with a simple top the verdict
+    # needs no summand search at all
     alg = loop_bridge_over(Field(2))
     P, Cb, Cba = bridge_points(alg)
     expected = no_proper_topstable_deg(alg, P, Cba)
@@ -262,9 +262,7 @@ def test_simple_top_needs_no_split_search(monkeypatch):
         return real(alg, M, limits, seed)
 
     monkeypatch.setattr(degeneration, "decompose_local", counting)
-    verdict = no_proper_topstable_deg(
-        alg, P, Cba, SearchLimits(endo_enum=1, split_tries=0)
-    )
+    verdict = no_proper_topstable_deg(alg, P, Cba)
     assert verdict.holds is not Unknown
     assert verdict == expected
     assert searched == []

@@ -34,6 +34,7 @@ from oracles import (
     naive_orbit_dim,
     naive_rank,
     radical_hom_dims_oracle,
+    sum_of_locals_oracle,
 )
 from quivermoduli import Field, QQ, build_algebra, make_quiver
 from quivermoduli.degeneration import (
@@ -43,7 +44,7 @@ from quivermoduli.degeneration import (
     one_param_limit,
 )
 from quivermoduli.dsl import doc_point, parse_input, render_document
-from quivermoduli.errors import EquationsViolated, NotInvertible, UnsupportedAlgebra
+from quivermoduli.errors import EquationsViolated, NotInvertible, NotSumOfLocals, UnsupportedAlgebra
 from quivermoduli.grass import (
     apply_auto,
     chart_equations,
@@ -66,7 +67,6 @@ from quivermoduli.reps import (
     Rep,
     _combine_blocks,
     _split_once,
-    _trace_gram,
     _vertex_dims,
     arrow_images_span,
     base_change,
@@ -250,20 +250,25 @@ _SUB_SHAPES = {
 }
 
 
-@st.composite
-def small_reps(draw, fields=(Field(2), Field(3))):
+def _small_algebra(draw, fields):
+    """One of the _SUB_SHAPES over one of the fields, and the cap on the
+    dimension at a vertex of the modules drawn over it."""
     shape = draw(st.sampled_from(sorted(_SUB_SHAPES)))
     arrows, nverts, words, max_len = _SUB_SHAPES[shape]
     f = draw(st.sampled_from(fields))
+    q = make_quiver(nverts, arrows)
+    return build_algebra(q, monomials(q, words), f, max_len), 2 if words else 3
+
+
+def _small_rep(draw, alg, cap):
+    f = alg.field
+    q = alg.quiver
     lo, hi = (0, f.p - 1) if f.is_finite else (-2, 2)
-    cap = 2 if words else 3
     d = draw(
-        st.lists(st.integers(0, cap), min_size=nverts, max_size=nverts).filter(
+        st.lists(st.integers(0, cap), min_size=len(q.vertices), max_size=len(q.vertices)).filter(
             lambda xs: 1 <= sum(xs) <= 4
         )
     )
-    q = make_quiver(nverts, arrows)
-    alg = build_algebra(q, monomials(q, words), f, max_len)
     mats = {}
     for a in q.arrows:
         rows, cols = d[a.end - 1], d[a.start - 1]
@@ -274,6 +279,24 @@ def small_reps(draw, fields=(Field(2), Field(3))):
     M = Rep(alg, tuple(d), mats)
     assume(rep_validate(alg, M))
     return M
+
+
+@st.composite
+def small_reps(draw, fields=(Field(2), Field(3))):
+    return _small_rep(draw, *_small_algebra(draw, fields))
+
+
+@st.composite
+def small_sums(draw, fields=(Field(2), Field(3))):
+    """A direct sum of one to three small modules over one algebra, under a
+    random base change, with an End(M) small enough to sweep."""
+    alg, cap = _small_algebra(draw, fields)
+    M = _small_rep(draw, alg, cap)
+    for _ in range(draw(st.integers(0, 2))):
+        M = direct_sum(M, _small_rep(draw, alg, cap))
+    assume(M.total <= 6 and alg.field.order ** hom_dim(M, M) <= 4096)
+    seed = draw(st.integers(0, 2**16))
+    return base_change(M, random_group_element(alg.field, M.d, random.Random(seed)))
 
 
 @given(M=small_reps())
@@ -336,63 +359,74 @@ def test_block_fitting_split_matches_the_global_oracle(M, data):
     assert _split_once(M, blocks) == fitting_split_oracle(M, blocks)
 
 
-# ------------------------------------------------------ residue route over Q
+# ------------------------------------------ the split route over every field
 
 
-@given(M=small_reps(fields=(QQ,)))
-@settings(
-    max_examples=60,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
-)
-def test_the_trace_form_radical_is_a_nil_ideal(M):
-    # Dickson: in characteristic zero the radical of the trace form on
-    # End(M) is J, so each x in the kernel of the Gram matrix is nilpotent,
-    # and so is x*b for every endomorphism b, since J is an ideal
-    f = M.field
-    basis = hom_basis(M, M)
-    for coeffs in kernel_basis(f, _trace_gram(M, basis), len(basis)):
-        x = _combine_blocks(M, M, basis, coeffs)
-        for y in [x] + [{v: naive_mat_mul(f, x[v], b[v]) for v in x} for b in basis]:
-            assert all(naive_is_nilpotent(f, blk) for blk in y.values())
-
-
-def _local_pools():
-    """(algebra, modules with a simple top) over Q: simples, indecomposable
+def _local_pools(field):
+    """(algebra, modules with a simple top): simples, indecomposable
     projectives and, for the Kronecker quiver, the (1,1) points."""
-    kronecker = _kronecker(QQ)
+    kronecker = _kronecker(field)
     points = [
-        Rep(kronecker, (1, 1), {"a1": [[QQ.of_int(s)]], "a2": [[QQ.of_int(t)]]})
+        Rep(kronecker, (1, 1), {"a1": [[field.of_int(s)]], "a2": [[field.of_int(t)]]})
         for s, t in ((1, 0), (0, 1), (1, 1), (1, -2))
     ]
     pools = []
-    for alg, extra in ((kronecker, points), (loop_bridge_over(QQ), []), (two_loop_two_arrow_algebra(QQ), [])):
+    for alg, extra in ((kronecker, points), (loop_bridge_over(field), []), (two_loop_two_arrow_algebra(field), [])):
         verts = alg.quiver.vertices
         pools.append((alg, [simple_rep(alg, v) for v in verts] + [rep_of_projective(alg, v) for v in verts] + extra))
     return pools
 
 
-LOCAL_POOLS = _local_pools()
+LOCAL_POOLS = [pool for field in (Field(2), Field(3), QQ) for pool in _local_pools(field)]
 
 
-@given(data=st.data(), seed=st.integers(0, 2**16))
+@st.composite
+def sums_of_locals(draw):
+    """(algebra, summands, their direct sum under a random base change)."""
+    alg, pool = draw(st.sampled_from(LOCAL_POOLS))
+    summands = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    assume(sum(sum(N.d) for N in summands) <= 9)
+    M = summands[0]
+    for N in summands[1:]:
+        M = direct_sum(M, N)
+    seed = draw(st.integers(0, 2**16))
+    return alg, summands, base_change(M, random_group_element(alg.field, M.d, random.Random(seed)))
+
+
+@given(case=sums_of_locals())
 @settings(
     max_examples=60,
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
-def test_rational_decomposition_recovers_a_sum_of_locals(data, seed):
-    # a module with a simple top has End/J = Q, so every residue field of
-    # the sum is Q and the residue route needs one Fitting split per piece
-    alg, pool = data.draw(st.sampled_from(LOCAL_POOLS))
-    summands = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-    assume(sum(sum(N.d) for N in summands) <= 9)
-    M = summands[0]
-    for N in summands[1:]:
-        M = direct_sum(M, N)
-    M = base_change(M, random_group_element(QQ, M.d, random.Random(seed)))
+def test_the_trace_form_radical_is_a_nil_ideal(case):
+    # on a sum of locals the radical of the form tr(pi(x) pi(y)), pi the
+    # action on the top, is J in every characteristic: each x in the kernel
+    # of its Gram matrix is nilpotent, and so is x*b for every endomorphism b
+    _, _, M = case
+    f = M.field
+    basis = hom_basis(M, M)
+    radical = reps._radical(M)
+    tops = [reps._top_action(M, radical, b) for b in basis]
+    gram = [[reps._trace(f, a, b) for b in tops] for a in tops]
+    for coeffs in kernel_basis(f, gram, len(basis)):
+        x = _combine_blocks(M, M, basis, coeffs)
+        for y in [x] + [{v: naive_mat_mul(f, x[v], b[v]) for v in x} for b in basis]:
+            assert all(naive_is_nilpotent(f, blk) for blk in y.values())
+
+
+@given(case=sums_of_locals())
+@settings(
+    max_examples=90,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_rational_decomposition_recovers_a_sum_of_locals(case):
+    # every split the route tries on a sum of locals is proper, over Q as
+    # over F2 and F3, so it needs one Fitting split per piece
+    alg, summands, M = case
     calls = []
 
     def counting(M, blocks):
@@ -404,6 +438,22 @@ def test_rational_decomposition_recovers_a_sum_of_locals(data, seed):
         pieces = decompose_local(alg, M)
     assert sorted(p.d for p in pieces) == sorted(N.d for N in summands)
     assert len(calls) == len(summands) - 1
+
+
+@given(M=small_sums())
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_decomposition_matches_the_endomorphism_sweep(M):
+    pieces = decompose_local(M.alg, M)
+    expected = sum_of_locals_oracle(M)
+    if expected is None:
+        assert pieces is NotSumOfLocals
+    else:
+        assert sorted(p.d for p in pieces) == expected
 
 
 @given(M=small_reps(fields=(Field(2), Field(3), QQ)), data=st.data())

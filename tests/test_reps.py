@@ -17,7 +17,6 @@ from quivermoduli import (
     QQ,
     SearchTooLarge,
     ShapeMismatch,
-    Unknown,
     build_algebra,
     make_quiver,
 )
@@ -337,6 +336,16 @@ def test_annihilator_of_zero_ideal(loop_bridge):
     assert annihilator_dim(loop_bridge, P, []) == 4
 
 
+def test_annihilator_across_a_zero_dimensional_vertex():
+    # b*a passes through vertex 2, where the module is zero: the path acts
+    # as the 1x1 zero matrix, so the ideal <b*a> kills all of K^2
+    q = make_quiver(3, [("a", 1, 2), ("b", 2, 3)])
+    alg = build_algebra(q, [], Field(2), 3)
+    M = zero_rep(alg, (1, 0, 1))
+    assert rep_validate(alg, M)
+    assert annihilator_dim(alg, M, [rel(q, (1, ["b", "a"]))]) == 2
+
+
 # -- local decomposition ---------------------------------------------------------
 
 
@@ -397,28 +406,29 @@ def counted_splits(monkeypatch):
     return calls
 
 
-def test_rational_split_search_stays_honest(loop_bridge, kronecker):
+def test_rational_split_search_stays_honest(loop_bridge, kronecker, monkeypatch):
     # End(P1) = K[a]/(a^2) is local but two-dimensional: no split exists,
-    # and over Q the trace form certifies locality (Gram rank 1 = dim End/J)
+    # and its simple top shows it local
     P = rep_of_projective(loop_bridge, 1)
     out = decompose_local(loop_bridge, P)
     assert isinstance(out, list) and len(out) == 1
     assert out[0].d == P.d
-    # End(M) = Q(i): a basis element generates End/J with minimal polynomial
-    # of degree 2 = dim End/J and no rational root, so End is a field and
-    # M is indecomposable with top (2, 0)
+    # End(M) = Q(i) acts on the top (2, 0) as a field: no endomorphism
+    # outside J kills a top vector and no eigenvalue is rational, so M is
+    # not a sum of locals
     M = kron_pair(kronecker, [[0, -1], [1, 0]])
     assert decompose_local(kronecker, M) is NotSumOfLocals
-    # End(M) = Q(2^(1/4)) is a field of degree 4: no rational root splits
-    # it and no certificate covers degree 4, so the answer must be Unknown
-    # rather than a guess
+    # End(M) = Q(2^(1/4)), a field of degree 4: the same two steps certify
+    # the verdict, with no split attempted
+    calls = counted_splits(monkeypatch)
     M = kron_pair(kronecker, companion(-2, 0, 0, 0))
-    assert decompose_local(kronecker, M) is Unknown
+    assert decompose_local(kronecker, M) is NotSumOfLocals
+    assert calls == []
 
 
-def test_endomorphism_sweep_meets_each_line_at_its_first_product_entry():
-    # f and c*f split alike, and product order meets x/c before x, so
-    # sweeping one vector per line keeps the first split found
+def test_submodule_generators_meet_each_line_at_its_first_product_entry():
+    # x and c*x generate the same cyclic submodule, and product order meets
+    # x/c before x, so sweeping one vector per line keeps the first generator
     for f in (Field(2), Field(3)):
         for k in range(1, 5):
             lines = [
@@ -431,19 +441,16 @@ def test_endomorphism_sweep_meets_each_line_at_its_first_product_entry():
 
 def test_rational_certificate_comes_before_the_split_search(loop_bridge, kronecker, monkeypatch):
     calls = counted_splits(monkeypatch)
-    # Gram rank 1 decides P1 of loop bridge before any split attempt
+    # the simple top decides P1 of loop bridge before any split attempt
     P = rep_of_projective(loop_bridge, 1)
     assert [p.d for p in decompose_local(loop_bridge, P)] == [P.d]
     assert calls == []
-    # End = Q(i) is certified a field before any split attempt
-    M = kron_pair(kronecker, [[0, -1], [1, 0]])
-    assert decompose_local(kronecker, M) is NotSumOfLocals
-    assert calls == []
-    # End = Q(2^(1/4)) has no rational root and degree 4, so the whole
-    # search still runs, then gives up
-    M = kron_pair(kronecker, companion(-2, 0, 0, 0))
-    assert decompose_local(kronecker, M) is Unknown
-    assert len(calls) == 6 * (hom_dim(M, M) + SearchLimits().split_tries)
+    # End = Q(i) and End = Q(2^(1/4)) have no rational eigenvalue on the
+    # top, so neither is split
+    for a2 in ([[0, -1], [1, 0]], companion(-2, 0, 0, 0)):
+        M = kron_pair(kronecker, a2)
+        assert decompose_local(kronecker, M) is NotSumOfLocals
+        assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -453,8 +460,8 @@ def test_rational_certificate_comes_before_the_split_search(loop_bridge, kroneck
 )
 def test_rational_residue_field_certifies_without_a_split(kronecker, monkeypatch, a2):
     # End/J is Q(sqrt 2), Q(2^(1/3)) or, for the local End = Q[x]/((x^2+1)^2),
-    # Q(i): a field generated by one basis element, so the module is
-    # indecomposable, and its top (n, 0) is not simple
+    # Q(i): no top vector is killed from outside J and no eigenvalue on the
+    # top is rational, so the module is indecomposable with top (n, 0)
     calls = counted_splits(monkeypatch)
     M = kron_pair(kronecker, a2)
     assert decompose_local(kronecker, M) is NotSumOfLocals
@@ -463,8 +470,9 @@ def test_rational_residue_field_certifies_without_a_split(kronecker, monkeypatch
 
 @pytest.mark.parametrize("a2", [[[0, 1], [1, 0]], [[1, 0], [0, 1]]], ids=["QxQ", "M2(Q)"])
 def test_rational_residue_root_splits_at_the_first_try(kronecker, monkeypatch, a2):
-    # End/J = Q x Q (a2 swaps, eigenvalues 1 and -1) or M_2(Q) (a2 = 1): a
-    # basis element with a rational root gives the one split needed
+    # End/J = Q x Q (a2 swaps, eigenvalues 1 and -1): a basis element with
+    # a rational eigenvalue on the top gives the one split needed; for
+    # End/J = M_2(Q) (a2 = 1) an endomorphism killing a top vector does
     calls = counted_splits(monkeypatch)
     M = kron_pair(kronecker, a2)
     out = decompose_local(kronecker, M)
@@ -489,7 +497,7 @@ def test_rational_isomorphism_box_search_is_bounded(kronecker, monkeypatch):
 
 
 def test_rational_trace_form_refutes_a_sum_of_locals(kronecker):
-    # End(M) = K[x]/(x^2) with top (2, 0): no endomorphism splits M, and only
-    # the trace-form certificate shows it indecomposable, hence not local
+    # End(M) = K[x]/(x^2) with top (2, 0): no endomorphism splits M, and
+    # failing steps 2 and 3 of the split route shows it is not a sum of locals
     M = kron_pair(kronecker, [[1, 1], [0, 1]])
     assert decompose_local(kronecker, M) is NotSumOfLocals
