@@ -320,22 +320,43 @@ def make_skeleton(P: ProjectiveCover, elems) -> Skeleton:
 
 
 def _grow_skeleta(
-    P: ProjectiveCover, d: tuple[int, ...], S: SemisimpleSequence | None = None
+    P: ProjectiveCover,
+    d: tuple[int, ...],
+    S: SemisimpleSequence | None = None,
+    span: Echelon | None = None,
 ) -> list[Skeleton]:
     """All skeleta of P with per-vertex member counts d, in deglex order.
 
     Members are grown from the generators one path length at a time. With a
     layering S the grower picks exactly S[l][v] members of length l ending
     at v; otherwise it picks any count up to what is left of d.
+
+    Given the span of a point C <= JP, only skeleta whose members are
+    independent modulo C are grown. The unit vectors of each step go into
+    a copy of the parent's span C + span(chosen), and a step with an insert
+    that returns None is cut with everything below it. The cut is exact:
+    * a set dependent modulo C stays dependent under any extension;
+    * a leaf sigma has |sigma| = dim P/C, so it is independent modulo C
+      exactly when P = C (+) span(sigma).
+    The generators z_r start the span; they are independent modulo C
+    because C lies in JP.
     """
     quiver = P.alg.quiver
     tops = P.top.mult
     if any(t > dv for t, dv in zip(tops, d)):
         return []
     zrow = P.generator_elems()
+    one = P.alg.field.one()
     found: list[Skeleton] = []
 
-    def grow(chosen: list[BElem], frontier: list[BElem], layer: int, left: tuple[int, ...]) -> None:
+    def grow(
+        chosen: list[BElem], frontier: list[BElem], layer: int, left: tuple[int, ...], span: Echelon | None
+    ) -> None:
+        if span is not None:
+            # span is C + span(chosen minus frontier); the frontier joins it
+            span = span.copy()
+            if any(span.insert({P.index[b]: one}) is None for b in frontier):
+                return
         if not any(left):
             found.append(make_skeleton(P, chosen))
             return
@@ -354,9 +375,9 @@ def _grow_skeleta(
             step = [b for group in picks for b in group]
             if step:
                 nxt = tuple(n - len(group) for n, group in zip(left, picks))
-                grow(chosen + step, step, layer + 1, nxt)
+                grow(chosen + step, step, layer + 1, nxt, span)
 
-    grow(list(zrow), list(zrow), 1, tuple(dv - t for dv, t in zip(d, tops)))
+    grow(list(zrow), list(zrow), 1, tuple(dv - t for dv, t in zip(d, tops)), span)
     found.sort(key=lambda s: tuple(P.belem_key(b) for b in s.elems))
     return found
 
@@ -376,22 +397,10 @@ def skeleta_with_dims(P: ProjectiveCover, d: tuple[int, ...]) -> list[Skeleton]:
 
 def skeleta_of_point(P: ProjectiveCover, C: SubmodulePoint) -> list[Skeleton]:
     """The skeleta sigma with P = C (+) span(sigma) and matching layering."""
-    f = P.alg.field
     S = radical_layering(P.alg, coker_rep(P, C))
-    span = Echelon.of(f, C.rows)
-    res: dict[BElem, Vector] = {}
-
-    def residue(b: BElem) -> Vector:
-        if b not in res:
-            res[b] = dense(f, span.reduce({P.index[b]: f.one()}), P.total)
-        return res[b]
-
-    out = []
-    for sig in enumerate_skeleta(P, S):
-        vecs = [residue(b) for b in sig.elems]
-        if len(span_rref(f, vecs)) == len(sig):
-            out.append(sig)
-    return out
+    if S[0] != P.top.mult:
+        return []
+    return _grow_skeleta(P, C.dims, S, Echelon.of(P.alg.field, C.rows))
 
 
 @dataclass(eq=False)

@@ -35,7 +35,14 @@ def identity(field: Field, n: int) -> Matrix:
 
 
 def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
+    """The product a @ b.
+
+    A matrix with no rows records no width, so b = [] is read as 0 x 0 and
+    a product with inner dimension 0 comes back m x 0: a 1 x 0 matrix times
+    a 0 x 1 one gives [[]], not the 1 x 1 zero matrix. Products through a
+    zero-dimensional vertex go through Rep.act, which needs no widths.
+    """
+    if a and len(a[0]) != len(b):
         raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0]) if b else 0}")
     rows, inner = len(a), len(b)
     cols = len(b[0]) if b else 0

@@ -57,7 +57,7 @@ SemisimpleSequence = tuple[tuple[int, ...], ...]
 
 
 class Rep:
-    __slots__ = ("alg", "d", "mats", "_arrows")
+    __slots__ = ("alg", "d", "mats", "_arrows", "_radical")
 
     def __init__(self, alg: Algebra, d: tuple[int, ...], mats: dict[str, Matrix]):
         self.alg = alg
@@ -65,6 +65,8 @@ class Rep:
         self.mats = {k: [row[:] for row in m] for k, m in mats.items()}
         # label -> (start offset, end offset, sparse columns), built by act
         self._arrows: dict[str, tuple[int, int, list[list[tuple[int, Scalar]]]]] | None = None
+        # JM as an Echelon, built by _radical
+        self._radical: Echelon | None = None
 
     @property
     def field(self) -> Field:
@@ -796,9 +798,16 @@ def _split_once(M: Rep, blocks: dict[int, Matrix]):
 
 
 def _radical(M: Rep) -> Echelon:
-    """JM, the span of the arrow images of the basis of M."""
-    f = M.field
-    return Echelon(f, (M.act(a.label, {i: f.one()}) for i in range(M.total) for a in M.alg.quiver.arrows))
+    """JM, the span of the arrow images of the basis of M.
+
+    It is built on the first call and kept on M, so the split route and the
+    verdict that reads each piece's top share one; callers only reduce
+    against it and never insert into it.
+    """
+    if M._radical is None:
+        f = M.field
+        M._radical = Echelon(f, (M.act(a.label, {i: f.one()}) for i in range(M.total) for a in M.alg.quiver.arrows))
+    return M._radical
 
 
 def _top_action(M: Rep, radical: Echelon, x: dict[int, Matrix]) -> dict[int, Matrix]:

@@ -10,10 +10,10 @@ from __future__ import annotations
 import itertools
 
 from quivermoduli.fields import Field
-from quivermoduli.grass import coker_rep
+from quivermoduli.grass import coker_rep, enumerate_skeleta
 from quivermoduli.linalg import identity, kernel_basis, span_rref
 from quivermoduli.quiver import PathWord
-from quivermoduli.reps import arrow_images_span, hom_basis, hom_dim, sub_rep
+from quivermoduli.reps import arrow_images_span, hom_basis, hom_dim, radical_layering, sub_rep
 
 
 # -- textbook linear algebra, sharing nothing with quivermoduli.linalg ---------
@@ -304,6 +304,32 @@ def brute_force_skeleta(P) -> list[tuple]:
                 out.append(tuple(sorted(have, key=P.belem_key)))
     out.sort(key=lambda s: tuple(P.belem_key(b) for b in s))
     return out
+
+
+def skeleta_of_point_oracle(P, C) -> list:
+    """The skeleta sigma with P = C (+) span(sigma), by the rank filter:
+    every skeleton with the layering of P/C, kept when the residues of its
+    members modulo C have full rank. C.rows is in RREF, so the residue of
+    the unit vector at column j is that vector minus the row with pivot j,
+    or the vector itself when no row has its pivot there; residues vanish
+    at the pivots, so the rank is taken on the other columns."""
+    f = P.alg.field
+    pivot_rows = {next(j for j, x in enumerate(row) if x != 0): row for row in C.rows}
+    free = [j for j in range(P.total) if j not in pivot_rows]
+
+    def residue(b):
+        j = P.index[b]
+        row = pivot_rows.get(j)
+        if row is None:
+            return [f.one() if k == j else f.zero() for k in free]
+        return [f.neg(row[k]) for k in free]
+
+    S = radical_layering(P.alg, coker_rep(P, C))
+    return [
+        sig
+        for sig in enumerate_skeleta(P, S)
+        if naive_rank(f, [residue(b) for b in sig.elems]) == len(sig)
+    ]
 
 
 def dense_relation_equations(pres) -> list:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from quivermoduli import Element, Field, QQ, Unknown, degeneration, grass
+from quivermoduli import Element, Field, QQ, Unknown, degeneration, grass, reps
 from quivermoduli.config import SearchLimits
 from quivermoduli.degeneration import (
     hom_order_leq,
@@ -96,6 +96,32 @@ def test_incomparable_presentation_kernels(kronecker):
         "presentation kernels at vertex 1 are not comparable: "
         "no top-preserving epimorphism chains the summands"
     )
+
+
+def test_a_non_simple_top_verdict_builds_one_radical_per_piece(monkeypatch, kronecker):
+    # the split route builds each piece's radical, and the verdict reads
+    # the piece's top off that same Echelon instead of building it again
+    q = kronecker.quiver
+    P = projective_cover(kronecker, (2, 0))
+    C = point_from_generators(P, [(rel(q, (1, ["a1"])), 0), (rel(q, (1, ["a2"])), 1)])
+    returned = {}
+    real_radical, real_top = reps._radical, degeneration._top
+
+    def recording(M):
+        rad = real_radical(M)
+        returned.setdefault(id(M), (M, []))[1].append(rad)
+        return rad
+
+    tops = []
+    monkeypatch.setattr(reps, "_radical", recording)
+    monkeypatch.setattr(degeneration, "_radical", recording)
+    monkeypatch.setattr(degeneration, "_top", lambda piece: tops.append(piece) or real_top(piece))
+    assert no_proper_topstable_deg(kronecker, P, C).holds is False
+    assert len(tops) == 2
+    for piece in tops:
+        _, rads = returned[id(piece)]
+        assert len(rads) == 2  # asked by reps._pieces, then by degeneration._top
+        assert rads[0] is rads[1]
 
 
 def test_quotient_must_share_the_cover_top(loop_bridge):

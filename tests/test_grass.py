@@ -14,6 +14,7 @@ from quivermoduli import (
     QQ,
     UnsupportedAlgebra,
     build_algebra,
+    grass,
     make_quiver,
 )
 from quivermoduli.config import DEFAULT_LIMITS
@@ -41,6 +42,7 @@ from quivermoduli.grass import (
 from quivermoduli.reps import radical_layering
 
 from conftest import all_paths_of_length, fork_merge_algebra, monomials, path_word, rel
+from oracles import skeleta_of_point_oracle
 
 
 def skeleton_names(sk):
@@ -431,6 +433,29 @@ def test_three_tops_point_has_exactly_two_skeleta():
             2: ["e1"],
         },
     ]
+
+
+def test_three_tops_point_skeleta_match_the_rank_filter_oracle():
+    alg = two_loops_one_bridge_one_loop()
+    P, C = three_tops_point(alg)
+    assert skeleta_of_point(P, C) == skeleta_of_point_oracle(P, C)
+
+
+def test_skeleta_of_point_builds_only_the_skeleta_it_returns(monkeypatch):
+    # the independence cut drops a step before its subtree is grown: of the
+    # 1,620 skeleta with the point's layering only the 2 charts are built
+    alg = two_loops_one_bridge_one_loop()
+    P, C = three_tops_point(alg)
+    built = []
+
+    def counting(P, elems):
+        built.append(elems)
+        return make_skeleton(P, elems)
+
+    monkeypatch.setattr(grass, "make_skeleton", counting)
+    found = skeleta_of_point(P, C)
+    assert len(found) == 2
+    assert len(built) == len(found)
 
 
 # -- two-generator top with a crossing endomorphism -------------------------------

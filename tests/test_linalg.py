@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivermoduli.errors import NotInvertible
+from quivermoduli.errors import DimensionMismatch, NotInvertible
 from quivermoduli.fields import QQ, Field
 from quivermoduli.linalg import (
     det,
     inverse,
     is_invertible,
     kernel_basis,
+    mat_mul,
     span_rref,
     sparse_kernel_basis,
 )
@@ -102,3 +103,16 @@ def test_inverse_times_matrix_is_the_identity(m):
     inv = inverse(f, a)
     prod = [naive_mat_vec(f, inv, [a[i][j] for i in range(n)]) for j in range(n)]
     assert prod == [[f.one() if i == j else f.zero() for i in range(n)] for j in range(n)]
+
+
+def test_mat_mul_refuses_a_row_of_width_two_times_no_rows():
+    # [] is 0 x 0, so the inner dimensions 2 and 0 disagree
+    with pytest.raises(DimensionMismatch):
+        mat_mul(Field(2), [[1, 1]], [])
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_mat_mul_through_a_zero_dimension_keeps_the_rows(f):
+    # m x 0 times 0 x 0 is m x 0: base_change at a zero vertex relies on it
+    assert mat_mul(f, [[], [], []], []) == [[], [], []]
+    assert mat_mul(f, [], []) == []
