@@ -160,6 +160,11 @@ class Algebra:
                 return False
         return True
 
+    def is_monomial(self) -> bool:
+        """True iff the ideal is spanned by paths: every path outside the
+        basis reduces to zero."""
+        return not any(self._nf_table.values())
+
     def is_homogeneous_ideal(self) -> bool:
         """True iff the relation ideal is generated by length-homogeneous
         elements: every length component of every generator must itself reduce

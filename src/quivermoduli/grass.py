@@ -395,9 +395,28 @@ def skeleta_with_dims(P: ProjectiveCover, d: tuple[int, ...]) -> list[Skeleton]:
     return _grow_skeleta(P, d)
 
 
+def _point_layering(P: ProjectiveCover, C: SubmodulePoint) -> SemisimpleSequence:
+    """The radical layering of P/C for a submodule C of P, read off C's span
+    with no quotient module.
+
+    Path lengths grade the radical, so J^l(P/C) is spanned by the unit
+    vectors of length >= l modulo C. Inserted into a copy of C longest
+    first, the length-l unit vectors ending at v that raise the rank number
+    dim e_v J^l(P/C) / J^{l+1}(P/C); C is graded by vertex, so the count
+    splits by vertex."""
+    f = P.alg.field
+    span = Echelon.of(f, C.rows)
+    S = [[0] * P.alg.quiver.n for _ in range(P.alg.loewy)]
+    for b in sorted(P.belems, key=lambda b: -b[0].length):
+        if span.insert({P.index[b]: f.one()}) is not None:
+            S[b[0].length][b[0].end - 1] += 1
+    return tuple(map(tuple, S))
+
+
 def skeleta_of_point(P: ProjectiveCover, C: SubmodulePoint) -> list[Skeleton]:
-    """The skeleta sigma with P = C (+) span(sigma) and matching layering."""
-    S = radical_layering(P.alg, coker_rep(P, C))
+    """The skeleta sigma with P = C (+) span(sigma) and matching layering,
+    for a submodule C of P."""
+    S = _point_layering(P, C)
     if S[0] != P.top.mult:
         return []
     return _grow_skeleta(P, C.dims, S, Echelon.of(P.alg.field, C.rows))
@@ -411,7 +430,11 @@ class ChartPresentation:
     congruence for the arrow-image of b; generators lists, per off-skeleton
     arrow-image, the generic generator alpha*b - sum c_{b'} b' of the point.
     residues maps every basis element of P to its generic expansion over the
-    skeleton, so points are recovered by pure evaluation.
+    skeleton, so points are recovered by pure evaluation. For a monomial
+    ideal, pinned lists the variables (a, b, b') with |b'| = |b| + 1 and b'
+    after a*b in belem_key order: the points whose first skeleton is sigma
+    are those where all of them vanish (see stratum_points). Otherwise it
+    is empty.
     """
 
     cover: ProjectiveCover
@@ -421,6 +444,7 @@ class ChartPresentation:
     equations: tuple[Poly, ...]
     generators: tuple[tuple[str, BElem, tuple[tuple[BElem, int], ...]], ...]
     residues: dict[BElem, list[Poly]]
+    pinned: tuple[int, ...]
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -437,6 +461,8 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
     variables: list[tuple[str, BElem, BElem]] = []
     var_of: dict[tuple[str, BElem], list[tuple[BElem, int]]] = {}
     generators: list[tuple[str, BElem, tuple[tuple[BElem, int], ...]]] = []
+    monomial = alg.is_monomial()
+    pinned: list[int] = []
     for b in sig_list:
         p, r = b
         for a in quiver.arrows_out(p.end):
@@ -448,8 +474,11 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
                 for b2 in sig_list
                 if b2[0].end == a.end and b2[0].length >= p.length + 1
             ]
+            qkey = P.belem_key((q, r))
             entry = []
             for b2 in targets:
+                if monomial and b2[0].length == q.length and P.belem_key(b2) > qkey:
+                    pinned.append(len(variables))
                 entry.append((b2, len(variables)))
                 variables.append((a.label, b, b2))
             var_of[(a.label, b)] = entry
@@ -562,6 +591,7 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
         equations=tuple(equations),
         generators=tuple(generators),
         residues=residues,
+        pinned=tuple(pinned),
     )
 
 
@@ -899,21 +929,21 @@ def _chart_sweepable(pres: ChartPresentation, limits: SearchLimits) -> bool:
 
 
 def _chart_points(
-    pres: ChartPresentation, limits: SearchLimits, rng: random.Random
+    pres: ChartPresentation, limits: SearchLimits, rng: random.Random, pin: bool
 ) -> list[list[Scalar]]:
     """Equation-satisfying coordinate tuples of a chart: all of them when
-    _chart_sweepable, else a sample (zeros, units, then seeded randoms)."""
+    _chart_sweepable (only those with the pinned variables at zero, given
+    pin), else a sample (zeros, units, then seeded randoms)."""
     f = pres.cover.alg.field
     nvars = len(pres.variables)
 
     def ok(vals: list[Scalar]) -> bool:
         return all(f.is_zero(eq.eval(vals)) for eq in pres.equations)
 
-    if nvars == 0:
-        vals: list[Scalar] = []
-        return [vals] if ok(vals) else []
     if _chart_sweepable(pres, limits):
-        return [list(v) for v in itertools.product(f.elements(), repeat=nvars) if ok(list(v))]
+        pins = set(pres.pinned) if pin else set()
+        ranges = [[f.zero()] if k in pins else f.elements() for k in range(nvars)]
+        return [list(v) for v in itertools.product(*ranges) if ok(list(v))]
     cands = [[f.zero()] * nvars]
     for k in range(nvars):
         unit = [f.zero()] * nvars
@@ -939,11 +969,39 @@ def stratum_points(
     """Each distinct point of the charts once, as (chart, coordinates,
     point), at the first chart and coordinates that reach it.
 
-    Charts are taken one at a time, so a caller that stops early leaves the
-    later charts unbuilt and the rng unread."""
+    The charts must come as whole strata, each in skeleta_with_dims order.
+    They are taken one at a time, so a caller that stops early leaves the
+    later charts unbuilt and the rng unread.
+
+    A point C lies on the chart of sigma exactly when sigma is a skeleton
+    of M = P/C, so the first chart to reach C is that of its first
+    skeleton. While every chart so far was swept in full, each chart is
+    swept only over the cell of the points whose first skeleton it is,
+    with pres.pinned held at zero. For a monomial ideal the pins cut out
+    exactly that cell:
+    * every skeleton of M has the radical layering of M and lists its
+      members by length, so the first skeleton is first layer by layer;
+    * layer l of a skeleton is a basis of J^l M / J^{l+1} M chosen among
+      the arrow-extensions a*b of layer l - 1, which span it (a path off
+      the path basis is zero in P), and every such basis extends to a
+      skeleton; so the first skeleton is greedy: it takes an extension
+      exactly when that is independent, in J^l M / J^{l+1} M, of the
+      extensions before it in belem_key order;
+    * on the chart of sigma an extension a*b off sigma is congruent,
+      modulo C + J^{l+1} P, to the sum of c(a, b, b') b' over the members
+      b' of length l; so sigma is greedy exactly when c(a, b, b') = 0
+      whenever |b'| = |b| + 1 and b' comes after a*b.
+    Zero is the first field element, so the cut sweep yields the points of
+    the full one in the same order. After a sampled chart a later chart
+    may be the first to reach a point that lies on the sampled one, so the
+    pins stay off from then on. Points are still checked against those
+    already yielded, which also covers non-monomial ideals, where nothing
+    is pinned."""
     seen: set[tuple] = set()
+    swept = True
     for pres in charts:
-        for vals in _chart_points(pres, limits, rng):
+        swept = swept and _chart_sweepable(pres, limits)
+        for vals in _chart_points(pres, limits, rng, swept):
             pt = coords_to_point(pres, vals)
             if pt.rows not in seen:
                 seen.add(pt.rows)

@@ -9,8 +9,15 @@ from __future__ import annotations
 
 import itertools
 
+from quivermoduli.errors import EquationsViolated
 from quivermoduli.fields import Field
-from quivermoduli.grass import coker_rep, enumerate_skeleta
+from quivermoduli.grass import (
+    _chart_points,
+    _chart_sweepable,
+    coker_rep,
+    coords_to_point,
+    enumerate_skeleta,
+)
 from quivermoduli.linalg import identity, kernel_basis, span_rref
 from quivermoduli.quiver import PathWord
 from quivermoduli.reps import arrow_images_span, hom_basis, hom_dim, radical_layering, sub_rep
@@ -392,3 +399,31 @@ def dense_relation_equations(pres) -> list:
                     seen.add(e.monic_key())
                     equations.append(e)
     return equations
+
+
+# -- stratum sweeps --------------------------------------------------------------
+
+
+def plain_stratum_points(charts, limits, rng):
+    """Each distinct point of the charts once, as (chart, coordinates,
+    point), at the first chart and coordinates that reach it: every
+    coordinate tuple of a sweepable chart is tried, tuples off the
+    equations are dropped by coords_to_point, and repeats by a seen-set.
+    A chart over the sweep budget gets the same seeded sample as in
+    grass.stratum_points."""
+    seen = set()
+    for pres in charts:
+        f = pres.cover.alg.field
+        if _chart_sweepable(pres, limits):
+            scalars = f.elements() if pres.variables else []
+            tuples = itertools.product(scalars, repeat=len(pres.variables))
+        else:
+            tuples = _chart_points(pres, limits, rng, False)
+        for vals in tuples:
+            try:
+                pt = coords_to_point(pres, list(vals))
+            except EquationsViolated:
+                continue
+            if pt.rows not in seen:
+                seen.add(pt.rows)
+                yield pres, list(vals), pt

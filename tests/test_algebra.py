@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from quivermoduli import BadRelation, Element, Field, NotAdmissible, QQ, build_algebra, make_quiver
 from quivermoduli.quiver import deglex_key, idempotent, path_from_labels
 
-from conftest import all_paths_of_length, monomials, rel
+from conftest import all_paths_of_length, fork_merge_algebra, monomials, rel
 from oracles import count_walks
 
 CYCLE_ARROWS = [("a1", 1, 2), ("a2", 1, 2), ("a3", 1, 2), ("a4", 1, 2), ("b", 2, 3), ("c", 3, 1)]
@@ -172,6 +172,13 @@ def test_projective_layers_cycle_flag(cycle_flag):
 
 def test_projective_layers_star3(star3):
     assert star3.projective_layer_dims(1) == ((1, 0, 0), (0, 2, 1))
+
+
+def test_monomial_recognition(kronecker, loop_bridge, star3, cycle_flag, double_loop, two_loop_two_arrow):
+    for alg in (kronecker, loop_bridge, star3, cycle_flag, double_loop, two_loop_two_arrow):
+        assert alg.is_monomial() is True, alg
+    # c*b reduces to c*a, not to zero
+    assert fork_merge_algebra(QQ).is_monomial() is False
 
 
 def test_nakayama_recognition():

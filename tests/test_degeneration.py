@@ -258,9 +258,9 @@ def test_sweep_refuses_an_over_budget_stratum_before_sweeping(monkeypatch):
     swept = []
     real = grass._chart_points
 
-    def counting(pres, limits, rng):
+    def counting(pres, limits, rng, pin):
         swept.append(len(pres.variables))
-        return real(pres, limits, rng)
+        return real(pres, limits, rng, pin)
 
     monkeypatch.setattr(grass, "_chart_points", counting)
     alg = loop_bridge_over(Field(3))

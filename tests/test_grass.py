@@ -4,6 +4,8 @@ classification examples."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from quivermoduli import (
@@ -42,7 +44,7 @@ from quivermoduli.grass import (
 from quivermoduli.reps import radical_layering
 
 from conftest import all_paths_of_length, fork_merge_algebra, monomials, path_word, rel
-from oracles import skeleta_of_point_oracle
+from oracles import plain_stratum_points, skeleta_of_point_oracle
 
 
 def skeleton_names(sk):
@@ -397,6 +399,37 @@ def test_unknown_when_sweep_incomplete_and_top_not_simple():
     verdict = moduli_report(alg, (1, 1), (2, 1), DEFAULT_LIMITS)
     assert verdict.kind == "Unknown"
     assert "not exhaustive" in verdict.reason
+
+
+def test_pins_stay_off_after_a_sampled_chart(monkeypatch):
+    # arrows a, b: 1 -> 2 and a loop c at 2 with c*a = c*c = 0; over a
+    # budget of 3^5 tuples the stratum's second chart (6 variables) is
+    # sampled, and a later chart of its layering (5 variables) is swept in
+    # full, so it must yield the points whose first skeleton is the sampled
+    # one
+    q = make_quiver(2, [("a", 1, 2), ("b", 1, 2), ("c", 2, 2)])
+    alg = build_algebra(q, monomials(q, [("c", "a"), ("c", "c")]), Field(3), 4)
+    P = projective_cover(alg, (2, 1))
+    limits = DEFAULT_LIMITS.with_sweep(3**5)
+    charts = [chart_equations(P, s) for s in skeleta_with_dims(P, (2, 6))]
+    swept = [grass._chart_sweepable(pres, limits) for pres in charts]
+    assert swept[:2] == [True, False] and True in swept[2:]
+
+    def triples(points):
+        return [(pres.sigma, vals, C.rows) for pres, vals, C in points]
+
+    got = triples(grass.stratum_points(charts, limits, random.Random(0)))
+    expected = triples(plain_stratum_points(charts, limits, random.Random(0)))
+    assert got == expected
+    assert len(got) == 398
+
+    verdict = moduli_report(alg, (2, 1), (2, 6), limits)
+    monkeypatch.setattr(grass, "stratum_points", plain_stratum_points)
+    oracle = moduli_report(alg, (2, 1), (2, 6), limits)
+    assert verdict.kind == oracle.kind == "NoCoarse"
+    assert verdict.reason == oracle.reason
+    assert verdict.witness == oracle.witness
+    assert verdict.witness_endo == oracle.witness_endo
 
 
 # -- the three-generator worked example ------------------------------------------

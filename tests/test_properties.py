@@ -33,11 +33,13 @@ from oracles import (
     naive_mat_vec,
     naive_orbit_dim,
     naive_rank,
+    plain_stratum_points,
     radical_hom_dims_oracle,
     skeleta_of_point_oracle,
     sum_of_locals_oracle,
 )
 from quivermoduli import Field, QQ, build_algebra, make_quiver
+from quivermoduli.config import DEFAULT_LIMITS
 from quivermoduli.degeneration import (
     _presentation_kernel,
     hom_order_leq,
@@ -47,6 +49,8 @@ from quivermoduli.degeneration import (
 from quivermoduli.dsl import doc_point, parse_input, render_document
 from quivermoduli.errors import EquationsViolated, NotInvertible, NotSumOfLocals, UnsupportedAlgebra
 from quivermoduli.grass import (
+    _chart_sweepable,
+    _point_layering,
     apply_auto,
     chart_equations,
     coker_rep,
@@ -61,6 +65,7 @@ from quivermoduli.grass import (
     projective_cover,
     skeleta_of_point,
     skeleta_with_dims,
+    stratum_points,
 )
 from quivermoduli import reps
 from quivermoduli.linalg import identity, kernel_basis, space_key, span_rref, sparse
@@ -273,6 +278,72 @@ def test_skeleton_growers_match_the_brute_force_oracle():
             assert [s.elems for s in enumerate_skeleta(P, S)] == expected, (name, S)
             checked += len(expected)
     assert checked >= 1000
+
+
+@given(case=chart_points_of_small_tops())
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+def test_point_layering_matches_the_quotient_layering(case):
+    name, P, sigma, C = case
+    S = _point_layering(P, C)
+    assert S == radical_layering(P.alg, coker_rep(P, C)) == sigma.layering, name
+
+
+# ------------------------------------------------------------ stratum sweeps
+
+
+def _sweepable_strata():
+    """(name, cover, charts) for every stratum of the F2 and F3 covers of
+    small tops with |P| <= 8 whose charts fit the sweep budget. The
+    fork-merge strata whose charts raise UnsupportedAlgebra are left out."""
+    out = []
+    for name, P in SMALL_TOP_COVERS_ALL_FIELDS:
+        if not P.alg.field.is_finite or P.total > 8:
+            continue
+        for d in itertools.product(*(range(m + 1) for m in P.dims)):
+            try:
+                charts = [chart_equations(P, s) for s in skeleta_with_dims(P, d)]
+            except UnsupportedAlgebra:
+                continue
+            if charts and all(_chart_sweepable(pres, DEFAULT_LIMITS) for pres in charts):
+                out.append((f"{name} {d}", P, charts))
+    return out
+
+
+SWEEPABLE_STRATA = _sweepable_strata()
+
+
+def _triples(points):
+    return [(pres.sigma, vals, C.rows) for pres, vals, C in points]
+
+
+def test_stratum_sweep_matches_the_plain_sweep_oracle():
+    for name, P, charts in SWEEPABLE_STRATA:
+        got = stratum_points(charts, DEFAULT_LIMITS, random.Random(0))
+        expected = plain_stratum_points(charts, DEFAULT_LIMITS, random.Random(0))
+        assert _triples(got) == _triples(expected), name
+    assert len(SWEEPABLE_STRATA) >= 250
+
+
+def test_pinned_coordinates_cut_out_the_first_skeleton_cell():
+    # a chart point has no nonzero pinned coordinate exactly when the chart's
+    # skeleton is the point's first one, found by the skeleton grower
+    checked = 0
+    for name, P, charts in SWEEPABLE_STRATA:
+        f = P.alg.field
+        if not P.alg.is_monomial():
+            assert all(pres.pinned == () for pres in charts), name
+            continue
+        for pres in charts:
+            for _, vals, C in plain_stratum_points([pres], DEFAULT_LIMITS, random.Random(0)):
+                in_cell = all(f.is_zero(vals[k]) for k in pres.pinned)
+                assert in_cell == (skeleta_of_point(P, C)[0] == pres.sigma), name
+                checked += 1
+    assert checked >= 5000
 
 
 # ---------------------------------------------------- submodule sweep oracle
