@@ -263,13 +263,14 @@ def _cmd_point(doc, flags, limits):
         homog = is_homogeneous_point(P, pt)
     except IdealNotGraded:
         homog = None
-    charts = [_skel_names(P, sk) for sk in skeleta_of_point(P, pt)]
+    S = radical_layering(alg, M)
+    charts = [_skel_names(P, sk) for sk in skeleta_of_point(P, pt, S)]
     f = alg.field
     result = {
         "dim": pt.dim,
         "quotient_dims": list(pt.dims),
         "rows": _fmt_rows(f, pt.rows),
-        "quotient_layering": _fmt_layering(radical_layering(alg, M)),
+        "quotient_layering": _fmt_layering(S),
         "homogeneous": homog,
         "charts": charts,
     }

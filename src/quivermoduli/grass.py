@@ -395,28 +395,14 @@ def skeleta_with_dims(P: ProjectiveCover, d: tuple[int, ...]) -> list[Skeleton]:
     return _grow_skeleta(P, d)
 
 
-def _point_layering(P: ProjectiveCover, C: SubmodulePoint) -> SemisimpleSequence:
-    """The radical layering of P/C for a submodule C of P, read off C's span
-    with no quotient module.
-
-    Path lengths grade the radical, so J^l(P/C) is spanned by the unit
-    vectors of length >= l modulo C. Inserted into a copy of C longest
-    first, the length-l unit vectors ending at v that raise the rank number
-    dim e_v J^l(P/C) / J^{l+1}(P/C); C is graded by vertex, so the count
-    splits by vertex."""
-    f = P.alg.field
-    span = Echelon.of(f, C.rows)
-    S = [[0] * P.alg.quiver.n for _ in range(P.alg.loewy)]
-    for b in sorted(P.belems, key=lambda b: -b[0].length):
-        if span.insert({P.index[b]: f.one()}) is not None:
-            S[b[0].length][b[0].end - 1] += 1
-    return tuple(map(tuple, S))
-
-
-def skeleta_of_point(P: ProjectiveCover, C: SubmodulePoint) -> list[Skeleton]:
+def skeleta_of_point(
+    P: ProjectiveCover, C: SubmodulePoint, S: SemisimpleSequence | None = None
+) -> list[Skeleton]:
     """The skeleta sigma with P = C (+) span(sigma) and matching layering,
-    for a submodule C of P."""
-    S = _point_layering(P, C)
+    for a submodule C of P. S is the radical layering of P/C; a caller that
+    already has it passes it in, else it is computed from the quotient."""
+    if S is None:
+        S = radical_layering(P.alg, coker_rep(P, C))
     if S[0] != P.top.mult:
         return []
     return _grow_skeleta(P, C.dims, S, Echelon.of(P.alg.field, C.rows))

@@ -95,6 +95,13 @@ def fork_merge_algebra(field):
     return build_algebra(q, [rel(q, (1, ["c", "a"]), (-1, ["c", "b"]))], field, 3)
 
 
+def inhomogeneous_algebra():
+    """Arrows a: 1 -> 2, b: 2 -> 3, c: 3 -> 4 and d: 1 -> 3 with cba = cd
+    over Q: cd lies in J^3 although its path has length 2."""
+    q = make_quiver(4, [("a", 1, 2), ("b", 2, 3), ("c", 3, 4), ("d", 1, 3)])
+    return build_algebra(q, [rel(q, (1, ["c", "b", "a"]), (-1, ["c", "d"]))], QQ, 4)
+
+
 def double_loop_algebra(field):
     """Four loops w1..w4 at vertex 1 with all products zero, arrows a, b: 1 -> 2."""
     q = make_quiver(

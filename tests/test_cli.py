@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from quivermoduli import cli, grass
 from quivermoduli.cli import main
 from quivermoduli.dsl import (
     doc_algebra,
@@ -18,7 +19,7 @@ from quivermoduli.dsl import (
     render_document,
 )
 from quivermoduli.errors import TypeMismatch, UnknownLabel
-from quivermoduli.grass import endo_space, projective_cover
+from quivermoduli.grass import endo_space, projective_cover, skeleta_of_point
 
 LOOP_BRIDGE = """\
 quiver {
@@ -288,6 +289,28 @@ def test_point_command_prints_rows_and_gradedness(tmp_path, capsys):
     assert "  [0, 0, 1, 0]" in out.splitlines()
     assert "quotient layering: (1, 0) | (1, 0) | (0, 1)" in out
     assert "homogeneous: yes" in out
+
+
+def test_point_command_lists_the_skeleta_of_its_quotient_layering(tmp_path, capsys, monkeypatch):
+    # the command builds P/C once and hands its layering to skeleta_of_point
+    built = []
+    coker_rep = grass.coker_rep
+
+    def counting(P, C):
+        built.append(C)
+        return coker_rep(P, C)
+
+    monkeypatch.setattr(cli, "coker_rep", counting)
+    monkeypatch.setattr(grass, "coker_rep", counting)
+    code, out, _ = run_cli(tmp_path, capsys, LOOP_BRIDGE, "point", "--json")
+    assert code == 0
+    assert len(built) == 1
+    result = json.loads(out)["result"]
+    doc = parse_input(LOOP_BRIDGE)
+    P = projective_cover(doc_algebra(doc), doc.top)
+    C = doc_point(P, doc.points[0])
+    assert [[P.describe(b) for b in sk.elems] for sk in skeleta_of_point(P, C)] == result["charts"]
+    assert len(result["charts"]) == 1
 
 
 def test_skeleton_layerings_have_one_row_per_loewy_layer(capsys):

@@ -4,6 +4,7 @@ classification examples."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -41,9 +42,16 @@ from quivermoduli.grass import (
     skeleta_with_dims,
     submodule_point,
 )
-from quivermoduli.reps import radical_layering
+from quivermoduli.reps import closure, radical_layering
 
-from conftest import all_paths_of_length, fork_merge_algebra, monomials, path_word, rel
+from conftest import (
+    all_paths_of_length,
+    fork_merge_algebra,
+    inhomogeneous_algebra,
+    monomials,
+    path_word,
+    rel,
+)
 from oracles import plain_stratum_points, skeleta_of_point_oracle
 
 
@@ -472,6 +480,34 @@ def test_three_tops_point_skeleta_match_the_rank_filter_oracle():
     alg = two_loops_one_bridge_one_loop()
     P, C = three_tops_point(alg)
     assert skeleta_of_point(P, C) == skeleta_of_point_oracle(P, C)
+
+
+def test_skeleta_of_point_on_an_inhomogeneous_ideal_match_the_rank_filter_oracle():
+    # cba = cd: path lengths do not grade the radical of Lambda*e1, so no
+    # cover with a generator at 1 is built; on the covers that are built,
+    # every point spanned by radical units and sums of two of them at one
+    # vertex has the oracle's skeleta
+    alg = inhomogeneous_algebra()
+    assert not alg.is_homogeneous_ideal()
+    with pytest.raises(UnsupportedAlgebra):
+        projective_cover(alg, (1, 0, 0, 0))
+    f = alg.field
+    checked = 0
+    for top in [(0, 1, 1, 0), (0, 2, 0, 0)]:
+        P = projective_cover(alg, top)
+        rad = [b for b in P.belems if b[0].length > 0]
+        vecs = [P.unit(b) for b in rad]
+        for i, b in enumerate(rad):
+            for b2 in rad[i + 1 :]:
+                if b[0].end == b2[0].end:
+                    vecs.append([f.add(x, y) for x, y in zip(P.unit(b), P.unit(b2))])
+        for k in range(len(vecs) + 1):
+            for gens in itertools.combinations(vecs, k):
+                C = submodule_point(P, closure(P.rep, list(gens)))
+                found = skeleta_of_point(P, C)
+                assert found and found == skeleta_of_point_oracle(P, C), (top, C.rows)
+                checked += 1
+    assert checked == 80
 
 
 def test_skeleta_of_point_builds_only_the_skeleta_it_returns(monkeypatch):

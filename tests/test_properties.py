@@ -50,7 +50,6 @@ from quivermoduli.dsl import doc_point, parse_input, render_document
 from quivermoduli.errors import EquationsViolated, NotInvertible, NotSumOfLocals, UnsupportedAlgebra
 from quivermoduli.grass import (
     _chart_sweepable,
-    _point_layering,
     apply_auto,
     chart_equations,
     coker_rep,
@@ -278,19 +277,6 @@ def test_skeleton_growers_match_the_brute_force_oracle():
             assert [s.elems for s in enumerate_skeleta(P, S)] == expected, (name, S)
             checked += len(expected)
     assert checked >= 1000
-
-
-@given(case=chart_points_of_small_tops())
-@settings(
-    max_examples=200,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-)
-def test_point_layering_matches_the_quotient_layering(case):
-    name, P, sigma, C = case
-    S = _point_layering(P, C)
-    assert S == radical_layering(P.alg, coker_rep(P, C)) == sigma.layering, name
 
 
 # ------------------------------------------------------------ stratum sweeps

@@ -47,7 +47,7 @@ from quivermoduli.reps import (
     zero_rep,
 )
 
-from conftest import loop_bridge_over, rel
+from conftest import inhomogeneous_algebra, loop_bridge_over, rel
 from oracles import brute_force_submodule_dims, brute_force_submodule_spans
 
 
@@ -61,12 +61,6 @@ def kron_pullback(alg):
     """z, z' at vertex 1 glued over one target: a1 z = y = a2 z'."""
     f = alg.field
     return Rep(alg, (2, 1), {"a1": [[f.one(), f.zero()]], "a2": [[f.zero(), f.one()]]})
-
-
-def inhomogeneous_algebra():
-    q = make_quiver(4, [("a", 1, 2), ("b", 2, 3), ("c", 3, 4), ("d", 1, 3)])
-    r = rel(q, (1, ["c", "b", "a"]), (-1, ["c", "d"]))
-    return build_algebra(q, [r], QQ, 4)
 
 
 # -- construction and validation --------------------------------------------
