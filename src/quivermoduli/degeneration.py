@@ -7,9 +7,10 @@ module answers three questions about that picture.
 
 * ``no_proper_topstable_deg`` decides whether the orbit of C is already
   closed, i.e. whether M = P/C admits no proper top-stable degeneration.
-  The criterion is structural: M must split into local summands whose
-  presentation kernels at each top vertex form a chain, and the radical JM
-  must receive exactly as many homomorphisms from M as from P.
+  The criterion is structural: M must split into local summands that form
+  a chain under epimorphisms at each top vertex, decided on the tops, and
+  the radical JM must receive exactly as many homomorphisms from M as from
+  P.
 
 * ``one_param_limit`` degenerates C explicitly along a one-parameter
   subgroup 1 + tau*h built from a nilpotent endomorphism h of P, returning
@@ -54,23 +55,13 @@ from .grass import (
     stratum_points,
     submodule_point,
 )
-from .linalg import (
-    Echelon,
-    Vector,
-    dense,
-    kernel_basis,
-    mat_vec,
-    span_rref,
-    sparse,
-    transpose,
-)
+from .linalg import Vector, kernel_basis, mat_vec, transpose
 from .reps import (
     Rep,
-    _radical,
+    _top_map,
     decompose_local,
     hom_basis,
     hom_dim,
-    hom_global_matrix,
     is_arrow_stable,
     rep_of_projective,
     top_dims,
@@ -84,10 +75,10 @@ from .reps import (
 class DegenerationVerdict:
     """Outcome of the closed-orbit test, with the evidence that decided it.
 
-    ``holds`` is True or False.  ``kernel_dims``
-    records, per top vertex, the kernel dimensions of the local summands in
-    chain order; ``hom_dims`` records (dim Hom(P, JM), dim Hom(M, JM)) when
-    that comparison was reached.
+    ``holds`` is True or False.  ``kernel_dims`` records, per top vertex
+    v, dim Lambda e_v - dim L for its local summands L in chain order;
+    ``hom_dims`` records (dim Hom(P, JM), dim Hom(M, JM)) when that
+    comparison was reached.
     """
 
     holds: bool
@@ -99,47 +90,22 @@ class DegenerationVerdict:
         return self.holds
 
 
-def _top(piece: Rep) -> tuple[int, Vector, Echelon]:
-    """The top vertex v of a local module, a generator normed to v (the
-    first basis vector outside the radical) and the radical, the span of
-    the arrow images of the basis."""
-    f = piece.field
-    rad = _radical(piece)
-    i = next(i for i in range(piece.total) if not rad.contains({i: f.one()}))
-    v = next(v for v in piece.alg.quiver.vertices if i < piece.offset(v) + piece.dim_at(v))
-    return v, [f.one() if j == i else f.zero() for j in range(piece.total)], rad
+def _top(piece: Rep) -> int:
+    """The top vertex of a local module, read off its cached radical."""
+    return top_dims(piece.alg, piece).index(1) + 1
 
 
-def _presentation_kernel(alg: Algebra, v: int, piece: Rep, gen: Vector) -> list[Vector]:
-    """Kernel of the cover map from the indecomposable projective at v.
-
-    Coordinates are indices into ``alg.basis_at(v)``, so kernels of
-    different pieces over the same vertex are directly comparable.
-    """
-    f = alg.field
-    paths = alg.basis_at(v)
-    gen = sparse(f, gen)
-    cols = []
-    for p in paths:
-        col = piece.project(gen, p.start)  # a length-0 path is e_start
-        for label in p.arrows:
-            col = piece.act(label, col)
-        cols.append(dense(f, col, piece.total))
-    return span_rref(f, kernel_basis(f, transpose(cols), ncols=len(paths)))
-
-
-def _top_epi_exists(a: Rep, gen_a: Vector, b: Rep, rad_b: Echelon) -> bool:
-    """Is there a top-preserving epimorphism a -> b between local modules?
-
-    For local b it suffices that some homomorphism carries the generator of
-    a outside the radical of b: the image then generates b.
-    """
+def _top_epi_exists(a: Rep, b: Rep) -> bool:
+    """Is there an epimorphism a -> b between local modules with the same
+    top? A map a -> b is onto exactly when its top map is nonzero."""
     f = a.field
-    for blocks in hom_basis(a, b):
-        w = mat_vec(f, hom_global_matrix(a, b, blocks), gen_a)
-        if not rad_b.contains(sparse(f, w)):
-            return True
-    return False
+    return any(
+        not f.is_zero(x)
+        for blocks in hom_basis(a, b)
+        for blk in _top_map(a, b, blocks).values()
+        for row in blk
+        for x in row
+    )
 
 
 def no_proper_topstable_deg(
@@ -153,8 +119,9 @@ def no_proper_topstable_deg(
 
     The orbit of C under the unipotent automorphisms of P is closed exactly
     when (i) M is a direct sum of local modules that, grouped by top vertex,
-    are linearly ordered by top-preserving epimorphisms, and (ii) the
-    radical JM satisfies dim Hom(P, JM) = dim Hom(M, JM).
+    are linearly ordered by top-preserving epimorphisms, decided on the
+    tops (reps._top_map), and (ii) the radical JM satisfies
+    dim Hom(P, JM) = dim Hom(M, JM).
 
     With a simple top M is local and is its own summand, and it is never
     built: the cover map P -> M is onto, so the presentation kernel is C
@@ -162,7 +129,8 @@ def no_proper_topstable_deg(
     M along non-units read off the action of End(M) on the top M/JM, by
     one exact route over Q and F_q: it returns the local summands or
     proves that M is not a sum of local modules, so the verdict is always
-    decided.
+    decided. The cover map Lambda e_v -> L of a summand L with top S_v is
+    onto, so its kernel has dimension dim Lambda e_v - dim L.
 
     Both numbers of (ii) are read off (P, C). top(P/C) = P/(JP + C) is the
     top of P exactly when C lies in JP, and then JM = JP/C. Path lengths
@@ -199,26 +167,16 @@ def no_proper_topstable_deg(
             return DegenerationVerdict(
                 False, "module is not a direct sum of local modules"
             )
-        f = alg.field
-        by_vertex: dict[int, list[tuple[Rep, Vector, Echelon]]] = {}
+        by_vertex: dict[int, list[Rep]] = {}
         for piece in pieces:
-            v, gen, rad = _top(piece)
-            by_vertex.setdefault(v, []).append((piece, gen, rad))
+            by_vertex.setdefault(_top(piece), []).append(piece)
         kernel_dims = []
         for v in sorted(by_vertex):
-            group = sorted(by_vertex[v], key=lambda t: -t[0].total)
-            kernels = [_presentation_kernel(alg, v, piece, gen) for piece, gen, _ in group]
-            kernel_dims.append((v, tuple(len(k) for k in kernels)))
-            for (big, gen, _), (small, _, rad), kb, ks in zip(
-                group, group[1:], kernels, kernels[1:]
-            ):
-                small_kernel = Echelon.of(f, ks)
-                if all(small_kernel.contains(sparse(f, row)) for row in kb):
-                    continue
-                # Kernels of the canonical presentations are incomparable, but a
-                # different norming of the generators might still chain them;
-                # an epimorphism big -> small is the generator-independent test.
-                if not _top_epi_exists(big, gen, small, rad):
+            group = sorted(by_vertex[v], key=lambda piece: -piece.total)
+            cover = len(alg.basis_at(v))
+            kernel_dims.append((v, tuple(cover - piece.total for piece in group)))
+            for big, small in zip(group, group[1:]):
+                if not _top_epi_exists(big, small):
                     return DegenerationVerdict(
                         False,
                         f"presentation kernels at vertex {v} are not comparable: "

@@ -486,11 +486,16 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
             return unit_vec(b)
         if b in rho_memo:
             return rho_memo[b]
+        p, r = b
+        if not any(b2[0].end == p.end and b2[0].length >= p.length for b2 in sig_list):
+            # the class of b lies in J^l(P/C)e_v, l = |b| and v its end, and
+            # the members of sigma of length >= l at v are a basis of it
+            rho_memo[b] = [ring.zero() for _ in sig_list]
+            return rho_memo[b]
         key = ("rho", b)
         if key in busy:
             raise UnsupportedAlgebra("cyclic reduction while expanding chart residues")
         busy.add(key)
-        p, r = b
         parent = (p.initial(p.length - 1, quiver), r)
         a = quiver.arrow(p.last_arrow())
         if parent in sig_pos:

@@ -320,9 +320,10 @@ def radical_layering(alg: Algebra, M: Rep) -> SemisimpleSequence:
 
 
 def top_dims(alg: Algebra, M: Rep) -> tuple[int, ...]:
-    """Dimension vector of the top M/JM."""
-    jm = arrow_images_span(M, identity(M.field, M.total))
-    return tuple(d - j for d, j in zip(M.d, _vertex_dims(M, jm)))
+    """Dimension vector of the top M/JM: per vertex, the basis vectors that
+    are not pivots of the cached radical (_radical)."""
+    pivots = _radical(M).rows
+    return tuple(sum(M.offset(v) + i not in pivots for i in range(M.dim_at(v))) for v in alg.quiver.vertices)
 
 
 def hom_basis(M: Rep, N: Rep) -> list[dict[int, Matrix]]:
@@ -378,19 +379,6 @@ def hom_basis(M: Rep, N: Rep) -> list[dict[int, Matrix]]:
 
 def hom_dim(M: Rep, N: Rep) -> int:
     return len(hom_basis(M, N))
-
-
-def hom_global_matrix(M: Rep, N: Rep, blocks: dict[int, Matrix]) -> Matrix:
-    """Flattened N.total x M.total matrix of a hom given by vertex blocks."""
-    f = M.field
-    out = zeros(f, N.total, M.total)
-    for v in M.alg.quiver.vertices:
-        ro, co = N.offset(v), M.offset(v)
-        blk = blocks[v]
-        for i in range(N.dim_at(v)):
-            for j in range(M.dim_at(v)):
-                out[ro + i][co + j] = blk[i][j]
-    return out
 
 
 def _blocks_invertible(M: Rep, blocks: dict[int, Matrix]) -> bool:
@@ -800,8 +788,8 @@ def _split_once(M: Rep, blocks: dict[int, Matrix]):
 def _radical(M: Rep) -> Echelon:
     """JM, the span of the arrow images of the basis of M.
 
-    It is built on the first call and kept on M, so the split route and the
-    verdict that reads each piece's top share one; callers only reduce
+    It is built on the first call and kept on M, so top_dims, the split
+    route and the top maps (_top_map) share one; callers only reduce
     against it and never insert into it.
     """
     if M._radical is None:
@@ -810,21 +798,26 @@ def _radical(M: Rep) -> Echelon:
     return M._radical
 
 
-def _top_action(M: Rep, radical: Echelon, x: dict[int, Matrix]) -> dict[int, Matrix]:
-    """pi(x), the action of an endomorphism x on the top M/JM, per vertex.
+def _top_map(M: Rep, N: Rep, x: dict[int, Matrix]) -> dict[int, Matrix]:
+    """pi(x): M/JM -> N/JN, the map a homomorphism x: M -> N induces on
+    the tops, per vertex.
 
-    The top basis is the unit vectors off the pivots of JM. The residue of
-    a vector modulo the radical is zero at every pivot, and its entries off
-    the pivots are the coordinates of its class in the top. JM is graded,
-    so the residue of a column of x_v stays in the block of v.
+    A top basis is the unit vectors off the pivots of the radical. The
+    residue of a vector modulo JN is zero at every pivot, and its entries
+    off the pivots are the coordinates of its class in the top. JN is
+    graded, so the residue of a column of x_v stays in the block of v.
     """
     f = M.field
+    rad_m, rad_n = _radical(M), _radical(N)
     out = {}
     for v in M.alg.quiver.vertices:
-        o = M.offset(v)
-        top = [t for t in range(M.dim_at(v)) if o + t not in radical.rows]
-        cols = [radical.reduce({o + i: row[t] for i, row in enumerate(x[v]) if not f.is_zero(row[t])}) for t in top]
-        out[v] = [[col.get(o + i, f.zero()) for col in cols] for i in top]
+        om, on = M.offset(v), N.offset(v)
+        cols = [
+            rad_n.reduce({on + i: row[t] for i, row in enumerate(x[v]) if not f.is_zero(row[t])})
+            for t in range(M.dim_at(v))
+            if om + t not in rad_m.rows
+        ]
+        out[v] = [[col.get(on + i, f.zero()) for col in cols] for i in range(N.dim_at(v)) if on + i not in rad_n.rows]
     return out
 
 
@@ -865,11 +858,11 @@ def _root(f: Field, mu: list[Scalar]) -> Scalar | None:
     return None
 
 
-def _nonunit(M: Rep, radical: Echelon, basis: list[dict[int, Matrix]]) -> dict[int, Matrix] | None:
+def _nonunit(M: Rep, basis: list[dict[int, Matrix]]) -> dict[int, Matrix] | None:
     """Steps 2 and 3 of _pieces: an endomorphism whose Fitting split is
     proper whenever M is a sum of local modules, or None."""
     f = M.field
-    tops = [_top_action(M, radical, b) for b in basis]
+    tops = [_top_map(M, M, b) for b in basis]
     # step 2: the x_c with pi(x_c) w = 0, for w the first top vector
     v = next(v for v, blk in tops[0].items() if blk)
     eqs = [{s: y for s, t in enumerate(tops) if not f.is_zero(y := t[v][i][0])} for i in range(len(tops[0][v]))]
@@ -896,8 +889,8 @@ def _pieces(M: Rep) -> list[Rep] | None:
     * The top action. Every endomorphism keeps JM, so
       pi: End(M) -> End_K(M/JM) is an algebra map; B is its image. In the
       top basis of unit vectors off the pivots of JM's Echelon, pi(b) is a
-      per-vertex block dict (_top_action), so _trace, _combine_blocks and
-      _shift work on it unchanged.
+      per-vertex block dict (_top_map(M, M, b)), so _trace,
+      _combine_blocks and _shift work on it unchanged.
     * Proper splits. A Fitting split (ker x^n, im x^n) is proper exactly
       when x is neither a unit nor nilpotent. If pi(x) is singular, x is
       not a unit. If tr pi(x) != 0, x is not nilpotent, in any
@@ -926,10 +919,9 @@ def _pieces(M: Rep) -> list[Rep] | None:
     """
     if M.total == 0:
         return []
-    radical = _radical(M)
-    if M.total - len(radical) == 1:
+    if M.total - len(_radical(M)) == 1:
         return [M]
-    x = _nonunit(M, radical, hom_basis(M, M))
+    x = _nonunit(M, hom_basis(M, M))
     split = None if x is None else _split_once(M, x)
     if split is None:
         return None

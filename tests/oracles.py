@@ -247,6 +247,63 @@ def sum_of_locals_oracle(M):
     return [M.d] if top == 1 else None
 
 
+def presentation_kernel_oracle(alg, v, piece, gen):
+    """Kernel of the cover map Lambda e_v -> piece that sends e_v to gen, as
+    RREF rows over the coordinates of alg.basis_at(v), so that kernels of
+    pieces with the same top vertex are directly comparable. Each path p
+    goes to p * gen, by plain matrix products along p."""
+    f = alg.field
+    paths = alg.basis_at(v)
+    cols = []
+    for p in paths:
+        block = piece.block(gen, p.start)  # a length-0 path is e_start
+        for label in p.arrows:
+            block = naive_mat_vec(f, piece.mats[label], block)
+        col = [f.zero()] * piece.total
+        col[piece.offset(p.end) : piece.offset(p.end) + len(block)] = block
+        cols.append(col)
+    rows = [list(r) for r in zip(*cols)] if cols else []
+    return span_rref(f, kernel_basis(f, rows, ncols=len(paths)))
+
+
+def chain_oracle(alg, pieces):
+    """Condition (i) of the closed-orbit test by presentation kernels, for
+    local modules: (kernel_dims, v), with the kernel dimensions per top
+    vertex in chain order as far as they were reached, and v the first top
+    vertex whose pieces do not chain, or None.
+
+    Each piece is generated by its first unit vector outside its radical.
+    At a vertex the pieces are sorted by decreasing dimension, and two
+    consecutive pieces chain when the kernel of the bigger lies in that of
+    the smaller, or else when some basis map of Hom(big, small) carries the
+    generator of big outside the radical of small."""
+    f = alg.field
+    by_vertex = {}
+    for piece in pieces:
+        units = identity(f, piece.total)
+        rad = arrow_images_span(piece, units)
+        i = next(i for i, u in enumerate(units) if not naive_in_span(f, rad, u))
+        v = next(v for v in alg.quiver.vertices if i < piece.offset(v) + piece.dim_at(v))
+        by_vertex.setdefault(v, []).append((piece, i - piece.offset(v), units[i], rad))
+    kernel_dims = []
+    for v in sorted(by_vertex):
+        group = sorted(by_vertex[v], key=lambda t: -t[0].total)
+        kernels = [presentation_kernel_oracle(alg, v, piece, gen) for piece, _, gen, _ in group]
+        kernel_dims.append((v, tuple(len(k) for k in kernels)))
+        for (big, j, _, _), (small, _, _, rad), kb, ks in zip(group, group[1:], kernels, kernels[1:]):
+            if all(naive_in_span(f, ks, row) for row in kb):
+                continue
+            # the image of the generator, column j of the block at v
+            o = small.offset(v)
+            images = (
+                [f.zero()] * o + [row[j] for row in blocks[v]] + [f.zero()] * (small.total - o - small.dim_at(v))
+                for blocks in hom_basis(big, small)
+            )
+            if all(naive_in_span(f, rad, w) for w in images):
+                return tuple(kernel_dims), v
+    return tuple(kernel_dims), None
+
+
 # -- orbits and hom dimensions of Grassmannian points ---------------------------
 
 

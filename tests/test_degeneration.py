@@ -100,7 +100,8 @@ def test_incomparable_presentation_kernels(kronecker):
 
 def test_a_non_simple_top_verdict_builds_one_radical_per_piece(monkeypatch, kronecker):
     # the split route builds each piece's radical, and the verdict reads
-    # the piece's top off that same Echelon instead of building it again
+    # the piece's top vertex and top maps off that same Echelon instead of
+    # building it again
     q = kronecker.quiver
     P = projective_cover(kronecker, (2, 0))
     C = point_from_generators(P, [(rel(q, (1, ["a1"])), 0), (rel(q, (1, ["a2"])), 1)])
@@ -114,14 +115,15 @@ def test_a_non_simple_top_verdict_builds_one_radical_per_piece(monkeypatch, kron
 
     tops = []
     monkeypatch.setattr(reps, "_radical", recording)
-    monkeypatch.setattr(degeneration, "_radical", recording)
     monkeypatch.setattr(degeneration, "_top", lambda piece: tops.append(piece) or real_top(piece))
     assert no_proper_topstable_deg(kronecker, P, C).holds is False
     assert len(tops) == 2
     for piece in tops:
         _, rads = returned[id(piece)]
-        assert len(rads) == 2  # asked by reps._pieces, then by degeneration._top
-        assert rads[0] is rads[1]
+        # asked by reps._pieces and degeneration._top, and by the top maps
+        # when some map between the pieces exists
+        assert len(rads) >= 2
+        assert all(rad is rads[0] for rad in rads)
 
 
 def test_quotient_must_share_the_cover_top(loop_bridge):

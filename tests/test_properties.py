@@ -25,9 +25,9 @@ from oracles import (
     brute_force_skeleta,
     brute_force_submodule_dims,
     brute_force_submodule_spans,
+    chain_oracle,
     dense_relation_equations,
     fitting_split_oracle,
-    naive_in_span,
     naive_is_nilpotent,
     naive_mat_mul,
     naive_mat_vec,
@@ -41,7 +41,7 @@ from oracles import (
 from quivermoduli import Field, QQ, build_algebra, make_quiver
 from quivermoduli.config import DEFAULT_LIMITS
 from quivermoduli.degeneration import (
-    _presentation_kernel,
+    DegenerationVerdict,
     hom_order_leq,
     no_proper_topstable_deg,
     one_param_limit,
@@ -65,6 +65,7 @@ from quivermoduli.grass import (
     skeleta_of_point,
     skeleta_with_dims,
     stratum_points,
+    submodule_point,
 )
 from quivermoduli import reps
 from quivermoduli.linalg import identity, kernel_basis, space_key, span_rref, sparse
@@ -85,6 +86,7 @@ from quivermoduli.reps import (
     rep_of_projective,
     rep_validate,
     simple_rep,
+    sub_rep,
     submodule_dim_vectors,
     submodule_spans,
 )
@@ -315,6 +317,53 @@ def test_stratum_sweep_matches_the_plain_sweep_oracle():
     assert len(SWEEPABLE_STRATA) >= 250
 
 
+def _submodules_in_the_radical(P):
+    """{C <= JP : C a submodule} by dims of P/C, from the all-subspace
+    oracle on JP as a module of its own. Its coordinates at a vertex v are
+    those of the RREF rows of JP in the block of v (sub_rep), so a row lifts
+    to P as the matching combination of those rows."""
+    f = P.alg.field
+    rad = arrow_images_span(P.rep, identity(f, P.total))
+    JP = sub_rep(P.rep, rad)
+    basis = [w for v in P.alg.quiver.vertices for w in rad if any(P.rep.block(w, v))]
+    out: dict[tuple, set] = {}
+    for rows in brute_force_submodule_spans(JP):
+        lifted = []
+        for row in rows:
+            vec = [f.zero()] * P.total
+            for c, w in zip(row, basis):
+                vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, w)]
+            lifted.append(vec)
+        C = submodule_point(P, lifted)
+        out.setdefault(C.dims, set()).add(C.rows)
+    return out
+
+
+def test_chart_points_are_the_submodules_in_the_radical():
+    # an independent route to each stratum's point set: the union of its
+    # chart points, every coordinate tuple tried, is every submodule C of P
+    # inside JP with dim P/C = d, over F2 (|P| <= 7) and F3 (|P| <= 6)
+    points = 0
+    for name, P in SMALL_TOP_COVERS_ALL_FIELDS:
+        f = P.alg.field
+        if P.total > {2: 7, 3: 6}.get(f.p, 0):
+            continue
+        expected = _submodules_in_the_radical(P)
+        for d in itertools.product(*(range(m + 1) for m in P.dims)):
+            got = set()
+            for sigma in skeleta_with_dims(P, d):
+                pres = chart_equations(P, sigma)
+                for vals in itertools.product(f.elements(), repeat=len(pres.variables)):
+                    try:
+                        got.add(coords_to_point(pres, list(vals)).rows)
+                    except EquationsViolated:
+                        continue
+            assert got == expected.pop(d, set()), (name, d)
+            points += len(got)
+        assert not expected, name
+    assert points >= 690
+
+
 def test_pinned_coordinates_cut_out_the_first_skeleton_cell():
     # a chart point has no nonzero pinned coordinate exactly when the chart's
     # skeleton is the point's first one, found by the skeleton grower
@@ -500,8 +549,7 @@ def test_the_trace_form_radical_is_a_nil_ideal(case):
     _, _, M = case
     f = M.field
     basis = hom_basis(M, M)
-    radical = reps._radical(M)
-    tops = [reps._top_action(M, radical, b) for b in basis]
+    tops = [reps._top_map(M, M, b) for b in basis]
     gram = [[reps._trace(f, a, b) for b in tops] for a in tops]
     for coeffs in kernel_basis(f, gram, len(basis)):
         x = _combine_blocks(M, M, basis, coeffs)
@@ -708,18 +756,38 @@ def chart_points(draw):
     return name, P, C
 
 
-def _simple_top_kernel_dims(P, C):
-    """kernel_dims of a simple-top verdict by the quotient route: the
-    presentation kernel of M = P/C at a generator outside its radical."""
+def _verdict_by_the_quotient_route(P, C):
+    """The closed-orbit verdict from M = P/C itself: its local summands by
+    decompose_local, condition (i) by presentation kernels (chain_oracle)
+    and condition (ii) by solving for both Hom spaces."""
     alg = P.alg
-    f = alg.field
-    M = coker_rep(P, C)
-    v = P.gens[0]
-    rad = arrow_images_span(M, identity(f, M.total))
-    units = [[f.one() if j == i else f.zero() for j in range(M.total)] for i in range(M.total)]
-    o = M.offset(v)
-    gen = next(u for u in units[o : o + M.dim_at(v)] if not naive_in_span(f, rad, u))
-    return ((v, (len(_presentation_kernel(alg, v, M, gen)),)),)
+    pieces = decompose_local(alg, coker_rep(P, C))
+    if pieces is NotSumOfLocals:
+        return DegenerationVerdict(False, "module is not a direct sum of local modules")
+    kernel_dims, v = chain_oracle(alg, pieces)
+    if v is not None:
+        return DegenerationVerdict(
+            False,
+            f"presentation kernels at vertex {v} are not comparable: "
+            f"no top-preserving epimorphism chains the summands",
+            kernel_dims,
+        )
+    hp, hm = radical_hom_dims_oracle(P, C)
+    if hp != hm:
+        return DegenerationVerdict(
+            False,
+            f"radical receives {hp} independent homomorphisms from the cover "
+            f"but only {hm} from the module",
+            kernel_dims,
+            (hp, hm),
+        )
+    return DegenerationVerdict(
+        True,
+        "local summands chain under top-preserving epimorphisms and the "
+        "radical hom-dimensions agree",
+        kernel_dims,
+        (hp, hm),
+    )
 
 
 _CHART_POINT_SETTINGS = settings(
@@ -737,11 +805,7 @@ def test_verdict_hom_dims_match_the_quotient_route(case):
     hp, hm = radical_hom_dims_oracle(P, C)
     # condition (ii) of the closed-orbit test: the unipotent orbit is a point
     assert hp - hm == orbit_dims(P, C).unipotent, name
-    verdict = no_proper_topstable_deg(P.alg, P, C)
-    if verdict.hom_dims is not None:
-        assert verdict.hom_dims == (hp, hm), name
-    if P.top.simple:
-        assert verdict.kernel_dims == _simple_top_kernel_dims(P, C), name
+    assert no_proper_topstable_deg(P.alg, P, C) == _verdict_by_the_quotient_route(P, C), name
 
 
 @given(case=chart_points())
