@@ -15,9 +15,9 @@ class SearchLimits:
         closes only the vertex-homogeneous vectors, one per line, but the
         cap is on q^|d|, the size of the whole module.
     submodule_spaces: max number of distinct submodules tracked.
-    iso_enum: max size q^k of a hom space enumerated exhaustively.
-    iso_tries: randomized witness attempts before giving up.
-    sym_vars / sym_dim: symbolic-determinant fallback bounds (variables, block size).
+    iso_enum: max number of points of the grid of top maps is_isomorphic walks.
+    iso_tries: random tries in is_isomorphic before that grid, and extra
+        random samples of a chart too large to sweep (_chart_points).
     chart_sweep: max number of chart coordinate tuples enumerated (q^N).
     seed: default RNG seed for all randomized subroutines.
     """
@@ -26,8 +26,6 @@ class SearchLimits:
     submodule_spaces: int = 1 << 15
     iso_enum: int = 4096
     iso_tries: int = 64
-    sym_vars: int = 10
-    sym_dim: int = 8
     chart_sweep: int = 1 << 17
     seed: int = 0
 

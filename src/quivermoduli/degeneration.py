@@ -58,9 +58,8 @@ from .grass import (
 from .linalg import Vector, kernel_basis, mat_vec, transpose
 from .reps import (
     Rep,
-    _top_map,
+    _top_epi_exists,
     decompose_local,
-    hom_basis,
     hom_dim,
     is_arrow_stable,
     rep_of_projective,
@@ -93,19 +92,6 @@ class DegenerationVerdict:
 def _top(piece: Rep) -> int:
     """The top vertex of a local module, read off its cached radical."""
     return top_dims(piece.alg, piece).index(1) + 1
-
-
-def _top_epi_exists(a: Rep, b: Rep) -> bool:
-    """Is there an epimorphism a -> b between local modules with the same
-    top? A map a -> b is onto exactly when its top map is nonzero."""
-    f = a.field
-    return any(
-        not f.is_zero(x)
-        for blocks in hom_basis(a, b)
-        for blk in _top_map(a, b, blocks).values()
-        for row in blk
-        for x in row
-    )
 
 
 def no_proper_topstable_deg(

@@ -1,5 +1,6 @@
 """Modules as arrow-matrix tuples: validation, layerings, Hom spaces,
-isomorphism testing, submodule enumeration, and local decompositions.
+submodule enumeration, local decompositions, and isomorphism testing by
+those decompositions and the top maps.
 
 A Rep assigns to each arrow a d_end x d_start matrix. Vectors of the module
 live in the flattened space K^|d| with vertex blocks in vertex order; every
@@ -408,9 +409,20 @@ def _combine_blocks(M: Rep, N: Rep, basis: list[dict[int, Matrix]], coeffs: list
 
 
 def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: int | None = None):
-    """True / False / Unknown. Exact wherever a witness or an obstruction
-    exists; Unknown only when the randomized search is inconclusive and the
-    symbolic fallback exceeds the configured size."""
+    """True / False / Unknown, by one route over every field.
+
+    After the cheap obstructions (d, radical layering, hom dimensions),
+    Krull-Schmidt: if M or N is a sum of local modules (_pieces), both must
+    be, with pieces of equal d matched by _top_epi_exists. Otherwise
+    Nakayama: x is an isomorphism exactly when its top map (_top_map) is,
+    so only a basis b_1..b_k of the top maps is searched, by seeded random
+    tries, then on the grid S_1 x ... x S_k, S_j the first min(q, r_j + 1)
+    scalars, r_j the rank of b_j. The product of the top determinants of
+    sum t_j b_j has degree <= r_j in t_j, so when it is a nonzero
+    polynomial it is nonzero on the grid (Combinatorial Nullstellensatz);
+    if q <= r_j, S_j is all of K. Unknown only when the grid has more than
+    limits.iso_enum points.
+    """
     if M.d != N.d:
         return False
     if M.total == 0:
@@ -419,70 +431,52 @@ def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: i
         return False
     basis = hom_basis(M, N)
     k = len(basis)
-    if k != hom_dim(N, M) or hom_dim(M, M) != hom_dim(N, N):
+    if k == 0 or k != hom_dim(N, M) or hom_dim(M, M) != hom_dim(N, N):
         return False
-    if k == 0:
+    pm, pn = _pieces(M), _pieces(N)
+    if (pm is None) != (pn is None):
         return False
-    f = M.field
-
-    def check(coeffs: list[Scalar]):
-        blocks = _combine_blocks(M, N, basis, coeffs)
-        return blocks if _blocks_invertible(M, blocks) else None
-
-    if f.is_finite:
-        q = f.order
-        if q**k <= limits.iso_enum:
-            for coeffs in itertools.product(f.elements(), repeat=k):
-                if any(not f.is_zero(c) for c in coeffs) and check(list(coeffs)):
-                    return True
-            return False
-        rng = random.Random(limits.seed if seed is None else seed)
-        for _ in range(limits.iso_tries):
-            if check([f.random(rng) for _ in range(k)]):
-                return True
-        return Unknown
-
-    # Rationals: deterministic small tries first.
-    for i in range(k):
-        coeffs = [f.one() if j == i else f.zero() for j in range(k)]
-        if check(coeffs):
-            return True
-    rng = random.Random(limits.seed if seed is None else seed)
-    for _ in range(limits.iso_tries):
-        if check([f.of_int(rng.randint(-3, 3)) for _ in range(k)]):
-            return True
-    # Symbolic fallback: a generic combination is invertible iff every
-    # vertex-block generic determinant is a nonzero polynomial.
-    if k <= limits.sym_vars and max(M.d) <= limits.sym_dim:
-        from .polys import PolyRing, poly_det
-
-        ring = PolyRing(f, [f"t{i}" for i in range(k)])
-        for v in M.alg.quiver.vertices:
-            n = M.dim_at(v)
-            if n == 0:
-                continue
-            generic = [
-                [
-                    sum(
-                        (ring.var(t).scale(basis[t][v][i][j]) for t in range(k)),
-                        ring.zero(),
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            if poly_det(generic).is_zero():
+    if pm is not None:
+        for a in pm:
+            hit = next((i for i, b in enumerate(pn) if a.d == b.d and _top_epi_exists(a, b)), None)
+            if hit is None:
                 return False
-        # All generic determinants nonzero, so their product is a nonzero
-        # polynomial of degree <= sum d_v = n in each variable. It cannot
-        # vanish on all of {-b..b}^k once 2b + 1 > n (Combinatorial
-        # Nullstellensatz), so the boxes up to b = ceil(n/2) find a witness.
-        for bound in range(1, (M.total + 1) // 2 + 1):
-            for coeffs in itertools.product(range(-bound, bound + 1), repeat=k):
-                if check([f.of_int(c) for c in coeffs]):
-                    return True
-        raise AssertionError("nonzero generic determinant without an invertible integer point")
-    return Unknown
+            pn.pop(hit)
+        return True
+
+    f = M.field
+    span = Echelon(f)
+    tops = [
+        t
+        for t in (_top_map(M, N, b) for b in basis)
+        if span.insert(sparse(f, [x for blk in t.values() for row in blk for x in row])) is not None
+    ]
+    top = zero_rep(M.alg, top_dims(M.alg, M))  # M/JM, semisimple
+
+    def invertible(coeffs) -> bool:
+        return _blocks_invertible(top, _combine_blocks(top, top, tops, list(coeffs)))
+
+    rng = random.Random(limits.seed if seed is None else seed)
+    if any(invertible([f.random(rng) for _ in tops]) for _ in range(limits.iso_tries)):
+        return True
+    sizes = [sum(rank(f, blk) for blk in t.values() if blk) + 1 for t in tops]
+    grid = [[f.of_int(c) for c in range(min(f.order, s) if f.is_finite else s)] for s in sizes]
+    if math.prod(len(s) for s in grid) > limits.iso_enum:
+        return Unknown
+    return any(invertible(c) for c in itertools.product(*grid))
+
+
+def _top_epi_exists(a: Rep, b: Rep) -> bool:
+    """Is there an epimorphism a -> b between local modules with the same
+    top? A map a -> b is onto exactly when its top map is nonzero."""
+    f = a.field
+    return any(
+        not f.is_zero(x)
+        for blocks in hom_basis(a, b)
+        for blk in _top_map(a, b, blocks).values()
+        for row in blk
+        for x in row
+    )
 
 
 # -- submodule enumeration (finite fields) -----------------------------------

@@ -11,7 +11,7 @@ silently flip a verdict.
 Semistable modules factor through chains of stable ones. stable_factors
 extracts such a chain greedily (smallest zero-weight submodule first),
 and two semistable modules are S-equivalent exactly when the resulting
-multisets match up to isomorphism.
+multisets match up to isomorphism, read off hom dimensions (s_equivalent).
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import DEFAULT_LIMITS, SearchLimits
-from .errors import DimensionMismatch, NotSemistable, SingularBlock, Unknown
+from .errors import DimensionMismatch, NotSemistable, SingularBlock
 from .fields import Field, Scalar
 from .linalg import Vector, det
 from .reps import (
     GroupElement,
     Rep,
     _vertex_dims,
-    is_isomorphic,
+    hom_dim,
     quotient_rep,
     sub_rep,
     submodule_spans,
@@ -166,8 +166,10 @@ def _minimal_zero_weight_submodule(M: Rep, theta: Weight, spans: list[list[Vecto
     return best
 
 
-def s_equivalent(M: Rep, N: Rep, theta: Weight, limits: SearchLimits = DEFAULT_LIMITS):
-    """True / False / Unknown: do the stable factor multisets match?"""
+def s_equivalent(M: Rep, N: Rep, theta: Weight, limits: SearchLimits = DEFAULT_LIMITS) -> bool:
+    """Do the stable factor multisets of M and N match? The factors are
+    theta-stable of weight 0, so a nonzero map between two of them is an
+    isomorphism (King 1994): they match exactly when hom_dim(f, g) != 0."""
     if M.d != N.d:
         return False
     fm = stable_factors(M, theta, limits)
@@ -175,17 +177,9 @@ def s_equivalent(M: Rep, N: Rep, theta: Weight, limits: SearchLimits = DEFAULT_L
     if len(fm) != len(fn):
         return False
     remaining = list(fn)
-    saw_unknown = False
     for f in fm:
-        hit = None
-        for i, g in enumerate(remaining):
-            res = is_isomorphic(f, g, limits)
-            if res is True:
-                hit = i
-                break
-            if res is Unknown:
-                saw_unknown = True
+        hit = next((i for i, g in enumerate(remaining) if hom_dim(f, g) != 0), None)
         if hit is None:
-            return Unknown if saw_unknown else False
+            return False
         remaining.pop(hit)
     return True

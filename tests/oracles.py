@@ -19,6 +19,7 @@ from quivermoduli.grass import (
     enumerate_skeleta,
 )
 from quivermoduli.linalg import identity, kernel_basis, span_rref
+from quivermoduli.polys import PolyRing, poly_det
 from quivermoduli.quiver import PathWord
 from quivermoduli.reps import arrow_images_span, hom_basis, hom_dim, radical_layering, sub_rep
 
@@ -302,6 +303,44 @@ def chain_oracle(alg, pieces):
             if all(naive_in_span(f, rad, w) for w in images):
                 return tuple(kernel_dims), v
     return tuple(kernel_dims), None
+
+
+def iso_oracle(M, N) -> bool:
+    """Is some map M -> N an isomorphism, tested on its full vertex blocks?
+
+    Over F_q every map of Hom(M, N) is enumerated, and its blocks' determinants
+    are taken by leibniz_det. Over Q some map is invertible exactly when, for
+    every vertex, the determinant of the generic block, a polynomial in the
+    coefficients on a hom basis (polys.poly_det), is nonzero: their product
+    is then a nonzero polynomial, and Q is infinite."""
+    if M.d != N.d:
+        return False
+    f = M.field
+    basis = hom_basis(M, N)
+    verts = [v for v in M.alg.quiver.vertices if M.dim_at(v)]
+    if f.is_finite:
+
+        def block(coeffs, v):
+            n = M.dim_at(v)
+            return [
+                [f.of_int(sum(c * b[v][i][j] for c, b in zip(coeffs, basis))) for j in range(n)]
+                for i in range(n)
+            ]
+
+        return any(
+            all(leibniz_det(f, block(coeffs, v)) != 0 for v in verts)
+            for coeffs in itertools.product(f.elements(), repeat=len(basis))
+        )
+    ring = PolyRing(f, [f"t{i}" for i in range(len(basis))])
+    for v in verts:
+        n = M.dim_at(v)
+        generic = [
+            [sum((ring.var(t).scale(b[v][i][j]) for t, b in enumerate(basis)), ring.zero()) for j in range(n)]
+            for i in range(n)
+        ]
+        if poly_det(generic).is_zero():
+            return False
+    return True
 
 
 # -- orbits and hom dimensions of Grassmannian points ---------------------------

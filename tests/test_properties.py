@@ -5,6 +5,7 @@ survive base change, and charts of squarefree tops absorb automorphisms."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -28,6 +29,7 @@ from oracles import (
     chain_oracle,
     dense_relation_equations,
     fitting_split_oracle,
+    iso_oracle,
     naive_is_nilpotent,
     naive_mat_mul,
     naive_mat_vec,
@@ -39,7 +41,7 @@ from oracles import (
     sum_of_locals_oracle,
 )
 from quivermoduli import Field, QQ, build_algebra, make_quiver
-from quivermoduli.config import DEFAULT_LIMITS
+from quivermoduli.config import DEFAULT_LIMITS, SearchLimits
 from quivermoduli.degeneration import (
     DegenerationVerdict,
     hom_order_leq,
@@ -402,15 +404,16 @@ def _small_algebra(draw, fields):
     return build_algebra(q, monomials(q, words), f, max_len), 2 if words else 3
 
 
-def _small_rep(draw, alg, cap):
+def _small_rep(draw, alg, cap, d=None):
     f = alg.field
     q = alg.quiver
     lo, hi = (0, f.p - 1) if f.is_finite else (-2, 2)
-    d = draw(
-        st.lists(st.integers(0, cap), min_size=len(q.vertices), max_size=len(q.vertices)).filter(
-            lambda xs: 1 <= sum(xs) <= 4
+    if d is None:
+        d = draw(
+            st.lists(st.integers(0, cap), min_size=len(q.vertices), max_size=len(q.vertices)).filter(
+                lambda xs: 1 <= sum(xs) <= 4
+            )
         )
-    )
     mats = {}
     for a in q.arrows:
         rows, cols = d[a.end - 1], d[a.start - 1]
@@ -595,6 +598,99 @@ def test_decomposition_matches_the_endomorphism_sweep(M):
         assert pieces is NotSumOfLocals
     else:
         assert sorted(p.d for p in pieces) == expected
+
+
+# ------------------------------------- isomorphism against the full blocks
+
+
+NO_TRIES = SearchLimits(iso_tries=0)
+
+
+@st.composite
+def iso_pairs(draw, fields=(Field(2), Field(3), QQ)):
+    """(M, N) with M.d == N.d. M is one module drawn as small_reps draws it,
+    or a direct sum of up to three as in small_sums; N is M under a random
+    base change, or a second draw of the same summand dimension vectors
+    summed in the same order. Hom(M, N) is kept small enough for
+    iso_oracle to sweep."""
+    alg, cap = _small_algebra(draw, fields)
+    parts = [_small_rep(draw, alg, cap) for _ in range(draw(st.integers(1, 3)))]
+    M = functools.reduce(direct_sum, parts)
+    assume(M.total <= 6)
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**16))
+        N = base_change(M, random_group_element(alg.field, M.d, random.Random(seed)))
+    else:
+        N = functools.reduce(direct_sum, [_small_rep(draw, alg, cap, p.d) for p in parts])
+    k = hom_dim(M, N)
+    assume(alg.field.order**k <= 1024 if alg.field.is_finite else k <= 8)
+    return M, N
+
+
+@given(pair=iso_pairs())
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_isomorphism_matches_the_full_block_oracle(pair):
+    # without random tries the grid alone must decide
+    M, N = pair
+    expected = iso_oracle(M, N)
+    assert is_isomorphic(M, N) is expected
+    assert is_isomorphic(M, N, NO_TRIES) is expected
+
+
+def _jordan_pair(alg, *blocks):
+    """The Kronecker module with a1 = 1 and a2 the direct sum of the Jordan
+    blocks J_n(lam), given as (n, lam): not a sum of local modules as soon
+    as some n >= 2."""
+    f = alg.field
+    size = sum(n for n, _ in blocks)
+    a2 = [[f.zero()] * size for _ in range(size)]
+    o = 0
+    for n, lam in blocks:
+        for i in range(n):
+            a2[o + i][o + i] = f.of_int(lam)
+            if i + 1 < n:
+                a2[o + i][o + i + 1] = f.one()
+        o += n
+    ident = [[f.one() if i == j else f.zero() for j in range(size)] for i in range(size)]
+    return Rep(alg, (size, size), {"a1": ident, "a2": a2})
+
+
+# (blocks of M, blocks of N), N = None for a base change of M
+JORDAN_PAIRS = {
+    "J2(1)+J2(0)": (((2, 1), (2, 0)), None),
+    "J2(1)+J2(0) / J2(1)+J2(2)": (((2, 1), (2, 0)), ((2, 1), (2, 2))),
+    "J3(1)+J3(1)": (((3, 1), (3, 1)), None),
+    "J3+J2+J1": (((3, 0), (2, 0), (1, 0)), None),
+    "J3+J3 / J3+J2+J1": (((3, 0), (3, 0)), ((3, 0), (2, 0), (1, 0))),
+    "J2+J2 / J2+J1+J1": (((2, 0), (2, 0)), ((2, 0), (1, 0), (1, 0))),
+}
+
+
+def _jordan_cases():
+    """Every pair over Q, and over F2 and F3 the pairs whose Hom(M, N)
+    iso_oracle sweeps in at most 256 maps."""
+    for field in (Field(2), Field(3), QQ):
+        alg = _kronecker(field)
+        for name, (mb, nb) in JORDAN_PAIRS.items():
+            M = _jordan_pair(alg, *mb)
+            if nb is None:
+                N = base_change(M, random_group_element(field, M.d, random.Random(len(name))))
+            else:
+                N = _jordan_pair(alg, *nb)
+            if not field.is_finite or field.order ** hom_dim(M, N) <= 256:
+                yield pytest.param(M, N, id=f"{name}/{field}")
+
+
+@pytest.mark.parametrize("M, N", _jordan_cases())
+def test_isomorphism_of_jordan_modules_matches_the_full_block_oracle(M, N):
+    assert decompose_local(M.alg, M) is NotSumOfLocals
+    assert decompose_local(N.alg, N) is NotSumOfLocals
+    assert is_isomorphic(M, N) is iso_oracle(M, N)
 
 
 @given(M=small_reps(fields=(Field(2), Field(3), QQ)), data=st.data())

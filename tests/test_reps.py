@@ -17,6 +17,7 @@ from quivermoduli import (
     QQ,
     SearchTooLarge,
     ShapeMismatch,
+    Unknown,
     build_algebra,
     make_quiver,
 )
@@ -200,6 +201,32 @@ def test_hom_asymmetry_obstruction(kronecker):
     M = direct_sum(M0, M1)
     N = direct_sum(M0, M0)
     assert is_isomorphic(M, N) is False
+
+
+def test_local_pieces_decide_what_hom_dimensions_cannot(kronecker_f3):
+    # the four (1,1) points over F3 are pairwise non-isomorphic, so these
+    # sums have the same layering and hom dimensions both ways and in End
+    f = kronecker_f3.field
+    k0, k1, k2 = (kron_point(kronecker_f3, f.of_int(c)) for c in (0, 1, 2))
+    kinf = Rep(kronecker_f3, (1, 1), {"a1": [[f.zero()]], "a2": [[f.one()]]})
+    M = direct_sum(direct_sum(k0, k1), k2)
+    N = direct_sum(direct_sum(k0, k1), kinf)
+    assert hom_dim(M, N) == hom_dim(N, M) == 2 and hom_dim(M, M) == hom_dim(N, N) == 3
+    assert is_isomorphic(M, N) is False
+    g = random_group_element(f, M.d, random.Random(2))
+    assert is_isomorphic(base_change(M, g), direct_sum(k2, direct_sum(k1, k0))) is True
+
+
+def test_a_sum_of_locals_is_not_isomorphic_to_a_module_that_is_not(kronecker_f2):
+    # layering and hom dimensions agree; only the split route tells them apart
+    M = Rep(kronecker_f2, (2, 2), {"a1": [[0, 1], [0, 0]], "a2": [[1, 0], [1, 1]]})
+    N = Rep(kronecker_f2, (2, 2), {"a1": [[0, 0], [1, 0]], "a2": [[1, 0], [1, 1]]})
+    assert decompose_local(kronecker_f2, M) is not NotSumOfLocals
+    assert decompose_local(kronecker_f2, N) is NotSumOfLocals
+    assert radical_layering(kronecker_f2, M) == radical_layering(kronecker_f2, N)
+    assert hom_dim(M, N) == hom_dim(N, M) > 0 and hom_dim(M, M) == hom_dim(N, N)
+    assert is_isomorphic(M, N) is False
+    assert is_isomorphic(N, M) is False
 
 
 def test_base_change_rejects_singular_and_misshapen(loop_bridge):
@@ -474,9 +501,10 @@ def test_rational_residue_root_splits_at_the_first_try(kronecker, monkeypatch, a
     assert calls == [(2, 2)]
 
 
-def test_rational_isomorphism_box_search_is_bounded(kronecker, monkeypatch):
-    # no single basis endomorphism of End(S1^2) = M_2(Q) is invertible and
-    # no random tries are allowed, so only the symbolic fallback can decide
+def test_rational_top_map_grid_decides_without_random_tries(kronecker, monkeypatch):
+    # with no random tries only the grid over the top maps can decide for
+    # the Jordan module, which is not a sum of locals; S1^2 is decided by
+    # its local pieces, and none of them needs a symbolic determinant
     dets = []
     real = polys.poly_det
 
@@ -485,9 +513,22 @@ def test_rational_isomorphism_box_search_is_bounded(kronecker, monkeypatch):
         return real(m)
 
     monkeypatch.setattr(polys, "poly_det", counting)
-    M = zero_rep(kronecker, (2, 0))
-    assert is_isomorphic(M, M, SearchLimits(iso_tries=0)) is True
-    assert dets == [2]
+    no_tries = SearchLimits(iso_tries=0)
+    M = kron_pair(kronecker, [[1, 1], [0, 1]])
+    assert decompose_local(kronecker, M) is NotSumOfLocals
+    g = random_group_element(QQ, M.d, random.Random(5))
+    assert is_isomorphic(M, base_change(M, g), no_tries) is True
+    assert is_isomorphic(M, kron_pair(kronecker, [[2, 1], [0, 2]]), no_tries) is False
+    assert is_isomorphic(M, base_change(M, g), SearchLimits(iso_tries=0, iso_enum=1)) is Unknown
+    # S1 (+) I2, I2 the injective at 2, is not a sum of locals either; its
+    # top maps have rank one, so each needs the values 0 and 1 of its grid
+    f = kronecker.field
+    SI = Rep(kronecker, (3, 1), {"a1": [[f.one(), f.zero(), f.zero()]], "a2": [[f.zero(), f.one(), f.zero()]]})
+    assert decompose_local(kronecker, SI) is NotSumOfLocals
+    assert is_isomorphic(SI, SI, no_tries) is True
+    S = zero_rep(kronecker, (2, 0))
+    assert is_isomorphic(S, S, no_tries) is True
+    assert dets == []
 
 
 def test_rational_trace_form_refutes_a_sum_of_locals(kronecker):

@@ -218,3 +218,19 @@ def test_zero_module_has_no_stability_type(kronecker_f3):
 
     with pytest.raises(ValueError):
         classify_stability(zero_rep(kronecker_f3, (0, 0)), Weight((-1, 1)))
+
+
+def test_s_equivalent_modules_need_not_be_isomorphic(kronecker_f3):
+    # the Jordan module (a1 = 1, a2 = J_2(1)) is a non-split extension of
+    # kron_point(1) by itself: the same stable factors, another module
+    f = kronecker_f3.field
+    one, zero = f.one(), f.zero()
+    J = Rep(
+        kronecker_f3,
+        (2, 2),
+        {"a1": [[one, zero], [zero, one]], "a2": [[one, one], [zero, one]]},
+    )
+    split = direct_sum(kron_point(kronecker_f3, one), kron_point(kronecker_f3, one))
+    theta = Weight((-1, 1))
+    assert s_equivalent(J, split, theta) is True
+    assert is_isomorphic(J, split) is False
