@@ -44,7 +44,6 @@ from .grass import (
     EndoSpace,
     ProjectiveCover,
     SubmodulePoint,
-    _assemble,
     _chart_sweepable,
     _stab_rank,
     chart_equations,
@@ -55,13 +54,13 @@ from .grass import (
     stratum_points,
     submodule_point,
 )
-from .linalg import Vector, kernel_basis, mat_vec, transpose
+from .linalg import Vector, dense, kernel_basis, sparse, transpose
 from .reps import (
     Rep,
+    _graded_span,
     _top_epi_exists,
     decompose_local,
     hom_dim,
-    is_arrow_stable,
     rep_of_projective,
     top_dims,
 )
@@ -135,8 +134,7 @@ def no_proper_topstable_deg(
     """
     if P.top.simple:
         # the refusal coker_rep would give, without building the quotient
-        if not is_arrow_stable(P.rep, C.row_lists()):
-            raise NotSubmodule("subspace is not stable under the arrow action")
+        _graded_span(P.rep, C.row_lists())
     else:
         M = coker_rep(P, C)
     if not in_radical(P, C):
@@ -220,13 +218,12 @@ def one_param_limit(
             raise NotNilpotentDirection(
                 f"direction has degree-zero component {endo.describe(j)}"
             )
-    H = _assemble(endo, coeffs)
 
     # Substituting s = 1/tau and scaling each row by s turns the moving
-    # subspace span{r + tau*H(r)} into span{H(r) + s*r}; the limit is the
+    # subspace span{r + tau*h(r)} into span{h(r) + s*r}; the limit is the
     # fibre at s = 0 of the saturated family.
     pairs: list[tuple[Vector, Vector]] = [
-        (mat_vec(f, H, r), list(r)) for r in C.row_lists()
+        (dense(f, endo.combine(coeffs, sparse(f, r)), P.total), list(r)) for r in C.rows
     ]
     zero = [f.zero()] * P.total
     while True:

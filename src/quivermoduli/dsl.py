@@ -758,17 +758,23 @@ def doc_module(doc: InputDocument, alg: Algebra) -> Rep:
     return M
 
 
+def _copy_index(P: ProjectiveCover, copy: int) -> int:
+    """The index r of the generator z<copy> = z_(r+1) of the cover."""
+    if not 1 <= copy <= len(P.gens):
+        raise TypeMismatch(
+            f"generator z{copy} does not exist: the cover has "
+            f"{len(P.gens)} summands"
+        )
+    return copy - 1
+
+
 def _gen_pairs(P: ProjectiveCover, gen: Generator) -> list[tuple[Element, int]]:
     quiver = P.alg.quiver
     f = P.alg.field
     pairs = []
     for part in gen:
-        if not 1 <= part.copy <= len(P.gens):
-            raise TypeMismatch(
-                f"generator z{part.copy} does not exist: the cover has "
-                f"{len(P.gens)} summands"
-            )
-        pairs.append((element_of(quiver, f, part.terms), part.copy - 1))
+        r = _copy_index(P, part.copy)
+        pairs.append((element_of(quiver, f, part.terms), r))
     return pairs
 
 
@@ -782,12 +788,8 @@ def doc_skeleton(P: ProjectiveCover, doc: InputDocument) -> Skeleton:
         raise TypeMismatch("this command needs a skeleton block")
     elems = []
     for e in doc.skeleton:
-        if not 1 <= e.copy <= len(P.gens):
-            raise TypeMismatch(
-                f"generator z{e.copy} does not exist: the cover has "
-                f"{len(P.gens)} summands"
-            )
-        elems.append((_path_word(P.alg.quiver, e.ref), e.copy - 1))
+        r = _copy_index(P, e.copy)
+        elems.append((_path_word(P.alg.quiver, e.ref), r))
     return make_skeleton(P, elems)
 
 
@@ -797,19 +799,15 @@ def doc_direction(P: ProjectiveCover, endo: EndoSpace, doc: InputDocument) -> li
     alg = P.alg
     f = alg.field
     coeffs = [f.zero()] * endo.dim
-    for r, gen in doc.direction:
-        if not 1 <= r <= len(P.gens):
-            raise TypeMismatch(
-                f"generator z{r} does not exist: the cover has "
-                f"{len(P.gens)} summands"
-            )
+    for copy, gen in doc.direction:
+        r = _copy_index(P, copy)
         for x, s in _gen_pairs(P, gen):
             for u, c in alg.normal_form(x).terms.items():
                 try:
-                    j = endo.coeff_index(r - 1, s, u)
+                    j = endo.coeff_index(r, s, u)
                 except ValueError:
                     raise TypeMismatch(
-                        f"z{r} -> {P.describe((u, s))} is not an endomorphism "
+                        f"z{copy} -> {P.describe((u, s))} is not an endomorphism "
                         f"of the cover"
                     ) from None
                 coeffs[j] = f.add(coeffs[j], c)

@@ -26,33 +26,28 @@ from .errors import (
     IdealNotGraded,
     NotInvertible,
     NotOnChart,
+    NotSubmodule,
     UnsupportedAlgebra,
 )
 from .fields import Scalar
 from .linalg import (
     Echelon,
-    Matrix,
     SparseRow,
     Vector,
     dense,
     is_invertible,
-    kernel_basis,
-    mat_vec,
-    rank,
-    solve,
     span_rref,
     sparse,
-    transpose,
 )
 from .polys import Poly, PolyRing
 from .quiver import Element, PathWord, compose, deglex_key, extend, idempotent
 from .reps import (
     Rep,
     SemisimpleSequence,
+    _graded_span,
     _vertex_dims,
     closure,
     direct_sum,
-    is_arrow_stable,
     quotient_rep,
     radical_layering,
     rep_of_projective,
@@ -260,15 +255,9 @@ def is_grass_point(
     """Is C a submodule of JP with dim P/C = d?"""
     if not in_radical(P, C):
         return False
-    f = P.alg.field
-    rows = C.row_lists()
-    # vertex grading (idempotent stability)
-    span = Echelon.of(f, rows)
-    for row in rows:
-        for v in P.alg.quiver.vertices:
-            if not span.contains(P.rep.project(sparse(f, row), v)):
-                return False
-    if not is_arrow_stable(P.rep, rows):
+    try:
+        _graded_span(P.rep, C.row_lists())
+    except NotSubmodule:
         return False
     return C.dims == tuple(d)
 
@@ -628,29 +617,29 @@ def point_to_coords(
     if pres is None:
         pres = chart_equations(P, sigma)
     f = P.alg.field
-    rows = C.row_lists()
-    if len(rows) + len(sigma) != P.total:
+    n = C.dim
+    if n + len(sigma) != P.total:
         raise NotOnChart("dim C + |sigma| != dim P")
-    stack = rows + [P.unit(b) for b in sigma.elems]
-    if rank(f, [r[:] for r in stack]) != P.total:
+    # sigma's columns go last, so P = C (+) span(sigma) exactly when C's
+    # pivots are the first n columns; the residue of a vector modulo C then
+    # lies in span(sigma) and is the vector's sigma-component
+    sig_cols = [P.index[b] for b in sigma.elems]
+    sig_set = set(sig_cols)
+    order = [i for i in range(P.total) if i not in sig_set] + sig_cols
+    col = {i: k for k, i in enumerate(order)}
+    span = Echelon(f, ({col[i]: x for i, x in enumerate(row) if not f.is_zero(x)} for row in C.rows))
+    if span.pivots() != list(range(n)):
         raise NotOnChart("P is not the direct sum of C and the span of sigma")
-    cols = transpose(stack)
-
-    def sigma_coords(v: Vector) -> list[Scalar]:
-        sol = solve(f, [row[:] for row in cols], v)
-        if sol is None:
-            raise NotOnChart("vector outside C + span(sigma)")
-        return sol[len(rows):]
 
     values = [f.zero()] * len(pres.variables)
     for label, b, entry in pres.generators:
         p, r = b
         q = extend(p, P.alg.quiver.arrow(label))
-        coords = sigma_coords(P.unit((q, r)))
+        res = span.reduce({col[P.index[(q, r)]]: f.one()})
         allowed = {b2: k for b2, k in entry}
         for i, b2 in enumerate(pres.sigma.elems):
-            c = coords[i]
-            if f.is_zero(c):
+            c = res.get(n + i)
+            if c is None:
                 continue
             if b2 not in allowed:
                 raise NotOnChart(
@@ -714,6 +703,16 @@ class EndoSpace:
                 out[k] = f.add(out.get(k, f.zero()), f.mul(x, y))
         return {k: x for k, x in out.items() if not f.is_zero(x)}
 
+    def combine(self, coeffs: list[Scalar], vec: SparseRow) -> SparseRow:
+        """The image of a sparse vector under sum_j coeffs[j] * elems[j]."""
+        f = self.cover.alg.field
+        out: SparseRow = {}
+        for j, c in enumerate(coeffs):
+            if not f.is_zero(c):
+                for k, x in self.apply(j, vec).items():
+                    out[k] = f.add(out.get(k, f.zero()), f.mul(c, x))
+        return {k: x for k, x in out.items() if not f.is_zero(x)}
+
 
 def endo_space(P: ProjectiveCover) -> EndoSpace:
     alg = P.alg
@@ -740,19 +739,6 @@ def endo_space(P: ProjectiveCover) -> EndoSpace:
     deg0 = tuple(j for j, (_, _, u) in enumerate(elems) if u.length == 0)
     torus = tuple(j for j in deg0 if elems[j][0] == elems[j][1])
     return EndoSpace(P, tuple(elems), images, unip, deg0, torus)
-
-
-def _assemble(endo: EndoSpace, coeffs: list[Scalar]) -> Matrix:
-    f = endo.cover.alg.field
-    n = endo.cover.total
-    out = [[f.zero()] * n for _ in range(n)]
-    for c, images in zip(coeffs, endo.images):
-        if f.is_zero(c):
-            continue
-        for col, img in images.items():
-            for i, x in img.items():
-                out[i][col] = f.add(out[i][col], f.mul(c, x))
-    return out
 
 
 def apply_auto(
@@ -782,8 +768,7 @@ def apply_auto(
             blk[copies.index(s)][copies.index(r)] = coeffs[j]
         if copies and not is_invertible(f, blk):
             raise NotInvertible(f"degree-0 block at vertex {v} is singular")
-    F = _assemble(endo, coeffs)
-    return submodule_point(P, [mat_vec(f, F, row) for row in C.row_lists()])
+    return submodule_point(P, [dense(f, endo.combine(coeffs, sparse(f, row)), P.total) for row in C.rows])
 
 
 @dataclass(frozen=True)
@@ -887,28 +872,6 @@ class ModuliVerdict:
     witness: SubmodulePoint | None = None
     witness_endo: tuple[int, int, PathWord] | None = None
     exhaustive: bool = False
-
-
-def _socle_dims(P: ProjectiveCover) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Dimension vectors of JP and of soc(JP) inside P."""
-    f = P.alg.field
-    jp = span_rref(f, [P.unit(b) for b in P.belems if b[0].length >= 1])
-    n = len(jp)
-    rows: list[list[Scalar]] = []
-    for a in P.alg.quiver.arrows:
-        imgs = [dense(f, P.rep.act(a.label, sparse(f, w)), P.total) for w in jp]
-        rows.extend([imgs[j][i] for j in range(n)] for i in range(P.total))
-    ker = kernel_basis(f, rows, ncols=n) if rows else []
-    soc_vecs = []
-    for k in ker:
-        v = [f.zero()] * P.total
-        for j in range(n):
-            if f.is_zero(k[j]):
-                continue
-            for i in range(P.total):
-                v[i] = f.add(v[i], f.mul(k[j], jp[j][i]))
-        soc_vecs.append(v)
-    return _vertex_dims(P.rep, jp), _vertex_dims(P.rep, span_rref(f, soc_vecs))
 
 
 def _chart_sweepable(pres: ChartPresentation, limits: SearchLimits) -> bool:
@@ -1018,14 +981,17 @@ def moduli_report(
     P = projective_cover(alg, top)
     top = P.top
     if top.simple:
-        jp_dims, soc_dims = _socle_dims(P)
+        # e_v JP lies in soc(JP) when no arrow out of v moves a basis path
+        # of length >= 1 from v to v
         v = P.gens[0]
-        if jp_dims[v - 1] == soc_dims[v - 1]:
+        one = alg.field.one()
+        loops = [P.index[b] for b in P.belems if b[0].length >= 1 and b[0].end == v]
+        if not any(P.rep.act(a.label, {i: one}) for i in loops for a in alg.quiver.arrows_out(v)):
             return ModuliVerdict(
                 kind="Fine",
                 reason=(
                     f"top S{v} meets the radical of P only in its socle "
-                    f"(dim {jp_dims[v - 1]} = {soc_dims[v - 1]} at vertex {v}), "
+                    f"(dim {len(loops)} = {len(loops)} at vertex {v}), "
                     f"so every point is an isolated orbit"
                 ),
                 exhaustive=True,

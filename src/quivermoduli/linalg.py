@@ -61,20 +61,6 @@ def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(field: Field, a: Matrix, v: Vector) -> Vector:
-    if a and len(a[0]) != len(v):
-        raise DimensionMismatch("matrix/vector shape mismatch")
-    support = [(j, y) for j, y in enumerate(v) if not field.is_zero(y)]
-    out = []
-    for row in a:
-        s = field.zero()
-        for j, y in support:
-            if not field.is_zero(row[j]):
-                s = field.add(s, field.mul(row[j], y))
-        out.append(s)
-    return out
-
-
 def mat_pow(field: Field, a: Matrix, k: int) -> Matrix:
     n = len(a)
     out = identity(field, n)

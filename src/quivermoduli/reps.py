@@ -16,6 +16,7 @@ import bisect
 import itertools
 import math
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,9 +43,7 @@ from .linalg import (
     kernel_basis,
     mat_mul,
     mat_pow,
-    mat_vec,
     rank,
-    solve,
     space_key,
     span_rref,
     sparse,
@@ -261,13 +260,6 @@ def random_group_element(field: Field, d: tuple[int, ...], rng: random.Random) -
     return GroupElement(blocks)
 
 
-def arrow_images_span(M: Rep, space: list[Vector]) -> list[Vector]:
-    """RREF span of the arrow images of the given global vectors."""
-    f = M.field
-    rows = [sparse(f, w) for w in space]
-    return Echelon(f, (M.act(a.label, w) for w in rows for a in M.alg.quiver.arrows)).rref(M.total)
-
-
 def closure(M: Rep, vecs: list[Vector]) -> list[Vector]:
     """RREF basis of the submodule generated by the given global vectors:
     the span of their vertex components, closed under the arrows."""
@@ -289,6 +281,16 @@ def closure(M: Rep, vecs: list[Vector]) -> list[Vector]:
     return span.rref(M.total)
 
 
+def _by_vertex(M: Rep, coords: Iterable[int]) -> list[list[int]]:
+    """Global coordinates of M sorted into their vertex blocks: entry v - 1
+    lists, in ascending order, those that lie in the block of v."""
+    ends = list(itertools.accumulate(M.d))
+    out: list[list[int]] = [[] for _ in M.d]
+    for i in sorted(coords):
+        out[bisect.bisect_right(ends, i)].append(i)
+    return out
+
+
 def _vertex_dims(M: Rep, space: list[Vector]) -> tuple[int, ...]:
     """Dimension vector of a vertex-graded subspace of M.
 
@@ -297,34 +299,49 @@ def _vertex_dims(M: Rep, space: list[Vector]) -> tuple[int, ...]:
     rows whose pivot lies in the block of v.
     """
     f = M.field
+    pivots = (next(i for i, x in enumerate(w) if not f.is_zero(x)) for w in space)
+    return tuple(map(len, _by_vertex(M, pivots)))
+
+
+def _graded_span(M: Rep, space: list[Vector]) -> Echelon:
+    """The span U of the given vectors, which must be a submodule of M.
+
+    The RREF of a vertex-graded U is the union of the RREFs of its vertex
+    parts e_v*U, and it is unique, so U is graded exactly when each stored
+    row lies in one vertex block; it is a submodule when, besides, every
+    arrow image of a stored row reduces to zero. Raises NotSubmodule
+    otherwise. Every subquotient of M is read off the pivots of U.
+    """
+    f = M.field
+    span = Echelon.of(f, space)
     ends = list(itertools.accumulate(M.d))
-    dims = [0] * len(M.d)
-    for w in space:
-        pivot = next(i for i, x in enumerate(w) if not f.is_zero(x))
-        dims[bisect.bisect_right(ends, pivot)] += 1
-    return tuple(dims)
+    if any(bisect.bisect_right(ends, p) != bisect.bisect_right(ends, max(r)) for p, r in span.rows.items()):
+        raise NotSubmodule("subspace is not graded by the vertices")
+    if any(span.reduce(M.act(a.label, w)) for w in span.rows.values() for a in M.alg.quiver.arrows):
+        raise NotSubmodule("subspace is not stable under the arrow action")
+    return span
 
 
 def radical_layering(alg: Algebra, M: Rep) -> SemisimpleSequence:
-    """Per-layer dimension vectors of J^l M / J^{l+1} M, l = 0..loewy-1."""
-    f = alg.field
-    n = M.total
-    current = span_rref(f, identity(f, n)) if n else []
-    prev = _vertex_dims(M, current)
-    rows = []
+    """Per-layer dimension vectors of J^l M / J^{l+1} M, l = 0..loewy-1.
+
+    J^{l+1} M is spanned by the arrow images of the rows of J^l M, starting
+    from the cached radical JM (_radical), and each J^l M is graded, so its
+    dimension vector counts its pivots per vertex block.
+    """
+    span, prev, rows = _radical(M), M.d, []
     for _ in range(alg.loewy):
-        nxt = arrow_images_span(M, current)
-        nd = _vertex_dims(M, nxt)
-        rows.append(tuple(x - y for x, y in zip(prev, nd)))
-        current, prev = nxt, nd
+        dims = tuple(map(len, _by_vertex(M, span.rows)))
+        rows.append(tuple(x - y for x, y in zip(prev, dims)))
+        prev = dims
+        span = Echelon(alg.field, (M.act(a.label, w) for w in span.rows.values() for a in M.alg.quiver.arrows))
     return tuple(rows)
 
 
 def top_dims(alg: Algebra, M: Rep) -> tuple[int, ...]:
     """Dimension vector of the top M/JM: per vertex, the basis vectors that
     are not pivots of the cached radical (_radical)."""
-    pivots = _radical(M).rows
-    return tuple(sum(M.offset(v) + i not in pivots for i in range(M.dim_at(v))) for v in alg.quiver.vertices)
+    return tuple(n - len(b) for n, b in zip(M.d, _by_vertex(M, _radical(M).rows)))
 
 
 def hom_basis(M: Rep, N: Rep) -> list[dict[int, Matrix]]:
@@ -542,13 +559,6 @@ def submodule_dim_vectors(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> set[
     return {_vertex_dims(M, sp) for sp in submodule_spans(M, limits)}
 
 
-def is_arrow_stable(M: Rep, space: list[Vector]) -> bool:
-    f = M.field
-    rows = [sparse(f, w) for w in space]
-    span = Echelon(f, rows)
-    return all(span.contains(M.act(a.label, w)) for w in rows for a in M.alg.quiver.arrows)
-
-
 # -- annihilators -------------------------------------------------------------
 
 
@@ -594,66 +604,47 @@ def annihilator_dim(alg: Algebra, M: Rep, ideal_gens: list[Element]) -> int:
 # -- subquotients -------------------------------------------------------------
 
 
-def _graded_basis(M: Rep, space: list[Vector]) -> dict[int, list[Vector]]:
-    """Per-vertex bases (block coordinates) of a vertex-graded subspace."""
+def _on_basis(
+    M: Rep,
+    names: list[list[int]],
+    vector: Callable[[int], SparseRow],
+    coords: Callable[[SparseRow], SparseRow],
+) -> Rep:
+    """The Rep on per-vertex bases of a subquotient of M. Each basis vector
+    is named by one global coordinate i, names[v - 1] lists those at v, and
+    vector(i) is its representative in M; the coordinates of a class are the
+    entries of coords(representative) at the names."""
     f = M.field
-    out = {}
-    for v in M.alg.quiver.vertices:
-        o, n = M.offset(v), M.dim_at(v)
-        proj = [w[o : o + n] for w in space]
-        out[v] = span_rref(f, proj) if n else []
-    return out
+    mats = {}
+    for a in M.alg.quiver.arrows:
+        rows, cols = names[a.end - 1], names[a.start - 1]
+        m = zeros(f, len(rows), len(cols))
+        for j, i in enumerate(cols):
+            img = coords(M.act(a.label, vector(i)))
+            for r, k in enumerate(rows):
+                if k in img:
+                    m[r][j] = img[k]
+        mats[a.label] = m
+    return Rep(M.alg, tuple(map(len, names)), mats)
 
 
 def sub_rep(M: Rep, space: list[Vector]) -> Rep:
-    """The submodule on the given arrow-stable graded subspace, as a Rep on
-    per-vertex RREF bases. Raises NotSubmodule when not arrow-stable."""
-    f = M.field
-    if not is_arrow_stable(M, space):
-        raise NotSubmodule("subspace is not stable under the arrow action")
-    bases = _graded_basis(M, space)
-    d = tuple(len(bases[v]) for v in M.alg.quiver.vertices)
-    mats = {}
-    for a in M.alg.quiver.arrows:
-        cols = []
-        for w in bases[a.start]:
-            img = mat_vec(f, M.mats[a.label], w)
-            if not bases[a.end]:
-                if any(not f.is_zero(x) for x in img):
-                    raise NotSubmodule("arrow image leaves the subspace")
-                cols.append([])
-                continue
-            sol = solve(f, transpose(bases[a.end]), img)
-            if sol is None:
-                raise NotSubmodule("arrow image leaves the subspace")
-            cols.append(sol)
-        mats[a.label] = [list(row) for row in zip(*cols)] if cols and bases[a.end] else zeros(f, d[a.end - 1], d[a.start - 1])
-    return Rep(M.alg, d, mats)
+    """The submodule U spanned by the given vectors, on the RREF basis of
+    each e_v*U. A basis vector is named by its pivot, and a vector of U has
+    its coordinates at the pivots. Raises NotSubmodule (_graded_span)."""
+    span = _graded_span(M, space)
+    return _on_basis(M, _by_vertex(M, span.rows), lambda p: span.rows[p], lambda w: w)
 
 
 def quotient_rep(M: Rep, space: list[Vector]) -> Rep:
-    """M / (arrow-stable graded subspace), on coset bases of non-pivot
-    coordinates per vertex block."""
-    f = M.field
-    if not is_arrow_stable(M, space):
-        raise NotSubmodule("subspace is not stable under the arrow action")
-    bases = _graded_basis(M, space)
-    spans = {v: Echelon.of(f, bases[v]) for v in bases}
-    keep = {v: [i for i in range(M.dim_at(v)) if i not in spans[v].rows] for v in bases}
-    d = tuple(len(keep[v]) for v in M.alg.quiver.vertices)
-
-    def project(v: int, blockvec: Vector) -> Vector:
-        res = spans[v].reduce(sparse(f, blockvec))
-        return [res.get(i, f.zero()) for i in keep[v]]
-
-    mats = {}
-    for a in M.alg.quiver.arrows:
-        cols = []
-        for i in keep[a.start]:
-            img = [row[i] for row in M.mats[a.label]]
-            cols.append(project(a.end, img))
-        mats[a.label] = [list(row) for row in zip(*cols)] if cols and d[a.end - 1] else zeros(f, d[a.end - 1], d[a.start - 1])
-    return Rep(M.alg, d, mats)
+    """M / U for the submodule U spanned by the given vectors, on the
+    classes of the unit vectors off U's pivots; a class has its coordinates
+    at those positions of its residue modulo U, as in _top_map. Raises
+    NotSubmodule (_graded_span)."""
+    span = _graded_span(M, space)
+    one = M.field.one()
+    keep = _by_vertex(M, (i for i in range(M.total) if i not in span.rows))
+    return _on_basis(M, keep, lambda i: {i: one}, span.reduce)
 
 
 # -- local decomposition ------------------------------------------------------

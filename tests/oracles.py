@@ -18,10 +18,10 @@ from quivermoduli.grass import (
     coords_to_point,
     enumerate_skeleta,
 )
-from quivermoduli.linalg import identity, kernel_basis, span_rref
+from quivermoduli.linalg import Echelon, dense, identity, kernel_basis, solve, span_rref, sparse, transpose, zeros
 from quivermoduli.polys import PolyRing, poly_det
 from quivermoduli.quiver import PathWord
-from quivermoduli.reps import arrow_images_span, hom_basis, hom_dim, radical_layering, sub_rep
+from quivermoduli.reps import Rep, _vertex_dims, hom_basis, hom_dim, radical_layering, sub_rep
 
 
 # -- textbook linear algebra, sharing nothing with quivermoduli.linalg ---------
@@ -192,6 +192,95 @@ def brute_force_submodule_dims(M) -> set[tuple[int, ...]]:
             dims.append(naive_rank(f, proj) if proj and M.dim_at(vert) else 0)
         out.add(tuple(dims))
     return out
+
+
+# -- subquotients by the dense routes ---------------------------------------------
+
+
+def arrow_images_span(M, space):
+    """RREF span of the arrow images of the given global vectors."""
+    f = M.field
+    rows = [sparse(f, w) for w in space]
+    return Echelon(f, (M.act(a.label, w) for w in rows for a in M.alg.quiver.arrows)).rref(M.total)
+
+
+def graded_basis_oracle(M, space):
+    """Per-vertex RREF bases, in block coordinates, of the projections of a
+    vertex-graded subspace to the vertex blocks."""
+    f = M.field
+    return {v: span_rref(f, [M.block(w, v) for w in space]) if M.dim_at(v) else [] for v in M.alg.quiver.vertices}
+
+
+def sub_rep_oracle(M, space):
+    """The submodule on a graded, arrow-stable subspace, on the per-vertex
+    bases of graded_basis_oracle: each arrow image is a dense block product,
+    and its coordinates come from one linear solve against the basis."""
+    f = M.field
+    bases = graded_basis_oracle(M, space)
+    d = tuple(len(bases[v]) for v in M.alg.quiver.vertices)
+    mats = {}
+    for a in M.alg.quiver.arrows:
+        cols = []
+        for w in bases[a.start]:
+            img = naive_mat_vec(f, M.mats[a.label], w)
+            cols.append(solve(f, transpose(bases[a.end]), img) if bases[a.end] else [])
+        mats[a.label] = [list(row) for row in zip(*cols)] if cols and bases[a.end] else zeros(f, d[a.end - 1], d[a.start - 1])
+    return Rep(M.alg, d, mats)
+
+
+def quotient_rep_oracle(M, space):
+    """M modulo a graded, arrow-stable subspace, vertex by vertex: the classes
+    of the block unit vectors off the pivots of each per-vertex basis, with a
+    class's coordinates read off its residue modulo that basis."""
+    f = M.field
+    bases = graded_basis_oracle(M, space)
+    spans = {v: Echelon.of(f, bases[v]) for v in bases}
+    keep = {v: [i for i in range(M.dim_at(v)) if i not in spans[v].rows] for v in bases}
+    d = tuple(len(keep[v]) for v in M.alg.quiver.vertices)
+    mats = {}
+    for a in M.alg.quiver.arrows:
+        cols = []
+        for i in keep[a.start]:
+            res = spans[a.end].reduce(sparse(f, [row[i] for row in M.mats[a.label]]))
+            cols.append([res.get(k, f.zero()) for k in keep[a.end]])
+        mats[a.label] = [list(row) for row in zip(*cols)] if cols and d[a.end - 1] else zeros(f, d[a.end - 1], d[a.start - 1])
+    return Rep(M.alg, d, mats)
+
+
+def radical_layering_oracle(alg, M):
+    """Per-layer dimension vectors of J^l M / J^(l+1) M from dense RREF
+    spans: J^(l+1) M is arrow_images_span of J^l M, starting from M."""
+    f = alg.field
+    current = span_rref(f, identity(f, M.total)) if M.total else []
+    prev = _vertex_dims(M, current)
+    rows = []
+    for _ in range(alg.loewy):
+        nxt = arrow_images_span(M, current)
+        nd = _vertex_dims(M, nxt)
+        rows.append(tuple(x - y for x, y in zip(prev, nd)))
+        current, prev = nxt, nd
+    return tuple(rows)
+
+
+def socle_dims_oracle(P):
+    """Dimension vectors of JP and of soc(JP) inside P: soc(JP) is the
+    kernel of the stacked arrow matrices on the RREF basis of JP."""
+    f = P.alg.field
+    jp = span_rref(f, [P.unit(b) for b in P.belems if b[0].length >= 1])
+    n = len(jp)
+    rows = []
+    for a in P.alg.quiver.arrows:
+        imgs = [dense(f, P.rep.act(a.label, sparse(f, w)), P.total) for w in jp]
+        rows.extend([imgs[j][i] for j in range(n)] for i in range(P.total))
+    ker = kernel_basis(f, rows, ncols=n) if rows else []
+    soc = []
+    for k in ker:
+        v = [f.zero()] * P.total
+        for j in range(n):
+            for i in range(P.total):
+                v[i] = f.add(v[i], f.mul(k[j], jp[j][i]))
+        soc.append(v)
+    return _vertex_dims(P.rep, jp), _vertex_dims(P.rep, span_rref(f, soc))
 
 
 def fitting_split_oracle(M, blocks):

@@ -46,3 +46,58 @@ def test_the_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path.read_text()) == [], path.name
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _references(tree: ast.Module, skip: ast.stmt | None = None) -> set[str]:
+    """Names a module reads outside the top-level statement ``skip``: names,
+    attributes, imported names, and string constants that are dotted names
+    (getattr, monkeypatch and the traced-name snapshot name functions so)."""
+    out: set[str] = set()
+    for stmt in tree.body:
+        if stmt is skip:
+            continue
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                out.update(a.name for a in n.names)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                parts = n.value.split(".")
+                if all(p.isidentifier() for p in parts):
+                    out.update(parts)
+    return out
+
+
+def _unreferenced_definitions(sources: dict[str, str], package: set[str]) -> list[str]:
+    """Top-level defs and classes of the files in ``package`` that no file
+    references, their own bodies aside, as "file:name"."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    out = []
+    for name in sorted(package):
+        tree = trees[name]
+        others = set().union(*(_references(t) for n, t in trees.items() if n != name))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if stmt.name not in others and stmt.name not in _references(tree, skip=stmt):
+                    out.append(f"{name}:{stmt.name}")
+    return out
+
+
+def test_the_scan_flags_an_unreferenced_definition():
+    sources = {
+        "a.py": "def used(): pass\ndef dead(): return dead()\nclass Old: pass\n",
+        "b.py": "from a import used\nused()\nx = getattr(m, 'pkg.Old')\n",
+    }
+    assert _unreferenced_definitions(sources, {"a.py"}) == ["a.py:dead"]
+
+
+def test_every_package_definition_has_a_reference():
+    files = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    sources = {f"{p.parent.name}/{p.name}": p.read_text() for p in files}
+    package = {f"{SRC.name}/{p.name}" for p in SRC.glob("*.py")}
+    assert _unreferenced_definitions(sources, package) == []

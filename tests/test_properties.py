@@ -23,6 +23,7 @@ from conftest import (
     two_loop_two_arrow_algebra,
 )
 from oracles import (
+    arrow_images_span,
     brute_force_skeleta,
     brute_force_submodule_dims,
     brute_force_submodule_spans,
@@ -36,8 +37,12 @@ from oracles import (
     naive_orbit_dim,
     naive_rank,
     plain_stratum_points,
+    quotient_rep_oracle,
     radical_hom_dims_oracle,
+    radical_layering_oracle,
     skeleta_of_point_oracle,
+    socle_dims_oracle,
+    sub_rep_oracle,
     sum_of_locals_oracle,
 )
 from quivermoduli import Field, QQ, build_algebra, make_quiver
@@ -60,6 +65,7 @@ from quivermoduli.grass import (
     enumerate_skeleta,
     is_grass_point,
     make_skeleton,
+    moduli_report,
     orbit_dims,
     point_from_generators,
     point_to_coords,
@@ -76,13 +82,13 @@ from quivermoduli.reps import (
     _combine_blocks,
     _split_once,
     _vertex_dims,
-    arrow_images_span,
     base_change,
     decompose_local,
     direct_sum,
     hom_basis,
     hom_dim,
     is_isomorphic,
+    quotient_rep,
     radical_layering,
     random_group_element,
     rep_of_projective,
@@ -482,6 +488,23 @@ def test_vertex_dims_count_the_pivots_of_a_graded_subspace(M, data):
     assert _vertex_dims(M, space) == expected
 
 
+def _same_rep(A, B):
+    return A.d == B.d and A.mats == B.mats
+
+
+@given(M=small_reps())
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_subquotients_match_the_dense_routes_on_every_submodule(M):
+    for space in submodule_spans(M):
+        assert _same_rep(sub_rep(M, space), sub_rep_oracle(M, space))
+        assert _same_rep(quotient_rep(M, space), quotient_rep_oracle(M, space))
+
+
 # ----------------------------------------------------- Fitting split oracle
 
 
@@ -526,9 +549,9 @@ LOCAL_POOLS = [pool for field in (Field(2), Field(3), QQ) for pool in _local_poo
 
 
 @st.composite
-def sums_of_locals(draw):
+def sums_of_locals(draw, pools=LOCAL_POOLS):
     """(algebra, summands, their direct sum under a random base change)."""
-    alg, pool = draw(st.sampled_from(LOCAL_POOLS))
+    alg, pool = draw(st.sampled_from(pools))
     summands = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
     assume(sum(sum(N.d) for N in summands) <= 9)
     M = summands[0]
@@ -598,6 +621,32 @@ def test_decomposition_matches_the_endomorphism_sweep(M):
         assert pieces is NotSumOfLocals
     else:
         assert sorted(p.d for p in pieces) == expected
+
+
+@given(case=sums_of_locals(pools=[pool for pool in LOCAL_POOLS if not pool[0].field.is_finite]))
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_subquotients_match_the_dense_routes_on_the_split_pieces_over_q(case):
+    # every space the split route cuts a sum of locals over Q into
+    alg, summands, M = case
+    assume(len(summands) >= 2)
+    spaces = []
+
+    def recording(N, space):
+        spaces.append((N, space))
+        return sub_rep(N, space)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reps, "sub_rep", recording)
+        decompose_local(alg, M)
+    assert len(spaces) == 2 * (len(summands) - 1)
+    for N, space in spaces:
+        assert _same_rep(sub_rep(N, space), sub_rep_oracle(N, space))
+        assert _same_rep(quotient_rep(N, space), quotient_rep_oracle(N, space))
 
 
 # ------------------------------------- isomorphism against the full blocks
@@ -916,6 +965,39 @@ def test_orbit_dims_match_the_dense_oracle(case):
         (od.graded, endo.degree0),
     ):
         assert got == naive_orbit_dim(P, C, [endo.elems[j] for j in subset]), name
+
+
+@given(case=chart_points())
+@_CHART_POINT_SETTINGS
+def test_cokernels_match_the_dense_quotient_and_layering(case):
+    name, P, C = case
+    M = coker_rep(P, C)
+    assert _same_rep(M, quotient_rep_oracle(P.rep, C.row_lists())), name
+    assert radical_layering(P.alg, M) == radical_layering_oracle(P.alg, M), name
+
+
+def test_socle_verdict_matches_the_socle_dimensions():
+    # for a simple top S_v, moduli_report's socle test must hold exactly
+    # when e_v JP and e_v soc(JP) have the same dimension
+    fine = []
+    for field in (Field(2), Field(3), QQ):
+        for alg in (
+            _kronecker(field),
+            loop_bridge_over(field),
+            _star3(field),
+            cycle_flag_algebra(field),
+            double_loop_algebra(field),
+            two_loop_two_arrow_algebra(field),
+        ):
+            for v in alg.quiver.vertices:
+                top = tuple(int(u == v) for u in alg.quiver.vertices)
+                jp, soc = socle_dims_oracle(projective_cover(alg, top))
+                reason = moduli_report(alg, top, 0).reason
+                assert ("socle" in reason) == (jp[v - 1] == soc[v - 1]), (alg, v)
+                if "socle" in reason:
+                    assert f"(dim {jp[v - 1]} = {soc[v - 1]} at vertex {v})" in reason
+                fine.append("socle" in reason)
+    assert (len(fine), sum(fine)) == (42, 33)
 
 
 # ------------------------------------------------------------- document texts

@@ -341,6 +341,20 @@ def test_sub_rep_rejects_unstable_subspace(loop_bridge):
         sub_rep(P, line)
 
 
+def test_subquotients_reject_an_arrow_stable_subspace_that_is_not_graded():
+    # S1 (+) S2 over 1 -> 2 with a = 0: the diagonal line is stable under
+    # the arrow but not under the idempotents, so it is no submodule
+    f = Field(3)
+    q = make_quiver(2, [("a", 1, 2)])
+    alg = build_algebra(q, [], f, 2)
+    M = Rep(alg, (1, 1), {"a": [[f.zero()]]})
+    diagonal = [[f.one(), f.one()]]
+    with pytest.raises(NotSubmodule, match="not graded"):
+        sub_rep(M, diagonal)
+    with pytest.raises(NotSubmodule, match="not graded"):
+        quotient_rep(M, diagonal)
+
+
 # -- ideals and annihilators ----------------------------------------------------
 
 
