@@ -62,6 +62,7 @@ from .reps import (
     decompose_local,
     hom_dim,
     rep_of_projective,
+    simple_rep,
     top_dims,
 )
 
@@ -264,8 +265,6 @@ def hom_order_leq(M: Rep, N: Rep, tests: list[Rep] | None = None) -> bool:
     if M.d != N.d:
         raise DimensionMismatch(f"dimension vectors differ: {M.d} vs {N.d}")
     if tests is None:
-        from .reps import simple_rep
-
         alg = M.alg
         tests = [rep_of_projective(alg, v) for v in alg.quiver.vertices]
         tests += [simple_rep(alg, v) for v in alg.quiver.vertices]

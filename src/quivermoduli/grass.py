@@ -397,6 +397,16 @@ def skeleta_of_point(
     return _grow_skeleta(P, C.dims, S, Echelon.of(P.alg.field, C.rows))
 
 
+#: A residue over a skeleton: its nonzero entries, by member of the skeleton.
+Residue = dict[BElem, Poly]
+
+
+def _add_row(out: Residue, row: Residue, k: Poly) -> None:
+    """out += k * row, entry by entry; entries that cancel stay as zeros."""
+    for b, e in row.items():
+        out[b] = out[b] + e * k if b in out else e * k
+
+
 @dataclass(eq=False)
 class ChartPresentation:
     """The affine chart of a skeleton: coordinates and defining equations.
@@ -405,11 +415,11 @@ class ChartPresentation:
     congruence for the arrow-image of b; generators lists, per off-skeleton
     arrow-image, the generic generator alpha*b - sum c_{b'} b' of the point.
     residues maps every basis element of P to its generic expansion over the
-    skeleton, so points are recovered by pure evaluation. For a monomial
-    ideal, pinned lists the variables (a, b, b') with |b'| = |b| + 1 and b'
-    after a*b in belem_key order: the points whose first skeleton is sigma
-    are those where all of them vanish (see stratum_points). Otherwise it
-    is empty.
+    skeleton, a sparse row with no zero entries, so points are recovered by
+    evaluating the stored entries alone. For a monomial ideal, pinned lists
+    the variables (a, b, b') with |b'| = |b| + 1 and b' after a*b in
+    belem_key order: the points whose first skeleton is sigma are those
+    where all of them vanish (see stratum_points). Otherwise it is empty.
     """
 
     cover: ProjectiveCover
@@ -418,7 +428,7 @@ class ChartPresentation:
     variables: tuple[tuple[str, BElem, BElem], ...]
     equations: tuple[Poly, ...]
     generators: tuple[tuple[str, BElem, tuple[tuple[BElem, int], ...]], ...]
-    residues: dict[BElem, list[Poly]]
+    residues: dict[BElem, Residue]
     pinned: tuple[int, ...]
 
     @property
@@ -431,7 +441,7 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
     quiver = alg.quiver
     f = alg.field
     sig_list = list(sigma.elems)
-    sig_pos = {b: i for i, b in enumerate(sig_list)}
+    sig_set = set(sig_list)
 
     variables: list[tuple[str, BElem, BElem]] = []
     var_of: dict[tuple[str, BElem], list[tuple[BElem, int]]] = {}
@@ -442,7 +452,7 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
         p, r = b
         for a in quiver.arrows_out(p.end):
             q = extend(p, a)
-            if q not in alg.basis_index or (q, r) in sig_pos:
+            if q not in alg.basis_index or (q, r) in sig_set:
                 continue
             targets = [
                 b2
@@ -460,86 +470,46 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
             generators.append((a.label, b, tuple(entry)))
 
     ring = PolyRing(f, [f"c{k + 1}" for k in range(len(variables))])
+    one = ring.one()
+    rho_memo: dict[BElem, Residue] = {}
+    busy: set[BElem] = set()
 
-    def unit_vec(b: BElem) -> list[Poly]:
-        vec = [ring.zero() for _ in sig_list]
-        vec[sig_pos[b]] = ring.one()
-        return vec
-
-    col_memo: dict[tuple[str, BElem], list[Poly]] = {}
-    rho_memo: dict[BElem, list[Poly]] = {}
-    busy: set[tuple] = set()
-
-    def rho(b: BElem) -> list[Poly]:
-        if b in sig_pos:
-            return unit_vec(b)
+    def rho(b: BElem) -> Residue:
+        """The generic expansion of b over sigma."""
+        if b in sig_set:
+            return {b: one}
         if b in rho_memo:
             return rho_memo[b]
         p, r = b
-        if not any(b2[0].end == p.end and b2[0].length >= p.length for b2 in sig_list):
+        parent = (p.initial(p.length - 1, quiver), r)
+        label = p.last_arrow()
+        if parent in sig_set:
+            out = {b2: ring.var(k) for b2, k in var_of[(label, parent)]}
+        elif not any(b2[0].end == p.end and b2[0].length >= p.length for b2 in sig_list):
             # the class of b lies in J^l(P/C)e_v, l = |b| and v its end, and
             # the members of sigma of length >= l at v are a basis of it
-            rho_memo[b] = [ring.zero() for _ in sig_list]
-            return rho_memo[b]
-        key = ("rho", b)
-        if key in busy:
-            raise UnsupportedAlgebra("cyclic reduction while expanding chart residues")
-        busy.add(key)
-        parent = (p.initial(p.length - 1, quiver), r)
-        a = quiver.arrow(p.last_arrow())
-        if parent in sig_pos:
-            out = column(a.label, parent)
+            out = {}
         else:
-            out = apply_column(a.label, rho(parent))
-        busy.discard(key)
+            if b in busy:
+                raise UnsupportedAlgebra("cyclic reduction while expanding chart residues")
+            busy.add(b)
+            out = push(label, rho(parent))
+            busy.discard(b)
         rho_memo[b] = out
         return out
 
-    def column(label: str, b: BElem) -> list[Poly]:
-        """Generic action of one arrow on a skeleton element, over sigma."""
-        key = (label, b)
-        if key in col_memo:
-            return col_memo[key]
-        guard = ("col", label, b)
-        if guard in busy:
-            raise UnsupportedAlgebra("cyclic reduction while expanding chart residues")
-        busy.add(guard)
-        p, r = b
-        q = extend(p, quiver.arrow(label))
-        out = [ring.zero() for _ in sig_list]
-        if q in alg.basis_index:
-            if (q, r) in sig_pos:
-                out[sig_pos[(q, r)]] = ring.one()
-            else:
-                for b2, k in var_of[(label, b)]:
-                    out[sig_pos[b2]] = out[sig_pos[b2]] + ring.var(k)
-        else:
-            for w, c in alg.nf_path(q).items():
-                vec = rho((w, r))
-                for i, entry in enumerate(vec):
-                    out[i] = out[i] + entry.scale(c)
-        busy.discard(guard)
-        col_memo[key] = out
-        return out
-
-    def apply_column(label: str, vec: list[Poly]) -> list[Poly]:
-        out = [ring.zero() for _ in sig_list]
+    def push(label: str, row: Residue) -> Residue:
+        """The arrow applied to a row over sigma, expanded over sigma again."""
         arrow = quiver.arrow(label)
-        for j, coeff in enumerate(vec):
-            if coeff.is_zero():
+        out: Residue = {}
+        for (p, r), coeff in row.items():
+            if p.end != arrow.start:
                 continue
-            bj = sig_list[j]
-            if bj[0].end != arrow.start:
-                continue
-            cvec = column(label, bj)
-            for i, entry in enumerate(cvec):
-                if not entry.is_zero():
-                    out[i] = out[i] + entry * coeff
-        return out
+            for w, c in alg.nf_path(extend(p, arrow)).items():
+                _add_row(out, rho((w, r)), coeff.scale(c))
+        return {b2: e for b2, e in out.items() if not e.is_zero()}
 
-    residues: dict[BElem, list[Poly]] = {}
-    for b in sorted(P.belems, key=lambda t: t[0].length):
-        residues[b] = rho(b)
+    residues = {b: rho(b) for b in sorted(P.belems, key=lambda t: t[0].length)}
 
     # one equation per nonzero entry of each relation's action on sigma,
     # relation by relation, column by column, deduplicated up to scalars;
@@ -548,15 +518,15 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
     seen = set()
     for rel in alg.relations:
         for b in sig_list:
-            total = [ring.zero() for _ in sig_list]
+            total: Residue = {}
             for p, c in rel.terms.items():
-                vec = unit_vec(b)
+                row = {b: one}
                 for label in p.arrows:
-                    vec = apply_column(label, vec)
-                for i, entry in enumerate(vec):
-                    total[i] = total[i] + entry.scale(c)
-            for e in total:
-                if e.is_zero():
+                    row = push(label, row)
+                _add_row(total, row, ring.const(c))
+            for b2 in sig_list:
+                e = total.get(b2)
+                if e is None or e.is_zero():
                     continue
                 key = e.monic_key()
                 if key not in seen:
@@ -599,8 +569,8 @@ def coords_to_point(pres: ChartPresentation, values) -> SubmodulePoint:
         if b in sig_set:
             continue
         vec = P.unit(b)
-        for i, b2 in enumerate(pres.sigma.elems):
-            c = pres.residues[b][i].eval(vals)
+        for b2, e in pres.residues[b].items():
+            c = e.eval(vals)
             if not f.is_zero(c):
                 vec[P.index[b2]] = f.sub(vec[P.index[b2]], c)
         rows.append(vec)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from quivermoduli.errors import EquationsViolated
+from quivermoduli.errors import EquationsViolated, UnsupportedAlgebra
 from quivermoduli.fields import Field
 from quivermoduli.grass import (
     _chart_points,
@@ -524,12 +524,134 @@ def skeleta_of_point_oracle(P, C) -> list:
     ]
 
 
+def dense_chart_residues(P, sigma):
+    """(residues, equations, pinned) of the chart of sigma, built the dense
+    way: every residue is a list with one Poly per member of sigma, and two
+    mutually recursive expanders act on them. rho(b) expands a basis
+    element over sigma; column(a, b) is the generic action of the arrow a
+    on a member b of sigma, and apply_column pushes a whole residue through
+    a. Each keeps its own memo and cycle guard, and a cycle raises
+    UnsupportedAlgebra. The variables are numbered as in chart_equations."""
+    alg = P.alg
+    quiver = alg.quiver
+    sig_list = list(sigma.elems)
+    sig_pos = {b: i for i, b in enumerate(sig_list)}
+
+    nvars = 0
+    var_of = {}
+    pinned = []
+    for b in sig_list:
+        p, r = b
+        for a in quiver.arrows_out(p.end):
+            q = PathWord(p.start, p.arrows + (a.label,), a.end)
+            if q not in alg.basis_index or (q, r) in sig_pos:
+                continue
+            entry = []
+            for b2 in sig_list:
+                if b2[0].end != a.end or b2[0].length < q.length:
+                    continue
+                if alg.is_monomial() and b2[0].length == q.length and P.belem_key(b2) > P.belem_key((q, r)):
+                    pinned.append(nvars)
+                entry.append((b2, nvars))
+                nvars += 1
+            var_of[(a.label, b)] = entry
+    ring = PolyRing(alg.field, [f"c{k + 1}" for k in range(nvars)])
+
+    def unit_vec(b):
+        vec = [ring.zero() for _ in sig_list]
+        vec[sig_pos[b]] = ring.one()
+        return vec
+
+    col_memo = {}
+    rho_memo = {}
+    busy = set()
+
+    def rho(b):
+        if b in sig_pos:
+            return unit_vec(b)
+        if b in rho_memo:
+            return rho_memo[b]
+        p, r = b
+        if not any(b2[0].end == p.end and b2[0].length >= p.length for b2 in sig_list):
+            rho_memo[b] = [ring.zero() for _ in sig_list]
+            return rho_memo[b]
+        key = ("rho", b)
+        if key in busy:
+            raise UnsupportedAlgebra("cyclic reduction while expanding chart residues")
+        busy.add(key)
+        parent = (p.initial(p.length - 1, quiver), r)
+        label = p.last_arrow()
+        if parent in sig_pos:
+            out = column(label, parent)
+        else:
+            out = apply_column(label, rho(parent))
+        busy.discard(key)
+        rho_memo[b] = out
+        return out
+
+    def column(label, b):
+        key = (label, b)
+        if key in col_memo:
+            return col_memo[key]
+        guard = ("col", label, b)
+        if guard in busy:
+            raise UnsupportedAlgebra("cyclic reduction while expanding chart residues")
+        busy.add(guard)
+        p, r = b
+        a = quiver.arrow(label)
+        q = PathWord(p.start, p.arrows + (label,), a.end)
+        out = [ring.zero() for _ in sig_list]
+        if q in alg.basis_index:
+            if (q, r) in sig_pos:
+                out[sig_pos[(q, r)]] = ring.one()
+            else:
+                for b2, k in var_of[(label, b)]:
+                    out[sig_pos[b2]] = out[sig_pos[b2]] + ring.var(k)
+        else:
+            for w, c in alg.nf_path(q).items():
+                for i, entry in enumerate(rho((w, r))):
+                    out[i] = out[i] + entry.scale(c)
+        busy.discard(guard)
+        col_memo[key] = out
+        return out
+
+    def apply_column(label, vec):
+        out = [ring.zero() for _ in sig_list]
+        start = quiver.arrow(label).start
+        for j, coeff in enumerate(vec):
+            if coeff.is_zero() or sig_list[j][0].end != start:
+                continue
+            for i, entry in enumerate(column(label, sig_list[j])):
+                if not entry.is_zero():
+                    out[i] = out[i] + entry * coeff
+        return out
+
+    residues = {b: rho(b) for b in sorted(P.belems, key=lambda t: t[0].length)}
+    equations = []
+    seen = set()
+    for rel in alg.relations:
+        for b in sig_list:
+            total = [ring.zero() for _ in sig_list]
+            for p, c in rel.terms.items():
+                vec = unit_vec(b)
+                for label in p.arrows:
+                    vec = apply_column(label, vec)
+                for i, entry in enumerate(vec):
+                    total[i] = total[i] + entry.scale(c)
+            for e in total:
+                if not e.is_zero() and e.monic_key() not in seen:
+                    seen.add(e.monic_key())
+                    equations.append(e)
+    return residues, equations, pinned
+
+
 def dense_relation_equations(pres) -> list:
     """Chart equations from dense products of polynomial matrices.
 
     The matrix of each arrow on the skeleton is read off pres.residues: its
     column at b is the residue of the arrow-image of b, through the normal
-    form when that image is not a basis path. Each relation is the sum of
+    form when that image is not a basis path, with each sparse entry in the
+    row of its member's position in sigma. Each relation is the sum of
     the products along its words, the empty word being the identity; every
     nonzero entry, relation by relation, column by column and row by row,
     is an equation unless a scalar multiple came before."""
@@ -542,6 +664,7 @@ def dense_relation_equations(pres) -> list:
     def zero_matrix():
         return [[ring.zero() for _ in range(n)] for _ in range(n)]
 
+    pos = {b: i for i, b in enumerate(sig)}
     mats = {}
     for a in alg.quiver.arrows:
         m = zero_matrix()
@@ -550,7 +673,8 @@ def dense_relation_equations(pres) -> list:
                 continue
             q = PathWord(p.start, p.arrows + (a.label,), a.end)
             for w, c in alg.nf_path(q).items():
-                for i, entry in enumerate(pres.residues[(w, r)]):
+                for b2, entry in pres.residues[(w, r)].items():
+                    i = pos[b2]
                     m[i][j] = m[i][j] + entry.scale(c)
         mats[a.label] = m
 

@@ -25,7 +25,7 @@ from quivermoduli.cli import COMMANDS, main
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "scripts" / "inputs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-DOCUMENTS = ("kronecker_stability.qm", "loop_bridge.qm", "mixed_tops.qm")
+DOCUMENTS = ("fork_merge.qm", "kronecker_stability.qm", "loop_bridge.qm", "mixed_tops.qm")
 
 
 def _cases() -> dict[str, list[str]]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -28,6 +29,7 @@ from oracles import (
     brute_force_submodule_dims,
     brute_force_submodule_spans,
     chain_oracle,
+    dense_chart_residues,
     dense_relation_equations,
     fitting_split_oracle,
     iso_oracle,
@@ -232,6 +234,42 @@ def test_chart_relations_match_the_dense_word_products(case):
         assume(False)
     expected = dense_relation_equations(pres)
     assert [e.terms for e in pres.equations] == [e.terms for e in expected], name
+
+
+def test_sparse_residues_match_the_dense_chart_oracle():
+    # every skeleton of every small-top cover with |P| <= 8, over F2, F3 and
+    # Q: the sparse residues are the dense oracle's nonzero entries, the
+    # equations and pinned coordinates agree, and the only charts refused
+    # are the fork-merge ones whose residues reduce through themselves
+    checked = 0
+    refused = []
+    for name, P in SMALL_TOP_COVERS_ALL_FIELDS:
+        if P.total > 8:
+            continue
+        for d in itertools.product(*(range(m + 1) for m in P.dims)):
+            for sigma in skeleta_with_dims(P, d):
+                checked += 1
+                try:
+                    pres = chart_equations(P, sigma)
+                except UnsupportedAlgebra:
+                    refused.append((name, d))
+                    with pytest.raises(UnsupportedAlgebra):
+                        dense_chart_residues(P, sigma)
+                    continue
+                residues, equations, pinned = dense_chart_residues(P, sigma)
+                assert list(pres.residues) == list(residues), (name, d)
+                for b, row in pres.residues.items():
+                    assert all(not e.is_zero() for e in row.values()), (name, d, b)
+                    expected = {
+                        b2: e.terms for b2, e in zip(sigma.elems, residues[b]) if not e.is_zero()
+                    }
+                    assert {b2: e.terms for b2, e in row.items()} == expected, (name, d, b)
+                assert [e.terms for e in pres.equations] == [e.terms for e in equations], (name, d)
+                assert list(pres.pinned) == pinned, (name, d)
+    assert checked == 999
+    # two charts each of d = (2,2,1) and (2,3,1) for top (2,0,0), per field
+    fork = [f"fork merge/{f} (2, 0, 0)" for f in ("F2", "F3", "Q")]
+    assert Counter(refused) == {(name, d): 2 for name in fork for d in ((2, 2, 1), (2, 3, 1))}
 
 
 @st.composite
