@@ -82,9 +82,6 @@ class Algebra:
         """Basis paths of the projective Lambda*e_start, deglex ascending."""
         return [p for p in self.basis if p.start == start]
 
-    def loewy_length(self) -> int:
-        return self.loewy
-
     # -- normal forms and multiplication --------------------------------
 
     def nf_path(self, p: PathWord) -> dict[PathWord, Scalar]:
@@ -100,33 +97,21 @@ class Algebra:
 
     def normal_form(self, x: Element) -> Element:
         f = self.field
-        out: dict[PathWord, Scalar] = {}
+        out = Element()
         for p, c in x.terms.items():
-            for b, d in self.nf_path(p).items():
-                s = f.add(out.get(b, f.zero()), f.mul(c, d))
-                if f.is_zero(s):
-                    out.pop(b, None)
-                else:
-                    out[b] = s
-        return Element(out)
+            f.axpy(out.terms, c, self.nf_path(p))
+        return out
 
     def mul(self, later: Element, earlier: Element) -> Element:
         """Product later*earlier ("first earlier, then later"), normal formed."""
         f = self.field
-        out: dict[PathWord, Scalar] = {}
+        out = Element()
         for p, cp in later.terms.items():
             for q, cq in earlier.terms.items():
                 pq = compose(self.quiver, p, q)
-                if pq is None:
-                    continue
-                c = f.mul(cp, cq)
-                for b, d in self.nf_path(pq).items():
-                    s = f.add(out.get(b, f.zero()), f.mul(c, d))
-                    if f.is_zero(s):
-                        out.pop(b, None)
-                    else:
-                        out[b] = s
-        return Element(out)
+                if pq is not None:
+                    f.axpy(out.terms, f.mul(cp, cq), self.nf_path(pq))
+        return out
 
     def arrow_act(self, label: str, b: PathWord) -> dict[PathWord, Scalar]:
         """Normal form of (arrow * basis path), cached; {} when not composable."""
@@ -233,10 +218,8 @@ def build_algebra(
             for p in lefts:
                 if p.length + lmax + q.length > max_len:
                     continue
-                row: dict[int, Scalar] = {}
-                for w, c in rel.terms.items():
-                    col = top - rank_of[compose(quiver, p, compose(quiver, w, q))]
-                    row[col] = field.add(row.get(col, field.zero()), c)
+                # distinct terms w give distinct paths p*w*q: nothing adds up
+                row = {top - rank_of[compose(quiver, p, compose(quiver, w, q))]: c for w, c in rel.terms.items()}
                 ideal.insert(row)
 
     # The pivot paths are eliminated and the rest form the basis. A fully

@@ -723,12 +723,7 @@ def _path_word(quiver: Quiver, ref: PathRef) -> PathWord:
 def element_of(quiver: Quiver, field: Field, terms: Lincomb) -> Element:
     out = Element()
     for t in terms:
-        p = _path_word(quiver, t.ref)
-        c = field.add(out.terms.get(p, field.zero()), field.of_fraction(t.coeff))
-        if field.is_zero(c):
-            out.terms.pop(p, None)
-        else:
-            out.terms[p] = c
+        field.axpy(out.terms, field.of_fraction(t.coeff), {_path_word(quiver, t.ref): field.one()})
     return out
 
 

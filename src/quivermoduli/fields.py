@@ -3,6 +3,10 @@
 Elements are plain values (fractions.Fraction for Q, ints in [0, p) for F_p);
 the Field object carries the arithmetic. Everything downstream threads a Field
 explicitly, which keeps matrices as ordinary lists of scalars.
+
+Sparse rows are dicts from any key to a nonzero scalar, and every sparse sum
+in the package goes through one rule, Field.axpy: out += c * row in place,
+with an entry that cancels popped, so no sparse row ever stores a zero.
 """
 
 from __future__ import annotations
@@ -88,6 +92,19 @@ class Field:
 
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
+
+    def axpy(self, out: dict, c: Scalar, row: dict) -> None:
+        """out += c * row in place, for sparse rows keyed by anything. An entry
+        that cancels is popped and a zero product is not stored, so out holds
+        no zero; a new key costs one product and no addition."""
+        for k, v in row.items():
+            x = self.mul(c, v)
+            if k in out:
+                x = self.add(out[k], x)
+            if x == 0:
+                out.pop(k, None)
+            else:
+                out[k] = x
 
     # -- enumeration and formatting ------------------------------------
 

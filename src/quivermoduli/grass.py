@@ -513,7 +513,8 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
 
     # one equation per nonzero entry of each relation's action on sigma,
     # relation by relation, column by column, deduplicated up to scalars;
-    # each word acts by pushing the column through its arrows in turn
+    # each word acts by pushing the column through its arrows in turn, up to
+    # the first empty row, which every later arrow would keep empty
     equations: list[Poly] = []
     seen = set()
     for rel in alg.relations:
@@ -523,6 +524,8 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
                 row = {b: one}
                 for label in p.arrows:
                     row = push(label, row)
+                    if not row:
+                        break
                 _add_row(total, row, ring.const(c))
             for b2 in sig_list:
                 e = total.get(b2)
@@ -666,12 +669,9 @@ class EndoSpace:
         images = self.images[j]
         out: SparseRow = {}
         for i, y in vec.items():
-            img = images.get(i)
-            if img is None:
-                continue
-            for k, x in img.items():
-                out[k] = f.add(out.get(k, f.zero()), f.mul(x, y))
-        return {k: x for k, x in out.items() if not f.is_zero(x)}
+            if i in images:
+                f.axpy(out, y, images[i])
+        return out
 
     def combine(self, coeffs: list[Scalar], vec: SparseRow) -> SparseRow:
         """The image of a sparse vector under sum_j coeffs[j] * elems[j]."""
@@ -679,9 +679,8 @@ class EndoSpace:
         out: SparseRow = {}
         for j, c in enumerate(coeffs):
             if not f.is_zero(c):
-                for k, x in self.apply(j, vec).items():
-                    out[k] = f.add(out.get(k, f.zero()), f.mul(c, x))
-        return {k: x for k, x in out.items() if not f.is_zero(x)}
+                f.axpy(out, c, self.apply(j, vec))
+        return out
 
 
 def endo_space(P: ProjectiveCover) -> EndoSpace:

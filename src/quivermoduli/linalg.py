@@ -94,17 +94,6 @@ def dense(field: Field, row: SparseRow, ncols: int) -> Vector:
     return out
 
 
-def _axpy(field: Field, out: SparseRow, c: Scalar, row: SparseRow) -> None:
-    """out -= c * row in place, dropping the entries that cancel."""
-    zero = field.zero()
-    for k, v in row.items():
-        nv = field.sub(out.get(k, zero), field.mul(c, v))
-        if field.is_zero(nv):
-            out.pop(k, None)
-        else:
-            out[k] = nv
-
-
 class Echelon:
     """A row space in fully reduced echelon form, grown one row at a time.
 
@@ -142,7 +131,7 @@ class Echelon:
         out = {k: v for k, v in row.items() if not f.is_zero(v)}
         for c in [c for c in out if c in self.rows]:
             # pivot rows are zero at every other pivot, so one pass suffices
-            _axpy(f, out, out[c], self.rows[c])
+            f.axpy(out, f.neg(out[c]), self.rows[c])
         return out
 
     def contains(self, row: SparseRow) -> bool:
@@ -163,7 +152,7 @@ class Echelon:
         for r in self.rows.values():
             c = r.get(p)
             if c is not None:
-                _axpy(f, r, c, res)
+                f.axpy(r, f.neg(c), res)
         self.rows[p] = res
         return p
 

@@ -51,21 +51,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def __add__(self, other: "Poly") -> "Poly":
         f = self.ring.field
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = f.add(out.get(m, f.zero()), c)
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
+        f.axpy(out, f.one(), other.terms)
         return Poly(self.ring, out)
 
     def __neg__(self) -> "Poly":
@@ -79,13 +68,7 @@ class Poly:
         f = self.ring.field
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = f.add(out.get(m, f.zero()), f.mul(c1, c2))
-                if f.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+            f.axpy(out, c1, {tuple(a + b for a, b in zip(m1, m2)): c2 for m2, c2 in other.terms.items()})
         return Poly(self.ring, out)
 
     def scale(self, c: Scalar) -> "Poly":

@@ -145,10 +145,6 @@ class Element:
         self.terms: dict[PathWord, Scalar] = dict(terms or {})
 
     @staticmethod
-    def zero() -> "Element":
-        return Element()
-
-    @staticmethod
     def from_path(p: PathWord, coeff: Scalar) -> "Element":
         if coeff == 0:
             return Element()
@@ -158,22 +154,9 @@ class Element:
         return not self.terms
 
     def add(self, other: "Element", field: Field) -> "Element":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            s = field.add(out.get(p, field.zero()), c)
-            if field.is_zero(s):
-                out.pop(p, None)
-            else:
-                out[p] = s
-        return Element(out)
-
-    def scale(self, c: Scalar, field: Field) -> "Element":
-        if field.is_zero(c):
-            return Element()
-        return Element({p: field.mul(c, v) for p, v in self.terms.items()})
-
-    def paths(self) -> list[PathWord]:
-        return list(self.terms)
+        out = Element(self.terms)
+        field.axpy(out.terms, field.one(), other.terms)
+        return out
 
     def ends(self) -> set[tuple[int, int]]:
         return {(p.start, p.end) for p in self.terms}

@@ -63,8 +63,8 @@ class Rep:
         self.alg = alg
         self.d = tuple(d)
         self.mats = {k: [row[:] for row in m] for k, m in mats.items()}
-        # label -> (start offset, end offset, sparse columns), built by act
-        self._arrows: dict[str, tuple[int, int, list[list[tuple[int, Scalar]]]]] | None = None
+        # label -> (start offset, sparse columns in global coordinates), built by act
+        self._arrows: dict[str, tuple[int, list[SparseRow]]] | None = None
         # JM as an Echelon, built by _radical
         self._radical: Echelon | None = None
 
@@ -94,31 +94,26 @@ class Rep:
     def act(self, label: str, vec: SparseRow) -> SparseRow:
         """The image of a sparse global vector under one arrow.
 
-        Each arrow matrix is read once, on the first call, into its nonzero
-        entries per column, so an entry of vec costs one pass over the
-        nonzero entries of its column.
+        Each arrow matrix is read once, on the first call, into its columns
+        as sparse rows in global coordinates, so an entry of vec costs one
+        pass over the nonzero entries of its column.
         """
         f = self.field
         if self._arrows is None:
-            self._arrows = {
-                a.label: (
-                    self.offset(a.start),
-                    self.offset(a.end),
-                    [
-                        [(i, row[j]) for i, row in enumerate(self.mats[a.label]) if not f.is_zero(row[j])]
-                        for j in range(self.dim_at(a.start))
-                    ],
-                )
-                for a in self.alg.quiver.arrows
-            }
-        start, end, cols = self._arrows[label]
-        zero = f.zero()
+            self._arrows = {}
+            for a in self.alg.quiver.arrows:
+                m, end = self.mats[a.label], self.offset(a.end)
+                cols = [
+                    {end + i: row[j] for i, row in enumerate(m) if not f.is_zero(row[j])}
+                    for j in range(self.dim_at(a.start))
+                ]
+                self._arrows[a.label] = (self.offset(a.start), cols)
+        start, cols = self._arrows[label]
         out: SparseRow = {}
         for j, y in vec.items():
             if start <= j < start + len(cols):
-                for i, x in cols[j - start]:
-                    out[end + i] = f.add(out.get(end + i, zero), f.mul(x, y))
-        return {k: x for k, x in out.items() if not f.is_zero(x)}
+                f.axpy(out, y, cols[j - start])
+        return out
 
     def __repr__(self) -> str:
         return f"Rep(d={self.d}, field={self.field})"
@@ -191,16 +186,13 @@ def _element_image(M: Rep, x: Element, vec: SparseRow) -> SparseRow:
     along the arrows one Rep.act at a time, so no path matrix is formed and
     a zero-dimensional vertex on the way needs no special case.
     """
-    f = M.field
-    zero = f.zero()
     out: SparseRow = {}
     for p, c in x.terms.items():
         w = M.project(vec, p.start)
         for lbl in p.arrows:
             w = M.act(lbl, w)
-        for i, y in w.items():
-            out[i] = f.add(out.get(i, zero), f.mul(c, y))
-    return {i: y for i, y in out.items() if not f.is_zero(y)}
+        M.field.axpy(out, c, w)
+    return out
 
 
 def global_matrix(M: Rep, x: Element) -> Matrix:
@@ -357,31 +349,18 @@ def hom_basis(M: Rep, N: Rep) -> list[dict[int, Matrix]]:
     def var(v: int, a: int, b: int) -> int:
         return voff[v] + a * M.dim_at(v) + b
 
+    # entry (a, b) of f_end x^M_a - x^N_a f_start; zero matrix entries are
+    # left out before the sum, so they cost no field product
+    one, minus_one = f.one(), f.neg(f.one())
     rows = []
     for arr in M.alg.quiver.arrows:
         s, e = arr.start, arr.end
         xm, xn = M.mats[arr.label], N.mats[arr.label]
         for a in range(N.dim_at(e)):
             for b in range(M.dim_at(s)):
-                row: dict[int, Scalar] = {}
-                for k in range(M.dim_at(e)):
-                    c = xm[k][b]
-                    if not f.is_zero(c):
-                        idx = var(e, a, k)
-                        nv = f.add(row.get(idx, f.zero()), c)
-                        if f.is_zero(nv):
-                            row.pop(idx, None)
-                        else:
-                            row[idx] = nv
-                for k in range(N.dim_at(s)):
-                    c = xn[a][k]
-                    if not f.is_zero(c):
-                        idx = var(s, k, b)
-                        nv = f.sub(row.get(idx, f.zero()), c)
-                        if f.is_zero(nv):
-                            row.pop(idx, None)
-                        else:
-                            row[idx] = nv
+                row: SparseRow = {}
+                f.axpy(row, one, {var(e, a, k): r[b] for k, r in enumerate(xm) if not f.is_zero(r[b])})
+                f.axpy(row, minus_one, {var(s, k, b): c for k, c in enumerate(xn[a]) if not f.is_zero(c)})
                 if row:
                     rows.append(row)
     ker = sparse_kernel_basis(f, rows, total)

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module: a deleted
-helper takes its imports with it."""
+"""Every name a package module imports is used in that module, and every
+definition and method of the package is referenced: a deleted helper takes
+its imports with it, and nothing is left that no code reads."""
 
 from __future__ import annotations
 
@@ -51,40 +52,54 @@ def test_no_module_imports_a_name_it_never_uses(path):
 TESTS = Path(__file__).resolve().parent
 
 
+def _walk(node: ast.AST, skip: ast.AST | None):
+    """Every node below ``node``, leaving out the subtree of ``skip``."""
+    for child in ast.iter_child_nodes(node):
+        if child is not skip:
+            yield child
+            yield from _walk(child, skip)
+
+
 def _references(tree: ast.Module, skip: ast.stmt | None = None) -> set[str]:
-    """Names a module reads outside the top-level statement ``skip``: names,
+    """Names a module reads outside the statement ``skip``: names,
     attributes, imported names, and string constants that are dotted names
     (getattr, monkeypatch and the traced-name snapshot name functions so)."""
     out: set[str] = set()
-    for stmt in tree.body:
-        if stmt is skip:
-            continue
-        for n in ast.walk(stmt):
-            if isinstance(n, ast.Name):
-                out.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                out.add(n.attr)
-            elif isinstance(n, ast.ImportFrom):
-                out.update(a.name for a in n.names)
-            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-                parts = n.value.split(".")
-                if all(p.isidentifier() for p in parts):
-                    out.update(parts)
+    for n in _walk(tree, skip):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            parts = n.value.split(".")
+            if all(p.isidentifier() for p in parts):
+                out.update(parts)
     return out
 
 
 def _unreferenced_definitions(sources: dict[str, str], package: set[str]) -> list[str]:
-    """Top-level defs and classes of the files in ``package`` that no file
-    references, their own bodies aside, as "file:name"."""
+    """Top-level defs and classes of the files in ``package``, and the
+    methods of those classes, that no file references, their own bodies
+    aside, as "file:name" or "file:Class.name". Dunder methods are called
+    by the language and are not checked."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     out = []
     for name in sorted(package):
         tree = trees[name]
         others = set().union(*(_references(t) for n, t in trees.items() if n != name))
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                if stmt.name not in others and stmt.name not in _references(tree, skip=stmt):
-                    out.append(f"{name}:{stmt.name}")
+        defs = [(s.name, s) for s in tree.body if isinstance(s, (ast.FunctionDef, ast.ClassDef))]
+        defs += [
+            (f"{c.name}.{m.name}", m)
+            for c in tree.body
+            if isinstance(c, ast.ClassDef)
+            for m in c.body
+            if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+        ]
+        for label, node in defs:
+            if node.name not in others and node.name not in _references(tree, skip=node):
+                out.append(f"{name}:{label}")
     return out
 
 
@@ -94,6 +109,22 @@ def test_the_scan_flags_an_unreferenced_definition():
         "b.py": "from a import used\nused()\nx = getattr(m, 'pkg.Old')\n",
     }
     assert _unreferenced_definitions(sources, {"a.py"}) == ["a.py:dead"]
+
+
+def test_the_scan_flags_an_unreferenced_method():
+    sources = {
+        "a.py": (
+            "class A:\n"
+            "    def __len__(self): return 0\n"
+            "    def used(self): return self.size\n"
+            "    @property\n"
+            "    def size(self): return 1\n"
+            "    def dead(self): return self.dead()\n"
+            "    def named(self): pass\n"
+        ),
+        "b.py": "A().used()\nx = getattr(m, 'pkg.A.named')\n",
+    }
+    assert _unreferenced_definitions(sources, {"a.py"}) == ["a.py:A.dead"]
 
 
 def test_every_package_definition_has_a_reference():

@@ -2,7 +2,8 @@
 
 Every property compares quivermoduli.linalg with code in tests/oracles.py
 that shares nothing with it: column-by-column Gaussian elimination, spans
-enumerated element by element, and the Leibniz expansion of det.
+enumerated element by element, and the Leibniz expansion of det. The sparse
+accumulation Field.axpy is checked against a plain dense sum.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from quivermoduli.errors import DimensionMismatch, NotInvertible
 from quivermoduli.fields import QQ, Field
+from quivermoduli.quiver import PathWord
 from quivermoduli.linalg import (
     det,
     inverse,
@@ -103,6 +105,64 @@ def test_inverse_times_matrix_is_the_identity(m):
     inv = inverse(f, a)
     prod = [naive_mat_vec(f, inv, [a[i][j] for i in range(n)]) for j in range(n)]
     assert prod == [[f.one() if i == j else f.zero() for i in range(n)] for j in range(n)]
+
+
+# sparse rows may be keyed by column indices, paths or monomials
+AXPY_KEYS = {
+    "int": list(range(5)),
+    "path": [
+        PathWord(1, (), 1),
+        PathWord(1, ("a",), 2),
+        PathWord(1, ("b",), 2),
+        PathWord(2, ("c",), 3),
+        PathWord(1, ("a", "c"), 3),
+    ],
+    "monomial": [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)],
+}
+
+
+@st.composite
+def axpy_cases(draw):
+    """(field, keys, out, c, row): out has no zero entry, row may have some."""
+    f = draw(st.sampled_from(FIELDS))
+    keys = AXPY_KEYS[draw(st.sampled_from(sorted(AXPY_KEYS)))]
+    if f.is_finite:
+        scalar = st.sampled_from(f.elements())
+    else:
+        scalar = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+    out = {k: x for k, x in draw(st.dictionaries(st.sampled_from(keys), scalar)).items() if x != 0}
+    return f, keys, out, draw(scalar), draw(st.dictionaries(st.sampled_from(keys), scalar))
+
+
+def _dense_axpy(f, keys, out, c, row):
+    """out + c * row by plain arithmetic on dense vectors over keys, then
+    the nonzero entries."""
+    vals = [out.get(k, 0) + c * row.get(k, 0) for k in keys]
+    if f.is_finite:
+        vals = [v % f.p for v in vals]
+    return {k: v for k, v in zip(keys, vals) if v != 0}
+
+
+@given(case=axpy_cases())
+@PROPERTY
+def test_axpy_is_the_dense_sum_without_its_zeros(case):
+    f, keys, out, c, row = case
+    expected = _dense_axpy(f, keys, out, c, row)
+    f.axpy(out, c, row)
+    assert out == expected
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_axpy_pops_a_cancelled_entry_and_skips_a_zero_entry(f):
+    one = f.one()
+    a, b = PathWord(1, ("a",), 2), PathWord(1, ("b",), 2)
+    out = {a: one, b: one}
+    f.axpy(out, f.neg(one), {a: one, 7: f.zero()})
+    assert out == {b: one}
+    f.axpy(out, one, {b: f.zero(), (1, 0): f.zero()})
+    assert out == {b: one}
+    f.axpy(out, f.zero(), {b: one, a: one})
+    assert out == {b: one}
 
 
 def test_mat_mul_refuses_a_row_of_width_two_times_no_rows():

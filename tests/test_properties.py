@@ -1,7 +1,8 @@
 """Randomized invariants: chart points inherit their skeleton's layering,
 skeleta and chart relations agree with brute-force and dense oracles,
 submodule sweeps agree with an all-subspace oracle, layerings and verdicts
-survive base change, and charts of squarefree tops absorb automorphisms."""
+survive base change, charts of squarefree tops absorb automorphisms, and
+no sparse sum stores a zero."""
 
 from __future__ import annotations
 
@@ -47,7 +48,8 @@ from oracles import (
     sub_rep_oracle,
     sum_of_locals_oracle,
 )
-from quivermoduli import Field, QQ, build_algebra, make_quiver
+from quivermoduli import Element, Field, QQ, build_algebra, make_quiver
+from quivermoduli.algebra import enumerate_paths
 from quivermoduli.config import DEFAULT_LIMITS, SearchLimits
 from quivermoduli.degeneration import (
     DegenerationVerdict,
@@ -78,7 +80,8 @@ from quivermoduli.grass import (
     submodule_point,
 )
 from quivermoduli import reps
-from quivermoduli.linalg import identity, kernel_basis, space_key, span_rref, sparse
+from quivermoduli.linalg import Echelon, identity, kernel_basis, space_key, span_rref, sparse
+from quivermoduli.polys import Poly, PolyRing
 from quivermoduli.reps import (
     Rep,
     _combine_blocks,
@@ -797,6 +800,89 @@ def test_arrow_action_matches_the_dense_product(M, data):
         for i, x in enumerate(naive_mat_vec(f, M.mats[a.label], M.block(vec, a.start))):
             expected[o + i] = x
         assert M.act(a.label, sparse(f, vec)) == sparse(f, expected)
+
+
+# ------------------------------------------------- sparse sums store no zero
+
+
+def _zero_free(row):
+    return all(x != 0 for x in row.values())
+
+
+@given(M=small_reps(fields=(Field(2), Field(3), QQ)), data=st.data())
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_arrow_images_and_residues_store_no_zero(M, data):
+    f = M.field
+    scalars = st.sampled_from(f.elements()) if f.is_finite else st.integers(-2, 2).map(f.of_int)
+    vec, other = (sparse(f, [data.draw(scalars) for _ in range(M.total)]) for _ in range(2))
+    images = [M.act(a.label, w) for a in M.alg.quiver.arrows for w in (vec, other)]
+    assert all(map(_zero_free, images))
+    span = Echelon(f, images + [vec])
+    assert all(_zero_free(span.reduce(w)) for w in images + [vec, other])
+
+
+def _fork_split_algebra(field):
+    """Arrows u: 1 -> 2 and x, y: 2 -> 3 with x*u = y*u: the endomorphism
+    z2 -> u*z1 of P1 + P2 maps both x*z2 and y*z2 onto x*u*z1."""
+    q = make_quiver(3, [("u", 1, 2), ("x", 2, 3), ("y", 2, 3)])
+    return build_algebra(q, [rel(q, (1, ["x", "u"]), (-1, ["y", "u"]))], field, 3)
+
+
+# two-term relations on either side of a path, and a monomial one
+_ZERO_FREE_ALGEBRAS = [
+    make(f)
+    for make in (fork_merge_algebra, _fork_split_algebra, loop_bridge_over)
+    for f in (Field(2), Field(3), QQ)
+]
+_ZERO_FREE_COVERS = [
+    projective_cover(alg, top)
+    for alg in _ZERO_FREE_ALGEBRAS
+    for top in itertools.product(range(3), repeat=alg.quiver.n)
+    if 1 <= sum(top) <= 2
+]
+
+
+def test_endomorphism_images_store_no_zero():
+    # a cancellation is a difference of two terms: of two basis vectors
+    # under one basis endomorphism, or of two basis endomorphisms
+    for P in _ZERO_FREE_COVERS:
+        f, endo = P.alg.field, P.endo
+        one, minus_one = f.one(), f.neg(f.one())
+        for i, k in itertools.combinations(range(len(P.belems)), 2):
+            for j in range(endo.dim):
+                assert _zero_free(endo.apply(j, {i: one, k: minus_one}))
+        for i, k in itertools.combinations(range(endo.dim), 2):
+            coeffs = [one if j == i else minus_one if j == k else f.zero() for j in range(endo.dim)]
+            for b in range(len(P.belems)):
+                assert _zero_free(endo.combine(coeffs, {b: one}))
+
+
+@given(alg=st.sampled_from(_ZERO_FREE_ALGEBRAS), data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_normal_forms_products_and_polynomials_store_no_zero(alg, data):
+    f = alg.field
+    scalars = st.sampled_from(f.elements()) if f.is_finite else st.integers(-2, 2).map(f.of_int)
+    paths = [p for layer in enumerate_paths(alg.quiver, alg.max_len) for p in layer]
+
+    def element():
+        return Element({p: c for p in paths if (c := data.draw(scalars)) != 0})
+
+    x, y = element(), element()
+    assert _zero_free(alg.normal_form(x).terms)
+    assert _zero_free(alg.mul(x, y).terms) and _zero_free(alg.mul(y, x).terms)
+    ring = PolyRing(f, ["s", "t"])
+
+    def poly():
+        monos = itertools.product(range(3), repeat=2)
+        return Poly(ring, {m: c for m in monos if (c := data.draw(scalars)) != 0})
+
+    g, h = poly(), poly()
+    assert all(_zero_free(e.terms) for e in (g + h, g - h, g * h, (g + h) * (g - h)))
 
 
 # ------------------------------------------------------ base-change invariance
