@@ -30,6 +30,7 @@ from .dsl import (
     doc_module,
     doc_point,
     doc_skeleton,
+    need,
     parse_input,
     parse_points,
 )
@@ -136,21 +137,15 @@ def _build_algebra(doc: InputDocument, flags: CliFlags):
 
 
 def _cover(doc: InputDocument, alg) -> ProjectiveCover:
-    if doc.top is None:
-        raise TypeMismatch("this command needs a top block")
-    return projective_cover(alg, tuple(doc.top))
+    return projective_cover(alg, tuple(need(doc.top, "top")))
 
 
 def _base_point(doc: InputDocument, P: ProjectiveCover):
-    if not doc.points:
-        raise TypeMismatch("this command needs a point block")
-    return doc_point(P, doc.points[0])
+    return doc_point(P, need(doc.points or None, "point")[0])
 
 
 def _weight(doc: InputDocument) -> Weight:
-    if doc.weight is None:
-        raise TypeMismatch("this command needs a weight block")
-    return Weight(doc.weight)
+    return Weight(need(doc.weight, "weight"))
 
 
 # -- commands -------------------------------------------------------------------
@@ -468,11 +463,8 @@ def _cmd_limit(doc, flags, limits):
 
 def _cmd_moduli_report(doc, flags, limits):
     alg = _build_algebra(doc, flags)
-    if doc.top is None:
-        raise TypeMismatch("this command needs a top block")
-    if doc.d is None:
-        raise TypeMismatch("this command needs a dimvec block")
-    rep = moduli_report(alg, tuple(doc.top), tuple(doc.d), limits)
+    top, d = tuple(need(doc.top, "top")), tuple(need(doc.d, "dimvec"))
+    rep = moduli_report(alg, top, d, limits)
     f = alg.field
     witness_rows = None if rep.witness is None else _fmt_rows(f, rep.witness.rows)
     witness_endo = None if rep.witness_endo is None else describe_endo(rep.witness_endo)

@@ -29,6 +29,14 @@ elements the final ".z<r>" is always read as the copy marker, never as a
 path component. Whitespace is free-form, "#" starts a comment, and every
 block except point appears at most once; repeated point blocks form a list.
 
+Each grammar shape is one method of _Parser: sign (an optional leading
+"-"), listed ("[" item ("," item)* "]"), entry_block ("{" key ":" value
+";" "}"), entries ("{" (key ":" value ";")* "}"), signed_terms (["-"] term
+(("+" | "-") term)*, for linear combinations and point generators) and
+path_tokens (ident (("*" | ".") ident)*). The table _BLOCKS picks each
+block's parser; the quiver block, matrices and the direction block (which
+checks a key before its ":") keep shapes of their own.
+
 parse_input checks label references, composability, and shapes, reporting
 positions as "line L, column C"; render_document writes the canonical form,
 and parsing the rendered text reproduces the document exactly. The builders
@@ -38,8 +46,10 @@ at the bottom turn a parsed document into live algebra and module objects.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TypeVar
 
 from .algebra import Algebra, build_algebra
 from .errors import TypeMismatch, UnknownLabel
@@ -172,19 +182,7 @@ def _tokenize(text: str) -> list[Token]:
 
 # -- parser -------------------------------------------------------------------
 
-_BLOCKS = (
-    "quiver",
-    "algebra",
-    "module",
-    "point",
-    "weight",
-    "top",
-    "dimvec",
-    "layering",
-    "skeleton",
-    "direction",
-)
-
+T = TypeVar("T")
 _COPY_RE = re.compile(r"^z([1-9]\d*)$")
 _IDEM_RE = re.compile(r"^e([1-9]\d*)$")
 
@@ -236,14 +234,63 @@ class _Parser:
     def bad_type(self, msg: str, tok: Token) -> None:
         raise TypeMismatch(f"line {tok.line}, column {tok.col}: {msg}")
 
+    # grammar shapes
+
+    def sign(self) -> int:
+        """An optional leading "-": -1 if present, else 1."""
+        if self.at("-"):
+            self.advance()
+            return -1
+        return 1
+
+    def listed(self, item: Callable[[], T], empty: bool = False) -> tuple[T, ...]:
+        """"[" item ("," item)* "]", or "[]" when empty is allowed."""
+        self.expect("[")
+        out = [] if empty and self.at("]") else [item()]
+        while self.at(","):
+            self.advance()
+            out.append(item())
+        self.expect("]")
+        return tuple(out)
+
+    def entry_block(self, key: str, value: Callable[[Token], T]) -> T:
+        """"{" key ":" value ";" "}"; value gets the key token for positions."""
+        self.expect("{")
+        tok = self.expect(key)
+        self.expect(":")
+        out = value(tok)
+        self.expect(";")
+        self.expect("}")
+        return out
+
+    def entries(self, entry: Callable[[Token], None]) -> None:
+        """"{" (ident ":" entry ";")* "}"; entry gets the key token."""
+        self.expect("{")
+        while not self.at("}"):
+            key = self.expect_kind("ident")
+            self.expect(":")
+            entry(key)
+            self.expect(";")
+        self.expect("}")
+
+    def signed_terms(self, term: Callable[[int], T]) -> tuple[T, ...]:
+        """["-"] term (("+" | "-") term)*; term gets its sign, 1 or -1."""
+        out = [term(self.sign())]
+        while self.at("+") or self.at("-"):
+            out.append(term(1 if self.advance().text == "+" else -1))
+        return tuple(out)
+
+    def path_tokens(self) -> list[Token]:
+        """ident (("*" | ".") ident)*, separators kept at the odd places."""
+        toks = [self.expect_kind("ident")]
+        while self.at("*") or self.at("."):
+            toks += [self.advance(), self.expect_kind("ident")]
+        return toks
+
     # scalars and tuples
 
     def parse_int(self) -> int:
-        sign = 1
-        if self.at("-"):
-            self.advance()
-            sign = -1
-        return sign * int(self.expect_kind("int").text)
+        return self.sign() * int(self.expect_kind("int").text)
 
     def parse_fraction(self) -> Fraction:
         num = self.parse_int()
@@ -277,9 +324,11 @@ class _Parser:
 
     # paths and linear combinations
 
-    def check_path(self, comps: list[Token]) -> PathRef:
-        """Validate component labels and composability; text order is
-        composition order, so comps[i] is applied after comps[i + 1]."""
+    def check_path(self, toks: list[Token]) -> PathRef:
+        """Validate the component labels of a path_tokens list and their
+        composability; text order is composition order, so each component
+        is applied after the one to its right."""
+        comps = toks[::2]
         first = comps[0]
         if len(comps) == 1:
             m = _IDEM_RE.match(first.text)
@@ -303,74 +352,37 @@ class _Parser:
                 )
         return PathRef(tuple(t.text for t in comps))
 
-    def parse_path(self) -> PathRef:
-        comps = [self.expect_kind("ident")]
-        while self.at("*") or self.at("."):
-            self.advance()
-            comps.append(self.expect_kind("ident"))
-        return self.check_path(comps)
+    def path_term(self, sign: int) -> PathTerm:
+        coeff = Fraction(1)
+        if self.peek().kind == "int":
+            coeff = self.parse_fraction()
+            self.expect("*")
+        return PathTerm(sign * coeff, self.check_path(self.path_tokens()))
 
     def parse_lincomb(self) -> Lincomb:
-        terms: list[PathTerm] = []
-        sign = 1
-        if self.at("-"):
-            self.advance()
-            sign = -1
-        while True:
-            if self.peek().kind == "int":
-                coeff = self.parse_fraction()
-                self.expect("*")
-            else:
-                coeff = Fraction(1)
-            terms.append(PathTerm(sign * coeff, self.parse_path()))
-            if self.at("+"):
-                self.advance()
-                sign = 1
-            elif self.at("-"):
-                self.advance()
-                sign = -1
-            else:
-                return tuple(terms)
+        return self.signed_terms(self.path_term)
 
-    def parse_copy(self) -> int:
-        tok = self.expect_kind("ident")
-        m = _COPY_RE.match(tok.text)
-        if not m:
-            self.fail(f"expected a copy marker z<r>, found {tok.text!r}", tok)
-        return int(m.group(1))
-
-    def parse_gen_part(self, sign: int) -> GenPart:
+    def gen_part(self, sign: int) -> GenPart:
         self.expect("(")
         terms = self.parse_lincomb()
         self.expect(")")
         self.expect(".")
-        copy = self.parse_copy()
-        if sign < 0:
-            terms = tuple(PathTerm(-t.coeff, t.ref) for t in terms)
-        return GenPart(terms, copy)
+        tok = self.expect_kind("ident")
+        m = _COPY_RE.match(tok.text)
+        if not m:
+            self.fail(f"expected a copy marker z<r>, found {tok.text!r}", tok)
+        return GenPart(tuple(PathTerm(sign * t.coeff, t.ref) for t in terms), int(m.group(1)))
 
     def parse_generator(self) -> Generator:
-        sign = 1
-        if self.at("-"):
-            self.advance()
-            sign = -1
-        parts = [self.parse_gen_part(sign)]
-        while self.at("+") or self.at("-"):
-            sign = 1 if self.advance().text == "+" else -1
-            parts.append(self.parse_gen_part(sign))
-        return tuple(parts)
+        return self.signed_terms(self.gen_part)
 
     def parse_skel_elem(self) -> SkelElem:
-        comps = [self.expect_kind("ident")]
-        seps: list[str] = []
-        while self.at("*") or self.at("."):
-            seps.append(self.advance().text)
-            comps.append(self.expect_kind("ident"))
-        last = comps[-1]
-        if len(comps) < 2 or seps[-1] != "." or not _COPY_RE.match(last.text):
+        toks = self.path_tokens()
+        last = toks[-1]
+        if len(toks) < 3 or toks[-2].text != "." or not _COPY_RE.match(last.text):
             self.fail("skeleton element needs a trailing .z<r> copy marker", last)
         copy = int(_COPY_RE.match(last.text).group(1))
-        return SkelElem(self.check_path(comps[:-1]), copy)
+        return SkelElem(self.check_path(toks[:-2]), copy)
 
     # blocks
 
@@ -415,13 +427,10 @@ class _Parser:
         return self.vertices, tuple(arrows)
 
     def parse_algebra_block(self) -> tuple[str, int, tuple[Lincomb, ...]]:
-        self.expect("{")
-        field: str | None = None
-        max_len: int | None = None
-        relations: tuple[Lincomb, ...] = ()
-        while not self.at("}"):
-            key = self.expect_kind("ident")
-            self.expect(":")
+        field, max_len, relations = "Q", None, ()
+
+        def entry(key: Token) -> None:
+            nonlocal field, max_len, relations
             if key.text == "field":
                 tok = self.expect_kind("ident")
                 try:
@@ -431,52 +440,41 @@ class _Parser:
             elif key.text == "max_len":
                 max_len = self.parse_int()
             elif key.text == "relations":
-                self.expect("[")
-                rels: list[Lincomb] = []
-                if not self.at("]"):
-                    rels.append(self.parse_lincomb())
-                    while self.at(","):
-                        self.advance()
-                        rels.append(self.parse_lincomb())
-                self.expect("]")
-                relations = tuple(rels)
+                relations = self.listed(self.parse_lincomb, empty=True)
             else:
                 self.fail(f"unknown algebra entry {key.text!r}", key)
-            self.expect(";")
-        self.expect("}")
+
+        self.entries(entry)
         if max_len is None:
             self.fail("algebra block needs max_len")
-        return field or "Q", max_len, relations
+        return field, max_len, relations
 
     def parse_module_block(self) -> ModuleBlock:
-        self.expect("{")
         d: tuple[int, ...] | None = None
         mats: dict[str, tuple[tuple[Fraction, ...], ...]] = {}
-        entries: list[Token] = []
-        while not self.at("}"):
-            key = self.expect_kind("ident")
-            self.expect(":")
+        keys: list[Token] = []
+
+        def entry(key: Token) -> None:
+            nonlocal d
             if key.text == "d":
                 d = self.vertex_tuple(key)
-            else:
-                if key.text not in self.arrows:
-                    self.bad_label(f"unknown arrow label {key.text!r}", key)
-                if key.text in mats:
-                    self.bad_type(f"matrix for arrow {key.text!r} given twice", key)
-                mats[key.text] = self.parse_matrix()
-                entries.append(key)
-            self.expect(";")
-        self.expect("}")
+                return
+            if key.text not in self.arrows:
+                self.bad_label(f"unknown arrow label {key.text!r}", key)
+            if key.text in mats:
+                self.bad_type(f"matrix for arrow {key.text!r} given twice", key)
+            mats[key.text] = self.parse_matrix()
+            keys.append(key)
+
+        self.entries(entry)
         if d is None:
             self.fail("module block needs a dimension vector d")
-        for key in entries:
+        for key in keys:
             s, e = self.arrows[key.text]
             rows = mats[key.text]
             want_r, want_c = d[e - 1], d[s - 1]
             if len(rows) != want_r or any(len(r) != want_c for r in rows):
-                self.bad_type(
-                    f"matrix for {key.text} must be {want_r}x{want_c}", key
-                )
+                self.bad_type(f"matrix for {key.text} must be {want_r}x{want_c}", key)
         order = [lbl for lbl in self.arrows if lbl in mats]
         return ModuleBlock(d, tuple((lbl, mats[lbl]) for lbl in order))
 
@@ -497,58 +495,8 @@ class _Parser:
         self.expect("]")
         return tuple(rows)
 
-    def parse_point_block(self) -> PointBlock:
-        self.expect("{")
-        self.expect("generators")
-        self.expect(":")
-        self.expect("[")
-        gens = [self.parse_generator()]
-        while self.at(","):
-            self.advance()
-            gens.append(self.parse_generator())
-        self.expect("]")
-        self.expect(";")
-        self.expect("}")
-        return tuple(gens)
-
-    def parse_keyed_tuple_block(self, key: str) -> tuple[int, ...]:
-        self.expect("{")
-        tok = self.expect(key)
-        self.expect(":")
-        t = self.vertex_tuple(tok)
-        self.expect(";")
-        self.expect("}")
-        return t
-
-    def parse_layering_block(self) -> tuple[tuple[int, ...], ...]:
-        self.expect("{")
-        tok = self.expect("layers")
-        self.expect(":")
-        self.expect("[")
-        rows = [self.vertex_tuple(tok)]
-        while self.at(","):
-            self.advance()
-            rows.append(self.vertex_tuple(tok))
-        self.expect("]")
-        self.expect(";")
-        self.expect("}")
-        return tuple(rows)
-
-    def parse_skeleton_block(self) -> tuple[SkelElem, ...]:
-        self.expect("{")
-        self.expect("elems")
-        self.expect(":")
-        self.expect("[")
-        elems = [self.parse_skel_elem()]
-        while self.at(","):
-            self.advance()
-            elems.append(self.parse_skel_elem())
-        self.expect("]")
-        self.expect(";")
-        self.expect("}")
-        return tuple(elems)
-
     def parse_direction_block(self) -> tuple[tuple[int, Generator], ...]:
+        # its own loop: a key is checked before its ":"
         self.expect("{")
         out: dict[int, Generator] = {}
         while not self.at("}"):
@@ -571,45 +519,27 @@ class _Parser:
         head = self.expect_kind("ident")
         if head.text != "quiver":
             self.fail("the document must start with a quiver block", head)
-        vertices, arrows = self.parse_quiver_block()
-        fields: dict[str, object] = {
-            "vertices": vertices,
-            "arrows": arrows,
-            "points": [],
-        }
-        seen: set[str] = set()
+        got: dict[str, object] = {"quiver": self.parse_quiver_block()}
+        points: list[PointBlock] = []
         while self.peek().kind != "eof":
             head = self.expect_kind("ident")
             name = head.text
             if name not in _BLOCKS:
                 self.fail(f"unknown block {name!r}", head)
-            if name != "point" and name in seen | {"quiver"}:
+            if name == "point":
+                points.append(_BLOCKS[name](self))
+                continue
+            if name in got:
                 self.fail(f"duplicate {name} block", head)
-            seen.add(name)
-            if name == "algebra":
-                fields["field"], fields["max_len"], fields["relations"] = (
-                    self.parse_algebra_block()
-                )
-            elif name == "module":
-                fields["module"] = self.parse_module_block()
-            elif name == "point":
-                fields["points"].append(self.parse_point_block())
-            elif name == "weight":
-                fields["weight"] = self.parse_keyed_tuple_block("theta")
-            elif name == "top":
-                fields["top"] = self.parse_keyed_tuple_block("mult")
-            elif name == "dimvec":
-                fields["d"] = self.parse_keyed_tuple_block("d")
-            elif name == "layering":
-                fields["layering"] = self.parse_layering_block()
-            elif name == "skeleton":
-                fields["skeleton"] = self.parse_skeleton_block()
-            else:
-                fields["direction"] = self.parse_direction_block()
-        if "max_len" not in fields:
+            got[name] = _BLOCKS[name](self)
+        if "algebra" not in got:
             self.fail("the document needs an algebra block")
-        fields["points"] = tuple(fields["points"])
-        return InputDocument(**fields)  # type: ignore[arg-type]
+        (vertices, arrows), (field, max_len, relations) = got["quiver"], got["algebra"]
+        return InputDocument(
+            vertices, arrows, field, max_len, relations, got.get("module"),
+            tuple(points), got.get("weight"), got.get("top"), got.get("dimvec"),
+            got.get("layering"), got.get("skeleton"), got.get("direction"),
+        )  # fmt: skip
 
     def parse_point_list(self) -> tuple[PointBlock, ...]:
         points: list[PointBlock] = []
@@ -617,10 +547,27 @@ class _Parser:
             head = self.expect_kind("ident")
             if head.text != "point":
                 self.fail("a candidate file may contain only point blocks", head)
-            points.append(self.parse_point_block())
+            points.append(_BLOCKS["point"](self))
         if not points:
             self.fail("the candidate file has no point blocks")
         return tuple(points)
+
+
+# block name -> its parser; every block but quiver and point appears at most once
+_BLOCKS: dict[str, Callable[[_Parser], object]] = {
+    "quiver": _Parser.parse_quiver_block,
+    "algebra": _Parser.parse_algebra_block,
+    "module": _Parser.parse_module_block,
+    "point": lambda p: p.entry_block("generators", lambda _: p.listed(p.parse_generator)),
+    "weight": lambda p: p.entry_block("theta", p.vertex_tuple),
+    "top": lambda p: p.entry_block("mult", p.vertex_tuple),
+    "dimvec": lambda p: p.entry_block("d", p.vertex_tuple),
+    "layering": lambda p: p.entry_block(
+        "layers", lambda tok: p.listed(lambda: p.vertex_tuple(tok))
+    ),
+    "skeleton": lambda p: p.entry_block("elems", lambda _: p.listed(p.parse_skel_elem)),
+    "direction": _Parser.parse_direction_block,
+}
 
 
 def parse_input(text: str) -> InputDocument:
@@ -710,6 +657,14 @@ def render_document(doc: InputDocument) -> str:
 # -- builders -----------------------------------------------------------------
 
 
+def need(value: T | None, block: str) -> T:
+    """The value of a document block a command needs; TypeMismatch if the
+    block is missing."""
+    if value is None:
+        raise TypeMismatch(f"this command needs a {block} block")
+    return value
+
+
 def doc_quiver(doc: InputDocument) -> Quiver:
     return make_quiver(len(doc.vertices), list(doc.arrows))
 
@@ -736,13 +691,12 @@ def doc_algebra(doc: InputDocument, field: Field | None = None) -> Algebra:
 
 
 def doc_module(doc: InputDocument, alg: Algebra) -> Rep:
-    if doc.module is None:
-        raise TypeMismatch("this command needs a module block")
+    module = need(doc.module, "module")
     f = alg.field
-    d = doc.module.d
+    d = module.d
     mats = {
         lbl: [[f.of_fraction(x) for x in row] for row in rows]
-        for lbl, rows in doc.module.mats
+        for lbl, rows in module.mats
     }
     for a in alg.quiver.arrows:
         if a.label not in mats:
@@ -779,22 +733,18 @@ def doc_point(P: ProjectiveCover, block: PointBlock) -> SubmodulePoint:
 
 
 def doc_skeleton(P: ProjectiveCover, doc: InputDocument) -> Skeleton:
-    if doc.skeleton is None:
-        raise TypeMismatch("this command needs a skeleton block")
     elems = []
-    for e in doc.skeleton:
+    for e in need(doc.skeleton, "skeleton"):
         r = _copy_index(P, e.copy)
         elems.append((_path_word(P.alg.quiver, e.ref), r))
     return make_skeleton(P, elems)
 
 
 def doc_direction(P: ProjectiveCover, endo: EndoSpace, doc: InputDocument) -> list:
-    if doc.direction is None:
-        raise TypeMismatch("this command needs a direction block")
     alg = P.alg
     f = alg.field
     coeffs = [f.zero()] * endo.dim
-    for copy, gen in doc.direction:
+    for copy, gen in need(doc.direction, "direction"):
         r = _copy_index(P, copy)
         for x, s in _gen_pairs(P, gen):
             for u, c in alg.normal_form(x).terms.items():

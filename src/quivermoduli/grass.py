@@ -749,7 +749,7 @@ class OrbitDims:
 
 def _stab_residues(
     P: ProjectiveCover, C: SubmodulePoint, endo: EndoSpace, subset: Iterable[int]
-) -> list[SparseRow]:
+) -> Iterator[SparseRow]:
     """Per endo index in the subset, the residues modulo C of the images of
     the rows of C, stacked into one sparse row (row k of C fills the
     coordinates k*|P| to (k+1)*|P| - 1). The linear map coefficient ->
@@ -759,14 +759,12 @@ def _stab_residues(
     n = P.total
     rows = [sparse(f, r) for r in C.rows]
     span = Echelon(f, rows)
-    out = []
     for j in subset:
         stacked: SparseRow = {}
         for k, row in enumerate(rows):
             for i, x in span.reduce(endo.apply(j, row)).items():
                 stacked[k * n + i] = x
-        out.append(stacked)
-    return out
+        yield stacked
 
 
 def _stab_rank(
@@ -783,7 +781,7 @@ def orbit_dims(
     if endo is None:
         endo = P.endo
     f = P.alg.field
-    residues = _stab_residues(P, C, endo, range(endo.dim))
+    residues = list(_stab_residues(P, C, endo, range(endo.dim)))
 
     def rank_of(subset: Iterable[int]) -> int:
         return len(Echelon(f, (residues[j] for j in subset)))
@@ -802,13 +800,9 @@ def endo_invariant(
     component is a violating basis endomorphism (r, s, u): z_r -> u*z_s."""
     if endo is None:
         endo = P.endo
-    f = P.alg.field
-    rows = [sparse(f, r) for r in C.rows]
-    span = Echelon(f, rows)
-    for j, elem in enumerate(endo.elems):
-        for row in rows:
-            if not span.contains(endo.apply(j, row)):
-                return False, elem
+    for j, stacked in enumerate(_stab_residues(P, C, endo, range(endo.dim))):
+        if stacked:
+            return False, endo.elems[j]
     return True, None
 
 
@@ -877,7 +871,7 @@ def _chart_points(
     seen = set()
     pts = []
     for v in cands:
-        key = tuple(f.format(x) for x in v)
+        key = tuple(v)
         if key in seen:
             continue
         seen.add(key)

@@ -2,6 +2,7 @@
 parse errors, document builders, frozen command output, and exit codes."""
 
 import io
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from quivermoduli.dsl import (
     doc_module,
     doc_point,
     parse_input,
+    parse_points,
     render_document,
 )
 from quivermoduli.errors import TypeMismatch, UnknownLabel
@@ -177,6 +179,119 @@ def test_malformed_paths_are_type_errors():
         )
     with pytest.raises(TypeMismatch, match="declared as 1..n in order"):
         parse_input("quiver { vertices: 1 3; arrows: a: 1 -> 1; }")
+
+
+_HEAD = "quiver { vertices: 1 2; arrows: a: 1 -> 1, b: 1 -> 2; }\n"
+_DOC = _HEAD + "algebra { field: Q; max_len: 3; relations: [1*a*a]; }\n"
+
+# one malformed document per error site of the parser, with its exact error
+PARSE_ERRORS = [
+    ("quiver { vertices: 1 @ }", SyntaxError, "line 1, column 22: unexpected character '@'"),
+    ("quiver { vertices: 1 2; arrows: a: 1 > 2; }", SyntaxError,
+     "line 1, column 38: unexpected character '>'"),
+    ("quiver { vertices: 1 2;", SyntaxError, "line 1, column 24: expected '}', found end of input"),
+    ("quiver { vertices 1 2; }", SyntaxError, "line 1, column 19: expected ':', found '1'"),
+    ("", SyntaxError, "line 1, column 1: expected ident, found ''"),
+    ("quiver { vertices: x; }", SyntaxError, "line 1, column 20: expected int, found 'x'"),
+    ("quiver { vertices: 2 1; }", TypeMismatch,
+     "vertices must be declared as 1..n in order, got (2, 1)"),
+    ("quiver { vertices: 1 2; arrows: a: 1 -> 1, a: 1 -> 2; }", TypeMismatch,
+     "line 1, column 44: arrow label 'a' declared twice"),
+    ("quiver { vertices: 1 2; arrows: a: 1 -> 3; }", UnknownLabel,
+     "line 1, column 33: arrow a uses undeclared vertex 3"),
+    ("algebra { max_len: 2; }", SyntaxError,
+     "line 1, column 1: the document must start with a quiver block"),
+    (_HEAD + "algebra { field: F4; max_len: 3; }", TypeMismatch,
+     "line 2, column 18: field order must be prime, got 4"),
+    (_HEAD + "algebra { field: Q; order: 3; max_len: 3; }", SyntaxError,
+     "line 2, column 21: unknown algebra entry 'order'"),
+    (_HEAD + "algebra { field: Q; }", SyntaxError, "line 2, column 22: algebra block needs max_len"),
+    (_HEAD + "algebra { max_len: 3; relations: [1*e3]; }", UnknownLabel,
+     "line 2, column 37: idempotent of undeclared vertex 3"),
+    (_HEAD + "algebra { max_len: 3; relations: [1*a*e1]; }", TypeMismatch,
+     "line 2, column 39: idempotent e1 cannot be composed with arrows"),
+    (_HEAD + "algebra { max_len: 3; relations: [1*c]; }", UnknownLabel,
+     "line 2, column 37: unknown arrow label 'c'"),
+    (_HEAD + "algebra { max_len: 3; relations: [1*a*b]; }", TypeMismatch,
+     "line 2, column 37: path does not compose: a cannot follow b"),
+    (_HEAD + "algebra { max_len: 3; relations: [1*a + ]; }", SyntaxError,
+     "line 2, column 41: expected ident, found ']'"),
+    (_HEAD + "algebra { max_len: 3; relations: [1*a, ]; }", SyntaxError,
+     "line 2, column 40: expected ident, found ']'"),
+    (_HEAD + "algebra { max_len: 3; relations: [2/0*a]; }", SyntaxError,
+     "line 2, column 38: zero denominator"),
+    (_HEAD + "algebra { max_len: 3; relations: 1*a; }", SyntaxError,
+     "line 2, column 34: expected '[', found '1'"),
+    (_HEAD, SyntaxError, "line 2, column 1: the document needs an algebra block"),
+    (_DOC + "quiver { vertices: 1; }", SyntaxError, "line 3, column 1: duplicate quiver block"),
+    (_DOC + "algebra { max_len: 2; }", SyntaxError, "line 3, column 1: duplicate algebra block"),
+    (_DOC + "modul { d: (1, 1); }", SyntaxError, "line 3, column 1: unknown block 'modul'"),
+    (_DOC + "module { d: (1, 1); c: [[1]]; }", UnknownLabel,
+     "line 3, column 21: unknown arrow label 'c'"),
+    (_DOC + "module { d: (1, 1); a: [[1]]; a: [[0]]; }", TypeMismatch,
+     "line 3, column 31: matrix for arrow 'a' given twice"),
+    (_DOC + "module { a: [[1]]; }", SyntaxError,
+     "line 3, column 21: module block needs a dimension vector d"),
+    (_DOC + "module { d: (1, 1); b: [[1, 0]]; }", TypeMismatch,
+     "line 3, column 21: matrix for b must be 1x1"),
+    (_DOC + "module { d: (1, 1, 1); }", TypeMismatch,
+     "line 3, column 10: expected 2 entries, one per vertex, got 3"),
+    (_DOC + "module { d: (1, 1); a: [[1/0]]; }", SyntaxError, "line 3, column 29: zero denominator"),
+    (_DOC + "point { generators: [(1*b).y1]; }", SyntaxError,
+     "line 3, column 28: expected a copy marker z<r>, found 'y1'"),
+    (_DOC + "point { generators: []; }", SyntaxError, "line 3, column 22: expected '(', found ']'"),
+    (_DOC + "point { generators: [(1*b).z1] }", SyntaxError,
+     "line 3, column 32: expected ';', found '}'"),
+    (_DOC + "point { gens: [(1*b).z1]; }", SyntaxError,
+     "line 3, column 9: expected 'generators', found 'gens'"),
+    (_DOC + "point { generators: [(1*b)z1]; }", SyntaxError,
+     "line 3, column 27: expected '.', found 'z1'"),
+    (_DOC + "weight { theta: (1); }", TypeMismatch,
+     "line 3, column 10: expected 2 entries, one per vertex, got 1"),
+    (_DOC + "top { mult: (1, 0, 0); }", TypeMismatch,
+     "line 3, column 7: expected 2 entries, one per vertex, got 3"),
+    (_DOC + "dimvec { dim: (1, 0); }", SyntaxError, "line 3, column 10: expected 'd', found 'dim'"),
+    (_DOC + "layering { layers: []; }", SyntaxError, "line 3, column 21: expected '(', found ']'"),
+    (_DOC + "layering { layers: [(1, 0), (1)]; }", TypeMismatch,
+     "line 3, column 12: expected 2 entries, one per vertex, got 1"),
+    (_DOC + "skeleton { elems: [a]; }", SyntaxError,
+     "line 3, column 20: skeleton element needs a trailing .z<r> copy marker"),
+    (_DOC + "skeleton { elems: [a*z1]; }", SyntaxError,
+     "line 3, column 22: skeleton element needs a trailing .z<r> copy marker"),
+    (_DOC + "skeleton { elems: [a.x1]; }", SyntaxError,
+     "line 3, column 22: skeleton element needs a trailing .z<r> copy marker"),
+    (_DOC + "skeleton { elems: [c.z1]; }", UnknownLabel,
+     "line 3, column 20: unknown arrow label 'c'"),
+    (_DOC + "direction { y1: (1*a).z1; }", SyntaxError,
+     "line 3, column 13: expected a generator key z<r>, found 'y1'"),
+    (_DOC + "direction { z1: (1*a).z1; z1: (1*b).z1; }", TypeMismatch,
+     "line 3, column 27: direction for z1 given twice"),
+    (_DOC + "direction { z1 (1*a).z1; }", SyntaxError, "line 3, column 16: expected ':', found '('"),
+]
+
+# the same for candidate files, parsed against _DOC
+POINT_ERRORS = [
+    ("", SyntaxError, "line 1, column 1: the candidate file has no point blocks"),
+    ("weight { theta: (1, 1); }", SyntaxError,
+     "line 1, column 1: a candidate file may contain only point blocks"),
+    ("point { generators: [(1*c).z1]; }", UnknownLabel,
+     "line 1, column 25: unknown arrow label 'c'"),
+    ("point { generators: [(1*a).z1] }", SyntaxError, "line 1, column 32: expected ';', found '}'"),
+]
+
+
+@pytest.mark.parametrize("text, exc, message", PARSE_ERRORS)
+def test_every_parse_error_keeps_its_type_and_message(text, exc, message):
+    with pytest.raises(exc) as info:
+        parse_input(text)
+    assert type(info.value) is exc and str(info.value) == message
+
+
+@pytest.mark.parametrize("text, exc, message", POINT_ERRORS)
+def test_every_candidate_file_error_keeps_its_type_and_message(text, exc, message):
+    with pytest.raises(exc) as info:
+        parse_points(text, parse_input(_DOC))
+    assert type(info.value) is exc and str(info.value) == message
 
 
 def test_module_builder_checks_shapes_and_relations():
@@ -474,6 +589,69 @@ def test_missing_blocks_exit_with_2(tmp_path, capsys):
     )
     assert code == 2
     assert "this command needs a skeleton block" in err
+
+
+
+# a document with every block; each command needs some of them
+_ALL_BLOCKS = """\
+quiver { vertices: 1 2; arrows: a: 1 -> 1, b: 1 -> 2; }
+algebra { field: Q; max_len: 3; relations: [1*a*a]; }
+module { d: (1, 1); a: [[0]]; b: [[1]]; }
+point { generators: [(1*b).z1]; }
+weight { theta: (-1, 1); }
+top { mult: (1, 0); }
+dimvec { d: (2, 1); }
+layering { layers: [(1, 0), (1, 0), (0, 1)]; }
+skeleton { elems: [e1.z1, a.z1, b*a.z1]; }
+direction { z1: (1*a).z1; }
+"""
+
+_NO_ALGEBRA = "error: line 10, column 1: the document needs an algebra block\n"
+
+
+def _need(block):
+    return f"error: this command needs a {block} block\n"
+
+
+# per command, the blocks it needs besides the algebra, in the order it checks
+# them, each with the error it exits with when that block is the first one
+# missing; a group of blocks fails only when all of them are missing
+MISSING_BLOCKS = {
+    "algebra-info": [],
+    "skeleta": [
+        ("top", _need("top")),
+        ("dimvec layering", "error: the skeleta command needs a dimvec or layering block\n"),
+    ],
+    "chart": [("top", _need("top")), ("skeleton", _need("skeleton"))],
+    "point": [("top", _need("top")), ("point", _need("point"))],
+    "orbit": [("top", _need("top")), ("point", _need("point"))],
+    "stability": [("module", _need("module")), ("weight", _need("weight"))],
+    "stable-factors": [("module", _need("module")), ("weight", _need("weight"))],
+    "maxdeg-test": [
+        ("top", _need("top")),
+        ("point dimvec", "error: the maxdeg-test command needs a point block, "
+         "a dimvec block, or a candidate list\n"),
+    ],
+    "limit": [("top", _need("top")), ("point", _need("point")), ("direction", _need("direction"))],
+    "moduli-report": [("top", _need("top")), ("dimvec", _need("dimvec"))],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MISSING_BLOCKS))
+def test_every_command_names_the_first_missing_block(tmp_path, capsys, command):
+    code, _, err = run_cli(tmp_path, capsys, _ALL_BLOCKS, command)
+    assert code != 2, err
+    needs = MISSING_BLOCKS[command]
+    cases = [(("algebra", _NO_ALGEBRA),)] + [
+        chosen for size in range(1, len(needs) + 1) for chosen in itertools.combinations(needs, size)
+    ]
+    for chosen in cases:
+        dropped = " ".join(names for names, _ in chosen).split()
+        text = "".join(
+            line for line in _ALL_BLOCKS.splitlines(True) if line.split()[0] not in dropped
+        )
+        code, out, err = run_cli(tmp_path, capsys, text, command)
+        assert (code, out, err) == (2, "", chosen[0][1]), (command, dropped)
 
 
 def test_domain_errors_exit_with_1(tmp_path, capsys):

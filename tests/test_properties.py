@@ -333,6 +333,7 @@ def test_skeleton_growers_match_the_brute_force_oracle():
 # ------------------------------------------------------------ stratum sweeps
 
 
+@functools.cache
 def _sweepable_strata():
     """(name, cover, charts) for every stratum of the F2 and F3 covers of
     small tops with |P| <= 8 whose charts fit the sweep budget. The
@@ -351,19 +352,16 @@ def _sweepable_strata():
     return out
 
 
-SWEEPABLE_STRATA = _sweepable_strata()
-
-
 def _triples(points):
     return [(pres.sigma, vals, C.rows) for pres, vals, C in points]
 
 
 def test_stratum_sweep_matches_the_plain_sweep_oracle():
-    for name, P, charts in SWEEPABLE_STRATA:
+    for name, P, charts in _sweepable_strata():
         got = stratum_points(charts, DEFAULT_LIMITS, random.Random(0))
         expected = plain_stratum_points(charts, DEFAULT_LIMITS, random.Random(0))
         assert _triples(got) == _triples(expected), name
-    assert len(SWEEPABLE_STRATA) >= 250
+    assert len(_sweepable_strata()) >= 250
 
 
 def _submodules_in_the_radical(P):
@@ -417,7 +415,7 @@ def test_pinned_coordinates_cut_out_the_first_skeleton_cell():
     # a chart point has no nonzero pinned coordinate exactly when the chart's
     # skeleton is the point's first one, found by the skeleton grower
     checked = 0
-    for name, P, charts in SWEEPABLE_STRATA:
+    for name, P, charts in _sweepable_strata():
         f = P.alg.field
         if not P.alg.is_monomial():
             assert all(pres.pinned == () for pres in charts), name
@@ -987,6 +985,7 @@ def test_degeneration_verdict_is_constant_on_orbits():
 # ------------------------------------------ hom dimensions and orbits from (P, C)
 
 
+@functools.cache
 def _verdict_charts():
     """(name, cover, chart) for strata with simple and non-simple tops over
     F2, F3 and Q."""
@@ -1008,13 +1007,10 @@ def _verdict_charts():
     return out
 
 
-VERDICT_CHARTS = _verdict_charts()
-
-
 @st.composite
 def chart_points(draw):
-    """A point of one of VERDICT_CHARTS at drawn coordinates."""
-    name, P, pres = draw(st.sampled_from(VERDICT_CHARTS))
+    """A point of one of _verdict_charts() at drawn coordinates."""
+    name, P, pres = draw(st.sampled_from(_verdict_charts()))
     f = P.alg.field
     scalars = st.sampled_from(f.elements()) if f.is_finite else st.integers(-2, 2).map(f.of_int)
     vals = [draw(scalars) for _ in pres.variables]
