@@ -46,6 +46,7 @@ from .grass import (
     SubmodulePoint,
     _chart_sweepable,
     _stab_rank,
+    _stab_residues,
     chart_equations,
     coker_rep,
     in_radical,
@@ -94,6 +95,16 @@ def _top(piece: Rep) -> int:
     return top_dims(piece.alg, piece).index(1) + 1
 
 
+def _require_top(alg: Algebra, P: ProjectiveCover, C: SubmodulePoint) -> None:
+    """Refuse a submodule C outside JP: P/C then has a smaller top than
+    the one the cover was built for."""
+    if not in_radical(P, C):
+        raise TopMismatch(
+            f"quotient has top {top_dims(alg, coker_rep(P, C))}, "
+            f"cover was built for {P.top.mult}"
+        )
+
+
 def no_proper_topstable_deg(
     alg: Algebra,
     P: ProjectiveCover,
@@ -107,7 +118,8 @@ def no_proper_topstable_deg(
     when (i) M is a direct sum of local modules that, grouped by top vertex,
     are linearly ordered by top-preserving epimorphisms, decided on the
     tops (reps._top_map), and (ii) the radical JM satisfies
-    dim Hom(P, JM) = dim Hom(M, JM).
+    dim Hom(P, JM) = dim Hom(M, JM), which holds exactly when every map in
+    Hom(P, JP) maps C into C.
 
     With a simple top M is local and is its own summand, and it is never
     built: the cover map P -> M is onto, so the presentation kernel is C
@@ -132,17 +144,15 @@ def no_proper_topstable_deg(
     * So hm = dim{psi : psi(C) in C} - sum_r dim e_{v_r} C = hp - rank,
       where rank is that of psi -> psi(C) mod C on Hom(P, JP): the
       dimension of the unipotent orbit of C, orbit_dims(P, C).unipotent.
+      So hp = hm exactly when the rank is 0, that is, when Hom(P, JP)
+      maps C into C.
     """
     if P.top.simple:
         # the refusal coker_rep would give, without building the quotient
-        _graded_span(P.rep, C.row_lists())
+        _graded_span(P.rep, C.span)
     else:
         M = coker_rep(P, C)
-    if not in_radical(P, C):
-        raise TopMismatch(
-            f"quotient has top {top_dims(alg, coker_rep(P, C))}, "
-            f"cover was built for {P.top.mult}"
-        )
+    _require_top(alg, P, C)
 
     if P.top.simple:
         kernel_dims = [(P.gens[0], (C.dim,))]
@@ -303,6 +313,14 @@ def maximal_topdeg_candidates(
     points whose quotient dominates M in the hom-order, and passing ``base``
     additionally searches single nilpotent directions for a one-parameter
     limit landing on each survivor.
+
+    Only ``holds`` of each verdict is read, so condition (ii) goes first:
+    it holds exactly when Hom(P, JP) maps C into C, and a point that some
+    basis map of ``endo.unipotent`` moves is dropped before its quotient is
+    split. Every point still meets the refusals of no_proper_topstable_deg
+    first, with the same errors in the same order, and the points left get
+    its full verdict. Swept points are read one at a time, so none outlives
+    its verdict.
     """
     if candidates is None:
         f = alg.field
@@ -320,13 +338,17 @@ def maximal_topdeg_candidates(
                     f"the sweep budget {limits.chart_sweep}"
                 )
         rng = random.Random(limits.seed)
-        points = [pt for _, _, pt in stratum_points(charts, limits, rng)]
+        points = (pt for _, _, pt in stratum_points(charts, limits, rng))
     else:
-        points = list(candidates)
+        points = candidates
 
-    endo = P.endo if base is not None else None
+    endo = P.endo
     out = []
     for pt in points:
+        _graded_span(P.rep, pt.span)
+        _require_top(alg, P, pt)
+        if any(_stab_residues(P, pt, endo, endo.unipotent)):
+            continue
         verdict = no_proper_topstable_deg(alg, P, pt, limits)
         if verdict.holds is not True:
             continue

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import Algebra
 from .config import DEFAULT_LIMITS, SearchLimits
@@ -34,9 +34,7 @@ from .linalg import (
     Echelon,
     SparseRow,
     Vector,
-    dense,
     is_invertible,
-    span_rref,
     sparse,
 )
 from .polys import Poly, PolyRing
@@ -44,11 +42,11 @@ from .quiver import Element, PathWord, compose, deglex_key, extend, idempotent
 from .reps import (
     Rep,
     SemisimpleSequence,
+    _by_vertex,
     _graded_span,
-    _vertex_dims,
+    _quotient,
     closure,
     direct_sum,
-    quotient_rep,
     radical_layering,
     rep_of_projective,
 )
@@ -200,25 +198,30 @@ def _trim(rows: SemisimpleSequence) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class SubmodulePoint:
-    """A submodule C <= JP as an RREF row span, plus the dims of P/C."""
+    """A submodule C <= JP as an RREF row span, plus the dims of P/C.
+
+    span is the Echelon of C that submodule_point builds. Every reading of
+    C (its submodule check, quotient, stabiliser residues, skeleta) reduces
+    against it and none inserts into it. It takes no part in equality,
+    hashing or the printed form, which the rows already fix.
+    """
 
     rows: tuple[tuple[Scalar, ...], ...]
     dims: tuple[int, ...]
+    span: Echelon = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def row_lists(self) -> list[Vector]:
-        return [list(r) for r in self.rows]
 
-
-def submodule_point(P: ProjectiveCover, vectors: list[Vector]) -> SubmodulePoint:
-    red = span_rref(P.alg.field, [list(v) for v in vectors])
-    dims = tuple(
-        a - b for a, b in zip(P.rep.d, _vertex_dims(P.rep, red))
-    )
-    return SubmodulePoint(tuple(tuple(r) for r in red), dims)
+def submodule_point(P: ProjectiveCover, vectors: Iterable[Vector | SparseRow]) -> SubmodulePoint:
+    """The point spanned by the given vectors, dense or sparse rows. P/C
+    has at each vertex the coordinates that are not pivots of C."""
+    f = P.alg.field
+    span = Echelon(f, (v if isinstance(v, dict) else sparse(f, v) for v in vectors))
+    dims = tuple(n - len(b) for n, b in zip(P.dims, _by_vertex(P.rep, span.rows)))
+    return SubmodulePoint(tuple(map(tuple, span.rref(P.total))), dims, span)
 
 
 def point_from_generators(P: ProjectiveCover, gens) -> SubmodulePoint:
@@ -256,14 +259,14 @@ def is_grass_point(
     if not in_radical(P, C):
         return False
     try:
-        _graded_span(P.rep, C.row_lists())
+        _graded_span(P.rep, C.span)
     except NotSubmodule:
         return False
     return C.dims == tuple(d)
 
 
 def coker_rep(P: ProjectiveCover, C: SubmodulePoint) -> Rep:
-    return quotient_rep(P.rep, C.row_lists())
+    return _quotient(P.rep, C.span)
 
 
 @dataclass(frozen=True)
@@ -312,7 +315,7 @@ def _grow_skeleta(
     P: ProjectiveCover,
     d: tuple[int, ...],
     S: SemisimpleSequence | None = None,
-    span: Echelon | None = None,
+    C: Echelon | None = None,
 ) -> list[Skeleton]:
     """All skeleta of P with per-vertex member counts d, in deglex order.
 
@@ -321,9 +324,13 @@ def _grow_skeleta(
     at v; otherwise it picks any count up to what is left of d.
 
     Given the span of a point C <= JP, only skeleta whose members are
-    independent modulo C are grown. The unit vectors of each step go into
-    a copy of the parent's span C + span(chosen), and a step with an insert
-    that returns None is cut with everything below it. The cut is exact:
+    independent modulo C are grown. Each unit vector e_b is reduced modulo
+    C once. A set of them is independent modulo C exactly when its
+    residues are independent, since a vector of C that is zero at every
+    pivot of C is zero. The residues of each step go into a copy of the
+    parent's span of the residues of chosen, at most dim P/C rows, and a
+    step with an insert that returns None is cut with everything below
+    it. The cut is exact:
     * a set dependent modulo C stays dependent under any extension;
     * a leaf sigma has |sigma| = dim P/C, so it is independent modulo C
       exactly when P = C (+) span(sigma).
@@ -335,16 +342,24 @@ def _grow_skeleta(
     if any(t > dv for t, dv in zip(tops, d)):
         return []
     zrow = P.generator_elems()
-    one = P.alg.field.one()
+    f = P.alg.field
     found: list[Skeleton] = []
+    residues: dict[BElem, SparseRow] = {}
+
+    def residue(b: BElem) -> SparseRow:
+        """e_b modulo C, reduced once per basis element."""
+        if b not in residues:
+            residues[b] = C.reduce({P.index[b]: f.one()})
+        return residues[b]
 
     def grow(
         chosen: list[BElem], frontier: list[BElem], layer: int, left: tuple[int, ...], span: Echelon | None
     ) -> None:
         if span is not None:
-            # span is C + span(chosen minus frontier); the frontier joins it
+            # span holds the residues of chosen minus frontier; the frontier's
+            # residues join it
             span = span.copy()
-            if any(span.insert({P.index[b]: one}) is None for b in frontier):
+            if any(span.insert(residue(b)) is None for b in frontier):
                 return
         if not any(left):
             found.append(make_skeleton(P, chosen))
@@ -366,7 +381,8 @@ def _grow_skeleta(
                 nxt = tuple(n - len(group) for n, group in zip(left, picks))
                 grow(chosen + step, step, layer + 1, nxt, span)
 
-    grow(list(zrow), list(zrow), 1, tuple(dv - t for dv, t in zip(d, tops)), span)
+    left = tuple(dv - t for dv, t in zip(d, tops))
+    grow(list(zrow), list(zrow), 1, left, None if C is None else Echelon(f))
     found.sort(key=lambda s: tuple(P.belem_key(b) for b in s.elems))
     return found
 
@@ -394,7 +410,7 @@ def skeleta_of_point(
         S = radical_layering(P.alg, coker_rep(P, C))
     if S[0] != P.top.mult:
         return []
-    return _grow_skeleta(P, C.dims, S, Echelon.of(P.alg.field, C.rows))
+    return _grow_skeleta(P, C.dims, S, C.span)
 
 
 #: A residue over a skeleton: its nonzero entries, by member of the skeleton.
@@ -571,12 +587,13 @@ def coords_to_point(pres: ChartPresentation, values) -> SubmodulePoint:
     for b in P.belems:
         if b in sig_set:
             continue
-        vec = P.unit(b)
+        # e_b minus its expansion over sigma, which does not contain b
+        row = {P.index[b]: f.one()}
         for b2, e in pres.residues[b].items():
             c = e.eval(vals)
             if not f.is_zero(c):
-                vec[P.index[b2]] = f.sub(vec[P.index[b2]], c)
-        rows.append(vec)
+                row[P.index[b2]] = f.neg(c)
+        rows.append(row)
     return submodule_point(P, rows)
 
 
@@ -737,7 +754,7 @@ def apply_auto(
             blk[copies.index(s)][copies.index(r)] = coeffs[j]
         if copies and not is_invertible(f, blk):
             raise NotInvertible(f"degree-0 block at vertex {v} is singular")
-    return submodule_point(P, [dense(f, endo.combine(coeffs, sparse(f, row)), P.total) for row in C.rows])
+    return submodule_point(P, [endo.combine(coeffs, row) for row in C.span.rows.values()])
 
 
 @dataclass(frozen=True)
@@ -755,10 +772,9 @@ def _stab_residues(
     coordinates k*|P| to (k+1)*|P| - 1). The linear map coefficient ->
     stacked residue has kernel the endomorphisms in the span that keep C
     inside itself."""
-    f = P.alg.field
     n = P.total
-    rows = [sparse(f, r) for r in C.rows]
-    span = Echelon(f, rows)
+    span = C.span
+    rows = list(span.rows.values())
     for j in subset:
         stacked: SparseRow = {}
         for k, row in enumerate(rows):
@@ -811,12 +827,11 @@ def is_homogeneous_point(P: ProjectiveCover, C: SubmodulePoint) -> bool:
     itself to be length-graded (IdealNotGraded otherwise)."""
     if not P.alg.is_homogeneous_ideal():
         raise IdealNotGraded("the defining ideal is not length-graded")
-    f = P.alg.field
-    span = Echelon.of(f, C.rows)
+    span = C.span
     lengths = sorted({p.length for p, _ in P.belems})
-    for row in C.rows:
+    for row in span.rows.values():
         for l in lengths:
-            comp = {i: x for i, x in enumerate(row) if P.belems[i][0].length == l}
+            comp = {i: x for i, x in row.items() if P.belems[i][0].length == l}
             if not span.contains(comp):
                 return False
     return True

@@ -295,17 +295,16 @@ def _vertex_dims(M: Rep, space: list[Vector]) -> tuple[int, ...]:
     return tuple(map(len, _by_vertex(M, pivots)))
 
 
-def _graded_span(M: Rep, space: list[Vector]) -> Echelon:
-    """The span U of the given vectors, which must be a submodule of M.
+def _graded_span(M: Rep, span: Echelon) -> Echelon:
+    """The span U, given as its Echelon, which must be a submodule of M.
 
     The RREF of a vertex-graded U is the union of the RREFs of its vertex
     parts e_v*U, and it is unique, so U is graded exactly when each stored
     row lies in one vertex block; it is a submodule when, besides, every
     arrow image of a stored row reduces to zero. Raises NotSubmodule
-    otherwise. Every subquotient of M is read off the pivots of U.
+    otherwise and returns U unchanged. Every subquotient of M is read off
+    the pivots of U.
     """
-    f = M.field
-    span = Echelon.of(f, space)
     ends = list(itertools.accumulate(M.d))
     if any(bisect.bisect_right(ends, p) != bisect.bisect_right(ends, max(r)) for p, r in span.rows.items()):
         raise NotSubmodule("subspace is not graded by the vertices")
@@ -611,16 +610,21 @@ def sub_rep(M: Rep, space: list[Vector]) -> Rep:
     """The submodule U spanned by the given vectors, on the RREF basis of
     each e_v*U. A basis vector is named by its pivot, and a vector of U has
     its coordinates at the pivots. Raises NotSubmodule (_graded_span)."""
-    span = _graded_span(M, space)
+    span = _graded_span(M, Echelon.of(M.field, space))
     return _on_basis(M, _by_vertex(M, span.rows), lambda p: span.rows[p], lambda w: w)
 
 
 def quotient_rep(M: Rep, space: list[Vector]) -> Rep:
-    """M / U for the submodule U spanned by the given vectors, on the
-    classes of the unit vectors off U's pivots; a class has its coordinates
-    at those positions of its residue modulo U, as in _top_map. Raises
-    NotSubmodule (_graded_span)."""
-    span = _graded_span(M, space)
+    """M / U for the submodule U spanned by the given vectors (_quotient)."""
+    return _quotient(M, Echelon.of(M.field, space))
+
+
+def _quotient(M: Rep, span: Echelon) -> Rep:
+    """M / U for the submodule U with the given Echelon, on the classes of
+    the unit vectors off U's pivots; a class has its coordinates at those
+    positions of its residue modulo U, as in _top_map. Raises NotSubmodule
+    (_graded_span)."""
+    _graded_span(M, span)
     one = M.field.one()
     keep = _by_vertex(M, (i for i in range(M.total) if i not in span.rows))
     return _on_basis(M, keep, lambda i: {i: one}, span.reduce)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+from quivermoduli.degeneration import no_proper_topstable_deg
 from quivermoduli.errors import EquationsViolated, UnsupportedAlgebra
 from quivermoduli.fields import Field
 from quivermoduli.grass import (
@@ -736,3 +737,13 @@ def plain_stratum_points(charts, limits, rng):
             if pt.rows not in seen:
                 seen.add(pt.rows)
                 yield pres, list(vals), pt
+
+
+# -- closed-orbit sweeps ---------------------------------------------------------
+
+
+def closed_orbit_verdicts(P, points) -> list:
+    """The maximality sweep as it was before condition (ii) went first:
+    (point, verdict) for every point, each with the full verdict of
+    no_proper_topstable_deg. The sweep keeps the points whose verdict holds."""
+    return [(C, no_proper_topstable_deg(P.alg, P, C)) for C in points]

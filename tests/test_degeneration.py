@@ -146,6 +146,56 @@ def test_simple_top_refuses_a_subspace_that_is_not_a_submodule(loop_bridge):
     assert str(err.value) == "subspace is not stable under the arrow action"
 
 
+def _moved(P, C):
+    """Does some map P -> JP move C? Then condition (ii) would drop C."""
+    endo = P.endo
+    return any(grass._stab_residues(P, C, endo, endo.unipotent))
+
+
+def test_the_sweep_refuses_a_candidate_that_is_not_a_submodule(loop_bridge):
+    # condition (ii) goes first in the sweep, but after the refusals of the
+    # verdict, with the verdict's messages; span(a*z1 + b*z1) is not even
+    # graded, and z1 -> a*z1 moves it, so a filter run first would drop it
+    P = projective_cover(loop_bridge, (1, 0))
+    a, b = (P.unit(x) for x in P.belems if x[0].length == 1)
+    mixed = submodule_point(P, [[loop_bridge.field.add(x, y) for x, y in zip(a, b)]])
+    assert _moved(P, mixed)
+    cases = [
+        (submodule_point(P, [a]), "subspace is not stable under the arrow action"),
+        (mixed, "subspace is not graded by the vertices"),
+    ]
+    for C, message in cases:
+        for run in (
+            lambda: no_proper_topstable_deg(loop_bridge, P, C),
+            lambda: maximal_topdeg_candidates(loop_bridge, P, C.dims, candidates=[C]),
+        ):
+            with pytest.raises(NotSubmodule) as err:
+                run()
+            assert str(err.value) == message
+
+
+def test_the_sweep_refuses_a_candidate_outside_the_radical(loop_bridge):
+    e1 = Element.from_path(idempotent(1), QQ.one())
+    P = projective_cover(loop_bridge, (1, 0))
+    whole = point_from_generators(P, [(e1, 0)])
+    # z1 -> a*z2 moves the first copy Lambda*z1 of the cover of S1^2
+    P2 = projective_cover(loop_bridge, (2, 0))
+    first = point_from_generators(P2, [(e1, 0)])
+    assert _moved(P2, first)
+    cases = [
+        (P, whole, "quotient has top (0, 0), cover was built for (1, 0)"),
+        (P2, first, "quotient has top (1, 0), cover was built for (2, 0)"),
+    ]
+    for cover, C, message in cases:
+        for run in (
+            lambda: no_proper_topstable_deg(loop_bridge, cover, C),
+            lambda: maximal_topdeg_candidates(loop_bridge, cover, C.dims, candidates=[C]),
+        ):
+            with pytest.raises(TopMismatch) as err:
+                run()
+            assert str(err.value) == message
+
+
 def test_simple_top_verdict_builds_no_quotient(monkeypatch, loop_bridge):
     P, Cb, Cba = bridge_points(loop_bridge)
     built = []

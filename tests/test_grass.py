@@ -21,6 +21,7 @@ from quivermoduli import (
     make_quiver,
 )
 from quivermoduli.config import DEFAULT_LIMITS
+from quivermoduli.degeneration import one_param_limit
 from quivermoduli.grass import (
     TopSpec,
     apply_auto,
@@ -173,6 +174,39 @@ def test_raw_span_need_not_be_a_point(loop_bridge):
     # span{a*z1} is not arrow-stable: b sends it to b*a*z1
     raw = submodule_point(P, [[f.zero(), f.one(), f.zero(), f.zero()]])
     assert not is_grass_point(P, raw, raw.dims)
+
+
+def test_every_point_keeps_the_echelon_its_rows_are_read_off(loop_bridge):
+    # each route to a point hands it the span it built, already reduced
+    P = projective_cover(loop_bridge, (1, 0))
+    q = loop_bridge.quiver
+    endo = P.endo
+    Cb = point_from_generators(P, [(rel(q, (1, ["b"])), 0)])
+    charts = [chart_equations(P, sigma) for sigma in skeleta_with_dims(P, (2, 1))]
+    pres = next(pres for pres in charts if pres.variables)
+    on_chart = coords_to_point(pres, [2] * len(pres.variables))
+    coeffs = endo.identity_coords()
+    for j in endo.unipotent:
+        coeffs[j] = loop_bridge.field.of_int(3)
+    moved = apply_auto(P, coeffs, Cb, endo)
+    shift = [0] * endo.dim
+    shift[endo.unipotent[0]] = 1
+    limit = one_param_limit(P, Cb, shift, endo)
+    for C in (Cb, on_chart, moved, limit):
+        assert C.span.rref(P.total) == [list(r) for r in C.rows]
+    assert on_chart != Cb and moved != Cb and limit != Cb
+
+
+def test_points_with_equal_rows_are_equal_whatever_order_built_their_spans(loop_bridge):
+    P = projective_cover(loop_bridge, (1, 0))
+    f = loop_bridge.field
+    u, w = (P.unit(b) for b in P.belems if b[0].length == 1)
+    rows = [[f.add(x, y) for x, y in zip(u, w)], w]
+    one, other = submodule_point(P, rows), submodule_point(P, rows[::-1])
+    # the stored rows come in different orders, the points are one
+    assert list(one.span.rows) != list(other.span.rows)
+    assert one == other and hash(one) == hash(other) and repr(one) == repr(other)
+    assert len({one, other}) == 1
 
 
 def test_coker_rep_layering(loop_bridge):

@@ -30,6 +30,7 @@ from oracles import (
     brute_force_submodule_dims,
     brute_force_submodule_spans,
     chain_oracle,
+    closed_orbit_verdicts,
     dense_chart_residues,
     dense_relation_equations,
     fitting_split_oracle,
@@ -54,6 +55,7 @@ from quivermoduli.config import DEFAULT_LIMITS, SearchLimits
 from quivermoduli.degeneration import (
     DegenerationVerdict,
     hom_order_leq,
+    maximal_topdeg_candidates,
     no_proper_topstable_deg,
     one_param_limit,
 )
@@ -61,6 +63,7 @@ from quivermoduli.dsl import doc_point, parse_input, render_document
 from quivermoduli.errors import EquationsViolated, NotInvertible, NotSumOfLocals, UnsupportedAlgebra
 from quivermoduli.grass import (
     _chart_sweepable,
+    _stab_residues,
     apply_auto,
     chart_equations,
     coker_rep,
@@ -1092,8 +1095,45 @@ def test_orbit_dims_match_the_dense_oracle(case):
 def test_cokernels_match_the_dense_quotient_and_layering(case):
     name, P, C = case
     M = coker_rep(P, C)
-    assert _same_rep(M, quotient_rep_oracle(P.rep, C.row_lists())), name
+    assert _same_rep(M, quotient_rep_oracle(P.rep, [list(r) for r in C.rows])), name
     assert radical_layering(P.alg, M) == radical_layering_oracle(P.alg, M), name
+
+
+def _all_chart_points(pres):
+    """Every point of a chart over F_q; over Q, those at coordinates in
+    {-1, 0, 1}."""
+    f = pres.cover.alg.field
+    scalars = f.elements() if f.is_finite else [f.of_int(k) for k in (-1, 0, 1)]
+    points = []
+    for vals in itertools.product(scalars, repeat=len(pres.variables)):
+        try:
+            points.append(coords_to_point(pres, list(vals)))
+        except EquationsViolated:
+            continue
+    return points
+
+
+def test_the_condition_ii_filter_keeps_what_the_full_verdicts_keep():
+    # maximal_topdeg_candidates drops a point that Hom(P, JP) moves before
+    # splitting it; the old sweep gave every point its full verdict
+    cases = []
+    for name, P, charts in _sweepable_strata():
+        points = [C for _, _, C in stratum_points(charts, DEFAULT_LIMITS, random.Random(0))]
+        cases.append((name, P, charts[0].dims, points, True))
+    cases += [(name, P, pres.dims, _all_chart_points(pres), False) for name, P, pres in _verdict_charts()]
+    moved = Counter()
+    for name, P, d, points, swept in cases:
+        got = maximal_topdeg_candidates(P.alg, P, d, candidates=None if swept else points)
+        verdicts = closed_orbit_verdicts(P, points)
+        assert [(c.point, c.verdict) for c in got] == [(C, v) for C, v in verdicts if v.holds], name
+        endo = P.endo
+        for C, verdict in verdicts:
+            if verdict.hom_dims is not None:
+                hp, hm = verdict.hom_dims
+                assert any(_stab_residues(P, C, endo, endo.unipotent)) == (hp != hm), name
+                moved[hp != hm] += 1
+    # (ii) is reached on 3,022 points: 1,167 are moved and 1,855 are not
+    assert moved[True] >= 1000 and moved[False] >= 1500
 
 
 def test_socle_verdict_matches_the_socle_dimensions():
