@@ -42,7 +42,6 @@ from .grass import (
     coker_rep,
     describe_endo,
     endo_invariant,
-    endo_space,
     enumerate_skeleta,
     is_homogeneous_point,
     moduli_report,
@@ -288,7 +287,7 @@ def _cmd_orbit(doc, flags, limits):
     alg = _build_algebra(doc, flags)
     P = _cover(doc, alg)
     pt = _base_point(doc, P)
-    endo = endo_space(P)
+    endo = P.endo
     od = orbit_dims(P, pt, endo)
     invariant, witness = endo_invariant(P, pt, endo)
     moved_by = None if witness is None else describe_endo(witness)
@@ -431,7 +430,7 @@ def _cmd_limit(doc, flags, limits):
     alg = _build_algebra(doc, flags)
     P = _cover(doc, alg)
     base = _base_point(doc, P)
-    endo = endo_space(P)
+    endo = P.endo
     coeffs = doc_direction(P, endo, doc)
     f = alg.field
     direction = [

@@ -55,7 +55,7 @@ from .grass import (
     stratum_points,
     submodule_point,
 )
-from .linalg import Vector, dense, kernel_basis, sparse, transpose
+from .linalg import Echelon, SparseRow, apply, combine
 from .reps import (
     Rep,
     _graded_span,
@@ -233,29 +233,28 @@ def one_param_limit(
     # Substituting s = 1/tau and scaling each row by s turns the moving
     # subspace span{r + tau*h(r)} into span{h(r) + s*r}; the limit is the
     # fibre at s = 0 of the saturated family.
-    pairs: list[tuple[Vector, Vector]] = [
-        (dense(f, endo.combine(coeffs, sparse(f, r)), P.total), list(r)) for r in C.rows
-    ]
-    zero = [f.zero()] * P.total
+    n = P.total
+    h = combine(f, coeffs, endo.images)
+    pairs = [(apply(f, h, C.span.rows[p]), C.span.rows[p]) for p in C.span.pivots()]
     while True:
-        const = [a for a, _ in pairs]
-        deps = kernel_basis(f, transpose(const), ncols=len(pairs))
-        if not deps:
-            break
-        a = deps[0]
-        combo = list(zero)
-        support = [i for i, x in enumerate(a) if not f.is_zero(x)]
-        for i in support:
-            for k in range(P.total):
-                combo[k] = f.add(combo[k], f.mul(a[i], pairs[i][1][k]))
-        pivot = None
-        for i in reversed(support):
-            if not all(f.is_zero(x) for x in pairs[i][1]):
-                pivot = i
+        # h(r_i), tagged at n + i, enters one Echelon; the first that
+        # reduces to tags alone carries the relation sum_i lam_i h(r_i) = 0
+        # with lam_i = 1 at its own tag
+        span = Echelon(f)
+        for i, (a, _) in enumerate(pairs):
+            lam = span.reduce({**a, n + i: f.one()})
+            if min(lam) >= n:
                 break
-        if pivot is None or all(f.is_zero(x) for x in combo):
+            span._place(lam)
+        else:
+            break
+        combo: SparseRow = {}
+        for i, y in lam.items():
+            f.axpy(combo, y, pairs[i - n][1])
+        pivot = max((i - n for i in lam if pairs[i - n][1]), default=None)
+        if pivot is None or not combo:
             raise NotSubmodule("row family degenerated; C was not a point")
-        pairs[pivot] = (combo, list(zero))
+        pairs[pivot] = (combo, {})
 
     limit = submodule_point(P, [a for a, _ in pairs])
     if limit.dim != C.dim or not is_grass_point(P, limit, C.dims):

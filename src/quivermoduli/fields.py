@@ -1,12 +1,14 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
 Elements are plain values (fractions.Fraction for Q, ints in [0, p) for F_p);
-the Field object carries the arithmetic. Everything downstream threads a Field
-explicitly, which keeps matrices as ordinary lists of scalars.
+the Field object carries the arithmetic, and everything downstream threads a
+Field explicitly.
 
 Sparse rows are dicts from any key to a nonzero scalar, and every sparse sum
 in the package goes through one rule, Field.axpy: out += c * row in place,
-with an entry that cancels popped, so no sparse row ever stores a zero.
+with an entry that cancels popped, so no sparse row ever stores a zero. Maps
+between modules are sparse too (linalg.Map); dense lists of scalars remain
+only at the edges that the linalg docstring names.
 """
 
 from __future__ import annotations

@@ -32,8 +32,11 @@ from .errors import (
 from .fields import Scalar
 from .linalg import (
     Echelon,
+    Map,
     SparseRow,
     Vector,
+    apply,
+    combine,
     is_invertible,
     sparse,
 )
@@ -234,13 +237,11 @@ def point_from_generators(P: ProjectiveCover, gens) -> SubmodulePoint:
     f = P.alg.field
     vecs = []
     for g in gens:
-        terms = [g] if isinstance(g, tuple) else list(g)
-        v = [f.zero()] * P.total
-        for x, r in terms:
-            for i, c in enumerate(P.element_vector(x, r)):
-                v[i] = f.add(v[i], c)
+        v: SparseRow = {}
+        for x, r in [g] if isinstance(g, tuple) else g:
+            f.axpy(v, f.one(), sparse(f, P.element_vector(x, r)))
         vecs.append(v)
-    return submodule_point(P, closure(P.rep, vecs))
+    return submodule_point(P, closure(P.rep, vecs).rows.values())
 
 
 def in_radical(P: ProjectiveCover, C: SubmodulePoint) -> bool:
@@ -650,15 +651,15 @@ def describe_endo(elem: tuple[int, int, PathWord]) -> str:
 @dataclass(eq=False)
 class EndoSpace:
     """Basis of End(P): elems[j] = (r, s, u) is the map z_r -> u*z_s, zero on
-    the other generators. images[j] sends the coordinate of each basis
-    element p*z_r to the sparse row of its image, the normal form of p*u
-    on copy s. unipotent/degree0/torus list the indices of the
+    the other generators. images[j] is its Map: the coordinate of each
+    basis element p*z_r goes to the sparse row of its image, the normal
+    form of p*u on copy s. unipotent/degree0/torus list the indices of the
     strictly-length-raising, the length-zero, and the diagonal length-zero
     basis elements."""
 
     cover: ProjectiveCover
     elems: tuple[tuple[int, int, PathWord], ...]
-    images: list[dict[int, SparseRow]]
+    images: list[Map]
     unipotent: tuple[int, ...]
     degree0: tuple[int, ...]
     torus: tuple[int, ...]
@@ -682,22 +683,7 @@ class EndoSpace:
 
     def apply(self, j: int, vec: SparseRow) -> SparseRow:
         """The image of a sparse vector under the basis endomorphism j."""
-        f = self.cover.alg.field
-        images = self.images[j]
-        out: SparseRow = {}
-        for i, y in vec.items():
-            if i in images:
-                f.axpy(out, y, images[i])
-        return out
-
-    def combine(self, coeffs: list[Scalar], vec: SparseRow) -> SparseRow:
-        """The image of a sparse vector under sum_j coeffs[j] * elems[j]."""
-        f = self.cover.alg.field
-        out: SparseRow = {}
-        for j, c in enumerate(coeffs):
-            if not f.is_zero(c):
-                f.axpy(out, c, self.apply(j, vec))
-        return out
+        return apply(self.cover.alg.field, self.images[j], vec)
 
 
 def endo_space(P: ProjectiveCover) -> EndoSpace:
@@ -712,7 +698,7 @@ def endo_space(P: ProjectiveCover) -> EndoSpace:
     elems.sort(key=lambda t: (t[0], t[1], deglex_key(alg.quiver, t[2])))
     images = []
     for r, s, u in elems:
-        cols: dict[int, SparseRow] = {}
+        cols: Map = {}
         for p, r2 in P.belems:
             if r2 != r:
                 continue
@@ -754,7 +740,8 @@ def apply_auto(
             blk[copies.index(s)][copies.index(r)] = coeffs[j]
         if copies and not is_invertible(f, blk):
             raise NotInvertible(f"degree-0 block at vertex {v} is singular")
-    return submodule_point(P, [endo.combine(coeffs, row) for row in C.span.rows.values()])
+    h = combine(f, coeffs, endo.images)
+    return submodule_point(P, [apply(f, h, row) for row in C.span.rows.values()])
 
 
 @dataclass(frozen=True)
@@ -974,7 +961,7 @@ def moduli_report(
                 ),
                 exhaustive=True,
             )
-    endo = endo_space(P)
+    endo = P.endo
     rng = random.Random(limits.seed)
     if isinstance(d, int):
         dvecs = [

@@ -1,12 +1,13 @@
-"""Exact linear algebra over Q and F_p.
+"""Exact linear algebra over Q and F_p, with no floating point anywhere.
 
-Dense matrices are lists of row lists; vectors are lists. Sparse rows are
-dicts mapping column index to a nonzero scalar. Everything is computed with
-exact field arithmetic, no floating point anywhere.
-
-Every elimination goes through one kernel, Echelon: a row space kept in
-fully reduced echelon form under incremental insertion. The dense functions
-below (rref, kernels, solve, inverse, det) are thin views of it.
+Sparse rows are dicts from column index to a nonzero scalar. A linear map
+is a Map: each source coordinate goes to the sparse image of its unit
+vector, zero columns left out; apply, compose and combine build on
+Field.axpy. Every elimination goes through one kernel, Echelon: a row space
+kept in fully reduced echelon form under incremental insertion. Dense
+matrices (lists of row lists) remain only at the edges: the arrow matrices
+of a Rep as parsed and printed, base changes, and the dense views of
+Echelon below (rref, kernels, solve, inverse, det).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .fields import Field, Scalar
 Matrix = list[list[Scalar]]
 Vector = list[Scalar]
 SparseRow = dict[int, Scalar]
+Map = dict[int, SparseRow]
 
 
 def zeros(field: Field, rows: int, cols: int) -> Matrix:
@@ -78,6 +80,34 @@ def transpose(a: Matrix) -> Matrix:
     if not a:
         return []
     return [list(col) for col in zip(*a)]
+
+
+# -- sparse maps -----------------------------------------------------------------
+
+
+def apply(field: Field, x: Map, vec: SparseRow) -> SparseRow:
+    """The image x(vec) of a sparse vector."""
+    out: SparseRow = {}
+    for j, y in vec.items():
+        col = x.get(j)
+        if col is not None:
+            field.axpy(out, y, col)
+    return out
+
+
+def compose(field: Field, x: Map, y: Map) -> Map:
+    """The map x o y: first y, then x."""
+    return {j: img for j, col in y.items() if (img := apply(field, x, col))}
+
+
+def combine(field: Field, coeffs: Iterable[Scalar], maps: Iterable[Map]) -> Map:
+    """The map sum_i coeffs[i] * maps[i]."""
+    out: Map = {}
+    for c, x in zip(coeffs, maps):
+        if not field.is_zero(c):
+            for j, col in x.items():
+                field.axpy(out.setdefault(j, {}), c, col)
+    return {j: col for j, col in out.items() if col}
 
 
 # -- the elimination kernel ----------------------------------------------------
@@ -158,6 +188,11 @@ class Echelon:
 
     def pivots(self) -> list[int]:
         return sorted(self.rows)
+
+    def key(self) -> frozenset:
+        """The stored rows as (pivot, column, entry) triples: the RREF of a
+        space is unique, so they name it."""
+        return frozenset((p, c, x) for p, r in self.rows.items() for c, x in r.items())
 
     def rref(self, ncols: int) -> list[Vector]:
         """The stored rows as dense vectors, in pivot order."""

@@ -34,21 +34,19 @@ from .errors import (
 from .fields import Field, Scalar
 from .linalg import (
     Echelon,
+    Map,
     Matrix,
     SparseRow,
     Vector,
-    identity,
+    apply,
+    combine,
+    compose,
+    dense,
     is_invertible,
     inverse,
-    kernel_basis,
     mat_mul,
-    mat_pow,
     rank,
-    space_key,
-    span_rref,
-    sparse,
     sparse_kernel_basis,
-    transpose,
     zeros,
 )
 from .quiver import Element, PathWord, idempotent
@@ -63,8 +61,8 @@ class Rep:
         self.alg = alg
         self.d = tuple(d)
         self.mats = {k: [row[:] for row in m] for k, m in mats.items()}
-        # label -> (start offset, sparse columns in global coordinates), built by act
-        self._arrows: dict[str, tuple[int, list[SparseRow]]] | None = None
+        # label -> the arrow as a Map in global coordinates, built by act
+        self._arrows: dict[str, Map] | None = None
         # JM as an Echelon, built by _radical
         self._radical: Echelon | None = None
 
@@ -94,29 +92,26 @@ class Rep:
     def act(self, label: str, vec: SparseRow) -> SparseRow:
         """The image of a sparse global vector under one arrow.
 
-        Each arrow matrix is read once, on the first call, into its columns
-        as sparse rows in global coordinates, so an entry of vec costs one
-        pass over the nonzero entries of its column.
+        Each arrow matrix is read once, on the first call, into a Map in
+        global coordinates, so an entry of vec costs one pass over the
+        nonzero entries of its column.
         """
-        f = self.field
         if self._arrows is None:
-            self._arrows = {}
-            for a in self.alg.quiver.arrows:
-                m, end = self.mats[a.label], self.offset(a.end)
-                cols = [
-                    {end + i: row[j] for i, row in enumerate(m) if not f.is_zero(row[j])}
-                    for j in range(self.dim_at(a.start))
-                ]
-                self._arrows[a.label] = (self.offset(a.start), cols)
-        start, cols = self._arrows[label]
-        out: SparseRow = {}
-        for j, y in vec.items():
-            if start <= j < start + len(cols):
-                f.axpy(out, y, cols[j - start])
-        return out
+            self._arrows = {
+                a.label: _block_map(self.field, self.mats[a.label], self.offset(a.end), self.offset(a.start))
+                for a in self.alg.quiver.arrows
+            }
+        return apply(self.field, self._arrows[label], vec)
 
     def __repr__(self) -> str:
         return f"Rep(d={self.d}, field={self.field})"
+
+
+def _block_map(f: Field, blk: Matrix, row0: int, col0: int) -> Map:
+    """A dense block placed at rows row0.. and columns col0.. of a global
+    matrix, as a Map."""
+    cols = range(len(blk[0]) if blk else 0)
+    return {col0 + t: col for t in cols if (col := {row0 + i: r[t] for i, r in enumerate(blk) if not f.is_zero(r[t])})}
 
 
 @dataclass
@@ -252,11 +247,10 @@ def random_group_element(field: Field, d: tuple[int, ...], rng: random.Random) -
     return GroupElement(blocks)
 
 
-def closure(M: Rep, vecs: list[Vector]) -> list[Vector]:
-    """RREF basis of the submodule generated by the given global vectors:
-    the span of their vertex components, closed under the arrows."""
-    f = M.field
-    span = Echelon(f)
+def closure(M: Rep, vecs: Iterable[SparseRow]) -> Echelon:
+    """The submodule generated by the given sparse global vectors, as its
+    Echelon: the span of their vertex components, closed under the arrows."""
+    span = Echelon(M.field)
     queue: list[SparseRow] = []
 
     def push(w: SparseRow) -> None:
@@ -265,12 +259,12 @@ def closure(M: Rep, vecs: list[Vector]) -> list[Vector]:
 
     for v in vecs:
         for vert in M.alg.quiver.vertices:
-            push(M.project(sparse(f, v), vert))
+            push(M.project(v, vert))
     while queue:
         w = queue.pop()
         for a in M.alg.quiver.arrows:
             push(M.act(a.label, w))
-    return span.rref(M.total)
+    return span
 
 
 def _by_vertex(M: Rep, coords: Iterable[int]) -> list[list[int]]:
@@ -377,30 +371,13 @@ def hom_dim(M: Rep, N: Rep) -> int:
     return len(hom_basis(M, N))
 
 
-def _blocks_invertible(M: Rep, blocks: dict[int, Matrix]) -> bool:
+def _hom_maps(M: Rep, N: Rep) -> list[Map]:
+    """hom_basis(M, N) as Maps, each vertex block at its global offsets."""
     f = M.field
-    for v in M.alg.quiver.vertices:
-        n = M.dim_at(v)
-        if n and not is_invertible(f, blocks[v]):
-            return False
-    return True
-
-
-def _combine_blocks(M: Rep, N: Rep, basis: list[dict[int, Matrix]], coeffs: list[Scalar]) -> dict[int, Matrix]:
-    f = M.field
-    out = {}
-    for v in M.alg.quiver.vertices:
-        r, c = N.dim_at(v), M.dim_at(v)
-        blk = zeros(f, r, c)
-        for t, h in zip(coeffs, basis):
-            if f.is_zero(t):
-                continue
-            hb = h[v]
-            for i in range(r):
-                for j in range(c):
-                    blk[i][j] = f.add(blk[i][j], f.mul(t, hb[i][j]))
-        out[v] = blk
-    return out
+    return [
+        {j: col for v, blk in x.items() for j, col in _block_map(f, blk, N.offset(v), M.offset(v)).items()}
+        for x in hom_basis(M, N)
+    ]
 
 
 def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: int | None = None):
@@ -424,11 +401,14 @@ def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: i
         return True
     if radical_layering(M.alg, M) != radical_layering(M.alg, N):
         return False
-    basis = hom_basis(M, N)
+    basis = _hom_maps(M, N)
     k = len(basis)
-    if k == 0 or k != hom_dim(N, M) or hom_dim(M, M) != hom_dim(N, N):
+    if k == 0 or k != hom_dim(N, M):
         return False
-    pm, pn = _pieces(M), _pieces(N)
+    end_m, end_n = _hom_maps(M, M), _hom_maps(N, N)
+    if len(end_m) != len(end_n):
+        return False
+    pm, pn = _pieces(M, end_m), _pieces(N, end_n)
     if (pm is None) != (pn is None):
         return False
     if pm is not None:
@@ -440,21 +420,22 @@ def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: i
         return True
 
     f = M.field
+    n = M.total
     span = Echelon(f)
     tops = [
         t
         for t in (_top_map(M, N, b) for b in basis)
-        if span.insert(sparse(f, [x for blk in t.values() for row in blk for x in row])) is not None
+        if span.insert({j * n + i: y for j, col in t.items() for i, y in col.items()}) is not None
     ]
-    top = zero_rep(M.alg, top_dims(M.alg, M))  # M/JM, semisimple
+    top = n - len(_radical(M))  # dim M/JM
 
     def invertible(coeffs) -> bool:
-        return _blocks_invertible(top, _combine_blocks(top, top, tops, list(coeffs)))
+        return len(Echelon(f, combine(f, coeffs, tops).values())) == top
 
     rng = random.Random(limits.seed if seed is None else seed)
     if any(invertible([f.random(rng) for _ in tops]) for _ in range(limits.iso_tries)):
         return True
-    sizes = [sum(rank(f, blk) for blk in t.values() if blk) + 1 for t in tops]
+    sizes = [len(Echelon(f, t.values())) + 1 for t in tops]
     grid = [[f.of_int(c) for c in range(min(f.order, s) if f.is_finite else s)] for s in sizes]
     if math.prod(len(s) for s in grid) > limits.iso_enum:
         return Unknown
@@ -464,14 +445,7 @@ def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: i
 def _top_epi_exists(a: Rep, b: Rep) -> bool:
     """Is there an epimorphism a -> b between local modules with the same
     top? A map a -> b is onto exactly when its top map is nonzero."""
-    f = a.field
-    return any(
-        not f.is_zero(x)
-        for blocks in hom_basis(a, b)
-        for blk in _top_map(a, b, blocks).values()
-        for row in blk
-        for x in row
-    )
+    return any(_top_map(a, b, x) for x in _hom_maps(a, b))
 
 
 # -- submodule enumeration (finite fields) -----------------------------------
@@ -506,25 +480,23 @@ def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[
     q = f.order
     if q**n > limits.submodule_vectors:
         raise SearchTooLarge(f"would sweep {q**n} generator vectors (budget {limits.submodule_vectors})")
-    cyclics: dict[tuple, tuple[SparseRow, list[SparseRow]]] = {}
+    cyclics: dict[frozenset, tuple[SparseRow, Echelon]] = {}
     for v in M.alg.quiver.vertices:
         o = M.offset(v)
         for coeffs in _projective_coeffs(f, M.dim_at(v)):
-            vec = [f.zero()] * n
-            vec[o : o + len(coeffs)] = coeffs
-            sp = closure(M, [vec])
-            cyclics.setdefault(space_key(sp), (sparse(f, vec), [sparse(f, r) for r in sp]))
-    # an RREF is unique, so its (pivot, column, entry) triples name the space
+            gen = {o + i: c for i, c in enumerate(coeffs) if not f.is_zero(c)}
+            sp = closure(M, [gen])
+            cyclics.setdefault(sp.key(), (gen, sp))
     seen = {frozenset()}
     lattice = [Echelon(f)]
-    for gen, rows in cyclics.values():
+    for gen, cyclic in cyclics.values():
         for span in lattice[:]:
             if span.contains(gen):
                 continue
             total = span.copy()
-            for row in rows:
+            for row in cyclic.rows.values():
                 total.insert(row)
-            key = frozenset((p, c, x) for p, r in total.rows.items() for c, x in r.items())
+            key = total.key()
             if key not in seen:
                 seen.add(key)
                 lattice.append(total)
@@ -633,16 +605,15 @@ def _quotient(M: Rep, span: Echelon) -> Rep:
 # -- local decomposition ------------------------------------------------------
 
 
-def _trace(f: Field, a: dict[int, Matrix], b: dict[int, Matrix]) -> Scalar:
-    """tr(ab) of two endomorphisms. Both are block-diagonal by vertex, so
-    tr(ab) is sum_v sum_ij a_v[i][j] * b_v[j][i] and needs no global matrix."""
+def _trace(f: Field, a: Map, b: Map) -> Scalar:
+    """tr(ab) of two endomorphisms: sum over j and i of b[j][i] * a[i][j],
+    with no product map formed."""
     acc = f.zero()
-    for v, av in a.items():
-        bv = b[v]
-        for i, row in enumerate(av):
-            for j, x in enumerate(row):
-                if not f.is_zero(x) and not f.is_zero(bv[j][i]):
-                    acc = f.add(acc, f.mul(x, bv[j][i]))
+    for j, col in b.items():
+        for i, y in col.items():
+            x = a.get(i, {}).get(j)
+            if x is not None:
+                acc = f.add(acc, f.mul(x, y))
     return acc
 
 
@@ -712,44 +683,28 @@ def _rational_root(mu: list[Fraction]) -> Fraction | None:
     return None
 
 
-def _shift(M: Rep, blocks: dict[int, Matrix], c: Scalar) -> dict[int, Matrix]:
-    """The endomorphism blocks - c * identity."""
-    f = M.field
-    return {
-        v: [[f.sub(x, c) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(blk)]
-        for v, blk in blocks.items()
-    }
+def _split_once(M: Rep, x: Map):
+    """Fitting split along an endomorphism: (ker x^k, im x^k) when proper.
 
-
-def _split_once(M: Rep, blocks: dict[int, Matrix]):
-    """Fitting split along an endomorphism: (ker f^n, im f^n) when proper.
-
-    f is graded, so ker f^n and im f^n are the sums over vertices v of
-    ker f_v^(d_v) and im f_v^(d_v): a d_v x d_v block reaches its Fitting
-    exponent by d_v. Both spaces come back as global RREF row lists; the
-    per-vertex RREF bases, embedded in vertex order, already are one.
+    x is graded, so with k = max_v d_v every vertex block x_v has reached
+    its Fitting exponent by x^k. Row j = (x^k e_j, e_j), with e_j tagged at
+    n + j, enters one Echelon. The rows with a tag for pivot are the RREF
+    of ker x^k, read at their tags; the others, tags dropped, are the RREF
+    of im x^k. Both come back as global RREF row lists.
     """
     f = M.field
-    n = M.total
-    powers = {v: mat_pow(f, blocks[v], M.dim_at(v)) for v in M.alg.quiver.vertices if M.dim_at(v)}
-    r = sum(rank(f, p) for p in powers.values())
-    if r == 0 or r == n:
+    n, k = M.total, max(M.d)
+    span = Echelon(f)
+    for j in range(n):
+        w = {j: f.one()}
+        for _ in range(k):
+            w = apply(f, x, w)
+        span.insert({**w, n + j: f.one()})
+    rows = [span.rows[p] for p in span.pivots()]
+    img = [dense(f, {i: y for i, y in r.items() if i < n}, n) for r in rows if min(r) < n]
+    if not img or len(img) == n:
         return None
-
-    def embed(v: int, rows: list[Vector]) -> list[Vector]:
-        o = M.offset(v)
-        out = []
-        for row in rows:
-            w = [f.zero()] * n
-            w[o : o + len(row)] = row
-            out.append(w)
-        return out
-
-    ker: list[Vector] = []
-    img: list[Vector] = []
-    for v, p in powers.items():
-        ker += embed(v, span_rref(f, kernel_basis(f, p, M.dim_at(v))))
-        img += embed(v, span_rref(f, transpose(p)))
+    ker = [dense(f, {i - n: y for i, y in r.items()}, n) for r in rows if min(r) >= n]
     return ker, img
 
 
@@ -766,49 +721,40 @@ def _radical(M: Rep) -> Echelon:
     return M._radical
 
 
-def _top_map(M: Rep, N: Rep, x: dict[int, Matrix]) -> dict[int, Matrix]:
+def _top_map(M: Rep, N: Rep, x: Map) -> Map:
     """pi(x): M/JM -> N/JN, the map a homomorphism x: M -> N induces on
-    the tops, per vertex.
+    the tops.
 
-    A top basis is the unit vectors off the pivots of the radical. The
-    residue of a vector modulo JN is zero at every pivot, and its entries
-    off the pivots are the coordinates of its class in the top. JN is
-    graded, so the residue of a column of x_v stays in the block of v.
+    A top basis is the unit vectors off the pivots of the radical, each
+    named by its global coordinate. The residue of a vector modulo JN is
+    zero at every pivot, and its entries off the pivots are the coordinates
+    of its class in the top.
     """
-    f = M.field
     rad_m, rad_n = _radical(M), _radical(N)
-    out = {}
-    for v in M.alg.quiver.vertices:
-        om, on = M.offset(v), N.offset(v)
-        cols = [
-            rad_n.reduce({on + i: row[t] for i, row in enumerate(x[v]) if not f.is_zero(row[t])})
-            for t in range(M.dim_at(v))
-            if om + t not in rad_m.rows
-        ]
-        out[v] = [[col.get(on + i, f.zero()) for col in cols] for i in range(N.dim_at(v)) if on + i not in rad_n.rows]
-    return out
+    return {j: res for j, col in x.items() if j not in rad_m.rows and (res := rad_n.reduce(col))}
 
 
-def _minimal_polynomial(f: Field, a: dict[int, Matrix]) -> list[Scalar]:
-    """Minimal polynomial of a per-vertex block matrix, monic, low degree first.
+def _minimal_polynomial(f: Field, a: Map, units: Map) -> list[Scalar]:
+    """Minimal polynomial of an endomorphism a of the space whose identity
+    Map is units, monic, low degree first.
 
     The powers 1, a, a^2, ... enter one Echelon flattened, each followed by
     a tag column of its own. The first power whose residue is zero off the
     tags carries the relation in its tags.
     """
-    n = sum(len(blk) ** 2 for blk in a.values())
+    m = max(units) + 1
+    n = m * m
     span = Echelon(f)
-    power = {v: identity(f, len(blk)) for v, blk in a.items()}
+    power = units
     for i in itertools.count():
-        flat = (x for blk in power.values() for row in blk for x in row)
-        row = {j: x for j, x in enumerate(flat) if not f.is_zero(x)}
+        row = {j * m + k: y for j, col in power.items() for k, y in col.items()}
         row[n + i] = f.one()
         p = span.insert(row)
         if p >= n:
             rel = span.rows[p]
             lead = f.inv(rel[n + i])
             return [f.mul(lead, rel.get(n + j, f.zero())) for j in range(i + 1)]
-        power = {v: mat_mul(f, m, a[v]) for v, m in power.items()}
+        power = compose(f, power, a)
 
 
 def _root(f: Field, mu: list[Scalar]) -> Scalar | None:
@@ -826,39 +772,43 @@ def _root(f: Field, mu: list[Scalar]) -> Scalar | None:
     return None
 
 
-def _nonunit(M: Rep, basis: list[dict[int, Matrix]]) -> dict[int, Matrix] | None:
+def _nonunit(M: Rep, basis: list[Map]) -> Map | None:
     """Steps 2 and 3 of _pieces: an endomorphism whose Fitting split is
     proper whenever M is a sum of local modules, or None."""
     f = M.field
+    one = f.one()
+    ident = {j: {j: one} for j in range(M.total)}
+    units = {j: col for j, col in ident.items() if j not in _radical(M).rows}  # 1 on M/JM
     tops = [_top_map(M, M, b) for b in basis]
     # step 2: the x_c with pi(x_c) w = 0, for w the first top vector
-    v = next(v for v, blk in tops[0].items() if blk)
-    eqs = [{s: y for s, t in enumerate(tops) if not f.is_zero(y := t[v][i][0])} for i in range(len(tops[0][v]))]
-    top = zero_rep(M.alg, tuple(len(blk) for blk in tops[0].values()))  # M/JM, semisimple
-    for c in sparse_kernel_basis(f, eqs, len(basis)):
-        xt = _combine_blocks(top, top, tops, c)
+    eqs: dict[int, SparseRow] = {}
+    for s, t in enumerate(tops):
+        for i, y in t.get(min(units), {}).items():
+            eqs.setdefault(i, {})[s] = y
+    for c in sparse_kernel_basis(f, list(eqs.values()), len(basis)):
+        xt = combine(f, c, tops)
         for b, bt in zip(basis, tops):
             if not f.is_zero(_trace(f, xt, bt)):
-                x = _combine_blocks(M, M, basis, c)
-                return {u: mat_mul(f, x[u], b[u]) for u in x}
+                return compose(f, combine(f, c, basis), b)
     # step 3: B = K^t, and the first non-scalar pi(b) has an eigenvalue
     for b, bt in zip(basis, tops):
-        mu = _minimal_polynomial(f, bt)
+        mu = _minimal_polynomial(f, bt, units)
         if len(mu) > 2:
             c = _root(f, mu)
-            return None if c is None else _shift(M, b, c)
+            return None if c is None else combine(f, (one, f.neg(c)), (b, ident))
     return None
 
 
-def _pieces(M: Rep) -> list[Rep] | None:
+def _pieces(M: Rep, basis: list[Map] | None = None) -> list[Rep] | None:
     """The local summands of M, or None when M is not a direct sum of local
-    modules. The route is the same over Q and over F_q.
+    modules. The route is the same over Q and over F_q. basis is End(M) as
+    Maps (_hom_maps) when the caller has built it already.
 
     * The top action. Every endomorphism keeps JM, so
       pi: End(M) -> End_K(M/JM) is an algebra map; B is its image. In the
       top basis of unit vectors off the pivots of JM's Echelon, pi(b) is a
-      per-vertex block dict (_top_map(M, M, b)), so _trace,
-      _combine_blocks and _shift work on it unchanged.
+      Map on the top coordinates (_top_map(M, M, b)), so _trace, combine
+      and _minimal_polynomial work on it as on any Map.
     * Proper splits. A Fitting split (ker x^n, im x^n) is proper exactly
       when x is neither a unit nor nilpotent. If pi(x) is singular, x is
       not a unit. If tr pi(x) != 0, x is not nilpotent, in any
@@ -889,7 +839,7 @@ def _pieces(M: Rep) -> list[Rep] | None:
         return []
     if M.total - len(_radical(M)) == 1:
         return [M]
-    x = _nonunit(M, hom_basis(M, M))
+    x = _nonunit(M, _hom_maps(M, M) if basis is None else basis)
     split = None if x is None else _split_once(M, x)
     if split is None:
         return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from quivermoduli.degeneration import no_proper_topstable_deg
-from quivermoduli.errors import EquationsViolated, UnsupportedAlgebra
+from quivermoduli.errors import EquationsViolated, NotSubmodule, UnsupportedAlgebra
 from quivermoduli.fields import Field
 from quivermoduli.grass import (
     _chart_points,
@@ -63,13 +63,16 @@ def naive_mat_vec(field: Field, a, v):
 
 
 def naive_mat_mul(field: Field, a, b):
-    return [
-        [
-            sum((field.mul(a[i][t], b[t][j]) for t in range(len(b))), field.zero())
-            for j in range(len(b[0]) if b else 0)
-        ]
-        for i in range(len(a))
-    ]
+    """a @ b, each entry summed in the field (so reduced mod p over F_p)."""
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0]) if b else 0):
+            s = field.zero()
+            for t, x in enumerate(row):
+                s = field.add(s, field.mul(x, b[t][j]))
+            out[-1].append(s)
+    return out
 
 
 def naive_is_nilpotent(field: Field, a) -> bool:
@@ -284,6 +287,27 @@ def socle_dims_oracle(P):
     return _vertex_dims(P.rep, jp), _vertex_dims(P.rep, span_rref(f, soc))
 
 
+def block_top_map_oracle(M, N, x):
+    """pi(x): M/JM -> N/JN per vertex, from the dense vertex blocks of a
+    homomorphism x. The top basis is the unit vectors off the pivots of the
+    RREF of the radical (arrow_images_span), and a class has its
+    coordinates at those positions of its residue modulo JN. JN is graded,
+    so the residue of a column of x_v stays in the block of v."""
+    f = M.field
+    rad_m = Echelon.of(f, arrow_images_span(M, identity(f, M.total)))
+    rad_n = Echelon.of(f, arrow_images_span(N, identity(f, N.total)))
+    out = {}
+    for v in M.alg.quiver.vertices:
+        om, on = M.offset(v), N.offset(v)
+        cols = [
+            rad_n.reduce({on + i: row[t] for i, row in enumerate(x[v]) if row[t] != 0})
+            for t in range(M.dim_at(v))
+            if om + t not in rad_m.rows
+        ]
+        out[v] = [[col.get(on + i, f.zero()) for col in cols] for i in range(N.dim_at(v)) if on + i not in rad_n.rows]
+    return out
+
+
 def fitting_split_oracle(M, blocks):
     """Fitting split of a graded endomorphism read off its global matrix:
     F^n by n plain multiplications, then (ker F^n, im F^n) as RREF row
@@ -458,6 +482,37 @@ def dense_endo_matrix(P, elem):
         for w, c in P.alg.nf_path(word).items():
             m[P.index[(w, s)]][col] = c
     return m
+
+
+def dense_limit_oracle(P, C, coeffs, elems):
+    """RREF rows of the limit of (1 + tau*h)(C) as tau grows, for h the sum
+    of coeffs[j] times the basis endomorphism elems[j] (dense_endo_matrix),
+    by dense elimination on the pairs (h(r), r) over the rows r of C: while
+    the h-parts are dependent, the first relation of the kernel basis of
+    their transpose replaces its last pair with a nonzero r-part by
+    (sum of lam_i r_i, 0)."""
+    f = P.alg.field
+    h = [[f.zero()] * P.total for _ in range(P.total)]
+    for c, elem in zip(coeffs, elems):
+        for i, row in enumerate(dense_endo_matrix(P, elem)):
+            h[i] = [f.add(x, f.mul(c, y)) for x, y in zip(h[i], row)]
+    pairs = [(naive_mat_vec(f, h, list(r)), list(r)) for r in C.rows]
+    zero = [f.zero()] * P.total
+    while True:
+        deps = kernel_basis(f, transpose([a for a, _ in pairs]), ncols=len(pairs))
+        if not deps:
+            break
+        a = deps[0]
+        combo = list(zero)
+        support = [i for i, x in enumerate(a) if x != 0]
+        for i in support:
+            for k in range(P.total):
+                combo[k] = f.add(combo[k], f.mul(a[i], pairs[i][1][k]))
+        pivot = next((i for i in reversed(support) if any(x != 0 for x in pairs[i][1])), None)
+        if pivot is None or all(x == 0 for x in combo):
+            raise NotSubmodule("row family degenerated; C was not a point")
+        pairs[pivot] = (combo, list(zero))
+    return tuple(map(tuple, span_rref(f, [a for a, _ in pairs])))
 
 
 def naive_orbit_dim(P, C, elems) -> int:

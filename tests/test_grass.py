@@ -43,6 +43,7 @@ from quivermoduli.grass import (
     skeleta_with_dims,
     submodule_point,
 )
+from quivermoduli.linalg import sparse
 from quivermoduli.reps import closure, radical_layering
 
 from conftest import (
@@ -537,7 +538,7 @@ def test_skeleta_of_point_on_an_inhomogeneous_ideal_match_the_rank_filter_oracle
                     vecs.append([f.add(x, y) for x, y in zip(P.unit(b), P.unit(b2))])
         for k in range(len(vecs) + 1):
             for gens in itertools.combinations(vecs, k):
-                C = submodule_point(P, closure(P.rep, list(gens)))
+                C = submodule_point(P, closure(P.rep, [sparse(f, g) for g in gens]).rows.values())
                 found = skeleta_of_point(P, C)
                 assert found and found == skeleta_of_point_oracle(P, C), (top, C.rows)
                 checked += 1

@@ -1,6 +1,8 @@
 """Every name a package module imports is used in that module, and every
 definition and method of the package is referenced: a deleted helper takes
-its imports with it, and nothing is left that no code reads."""
+its imports with it, and nothing is left that no code reads. Maps between
+modules are sparse (linalg.Map): the dense matrix products stay at the
+edges, in base_change."""
 
 from __future__ import annotations
 
@@ -132,3 +134,60 @@ def test_every_package_definition_has_a_reference():
     sources = {f"{p.parent.name}/{p.name}": p.read_text() for p in files}
     package = {f"{SRC.name}/{p.name}" for p in SRC.glob("*.py")}
     assert _unreferenced_definitions(sources, package) == []
+
+
+# -- one map format --------------------------------------------------------------
+
+DENSE_ARITHMETIC = {"mat_mul", "mat_pow", "transpose", "kernel_basis", "identity"}
+
+
+def _imported(source: str, names: set[str]) -> list[str]:
+    """The names among ``names`` that an import statement binds."""
+    return sorted(
+        a.name
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, (ast.Import, ast.ImportFrom))
+        for a in n.names
+        if a.name in names
+    )
+
+
+def _readers(source: str, names: set[str]) -> list[str]:
+    """Top-level statements, imports aside, that read any of ``names`` as a
+    name or an attribute: functions and classes by name, other statements
+    by line."""
+    out = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if any(
+            (isinstance(n, ast.Name) and n.id in names) or (isinstance(n, ast.Attribute) and n.attr in names)
+            for n in ast.walk(stmt)
+        ):
+            out.append(getattr(stmt, "name", f"line {stmt.lineno}"))
+    return out
+
+
+def test_the_scans_flag_dense_arithmetic():
+    source = (
+        "from .linalg import Map, mat_mul, transpose\n"
+        "import linalg\n"
+        "def edge(a): return mat_mul(None, a, a)\n"
+        "class Piece:\n"
+        "    def split(self): return linalg.inverse(None, self)\n"
+        "def sparse(x): return x\n"
+        "table = [mat_mul]\n"
+    )
+    assert _imported(source, DENSE_ARITHMETIC) == ["mat_mul", "transpose"]
+    assert _readers(source, {"mat_mul", "inverse"}) == ["edge", "Piece", "line 7"]
+
+
+@pytest.mark.parametrize("name", ["degeneration.py", "grass.py"])
+def test_the_split_and_sweep_modules_import_no_dense_arithmetic(name):
+    assert _imported((SRC / name).read_text(), DENSE_ARITHMETIC) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name)
+def test_only_base_change_multiplies_or_inverts_dense_matrices(path):
+    expected = ["base_change"] if path.name == "reps.py" else []
+    assert _readers(path.read_text(), {"mat_mul", "mat_pow", "inverse"}) == expected

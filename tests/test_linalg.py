@@ -3,7 +3,8 @@
 Every property compares quivermoduli.linalg with code in tests/oracles.py
 that shares nothing with it: column-by-column Gaussian elimination, spans
 enumerated element by element, and the Leibniz expansion of det. The sparse
-accumulation Field.axpy is checked against a plain dense sum.
+accumulation Field.axpy is checked against a plain dense sum, and the Map
+arithmetic (apply, compose, combine) against plain matrix products.
 """
 
 from __future__ import annotations
@@ -18,16 +19,20 @@ from quivermoduli.errors import DimensionMismatch, NotInvertible
 from quivermoduli.fields import QQ, Field
 from quivermoduli.quiver import PathWord
 from quivermoduli.linalg import (
+    apply,
+    combine,
+    compose,
     det,
     inverse,
     is_invertible,
     kernel_basis,
     mat_mul,
     span_rref,
+    sparse,
     sparse_kernel_basis,
 )
 
-from oracles import leibniz_det, naive_mat_vec, naive_rank, span_by_enumeration
+from oracles import leibniz_det, naive_mat_mul, naive_mat_vec, naive_rank, span_by_enumeration
 
 FIELDS = (Field(2), Field(3), QQ)
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -176,3 +181,55 @@ def test_mat_mul_through_a_zero_dimension_keeps_the_rows(f):
     # m x 0 times 0 x 0 is m x 0: base_change at a zero vertex relies on it
     assert mat_mul(f, [[], [], []], []) == [[], [], []]
     assert mat_mul(f, [], []) == []
+
+
+# -- sparse maps -------------------------------------------------------------------
+
+
+@st.composite
+def map_cases(draw):
+    """(field, a, b, c, d, v): dense matrices a (m x k), b (k x n) and c
+    (m x k), scalars d = (d_a, d_c) and a vector v of length k, with zero
+    half the time."""
+    f = draw(st.sampled_from(FIELDS))
+    if f.is_finite:
+        entry = st.sampled_from(f.elements())
+    else:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    entry = st.one_of(st.just(f.zero()), entry)
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    return f, matrix(m, k), matrix(k, n), matrix(m, k), (draw(entry), draw(entry)), [draw(entry) for _ in range(k)]
+
+
+def _as_map(f, a, ncols):
+    """A dense matrix as a Map: column j -> its nonzero entries."""
+    return {j: col for j in range(ncols) if (col := sparse(f, [row[j] for row in a]))}
+
+
+@given(case=map_cases())
+@PROPERTY
+def test_apply_is_the_dense_product_with_a_vector(case):
+    f, a, _, _, _, v = case
+    assert apply(f, _as_map(f, a, len(v)), sparse(f, v)) == sparse(f, naive_mat_vec(f, a, v))
+
+
+@given(case=map_cases())
+@PROPERTY
+def test_compose_is_the_dense_product_of_two_matrices(case):
+    f, a, b, _, _, v = case
+    n = len(b[0]) if b else 0
+    expected = _as_map(f, naive_mat_mul(f, a, b), n) if a else {}
+    assert compose(f, _as_map(f, a, len(v)), _as_map(f, b, n)) == expected
+
+
+@given(case=map_cases())
+@PROPERTY
+def test_combine_is_the_entrywise_dense_sum(case):
+    f, a, _, c, (da, dc), v = case
+    total = [[f.add(f.mul(da, x), f.mul(dc, y)) for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
+    k = len(v)
+    assert combine(f, (da, dc), (_as_map(f, a, k), _as_map(f, c, k))) == _as_map(f, total, k)

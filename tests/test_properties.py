@@ -1,8 +1,9 @@
 """Randomized invariants: chart points inherit their skeleton's layering,
 skeleta and chart relations agree with brute-force and dense oracles,
-submodule sweeps agree with an all-subspace oracle, layerings and verdicts
-survive base change, charts of squarefree tops absorb automorphisms, and
-no sparse sum stores a zero."""
+submodule sweeps agree with an all-subspace oracle, top maps, Fitting
+splits and one-parameter limits on sparse maps agree with the dense block
+routes, layerings and verdicts survive base change, charts of squarefree
+tops absorb automorphisms, and no sparse sum stores a zero."""
 
 from __future__ import annotations
 
@@ -26,12 +27,14 @@ from conftest import (
 )
 from oracles import (
     arrow_images_span,
+    block_top_map_oracle,
     brute_force_skeleta,
     brute_force_submodule_dims,
     brute_force_submodule_spans,
     chain_oracle,
     closed_orbit_verdicts,
     dense_chart_residues,
+    dense_limit_oracle,
     dense_relation_equations,
     fitting_split_oracle,
     iso_oracle,
@@ -83,11 +86,10 @@ from quivermoduli.grass import (
     submodule_point,
 )
 from quivermoduli import reps
-from quivermoduli.linalg import Echelon, identity, kernel_basis, space_key, span_rref, sparse
+from quivermoduli.linalg import Echelon, apply, combine, identity, kernel_basis, space_key, span_rref, sparse
 from quivermoduli.polys import Poly, PolyRing
 from quivermoduli.reps import (
     Rep,
-    _combine_blocks,
     _split_once,
     _vertex_dims,
     base_change,
@@ -560,13 +562,54 @@ def test_subquotients_match_the_dense_routes_on_every_submodule(M):
 def test_block_fitting_split_matches_the_global_oracle(M, data):
     f = M.field
     scalars = st.sampled_from(f.elements()) if f.is_finite else st.integers(-2, 2).map(f.of_int)
-    basis = hom_basis(M, M)
-    blocks = _combine_blocks(M, M, basis, [data.draw(scalars) for _ in basis])
-    c = data.draw(scalars)
-    for blk in blocks.values():
-        for i in range(len(blk)):
-            blk[i][i] = f.sub(blk[i][i], c)
-    assert _split_once(M, blocks) == fitting_split_oracle(M, blocks)
+    basis = reps._hom_maps(M, M)
+    units = {j: {j: f.one()} for j in range(M.total)}
+    x = combine(f, [data.draw(scalars) for _ in basis] + [f.neg(data.draw(scalars))], basis + [units])
+    assert _split_once(M, x) == fitting_split_oracle(M, _blocks_of(M, M, x))
+
+
+def _blocks_of(M, N, x):
+    """The dense vertex blocks of a Map x: M -> N."""
+    zero = M.field.zero()
+    return {
+        v: [
+            [x.get(M.offset(v) + t, {}).get(N.offset(v) + i, zero) for t in range(M.dim_at(v))]
+            for i in range(N.dim_at(v))
+        ]
+        for v in M.alg.quiver.vertices
+    }
+
+
+def _top_coords(M):
+    """Per vertex, the global coordinates of M off the pivots of the RREF
+    of its radical: the names of the top basis vectors."""
+    rad = Echelon.of(M.field, arrow_images_span(M, identity(M.field, M.total)))
+    return {
+        v: [i for i in range(M.offset(v), M.offset(v) + M.dim_at(v)) if i not in rad.rows]
+        for v in M.alg.quiver.vertices
+    }
+
+
+@given(M=small_reps(fields=(Field(2), Field(3), QQ)))
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_top_maps_match_the_block_oracle(M):
+    # the oracle's block at v has a column per top coordinate of M at v and
+    # a row per top coordinate of N at v; the Map has a column per top
+    # coordinate with a nonzero image, and nothing else
+    for N in (M, direct_sum(M, M)):
+        cm, cn = _top_coords(M), _top_coords(N)
+        for x, blocks in zip(reps._hom_maps(M, N), hom_basis(M, N)):
+            expected = {}
+            for v, blk in block_top_map_oracle(M, N, blocks).items():
+                for c, j in enumerate(cm[v]):
+                    if col := {i: row[c] for i, row in zip(cn[v], blk) if row[c] != 0}:
+                        expected[j] = col
+            assert reps._top_map(M, N, x) == expected
 
 
 # ------------------------------------------ the split route over every field
@@ -616,12 +659,12 @@ def test_the_trace_form_radical_is_a_nil_ideal(case):
     # of its Gram matrix is nilpotent, and so is x*b for every endomorphism b
     _, _, M = case
     f = M.field
-    basis = hom_basis(M, M)
+    basis = reps._hom_maps(M, M)
     tops = [reps._top_map(M, M, b) for b in basis]
     gram = [[reps._trace(f, a, b) for b in tops] for a in tops]
     for coeffs in kernel_basis(f, gram, len(basis)):
-        x = _combine_blocks(M, M, basis, coeffs)
-        for y in [x] + [{v: naive_mat_mul(f, x[v], b[v]) for v in x} for b in basis]:
+        x = _blocks_of(M, M, combine(f, coeffs, basis))
+        for y in [x] + [{v: naive_mat_mul(f, x[v], b[v]) for v in x} for b in hom_basis(M, M)]:
             assert all(naive_is_nilpotent(f, blk) for blk in y.values())
 
 
@@ -860,7 +903,7 @@ def test_endomorphism_images_store_no_zero():
         for i, k in itertools.combinations(range(endo.dim), 2):
             coeffs = [one if j == i else minus_one if j == k else f.zero() for j in range(endo.dim)]
             for b in range(len(P.belems)):
-                assert _zero_free(endo.combine(coeffs, {b: one}))
+                assert _zero_free(apply(f, combine(f, coeffs, endo.images), {b: one}))
 
 
 @given(alg=st.sampled_from(_ZERO_FREE_ALGEBRAS), data=st.data())
@@ -1022,6 +1065,24 @@ def chart_points(draw):
     except EquationsViolated:
         assume(False)
     return name, P, C
+
+
+@given(case=chart_points(), data=st.data())
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_one_param_limits_match_the_dense_oracle(case, data):
+    _, P, C = case
+    f = P.alg.field
+    endo = P.endo
+    scalars = st.sampled_from(f.elements()) if f.is_finite else st.integers(-2, 2).map(f.of_int)
+    coeffs = [f.zero()] * endo.dim
+    for j in endo.unipotent:
+        coeffs[j] = data.draw(scalars)
+    assert one_param_limit(P, C, coeffs, endo).rows == dense_limit_oracle(P, C, coeffs, endo.elems)
 
 
 def _verdict_by_the_quotient_route(P, C):

@@ -545,6 +545,22 @@ def test_rational_top_map_grid_decides_without_random_tries(kronecker, monkeypat
     assert dets == []
 
 
+def test_isomorphism_builds_each_endomorphism_space_once(kronecker, monkeypatch):
+    # End(M) and End(N) serve both the dimension check and the first split
+    calls = []
+    real = reps.hom_basis
+
+    def counting(M, N):
+        calls.append((M, N))
+        return real(M, N)
+
+    monkeypatch.setattr(reps, "hom_basis", counting)
+    M = kron_pair(kronecker, [[0, 1], [1, 0]])
+    N = base_change(M, random_group_element(kronecker.field, M.d, random.Random(3)))
+    assert is_isomorphic(M, N) is True
+    assert [sum(1 for a, b in calls if a is X and b is X) for X in (M, N)] == [1, 1]
+
+
 def test_rational_trace_form_refutes_a_sum_of_locals(kronecker):
     # End(M) = K[x]/(x^2) with top (2, 0): no endomorphism splits M, and
     # failing steps 2 and 3 of the split route shows it is not a sum of locals
