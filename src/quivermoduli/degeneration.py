@@ -59,6 +59,7 @@ from .linalg import Echelon, SparseRow, apply, combine
 from .reps import (
     Rep,
     _graded_span,
+    _quotient,
     _top_epi_exists,
     decompose_local,
     hom_dim,
@@ -146,14 +147,35 @@ def no_proper_topstable_deg(
       dimension of the unipotent orbit of C, orbit_dims(P, C).unipotent.
       So hp = hm exactly when the rank is 0, that is, when Hom(P, JP)
       maps C into C.
+
+    This function runs the refusals, in this order: C must be a submodule
+    of P (NotSubmodule) inside JP (TopMismatch). The verdict itself is
+    _closed_orbit, which the maximality sweep calls on certified points.
     """
     if P.top.simple:
         # the refusal coker_rep would give, without building the quotient
         _graded_span(P.rep, C.span)
+        M = None
     else:
         M = coker_rep(P, C)
     _require_top(alg, P, C)
+    return _closed_orbit(alg, P, C, M, limits, seed)
 
+
+def _closed_orbit(
+    alg: Algebra,
+    P: ProjectiveCover,
+    C: SubmodulePoint,
+    M: Rep | None,
+    limits: SearchLimits,
+    seed: int | None = None,
+    rank: int | None = None,
+) -> DegenerationVerdict:
+    """The verdict of no_proper_topstable_deg on a point C already known to
+    be a submodule of JP, with no refusal checked again. M is P/C, or None
+    for a simple top, where the verdict needs no quotient; rank is that of
+    condition (ii), psi -> psi(C) mod C on Hom(P, JP), when the caller has
+    already found it, and is computed (_stab_rank) otherwise."""
     if P.top.simple:
         kernel_dims = [(P.gens[0], (C.dim,))]
     else:
@@ -181,7 +203,9 @@ def no_proper_topstable_deg(
 
     endo = P.endo
     hp = len(endo.unipotent) - sum(P.dims[v - 1] - C.dims[v - 1] for v in P.gens)
-    hm = hp - _stab_rank(P, C, endo, endo.unipotent)
+    if rank is None:
+        rank = _stab_rank(P, C, endo, endo.unipotent)
+    hm = hp - rank
     if hp != hm:
         return DegenerationVerdict(
             False,
@@ -316,10 +340,15 @@ def maximal_topdeg_candidates(
     Only ``holds`` of each verdict is read, so condition (ii) goes first:
     it holds exactly when Hom(P, JP) maps C into C, and a point that some
     basis map of ``endo.unipotent`` moves is dropped before its quotient is
-    split. Every point still meets the refusals of no_proper_topstable_deg
-    first, with the same errors in the same order, and the points left get
-    its full verdict. Swept points are read one at a time, so none outlives
-    its verdict.
+    split; the points left get the full verdict (_closed_orbit) with the
+    rank of (ii) known to be 0.
+
+    Each point is certified once. Explicit ``candidates`` meet the refusals
+    of no_proper_topstable_deg, with the same errors in the same order.
+    Swept points are chart points, certified by their chart's equations
+    (coords_to_point raises EquationsViolated off the chart), which cut the
+    chart out of GRASS^T_d: each is a submodule of JP with dimension vector
+    d. Swept points are read one at a time, so none outlives its verdict.
     """
     if candidates is None:
         f = alg.field
@@ -344,15 +373,20 @@ def maximal_topdeg_candidates(
     endo = P.endo
     out = []
     for pt in points:
-        _graded_span(P.rep, pt.span)
-        _require_top(alg, P, pt)
+        if candidates is not None:
+            _graded_span(P.rep, pt.span)
+            _require_top(alg, P, pt)
         if any(_stab_residues(P, pt, endo, endo.unipotent)):
             continue
-        verdict = no_proper_topstable_deg(alg, P, pt, limits)
+        quotient = None if P.top.simple else _quotient(P.rep, pt.span)
+        verdict = _closed_orbit(alg, P, pt, quotient, limits, rank=0)
         if verdict.holds is not True:
             continue
-        if M is not None and not hom_order_leq(M, coker_rep(P, pt)):
-            continue
+        if M is not None:
+            if quotient is None:
+                quotient = _quotient(P.rep, pt.span)
+            if not hom_order_leq(M, quotient):
+                continue
         witness = None
         if base is not None and pt.rows != base.rows:
             for j in endo.unipotent:

@@ -267,7 +267,8 @@ def is_grass_point(
 
 
 def coker_rep(P: ProjectiveCover, C: SubmodulePoint) -> Rep:
-    return _quotient(P.rep, C.span)
+    """M = P/C. Raises NotSubmodule (_graded_span)."""
+    return _quotient(P.rep, _graded_span(P.rep, C.span))
 
 
 @dataclass(frozen=True)

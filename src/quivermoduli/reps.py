@@ -587,16 +587,20 @@ def sub_rep(M: Rep, space: list[Vector]) -> Rep:
 
 
 def quotient_rep(M: Rep, space: list[Vector]) -> Rep:
-    """M / U for the submodule U spanned by the given vectors (_quotient)."""
-    return _quotient(M, Echelon.of(M.field, space))
+    """M / U for the submodule U spanned by the given vectors (_quotient).
+    Raises NotSubmodule (_graded_span)."""
+    return _quotient(M, _graded_span(M, Echelon.of(M.field, space)))
 
 
 def _quotient(M: Rep, span: Echelon) -> Rep:
     """M / U for the submodule U with the given Echelon, on the classes of
     the unit vectors off U's pivots; a class has its coordinates at those
-    positions of its residue modulo U, as in _top_map. Raises NotSubmodule
-    (_graded_span)."""
-    _graded_span(M, span)
+    positions of its residue modulo U, as in _top_map.
+
+    U must already be known to be a submodule: the public callers,
+    quotient_rep and grass.coker_rep, check it with _graded_span first, and
+    the maximality sweep passes the span of a chart point, which its chart
+    equations certify."""
     one = M.field.one()
     keep = _by_vertex(M, (i for i in range(M.total) if i not in span.rows))
     return _on_basis(M, keep, lambda i: {i: one}, span.reduce)

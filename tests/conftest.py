@@ -67,11 +67,21 @@ def loop_bridge_over(field):
     return build_algebra(q, monomials(q, [("a", "a")]), field, 3)
 
 
-@pytest.fixture
-def star3():
+def star3_over(field):
     """Two arrows 1->2 and one arrow 1->3, radical square zero."""
     q = make_quiver(3, [("a1", 1, 2), ("a2", 1, 2), ("b", 1, 3)])
-    return build_algebra(q, [], QQ, 2)
+    return build_algebra(q, [], field, 2)
+
+
+@pytest.fixture
+def star3():
+    return star3_over(QQ)
+
+
+def kronecker3_over(field):
+    """Three parallel arrows 1->2."""
+    q = make_quiver(2, [("a1", 1, 2), ("a2", 1, 2), ("a3", 1, 2)])
+    return build_algebra(q, [], field, 2)
 
 
 def cycle_flag_algebra(field):

@@ -3,10 +3,14 @@ one-parameter limits, the hom order, and finite-field maximality sweeps."""
 
 from __future__ import annotations
 
+import functools
+import random
+from collections import Counter
+
 import pytest
 
 from quivermoduli import Element, Field, QQ, Unknown, degeneration, grass, reps
-from quivermoduli.config import SearchLimits
+from quivermoduli.config import DEFAULT_LIMITS, SearchLimits
 from quivermoduli.degeneration import (
     hom_order_leq,
     maximal_topdeg_candidates,
@@ -21,15 +25,27 @@ from quivermoduli.errors import (
     TopMismatch,
 )
 from quivermoduli.grass import (
+    chart_equations,
     coker_rep,
     endo_space,
+    is_grass_point,
     point_from_generators,
     projective_cover,
+    skeleta_with_dims,
+    stratum_points,
     submodule_point,
 )
 from quivermoduli.quiver import idempotent
 from quivermoduli.reps import rep_of_projective
-from conftest import kronecker_over, loop_bridge_over, rel
+from conftest import (
+    double_loop_algebra,
+    kronecker3_over,
+    kronecker_over,
+    loop_bridge_over,
+    rel,
+    star3_over,
+    two_loop_two_arrow_algebra,
+)
 
 
 def endo_index(endo, desc):
@@ -445,3 +461,78 @@ def test_candidate_mode_keeps_only_certified_dominating_points(double_loop):
     cands = maximal_topdeg_candidates(alg, P, (10, 9), M=M, candidates=supplied)
     assert [c.point.rows for c in cands] == [p.rows for p in supplied[1:]]
     assert all(c.verdict.holds is True for c in cands)
+
+
+# -- swept points are certified by their chart equations ------------------------
+
+
+# the strata of the sweep-fq benchmark workload (SWEEP_STRATA in
+# perfbench/workloads.py), rebuilt from the fixture algebras; mixed_tops is
+# the double loop: (algebra, field, top, d)
+SWEEP_FQ_STRATA = (
+    (double_loop_algebra, 2, (1, 0), (3, 2)),
+    (double_loop_algebra, 2, (1, 1), (2, 2)),
+    (double_loop_algebra, 2, (1, 0), (2, 2)),
+    (kronecker_over, 3, (2, 0), (2, 2)),
+    (kronecker_over, 2, (2, 0), (2, 3)),
+    (kronecker3_over, 2, (1, 1), (1, 2)),
+    (two_loop_two_arrow_algebra, 2, (1, 1), (3, 3)),
+    (two_loop_two_arrow_algebra, 2, (1, 1), (2, 2)),
+    (two_loop_two_arrow_algebra, 2, (1, 0), (3, 2)),
+    (two_loop_two_arrow_algebra, 3, (1, 0), (2, 2)),
+    (loop_bridge_over, 2, (2, 0), (3, 2)),
+    (loop_bridge_over, 3, (1, 0), (2, 1)),
+    (star3_over, 3, (1, 0, 0), (1, 1, 1)),
+)
+
+
+@functools.cache
+def sweep_fq_stratum(i):
+    """(algebra, cover, d, swept points) of SWEEP_FQ_STRATA[i]."""
+    make, p, top, d = SWEEP_FQ_STRATA[i]
+    alg = make(Field(p))
+    P = projective_cover(alg, top)
+    charts = [chart_equations(P, sigma) for sigma in skeleta_with_dims(P, d)]
+    points = [C for _, _, C in stratum_points(charts, DEFAULT_LIMITS, random.Random(0))]
+    return alg, P, d, points
+
+
+def test_every_swept_point_of_the_benchmark_strata_is_a_grass_point():
+    # the maximality sweep runs no refusal on a swept point: its chart
+    # equations certify it as a submodule of JP with dimension vector d
+    swept = 0
+    for i, (make, p, top, d) in enumerate(SWEEP_FQ_STRATA):
+        _, P, d, points = sweep_fq_stratum(i)
+        assert points, (make.__name__, p, top, d)
+        for C in points:
+            assert is_grass_point(P, C, d), (make.__name__, p, top, d, C.rows)
+        swept += len(points)
+    # the points a sweep-fq round makes maxdeg-test verdicts on
+    assert swept == 933
+
+
+@pytest.mark.parametrize(
+    "i", [4, 7, 11], ids=["kronecker/F2 (2,0)", "two loops/F2 (1,1)", "loop bridge/F3 (1,0)"]
+)
+def test_a_swept_point_pays_for_its_certificate_once(monkeypatch, i):
+    alg, P, d, points = sweep_fq_stratum(i)
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_graded_span", "_require_top", "_stab_rank"):
+        monkeypatch.setattr(degeneration, name, counting(name, getattr(degeneration, name)))
+    swept = maximal_topdeg_candidates(alg, P, d)
+    assert calls == Counter()
+    given = maximal_topdeg_candidates(alg, P, d, candidates=points)
+    # one guard per supplied point, and the rank of (ii) is known to be 0
+    assert calls == Counter(_graded_span=len(points), _require_top=len(points))
+    assert [(c.point, c.verdict, c.witness) for c in swept] == [
+        (c.point, c.verdict, c.witness) for c in given
+    ]
+    assert 0 < len(swept) < len(points)

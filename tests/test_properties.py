@@ -3,12 +3,14 @@ skeleta and chart relations agree with brute-force and dense oracles,
 submodule sweeps agree with an all-subspace oracle, top maps, Fitting
 splits and one-parameter limits on sparse maps agree with the dense block
 routes, layerings and verdicts survive base change, charts of squarefree
-tops absorb automorphisms, and no sparse sum stores a zero."""
+tops absorb automorphisms, the stratum sweep and the arrow matrices count
+the same modules, and no sparse sum stores a zero."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -20,9 +22,11 @@ from conftest import (
     cycle_flag_algebra,
     double_loop_algebra,
     fork_merge_algebra,
+    kronecker_over,
     loop_bridge_over,
     monomials,
     rel,
+    star3_over,
     two_loop_two_arrow_algebra,
 )
 from oracles import (
@@ -107,13 +111,9 @@ from quivermoduli.reps import (
     sub_rep,
     submodule_dim_vectors,
     submodule_spans,
+    top_dims,
 )
 from quivermoduli.stability import classify_stability, local_top_weight
-
-
-def _star3(field):
-    q = make_quiver(3, [("a1", 1, 2), ("a2", 1, 2), ("b", 1, 3)])
-    return build_algebra(q, [], field, 2)
 
 
 def _kronecker(field):
@@ -124,7 +124,7 @@ def _kronecker(field):
 CHART_CASES = [
     ("kronecker/F3", _kronecker(Field(3)), (1, 0), (1, 1)),
     ("loop bridge/Q", loop_bridge_over(QQ), (1, 0), (2, 1)),
-    ("star3/Q", _star3(QQ), (1, 0, 0), (1, 1, 1)),
+    ("star3/Q", star3_over(QQ), (1, 0, 0), (1, 1, 1)),
     ("two loops two arrows/Q", two_loop_two_arrow_algebra(QQ), (1, 0), (2, 2)),
     ("double loop/F3", double_loop_algebra(Field(3)), (1, 0), (2, 1)),
 ]
@@ -193,7 +193,7 @@ def _covers_of_small_tops(field):
     algebras = [
         ("kronecker", _kronecker(field)),
         ("loop bridge", loop_bridge_over(field)),
-        ("star3", _star3(field)),
+        ("star3", star3_over(field)),
         ("cycle flag", cycle_flag_algebra(field)),
         ("double loop", double_loop_algebra(field)),
         ("two loops two arrows", two_loop_two_arrow_algebra(field)),
@@ -414,6 +414,62 @@ def test_chart_points_are_the_submodules_in_the_radical():
             points += len(got)
         assert not expected, name
     assert points >= 690
+
+
+def _gl_order(q, n):
+    return math.prod(q**n - q**i for i in range(n))
+
+
+# arrow-matrix tuples the brute force may try per stratum
+_REP_TUPLE_BUDGET = 4096
+
+
+def _reps_with_top(alg, d, top):
+    """|Rep^T_d(F_q)|: the tuples of arrow matrices of dimension vector d
+    that satisfy the relations and give a module with top T, tried one by
+    one; None past _REP_TUPLE_BUDGET tuples."""
+    f = alg.field
+    arrows = alg.quiver.arrows
+    shapes = [(d[a.end - 1], d[a.start - 1]) for a in arrows]
+    n = sum(r * c for r, c in shapes)
+    if f.p**n > _REP_TUPLE_BUDGET:
+        return None
+    count = 0
+    for entries in itertools.product(f.elements(), repeat=n):
+        it = iter(entries)
+        mats = {a.label: [[next(it) for _ in range(c)] for _ in range(r)] for a, (r, c) in zip(arrows, shapes)}
+        M = Rep(alg, d, mats)
+        count += rep_validate(alg, M) and top_dims(alg, M) == top
+    return count
+
+
+def test_both_sides_of_the_paper_count_the_same_modules():
+    # Aut(P) acts on GRASS^T_d and GL_d on Rep^T_d, with the isomorphism
+    # classes of modules with top T and dimension vector d as orbits on
+    # both sides. Stab(C) maps onto Aut(P/C) with kernel 1 + Hom(P, C) of
+    # q^h elements, h = sum_r dim e_{v_r} C, so summing orbit sizes gives
+    # |GRASS| q^h |GL_d| = |Aut P| |Rep^T_d|, where
+    # |Aut P| = q^dim Hom(P, JP) prod_v |GL_{t_v}|. The left side counts the
+    # sweep's points, the right side every arrow-matrix tuple.
+    checked = Counter()
+    for make in (kronecker_over, loop_bridge_over, two_loop_two_arrow_algebra):
+        for q in (2, 3):
+            alg = make(Field(q))
+            for top in ((1, 0), (2, 0), (1, 1)):
+                P = projective_cover(alg, top)
+                aut = q ** len(P.endo.unipotent) * math.prod(_gl_order(q, t) for t in top)
+                for d in itertools.product(*(range(t, m + 1) for t, m in zip(top, P.dims))):
+                    reps_count = _reps_with_top(alg, d, top)
+                    if reps_count is None:
+                        continue
+                    charts = [chart_equations(P, sigma) for sigma in skeleta_with_dims(P, d)]
+                    points = sum(1 for _ in stratum_points(charts, DEFAULT_LIMITS, random.Random(0)))
+                    h = sum(P.dims[v - 1] - d[v - 1] for v in P.gens)
+                    left = points * q**h * math.prod(_gl_order(q, x) for x in d)
+                    assert left == aut * reps_count, (make.__name__, q, top, d, points, reps_count)
+                    checked[points > 0] += 1
+    # 58 strata with points, 10 empty ones with d >= T
+    assert checked == Counter({True: 58, False: 10})
 
 
 def test_pinned_coordinates_cut_out_the_first_skeleton_cell():
@@ -955,7 +1011,7 @@ def test_everything_in_sight_is_base_change_invariant(M, seed):
 SQUAREFREE_CASES = [
     ("loop bridge/Q", loop_bridge_over(QQ), (1, 0), (2, 1)),
     ("two loops two arrows/Q", two_loop_two_arrow_algebra(QQ), (1, 0), (2, 2)),
-    ("star3/Q", _star3(QQ), (1, 0, 0), (1, 1, 1)),
+    ("star3/Q", star3_over(QQ), (1, 0, 0), (1, 1, 1)),
 ]
 
 
@@ -1205,7 +1261,7 @@ def test_socle_verdict_matches_the_socle_dimensions():
         for alg in (
             _kronecker(field),
             loop_bridge_over(field),
-            _star3(field),
+            star3_over(field),
             cycle_flag_algebra(field),
             double_loop_algebra(field),
             two_loop_two_arrow_algebra(field),
