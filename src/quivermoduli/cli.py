@@ -337,9 +337,7 @@ def _cmd_stable_factors(doc, flags, limits):
     entries = [
         {
             "d": list(g.d),
-            "matrices": {
-                a.label: _fmt_rows(f, g.mats[a.label]) for a in alg.quiver.arrows
-            },
+            "matrices": {lbl: _fmt_rows(f, m) for lbl, m in g.mats.items()},
         }
         for g in factors
     ]

@@ -151,6 +151,8 @@ def no_proper_topstable_deg(
     This function runs the refusals, in this order: C must be a submodule
     of P (NotSubmodule) inside JP (TopMismatch). The verdict itself is
     _closed_orbit, which the maximality sweep calls on certified points.
+    The verdict is exact and searches nothing, so limits and seed are
+    unused.
     """
     if P.top.simple:
         # the refusal coker_rep would give, without building the quotient
@@ -159,7 +161,7 @@ def no_proper_topstable_deg(
     else:
         M = coker_rep(P, C)
     _require_top(alg, P, C)
-    return _closed_orbit(alg, P, C, M, limits, seed)
+    return _closed_orbit(alg, P, C, M)
 
 
 def _closed_orbit(
@@ -167,8 +169,6 @@ def _closed_orbit(
     P: ProjectiveCover,
     C: SubmodulePoint,
     M: Rep | None,
-    limits: SearchLimits,
-    seed: int | None = None,
     rank: int | None = None,
 ) -> DegenerationVerdict:
     """The verdict of no_proper_topstable_deg on a point C already known to
@@ -179,7 +179,7 @@ def _closed_orbit(
     if P.top.simple:
         kernel_dims = [(P.gens[0], (C.dim,))]
     else:
-        pieces = decompose_local(alg, M, limits, seed)
+        pieces = decompose_local(alg, M)
         if pieces is NotSumOfLocals:
             return DegenerationVerdict(
                 False, "module is not a direct sum of local modules"
@@ -379,7 +379,7 @@ def maximal_topdeg_candidates(
         if any(_stab_residues(P, pt, endo, endo.unipotent)):
             continue
         quotient = None if P.top.simple else _quotient(P.rep, pt.span)
-        verdict = _closed_orbit(alg, P, pt, quotient, limits, rank=0)
+        verdict = _closed_orbit(alg, P, pt, quotient, rank=0)
         if verdict.holds is not True:
             continue
         if M is not None:

@@ -4,10 +4,11 @@ Sparse rows are dicts from column index to a nonzero scalar. A linear map
 is a Map: each source coordinate goes to the sparse image of its unit
 vector, zero columns left out; apply, compose and combine build on
 Field.axpy. Every elimination goes through one kernel, Echelon: a row space
-kept in fully reduced echelon form under incremental insertion. Dense
-matrices (lists of row lists) remain only at the edges: the arrow matrices
-of a Rep as parsed and printed, base changes, and the dense views of
-Echelon below (rref, kernels, solve, inverse, det).
+kept in fully reduced echelon form under incremental insertion. A Rep holds
+its arrows as Maps; dense matrices (lists of row lists) remain only at the
+edges: arrow matrices read in and written out (Rep.mats, hom_basis), base
+changes, and the dense views of Echelon below (rref, kernels, solve, inverse,
+det).
 """
 
 from __future__ import annotations

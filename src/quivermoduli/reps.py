@@ -1,13 +1,16 @@
-"""Modules as arrow-matrix tuples: validation, layerings, Hom spaces,
+"""Modules as tuples of arrow maps: validation, layerings, Hom spaces,
 submodule enumeration, local decompositions, and isomorphism testing by
 those decompositions and the top maps.
 
-A Rep assigns to each arrow a d_end x d_start matrix. Vectors of the module
-live in the flattened space K^|d| with vertex blocks in vertex order; every
-submodule is graded by vertices (idempotents act), so per-vertex dimensions
-of subspaces are read off the pivots of their RREF bases. Rep.act and
-Rep.project, the arrow and idempotent actions, take and return them as
-sparse rows.
+A Rep is its arrow Maps: each arrow a: s -> e is a linalg.Map from the
+global coordinates of the block of s to those of the block of e, where
+vectors of the module live in the flattened space K^|d| with vertex blocks
+in vertex order. Dense d_end x d_start matrices are read in once, by the
+constructor, and written out only on request (Rep.mats). Every submodule
+is graded by vertices (idempotents act), so per-vertex dimensions of
+subspaces are read off the pivots of their RREF bases. Rep.act and
+Rep.project, the arrow and idempotent actions, take and return sparse
+rows.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .linalg import (
     mat_mul,
     rank,
     sparse_kernel_basis,
-    zeros,
 )
 from .quiver import Element, PathWord, idempotent
 
@@ -55,16 +57,43 @@ SemisimpleSequence = tuple[tuple[int, ...], ...]
 
 
 class Rep:
-    __slots__ = ("alg", "d", "mats", "_arrows", "_radical")
+    __slots__ = ("alg", "d", "arrows", "_radical")
 
     def __init__(self, alg: Algebra, d: tuple[int, ...], mats: dict[str, Matrix]):
+        """The module with the given d_end x d_start arrow matrices, each read
+        into a Map; ShapeMismatch for a missing or misshapen matrix."""
         self.alg = alg
         self.d = tuple(d)
-        self.mats = {k: [row[:] for row in m] for k, m in mats.items()}
-        # label -> the arrow as a Map in global coordinates, built by act
-        self._arrows: dict[str, Map] | None = None
+        f = alg.field
+        self.arrows: dict[str, Map] = {}
+        for a in alg.quiver.arrows:
+            m = mats.get(a.label)
+            if m is None:
+                raise ShapeMismatch(f"missing matrix for arrow {a.label}")
+            r, c = self.dim_at(a.end), self.dim_at(a.start)
+            if len(m) != r or any(len(row) != c for row in m):
+                raise ShapeMismatch(f"arrow {a.label}: expected {r}x{c}, got {len(m)}x{len(m[0]) if m else 0}")
+            row0, col0 = self.offset(a.end), self.offset(a.start)
+            self.arrows[a.label] = {
+                col0 + t: col for t in range(c) if (col := {row0 + i: x[t] for i, x in enumerate(m) if not f.is_zero(x[t])})
+            }
         # JM as an Echelon, built by _radical
         self._radical: Echelon | None = None
+
+    @classmethod
+    def _of_maps(cls, alg: Algebra, d: tuple[int, ...], arrows: dict[str, Map]) -> Rep:
+        """The module with the given arrow Maps: the builders' constructor."""
+        M = cls.__new__(cls)
+        M.alg, M.d, M.arrows, M._radical = alg, tuple(d), arrows, None
+        return M
+
+    @property
+    def mats(self) -> dict[str, Matrix]:
+        """The arrow matrices written out dense: label -> d_end x d_start."""
+        return {
+            a.label: _matrix(self.field, self.arrows[a.label], self.coords(a.end), self.coords(a.start))
+            for a in self.alg.quiver.arrows
+        }
 
     @property
     def field(self) -> Field:
@@ -84,34 +113,28 @@ class Rep:
     def dim_at(self, v: int) -> int:
         return self.d[v - 1]
 
+    def coords(self, v: int) -> range:
+        """The global coordinates of the block of v."""
+        return range(self.offset(v), self.offset(v) + self.d[v - 1])
+
     def project(self, vec: SparseRow, v: int) -> SparseRow:
         """The component e_v * vec of a sparse global vector at vertex v."""
         o = self.offset(v)
         return {j: x for j, x in vec.items() if o <= j < o + self.d[v - 1]}
 
     def act(self, label: str, vec: SparseRow) -> SparseRow:
-        """The image of a sparse global vector under one arrow.
-
-        Each arrow matrix is read once, on the first call, into a Map in
-        global coordinates, so an entry of vec costs one pass over the
-        nonzero entries of its column.
-        """
-        if self._arrows is None:
-            self._arrows = {
-                a.label: _block_map(self.field, self.mats[a.label], self.offset(a.end), self.offset(a.start))
-                for a in self.alg.quiver.arrows
-            }
-        return apply(self.field, self._arrows[label], vec)
+        """The image of a sparse global vector under one arrow: an entry of
+        vec costs one pass over the nonzero entries of its column."""
+        return apply(self.field, self.arrows[label], vec)
 
     def __repr__(self) -> str:
         return f"Rep(d={self.d}, field={self.field})"
 
 
-def _block_map(f: Field, blk: Matrix, row0: int, col0: int) -> Map:
-    """A dense block placed at rows row0.. and columns col0.. of a global
-    matrix, as a Map."""
-    cols = range(len(blk[0]) if blk else 0)
-    return {col0 + t: col for t in cols if (col := {row0 + i: r[t] for i, r in enumerate(blk) if not f.is_zero(r[t])})}
+def _matrix(f: Field, x: Map, rows: range, cols: range) -> Matrix:
+    """The dense block of a Map on the given global rows and columns."""
+    zero = f.zero()
+    return [[x.get(j, {}).get(i, zero) for j in cols] for i in rows]
 
 
 @dataclass
@@ -120,10 +143,7 @@ class GroupElement:
 
 
 def zero_rep(alg: Algebra, d: tuple[int, ...]) -> Rep:
-    mats = {}
-    for a in alg.quiver.arrows:
-        mats[a.label] = zeros(alg.field, d[a.end - 1], d[a.start - 1])
-    return Rep(alg, d, mats)
+    return Rep._of_maps(alg, d, {a.label: {} for a in alg.quiver.arrows})
 
 
 def simple_rep(alg: Algebra, v: int) -> Rep:
@@ -132,46 +152,38 @@ def simple_rep(alg: Algebra, v: int) -> Rep:
 
 
 def rep_of_projective(alg: Algebra, v: int) -> Rep:
-    """The left module Lambda*e_v on its path basis."""
+    """The left module Lambda*e_v on its path basis, each vertex block in
+    the order of alg.basis_at(v)."""
     cols = alg.basis_at(v)
-    col_index = {p: i for i, p in enumerate(cols)}
     d = tuple(sum(1 for p in cols if p.end == j) for j in alg.quiver.vertices)
-    # local index of each basis path inside its vertex block
-    local = {}
-    counters = {j: 0 for j in alg.quiver.vertices}
-    for p in cols:
-        local[p] = counters[p.end]
-        counters[p.end] += 1
+    order = sorted(cols, key=lambda p: p.end)  # stable: basis order within a block
+    index = {p: i for i, p in enumerate(order)}
     f = alg.field
-    mats = {}
+    arrows = {}
     for a in alg.quiver.arrows:
-        m = zeros(f, d[a.end - 1], d[a.start - 1])
-        for p in cols:
-            if p.end != a.start:
-                continue
-            for b, c in alg.arrow_act(a.label, p).items():
-                m[local[b]][local[p]] = c
-        mats[a.label] = m
-    return Rep(alg, d, mats)
+        arrows[a.label] = {
+            index[p]: col
+            for p in order
+            if p.end == a.start
+            and (col := {index[b]: c for b, c in alg.arrow_act(a.label, p).items() if not f.is_zero(c)})
+        }
+    return Rep._of_maps(alg, d, arrows)
 
 
 def direct_sum(M: Rep, N: Rep) -> Rep:
-    f = M.field
+    """M (+) N, with the block of M before that of N at every vertex."""
     d = tuple(x + y for x, y in zip(M.d, N.d))
-    mats = {}
+
+    def shifted(x: Map, col0: int, row0: int) -> Map:
+        return {col0 + j: {row0 + i: y for i, y in col.items()} for j, col in x.items()}
+
+    arrows = {}
     for a in M.alg.quiver.arrows:
-        am, an = M.mats[a.label], N.mats[a.label]
-        rm, cm = M.dim_at(a.end), M.dim_at(a.start)
-        rn, cn = N.dim_at(a.end), N.dim_at(a.start)
-        m = zeros(f, rm + rn, cm + cn)
-        for i in range(rm):
-            for j in range(cm):
-                m[i][j] = am[i][j]
-        for i in range(rn):
-            for j in range(cn):
-                m[rm + i][cm + j] = an[i][j]
-        mats[a.label] = m
-    return Rep(M.alg, d, mats)
+        s, e = a.start, a.end
+        x = shifted(M.arrows[a.label], N.offset(s), N.offset(e))
+        x.update(shifted(N.arrows[a.label], M.offset(s) + M.dim_at(s), M.offset(e) + M.dim_at(e)))
+        arrows[a.label] = x
+    return Rep._of_maps(M.alg, d, arrows)
 
 
 def _element_image(M: Rep, x: Element, vec: SparseRow) -> SparseRow:
@@ -192,25 +204,12 @@ def _element_image(M: Rep, x: Element, vec: SparseRow) -> SparseRow:
 
 def global_matrix(M: Rep, x: Element) -> Matrix:
     """Action of any algebra element on the flattened space K^|d|."""
-    f = M.field
-    n = M.total
-    out = zeros(f, n, n)
-    for j in range(n):
-        for i, y in _element_image(M, x, {j: f.one()}).items():
-            out[i][j] = y
-    return out
+    one, n = M.field.one(), range(M.total)
+    return _matrix(M.field, {j: _element_image(M, x, {j: one}) for j in n}, n, n)
 
 
 def rep_validate(alg: Algebra, M: Rep) -> bool:
-    for a in alg.quiver.arrows:
-        m = M.mats.get(a.label)
-        if m is None:
-            raise ShapeMismatch(f"missing matrix for arrow {a.label}")
-        r, c = M.dim_at(a.end), M.dim_at(a.start)
-        if len(m) != r or any(len(row) != c for row in m):
-            raise ShapeMismatch(
-                f"arrow {a.label}: expected {r}x{c}, got {len(m)}x{len(m[0]) if m else 0}"
-            )
+    """Does M satisfy the relations? (The Rep constructor checks shapes.)"""
     one = alg.field.one()
     return not any(_element_image(M, rel, {j: one}) for rel in alg.relations for j in range(M.total))
 
@@ -230,9 +229,9 @@ def base_change(M: Rep, g: GroupElement) -> Rep:
             inv[v] = inverse(f, g.blocks[v])
         except NotInvertible:
             raise NotInvertible(f"group element block at vertex {v} is singular") from None
-    mats = {}
+    mats = M.mats
     for a in M.alg.quiver.arrows:
-        mats[a.label] = mat_mul(f, mat_mul(f, g.blocks[a.end], M.mats[a.label]), inv[a.start])
+        mats[a.label] = mat_mul(f, mat_mul(f, g.blocks[a.end], mats[a.label]), inv[a.start])
     return Rep(M.alg, M.d, mats)
 
 
@@ -330,54 +329,54 @@ def top_dims(alg: Algebra, M: Rep) -> tuple[int, ...]:
 
 
 def hom_basis(M: Rep, N: Rep) -> list[dict[int, Matrix]]:
-    """Basis of the intertwiner space {f_i} with f_end x^M_a = x^N_a f_start."""
-    f = M.field
-    verts = list(M.alg.quiver.vertices)
-    voff = {}
-    total = 0
-    for v in verts:
-        voff[v] = total
-        total += N.dim_at(v) * M.dim_at(v)
-
-    def var(v: int, a: int, b: int) -> int:
-        return voff[v] + a * M.dim_at(v) + b
-
-    # entry (a, b) of f_end x^M_a - x^N_a f_start; zero matrix entries are
-    # left out before the sum, so they cost no field product
-    one, minus_one = f.one(), f.neg(f.one())
-    rows = []
-    for arr in M.alg.quiver.arrows:
-        s, e = arr.start, arr.end
-        xm, xn = M.mats[arr.label], N.mats[arr.label]
-        for a in range(N.dim_at(e)):
-            for b in range(M.dim_at(s)):
-                row: SparseRow = {}
-                f.axpy(row, one, {var(e, a, k): r[b] for k, r in enumerate(xm) if not f.is_zero(r[b])})
-                f.axpy(row, minus_one, {var(s, k, b): c for k, c in enumerate(xn[a]) if not f.is_zero(c)})
-                if row:
-                    rows.append(row)
-    ker = sparse_kernel_basis(f, rows, total)
-    out = []
-    for vec in ker:
-        blocks = {}
-        for v in verts:
-            r, c = N.dim_at(v), M.dim_at(v)
-            blocks[v] = [[vec[voff[v] + i * c + j] for j in range(c)] for i in range(r)]
-        out.append(blocks)
-    return out
+    """Basis of the intertwiner space {f_v} with f_end x^M_a = x^N_a f_start,
+    as dense vertex blocks: the maps of _hom_maps written out."""
+    verts = M.alg.quiver.vertices
+    return [{v: _matrix(M.field, x, N.coords(v), M.coords(v)) for v in verts} for x in _hom_maps(M, N)]
 
 
 def hom_dim(M: Rep, N: Rep) -> int:
-    return len(hom_basis(M, N))
+    return len(_hom_maps(M, N))
 
 
 def _hom_maps(M: Rep, N: Rep) -> list[Map]:
-    """hom_basis(M, N) as Maps, each vertex block at its global offsets."""
+    """A basis of Hom(M, N) as Maps in global coordinates.
+
+    The unknowns are the entries (i, j) of the vertex blocks f_v: M_v -> N_v,
+    i global in N and j in M, vertex by vertex and row by row. Each arrow
+    a: s -> e gives one equation f_e x^M_a = x^N_a f_s per entry of the
+    N_e x M_s block, read off the sparse columns of M.arrows and N.arrows,
+    and each kernel vector goes straight into a Map.
+    """
     f = M.field
-    return [
-        {j: col for v, blk in x.items() for j, col in _block_map(f, blk, N.offset(v), M.offset(v)).items()}
-        for x in hom_basis(M, N)
-    ]
+    unknown: dict[tuple[int, int], int] = {}
+    for v in M.alg.quiver.vertices:
+        for i in N.coords(v):
+            for j in M.coords(v):
+                unknown[i, j] = len(unknown)
+    minus_one = f.neg(f.one())
+    rows: list[SparseRow] = []
+    for arr in M.alg.quiver.arrows:
+        eqs: dict[tuple[int, int], SparseRow] = {}
+        # (f_e x^M_a)[i][j] = sum over k of f_e[i][k] x^M_a[k][j]
+        for j, col in M.arrows[arr.label].items():
+            for k, y in col.items():
+                for i in N.coords(arr.end):
+                    eqs.setdefault((i, j), {})[unknown[i, k]] = y
+        # (x^N_a f_s)[i][j] = sum over k of x^N_a[i][k] f_s[k][j]
+        for k, col in N.arrows[arr.label].items():
+            for i, y in col.items():
+                for j in M.coords(arr.start):
+                    f.axpy(eqs.setdefault((i, j), {}), minus_one, {unknown[k, j]: y})
+        rows += eqs.values()
+    out = []
+    for vec in sparse_kernel_basis(f, rows, len(unknown)):
+        x: Map = {}
+        for (i, j), y in zip(unknown, vec):
+            if not f.is_zero(y):
+                x.setdefault(j, {})[i] = y
+        out.append(x)
+    return out
 
 
 def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: int | None = None):
@@ -563,19 +562,17 @@ def _on_basis(
     """The Rep on per-vertex bases of a subquotient of M. Each basis vector
     is named by one global coordinate i, names[v - 1] lists those at v, and
     vector(i) is its representative in M; the coordinates of a class are the
-    entries of coords(representative) at the names."""
-    f = M.field
-    mats = {}
+    entries of coords(representative) at the names. A name's global
+    coordinate in the subquotient is its place in the concatenated lists."""
+    index = {i: t for t, i in enumerate(itertools.chain.from_iterable(names))}
+    arrows = {}
     for a in M.alg.quiver.arrows:
-        rows, cols = names[a.end - 1], names[a.start - 1]
-        m = zeros(f, len(rows), len(cols))
-        for j, i in enumerate(cols):
-            img = coords(M.act(a.label, vector(i)))
-            for r, k in enumerate(rows):
-                if k in img:
-                    m[r][j] = img[k]
-        mats[a.label] = m
-    return Rep(M.alg, tuple(map(len, names)), mats)
+        arrows[a.label] = {
+            index[i]: col
+            for i in names[a.start - 1]
+            if (col := {index[k]: y for k, y in coords(M.act(a.label, vector(i))).items() if k in index})
+        }
+    return Rep._of_maps(M.alg, tuple(map(len, names)), arrows)
 
 
 def sub_rep(M: Rep, space: list[Vector]) -> Rep:
@@ -806,7 +803,7 @@ def _nonunit(M: Rep, basis: list[Map]) -> Map | None:
 def _pieces(M: Rep, basis: list[Map] | None = None) -> list[Rep] | None:
     """The local summands of M, or None when M is not a direct sum of local
     modules. The route is the same over Q and over F_q. basis is End(M) as
-    Maps (_hom_maps) when the caller has built it already.
+    Maps, solved on M's arrow Maps (_hom_maps), when the caller has it.
 
     * The top action. Every endomorphism keeps JM, so
       pi: End(M) -> End_K(M/JM) is an algebra map; B is its image. In the

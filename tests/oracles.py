@@ -171,10 +171,11 @@ def brute_force_submodule_spans(M) -> set[tuple]:
             v[o + i] = x
         return v
 
+    mats = M.mats
     out = set()
     for rows in all_rref_matrices(f, n):
         arrow_images = (
-            embed(a.end, naive_mat_vec(f, M.mats[a.label], M.block(w, a.start)))
+            embed(a.end, naive_mat_vec(f, mats[a.label], M.block(w, a.start)))
             for w in rows
             for a in M.alg.quiver.arrows
         )
@@ -222,11 +223,11 @@ def sub_rep_oracle(M, space):
     f = M.field
     bases = graded_basis_oracle(M, space)
     d = tuple(len(bases[v]) for v in M.alg.quiver.vertices)
-    mats = {}
+    arrows, mats = M.mats, {}
     for a in M.alg.quiver.arrows:
         cols = []
         for w in bases[a.start]:
-            img = naive_mat_vec(f, M.mats[a.label], w)
+            img = naive_mat_vec(f, arrows[a.label], w)
             cols.append(solve(f, transpose(bases[a.end]), img) if bases[a.end] else [])
         mats[a.label] = [list(row) for row in zip(*cols)] if cols and bases[a.end] else zeros(f, d[a.end - 1], d[a.start - 1])
     return Rep(M.alg, d, mats)
@@ -241,14 +242,85 @@ def quotient_rep_oracle(M, space):
     spans = {v: Echelon.of(f, bases[v]) for v in bases}
     keep = {v: [i for i in range(M.dim_at(v)) if i not in spans[v].rows] for v in bases}
     d = tuple(len(keep[v]) for v in M.alg.quiver.vertices)
-    mats = {}
+    arrows, mats = M.mats, {}
     for a in M.alg.quiver.arrows:
         cols = []
         for i in keep[a.start]:
-            res = spans[a.end].reduce(sparse(f, [row[i] for row in M.mats[a.label]]))
+            res = spans[a.end].reduce(sparse(f, [row[i] for row in arrows[a.label]]))
             cols.append([res.get(k, f.zero()) for k in keep[a.end]])
         mats[a.label] = [list(row) for row in zip(*cols)] if cols and d[a.end - 1] else zeros(f, d[a.end - 1], d[a.start - 1])
     return Rep(M.alg, d, mats)
+
+
+def dense_projective_oracle(alg, v):
+    """Lambda e_v on its path basis from dense zero matrices: the entry of
+    arrow a at (b, p) is the coefficient of b in a*p, each path placed in
+    the block of its end vertex in basis order."""
+    f = alg.field
+    cols = alg.basis_at(v)
+    d = tuple(sum(1 for p in cols if p.end == j) for j in alg.quiver.vertices)
+    local, counters = {}, {j: 0 for j in alg.quiver.vertices}
+    for p in cols:
+        local[p] = counters[p.end]
+        counters[p.end] += 1
+    mats = {}
+    for a in alg.quiver.arrows:
+        m = zeros(f, d[a.end - 1], d[a.start - 1])
+        for p in cols:
+            if p.end == a.start:
+                for b, c in alg.arrow_act(a.label, p).items():
+                    m[local[b]][local[p]] = c
+        mats[a.label] = m
+    return Rep(alg, d, mats)
+
+
+def block_sum_oracle(M, N):
+    """M (+) N with block-diagonal arrow matrices: M's block above and left
+    of N's at every vertex."""
+    f = M.field
+    d = tuple(x + y for x, y in zip(M.d, N.d))
+    am, an = M.mats, N.mats
+    mats = {}
+    for a in M.alg.quiver.arrows:
+        rm, cm = M.dim_at(a.end), M.dim_at(a.start)
+        rn, cn = N.dim_at(a.end), N.dim_at(a.start)
+        m = zeros(f, rm + rn, cm + cn)
+        for i in range(rm):
+            for j in range(cm):
+                m[i][j] = am[a.label][i][j]
+        for i in range(rn):
+            for j in range(cn):
+                m[rm + i][cm + j] = an[a.label][i][j]
+        mats[a.label] = m
+    return Rep(M.alg, d, mats)
+
+
+def dense_hom_oracle(M, N) -> int:
+    """dim Hom(M, N) as the kernel dimension of the dense system
+    f_e X^M_a = X^N_a f_s, one equation per arrow a: s -> e and entry of
+    its d^N_e x d^M_s block. The unknowns are the entries of the vertex
+    blocks f_v, vertex by vertex and column by column, and the rank is
+    naive_rank's."""
+    f = M.field
+    xm, xn = M.mats, N.mats
+    unknown, n = {}, 0
+    for v in M.alg.quiver.vertices:
+        for j in range(M.dim_at(v)):
+            for i in range(N.dim_at(v)):
+                unknown[v, i, j] = n
+                n += 1
+    rows = []
+    for a in M.alg.quiver.arrows:
+        s, e = a.start, a.end
+        for i in range(N.dim_at(e)):
+            for j in range(M.dim_at(s)):
+                row = [f.zero()] * n
+                for k in range(M.dim_at(e)):
+                    row[unknown[e, i, k]] = f.add(row[unknown[e, i, k]], xm[a.label][k][j])
+                for k in range(N.dim_at(s)):
+                    row[unknown[s, k, j]] = f.sub(row[unknown[s, k, j]], xn[a.label][i][k])
+                rows.append(row)
+    return n - naive_rank(f, rows)
 
 
 def radical_layering_oracle(alg, M):
@@ -369,11 +441,12 @@ def presentation_kernel_oracle(alg, v, piece, gen):
     goes to p * gen, by plain matrix products along p."""
     f = alg.field
     paths = alg.basis_at(v)
+    mats = piece.mats
     cols = []
     for p in paths:
         block = piece.block(gen, p.start)  # a length-0 path is e_start
         for label in p.arrows:
-            block = naive_mat_vec(f, piece.mats[label], block)
+            block = naive_mat_vec(f, mats[label], block)
         col = [f.zero()] * piece.total
         col[piece.offset(p.end) : piece.offset(p.end) + len(block)] = block
         cols.append(col)

@@ -2,7 +2,8 @@
 definition and method of the package is referenced: a deleted helper takes
 its imports with it, and nothing is left that no code reads. Maps between
 modules are sparse (linalg.Map): the dense matrix products stay at the
-edges, in base_change."""
+edges, in base_change, and a Rep is its arrow Maps, written out dense only
+by its views."""
 
 from __future__ import annotations
 
@@ -191,3 +192,15 @@ def test_the_split_and_sweep_modules_import_no_dense_arithmetic(name):
 def test_only_base_change_multiplies_or_inverts_dense_matrices(path):
     expected = ["base_change"] if path.name == "reps.py" else []
     assert _readers(path.read_text(), {"mat_mul", "mat_pow", "inverse"}) == expected
+
+
+def test_a_rep_is_its_arrow_maps():
+    # the dense views write Maps out through one helper, and nothing else in
+    # reps builds a dense matrix: the builders and the Hom solve stay on Maps
+    from quivermoduli.reps import Rep
+
+    source = (SRC / "reps.py").read_text()
+    assert set(_readers(source, {"zeros"})) <= {"Rep", "hom_basis", "global_matrix"}
+    assert _readers(source, {"_matrix"}) == ["Rep", "global_matrix", "hom_basis"]
+    assert _readers(source, {"mats"}) == ["Rep", "base_change"]
+    assert "_arrows" not in Rep.__slots__ and "mats" not in Rep.__slots__

@@ -38,6 +38,7 @@ from oracles import (
     chain_oracle,
     closed_orbit_verdicts,
     dense_chart_residues,
+    dense_hom_oracle,
     dense_limit_oracle,
     dense_relation_equations,
     fitting_split_oracle,
@@ -94,6 +95,7 @@ from quivermoduli.linalg import Echelon, apply, combine, identity, kernel_basis,
 from quivermoduli.polys import Poly, PolyRing
 from quivermoduli.reps import (
     Rep,
+    _by_vertex,
     _split_once,
     _vertex_dims,
     base_change,
@@ -603,6 +605,56 @@ def test_subquotients_match_the_dense_routes_on_every_submodule(M):
     for space in submodule_spans(M):
         assert _same_rep(sub_rep(M, space), sub_rep_oracle(M, space))
         assert _same_rep(quotient_rep(M, space), quotient_rep_oracle(M, space))
+
+
+# --------------------------------------------------------- Hom space oracle
+
+
+@st.composite
+def hom_pairs(draw):
+    """(M, N) over one small algebra and one of F2, F3 and Q, in either
+    order: N is a second small module, M (+) another one, or a module that
+    is zero at a drawn vertex."""
+    alg, cap = _small_algebra(draw, (Field(2), Field(3), QQ))
+    M = _small_rep(draw, alg, cap)
+    kind = draw(st.sampled_from(("small", "sum", "zero at a vertex")))
+    if kind == "small":
+        N = _small_rep(draw, alg, cap)
+    elif kind == "sum":
+        N = direct_sum(M, _small_rep(draw, alg, cap))
+    else:
+        zero = draw(st.sampled_from(alg.quiver.vertices))
+        N = _small_rep(draw, alg, cap, [0 if v == zero else draw(st.integers(0, cap)) for v in alg.quiver.vertices])
+    return (N, M) if draw(st.booleans()) else (M, N)
+
+
+@given(pair=hom_pairs())
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_hom_spaces_match_the_dense_oracle(pair):
+    # the intertwiner solve on arrow Maps spans Hom(M, N): as many
+    # independent graded maps as the dense system's kernel, each commuting
+    # with every arrow, and hom_basis writes exactly them out
+    M, N = pair
+    f = M.field
+    maps = reps._hom_maps(M, N)
+    assert hom_dim(M, N) == len(maps) == dense_hom_oracle(M, N)
+    flat = [[x.get(j, {}).get(i, f.zero()) for j in range(M.total) for i in range(N.total)] for x in maps]
+    assert naive_rank(f, flat) == len(maps)
+    at_m = _by_vertex(M, range(M.total))
+    at_n = _by_vertex(N, range(N.total))
+    for x in maps:
+        assert all(_zero_free(col) and col for col in x.values())
+        assert all(i in at_n[v] for v, js in enumerate(at_m) for j in js for i in x.get(j, {}))
+        for a in M.alg.quiver.arrows:
+            for j in range(M.total):
+                unit = {j: f.one()}
+                assert apply(f, x, M.act(a.label, unit)) == N.act(a.label, apply(f, x, unit))
+    assert hom_basis(M, N) == [_blocks_of(M, N, x) for x in maps]
 
 
 # ----------------------------------------------------- Fitting split oracle

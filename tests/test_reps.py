@@ -48,8 +48,23 @@ from quivermoduli.reps import (
     zero_rep,
 )
 
-from conftest import inhomogeneous_algebra, loop_bridge_over, rel
-from oracles import brute_force_submodule_dims, brute_force_submodule_spans
+from conftest import (
+    cycle_flag_algebra,
+    double_loop_algebra,
+    fork_merge_algebra,
+    inhomogeneous_algebra,
+    kronecker_over,
+    loop_bridge_over,
+    rel,
+    star3_over,
+    two_loop_two_arrow_algebra,
+)
+from oracles import (
+    block_sum_oracle,
+    brute_force_submodule_dims,
+    brute_force_submodule_spans,
+    dense_projective_oracle,
+)
 
 
 def kron_point(alg, lam):
@@ -84,10 +99,48 @@ def test_validate_flags_broken_relation(loop_bridge):
 
 
 def test_validate_flags_bad_shape(loop_bridge):
+    # a Rep holds Maps, so the misshapen matrix is refused where it is read in
     f = loop_bridge.field
-    bad = Rep(loop_bridge, (1, 1), {"a": [[f.zero()]], "b": [[f.zero(), f.zero()]]})
-    with pytest.raises(ShapeMismatch):
-        rep_validate(loop_bridge, bad)
+    with pytest.raises(ShapeMismatch, match="^arrow b: expected 1x1, got 1x2$"):
+        Rep(loop_bridge, (1, 1), {"a": [[f.zero()]], "b": [[f.zero(), f.zero()]]})
+
+
+def test_rep_refuses_a_missing_matrix(loop_bridge):
+    with pytest.raises(ShapeMismatch, match="^missing matrix for arrow b$"):
+        Rep(loop_bridge, (1, 1), {"a": [[loop_bridge.field.zero()]]})
+
+
+FIXTURE_ALGEBRAS = {
+    "kronecker/F2": kronecker_over(Field(2)),
+    "loop bridge/F3": loop_bridge_over(Field(3)),
+    "star3/Q": star3_over(QQ),
+    "cycle flag/Q": cycle_flag_algebra(QQ),
+    "fork merge/F3": fork_merge_algebra(Field(3)),
+    "inhomogeneous/Q": inhomogeneous_algebra(),
+    "double loop/F2": double_loop_algebra(Field(2)),
+    "two loops two arrows/Q": two_loop_two_arrow_algebra(QQ),
+}
+
+
+@pytest.mark.parametrize("alg", FIXTURE_ALGEBRAS.values(), ids=FIXTURE_ALGEBRAS.keys())
+def test_sparse_builders_match_the_dense_oracles(alg):
+    # the builders write Maps directly; their dense views are the matrices
+    # the dense routes fill in, and reading a view back in gives the Maps
+    verts = alg.quiver.vertices
+    projectives = [rep_of_projective(alg, v) for v in verts]
+    for v, P in zip(verts, projectives):
+        Q = dense_projective_oracle(alg, v)
+        assert (P.d, P.mats) == (Q.d, Q.mats)
+    # d = (0, 1, 2, ...) is zero at vertex 1
+    pool = projectives + [simple_rep(alg, v) for v in verts] + [zero_rep(alg, tuple(range(len(verts))))]
+    sums = []
+    for A in pool:
+        for B in pool[::2]:
+            S, T = direct_sum(A, B), block_sum_oracle(A, B)
+            assert (S.d, S.mats) == (T.d, T.mats)
+            sums.append(S)
+    for M in pool + sums:
+        assert Rep(alg, M.d, M.mats).arrows == M.arrows
 
 
 def test_global_matrix_moves_basis_vectors(loop_bridge):
@@ -548,13 +601,13 @@ def test_rational_top_map_grid_decides_without_random_tries(kronecker, monkeypat
 def test_isomorphism_builds_each_endomorphism_space_once(kronecker, monkeypatch):
     # End(M) and End(N) serve both the dimension check and the first split
     calls = []
-    real = reps.hom_basis
+    real = reps._hom_maps
 
     def counting(M, N):
         calls.append((M, N))
         return real(M, N)
 
-    monkeypatch.setattr(reps, "hom_basis", counting)
+    monkeypatch.setattr(reps, "_hom_maps", counting)
     M = kron_pair(kronecker, [[0, 1], [1, 0]])
     N = base_change(M, random_group_element(kronecker.field, M.d, random.Random(3)))
     assert is_isomorphic(M, N) is True
