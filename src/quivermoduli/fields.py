@@ -9,11 +9,17 @@ in the package goes through one rule, Field.axpy: out += c * row in place,
 with an entry that cancels popped, so no sparse row ever stores a zero. Maps
 between modules are sparse too (linalg.Map); dense lists of scalars remain
 only at the edges that the linalg docstring names.
+
+Field.axpy is one scalar kernel per field, picked once when the Field is
+built: plain sums over Q, and plain ints reduced mod p with p held in a
+closure over F_p. No kernel branches on the field or calls a method per
+entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Union
@@ -32,15 +38,55 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# -- sparse row kernels: out += c * row in place --------------------------------
+#
+# Each pops an entry that cancels and skips a zero entry of row, so out never
+# stores a zero. Over F_p, c may be any integer representative.
+
+Axpy = Callable[[dict, Scalar, dict], None]
+
+
+def _axpy_q(out: dict, c: Scalar, row: dict) -> None:
+    # a new key costs one product and no Fraction addition
+    for k, v in row.items():
+        x = c * v
+        if k in out:
+            x += out[k]
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+        elif x:
+            out[k] = x
+
+
+def _axpy_mod(p: int) -> Axpy:
+    """The kernel of F_p, with p held in the closure."""
+
+    def axpy(out: dict, c: Scalar, row: dict) -> None:
+        for k, v in row.items():
+            x = (out.get(k, 0) + c * v) % p
+            if x:
+                out[k] = x
+            else:
+                out.pop(k, None)
+
+    return axpy
+
+
 @dataclass(frozen=True)
 class Field:
     """The rationals (p is None) or the prime field F_p."""
 
     p: int | None = None
+    # out += c * row in place, for sparse rows keyed by anything: the
+    # field's kernel, bound once by __post_init__
+    axpy: Axpy = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"field order must be prime, got {self.p}")
+        object.__setattr__(self, "axpy", _axpy_q if self.p is None else _axpy_mod(self.p))
 
     @property
     def is_finite(self) -> bool:
@@ -94,19 +140,6 @@ class Field:
 
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
-
-    def axpy(self, out: dict, c: Scalar, row: dict) -> None:
-        """out += c * row in place, for sparse rows keyed by anything. An entry
-        that cancels is popped and a zero product is not stored, so out holds
-        no zero; a new key costs one product and no addition."""
-        for k, v in row.items():
-            x = self.mul(c, v)
-            if k in out:
-                x = self.add(out[k], x)
-            if x == 0:
-                out.pop(k, None)
-            else:
-                out[k] = x
 
     # -- enumeration and formatting ------------------------------------
 

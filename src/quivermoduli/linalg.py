@@ -115,7 +115,12 @@ def combine(field: Field, coeffs: Iterable[Scalar], maps: Iterable[Map]) -> Map:
 
 
 def sparse(field: Field, v: Vector) -> SparseRow:
-    return {j: x for j, x in enumerate(v) if not field.is_zero(x)}
+    """The nonzero entries of a dense vector; over F_p each is reduced to its
+    residue in [1, p), so a row read in names its space as any other does."""
+    p = field.p
+    if p is None:
+        return {j: x for j, x in enumerate(v) if x != 0}
+    return {j: r for j, x in enumerate(v) if (r := x % p)}
 
 
 def dense(field: Field, row: SparseRow, ncols: int) -> Vector:
@@ -132,6 +137,10 @@ class Echelon:
     the row, where the entry is 1; no stored row has a nonzero entry at any
     other row's pivot. A space has exactly one such form for a fixed column
     order, so the stored rows are its RREF whatever order rows arrive in.
+
+    A row handed to reduce or insert must store no zero and, over F_p, only
+    residues in [1, p), as every row built by Field.axpy or linalg.sparse
+    does; reduce copies it as it is.
     """
 
     __slots__ = ("field", "rows")
@@ -158,11 +167,11 @@ class Echelon:
 
     def reduce(self, row: SparseRow) -> SparseRow:
         """Residue of a row modulo the space: a new row, zero at every pivot."""
-        f = self.field
-        out = {k: v for k, v in row.items() if not f.is_zero(v)}
-        for c in [c for c in out if c in self.rows]:
+        axpy, rows = self.field.axpy, self.rows
+        out = dict(row)
+        for c in [c for c in out if c in rows]:
             # pivot rows are zero at every other pivot, so one pass suffices
-            f.axpy(out, f.neg(out[c]), self.rows[c])
+            axpy(out, -out[c], rows[c])
         return out
 
     def contains(self, row: SparseRow) -> bool:
@@ -177,13 +186,17 @@ class Echelon:
         if not res:
             return None
         f = self.field
+        axpy = f.axpy
         p = min(res)
-        inv = f.inv(res[p])
-        res = {k: f.mul(inv, v) for k, v in res.items()}
+        lead = res[p]
+        if lead != 1:
+            # a new dict: det reads the lead off the residue it placed
+            res, scaled = {}, res
+            axpy(res, f.inv(lead), scaled)
         for r in self.rows.values():
             c = r.get(p)
             if c is not None:
-                f.axpy(r, f.neg(c), res)
+                axpy(r, -c, res)
         self.rows[p] = res
         return p
 

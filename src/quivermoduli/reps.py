@@ -283,8 +283,7 @@ def _vertex_dims(M: Rep, space: list[Vector]) -> tuple[int, ...]:
     such row then lies in one vertex block, so dim e_v*U is the number of
     rows whose pivot lies in the block of v.
     """
-    f = M.field
-    pivots = (next(i for i, x in enumerate(w) if not f.is_zero(x)) for w in space)
+    pivots = (next(i for i, x in enumerate(w) if x) for w in space)
     return tuple(map(len, _by_vertex(M, pivots)))
 
 
@@ -467,9 +466,10 @@ def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[
     vectors. Only those vectors are closed, one per line: sum over v of
     (q^d_v - 1)/(q - 1) calls to closure instead of (q^|d| - 1)/(q - 1).
     The lattice then grows from {0} one distinct cyclic submodule C at a
-    time: every U found so far also yields U + C, which is U's echelon form
-    with C's rows inserted, unless U already holds C's generator. After the
-    last C it holds every sum of cyclics, i.e. every submodule. The
+    time: every U found so far also yields U + C, unless U already holds
+    C's generator g. Its echelon form is U's with the residue of g modulo U
+    placed and C's rows inserted; g is reduced once. After the last C the
+    lattice holds every sum of cyclics, i.e. every submodule. The
     submodule_vectors budget caps q^|d|, not the number of vectors closed.
     """
     f = M.field
@@ -490,9 +490,11 @@ def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[
     lattice = [Echelon(f)]
     for gen, cyclic in cyclics.values():
         for span in lattice[:]:
-            if span.contains(gen):
+            res = span.reduce(gen)
+            if not res:
                 continue
             total = span.copy()
+            total._place(res)
             for row in cyclic.rows.values():
                 total.insert(row)
             key = total.key()

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from quivermoduli import QQ, Element, Field, build_algebra, make_quiver, path_from_labels
+from quivermoduli.linalg import Echelon
 from quivermoduli.quiver import PathWord
 
 
@@ -155,3 +158,22 @@ def path_word(quiver, labels_rtl, start=None):
     if not labels_rtl:
         return PathWord(start, (), start)
     return path_from_labels(quiver, labels_rtl)
+
+
+@pytest.fixture
+def zero_free_rows(monkeypatch):
+    """Checks the contract that lets Echelon.reduce copy a row as it is:
+    every row handed to it stores no zero, and over F_p each entry is its
+    residue in [1, p). Returns the rows checked, counted per field."""
+    checked: Counter = Counter()
+    real = Echelon.reduce
+
+    def reduce(self, row):
+        p = self.field.p
+        bad = {k: x for k, x in row.items() if not (0 < x < p if p else x != 0)}
+        assert not bad, f"a row handed to Echelon.reduce over {self.field} stores {bad}"
+        checked[self.field] += 1
+        return real(self, row)
+
+    monkeypatch.setattr(Echelon, "reduce", reduce)
+    return checked

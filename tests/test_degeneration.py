@@ -29,6 +29,7 @@ from quivermoduli.grass import (
     coker_rep,
     endo_space,
     is_grass_point,
+    moduli_report,
     point_from_generators,
     projective_cover,
     skeleta_with_dims,
@@ -509,6 +510,17 @@ def test_every_swept_point_of_the_benchmark_strata_is_a_grass_point():
         swept += len(points)
     # the points a sweep-fq round makes maxdeg-test verdicts on
     assert swept == 933
+
+
+@pytest.mark.parametrize("i", [4, 9], ids=["kronecker/F2 (2,0)", "two loops/F3 (1,0)"])
+def test_sweeps_hand_elimination_no_zero(zero_free_rows, i):
+    # every Echelon.reduce of the maxdeg sweep and of the moduli report on
+    # a sweep-fq stratum gets a row with no zero entry
+    make, p, top, d = SWEEP_FQ_STRATA[i]
+    alg = make(Field(p))
+    assert maximal_topdeg_candidates(alg, projective_cover(alg, top), d)
+    moduli_report(alg, top, d, DEFAULT_LIMITS)
+    assert zero_free_rows[alg.field] > 0
 
 
 @pytest.mark.parametrize(

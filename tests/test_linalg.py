@@ -1,10 +1,11 @@
-"""The elimination kernel against textbook oracles over F2, F3 and Q.
+"""The elimination kernel against textbook oracles over F2, F3, F5, F7 and Q.
 
 Every property compares quivermoduli.linalg with code in tests/oracles.py
 that shares nothing with it: column-by-column Gaussian elimination, spans
 enumerated element by element, and the Leibniz expansion of det. The sparse
-accumulation Field.axpy is checked against a plain dense sum, and the Map
-arithmetic (apply, compose, combine) against plain matrix products.
+accumulation Field.axpy, one kernel per field, is checked against a plain
+dense sum, and the Map arithmetic (apply, compose, combine) against plain
+matrix products.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from quivermoduli.errors import DimensionMismatch, NotInvertible
 from quivermoduli.fields import QQ, Field
 from quivermoduli.quiver import PathWord
 from quivermoduli.linalg import (
+    Echelon,
     apply,
     combine,
     compose,
@@ -27,6 +29,9 @@ from quivermoduli.linalg import (
     is_invertible,
     kernel_basis,
     mat_mul,
+    rank,
+    rref,
+    solve,
     span_rref,
     sparse,
     sparse_kernel_basis,
@@ -34,7 +39,7 @@ from quivermoduli.linalg import (
 
 from oracles import leibniz_det, naive_mat_mul, naive_mat_vec, naive_rank, span_by_enumeration
 
-FIELDS = (Field(2), Field(3), QQ)
+FIELDS = (Field(2), Field(3), Field(5), Field(7), QQ)
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
 
@@ -77,6 +82,33 @@ def test_span_rref_is_a_reduced_echelon_basis_of_the_same_span(m):
     for row, p in zip(red, leads):
         assert row[p] == f.one()
         assert all(other[p] == 0 for other in red if other is not row)
+
+
+def test_dense_rows_over_f3_are_read_as_residues():
+    f = Field(3)
+    assert rref(f, [[1, -1]]) == ([[1, 2]], [0])
+    assert rref(f, [[4, 1]]) == rref(f, [[-2, 7]]) == ([[1, 1]], [0])
+    assert Echelon.of(f, [[1, -1]]).key() == Echelon.of(f, [[1, 2]]).key() == Echelon.of(f, [[4, -4]]).key()
+    assert rank(f, [[3, -6], [0, 0]]) == 0
+    assert sparse(f, [3, -1, 4, 0]) == {1: 2, 2: 1}
+
+
+@given(m=matrices(), data=st.data())
+@PROPERTY
+def test_any_integer_lift_over_f_p_names_the_same_space(m, data):
+    # the dense entry points read a matrix through linalg.sparse, which
+    # reduces each entry, so every value they return lies in [0, p)
+    f, a, ncols = m
+    if not f.is_finite:
+        return
+    lift = [[x + f.p * data.draw(st.integers(-2, 2)) for x in row] for row in a]
+    assert rref(f, lift) == rref(f, a)
+    assert Echelon.of(f, lift).key() == Echelon.of(f, a).key()
+    assert kernel_basis(f, lift, ncols) == kernel_basis(f, a, ncols)
+    b = [f.of_int(i) for i in range(len(a))]
+    x = solve(f, lift, [y - f.p for y in b])
+    assert x == solve(f, a, b)
+    assert all(0 <= y < f.p for v in rref(f, lift)[0] + kernel_basis(f, lift, ncols) + [x or []] for y in v)
 
 
 @given(m=matrices())
@@ -127,9 +159,9 @@ AXPY_KEYS = {
 
 
 @st.composite
-def axpy_cases(draw):
+def axpy_cases(draw, fields=FIELDS):
     """(field, keys, out, c, row): out has no zero entry, row may have some."""
-    f = draw(st.sampled_from(FIELDS))
+    f = draw(st.sampled_from(fields))
     keys = AXPY_KEYS[draw(st.sampled_from(sorted(AXPY_KEYS)))]
     if f.is_finite:
         scalar = st.sampled_from(f.elements())
@@ -155,6 +187,30 @@ def test_axpy_is_the_dense_sum_without_its_zeros(case):
     expected = _dense_axpy(f, keys, out, c, row)
     f.axpy(out, c, row)
     assert out == expected
+
+
+def test_a_field_is_named_by_p_alone():
+    # each Field binds its own kernel, outside equality, hash and repr
+    for p in (2, 3, 5, 7, None):
+        a, b = Field(p), Field(p)
+        assert a == b and hash(a) == hash(b) == hash((p,))
+        assert repr(a) == f"Field(p={p})"
+    assert [str(Field(p)) for p in (2, 7, None)] == ["F2", "F7", "Q"]
+    assert len({Field(2), Field(3), QQ, Field(2)}) == 3
+
+
+@given(case=axpy_cases(fields=tuple(f for f in FIELDS if f.is_finite)))
+@PROPERTY
+def test_axpy_over_f_p_reads_any_representative_of_c(case):
+    # Echelon passes -x, not its residue in [0, p), to the kernel
+    f, keys, out, c, row = case
+    sums = []
+    for rep in (c, c - f.p, c + f.p):
+        acc = dict(out)
+        f.axpy(acc, rep, row)
+        assert all(type(x) is int and 0 < x < f.p for x in acc.values())
+        sums.append(acc)
+    assert sums[0] == sums[1] == sums[2] == _dense_axpy(f, keys, out, c, row)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=str)

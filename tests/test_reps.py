@@ -47,6 +47,7 @@ from quivermoduli.reps import (
     top_dims,
     zero_rep,
 )
+from quivermoduli.stability import Weight, stable_factors
 
 from conftest import (
     cycle_flag_algebra,
@@ -355,6 +356,33 @@ def test_space_budget_caps_the_lattice_size(kronecker_f2):
     assert len(submodule_spans(P, SearchLimits(submodule_spaces=6))) == 6
     with pytest.raises(SearchTooLarge, match=r"^submodule count exceeds budget$"):
         submodule_spans(P, SearchLimits(submodule_spaces=5))
+
+
+# -- the callers' side of Echelon's contract ------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lattices_hand_elimination_no_zero(zero_free_rows, p):
+    # the lattice-fq shapes, base-changed: three Kronecker points, whose sum
+    # has three stable factors, and a Jordan block
+    alg = kronecker_over(Field(p))
+    points = base_change(Rep(alg, (3, 3), {"a1": _diag3(1, 0, 1), "a2": _diag3(0, 1, 1)}), _G3)
+    jordan = base_change(Rep(alg, (3, 3), {"a1": _diag3(1, 1, 1), "a2": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]}), _G3)
+    assert submodule_spans(jordan)
+    assert [g.d for g in stable_factors(points, Weight((-1, 1)))] == [(1, 1)] * 3
+    assert zero_free_rows[alg.field] > 0
+
+
+def test_rational_splits_hand_elimination_no_zero(zero_free_rows, kronecker, loop_bridge):
+    k0, k1, k2 = (kron_point(kronecker, QQ.of_int(c)) for c in (0, 1, 2))
+    M = direct_sum(direct_sum(k0, k1), k2)
+    N = base_change(M, random_group_element(QQ, M.d, random.Random(3)))
+    assert is_isomorphic(M, N) is True
+    assert sorted(piece.d for piece in decompose_local(kronecker, N)) == [(1, 1)] * 3
+    assert decompose_local(kronecker, kron_pullback(kronecker)) is NotSumOfLocals
+    P = direct_sum(rep_of_projective(loop_bridge, 1), rep_of_projective(loop_bridge, 2))
+    assert sorted(piece.d for piece in decompose_local(loop_bridge, P)) == [(0, 1), (2, 2)]
+    assert zero_free_rows[QQ] > 0
 
 
 # -- subquotients --------------------------------------------------------------
