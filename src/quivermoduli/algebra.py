@@ -1,9 +1,12 @@
 """Finite-dimensional path algebra quotients KQ/I with exact normal forms.
 
-build_algebra eliminates the span of all bounded-length products p*r*q of the
+build_algebra reads off the span of all bounded-length products p*r*q of the
 relation generators, with pivots chosen deglex-descending (longer paths first,
 then lexicographically larger in declaration order). The surviving paths form
 the monomial basis; every eliminated path gets a fully reduced normal form.
+A product of a one-term relation is a single path, so the monomial part of the
+ideal needs no elimination; only the products of relations with several terms,
+with those paths dropped, go through an Echelon.
 
 Admissibility is certified inside the length window: the Loewy length is the
 smallest m such that every path of length m reduces to zero, and products of
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from .errors import NotAdmissible, SearchTooLarge
 from .fields import Field, Scalar
-from .linalg import Echelon
+from .linalg import Echelon, SparseRow
 from .quiver import (
     Element,
     PathWord,
@@ -180,6 +183,11 @@ def build_algebra(
 ) -> Algebra:
     """Construct KQ/I, certifying admissibility within the length window.
 
+    The paths p*w*q of one-term relations are the unit rows of the ideal's
+    RREF. The products of the other relations, with those paths dropped,
+    are the only rows eliminated; the RREF of a space is unique, so the
+    basis and normal forms are those of eliminating every product.
+
     Raises BadRelation for malformed generators and NotAdmissible when no
     m <= max_len has all length-m paths reducing to zero.
     """
@@ -204,9 +212,11 @@ def build_algebra(
     # Span of the ideal inside the length window: all products p*r*q whose
     # every term still fits, as sparse rows. Columns run in reverse rank
     # order, so the pivot of a row (its smallest column) is its
-    # deglex-largest path.
+    # deglex-largest path. A one-term product is a unit row (a tip, in
+    # Green's terms); the RREF of the span is those and the rest's RREF.
     top = len(all_paths) - 1
-    ideal = Echelon(field)
+    units: set[int] = set()
+    mixed: list[SparseRow] = []
     for rel in relations:
         lens = rel.lengths()
         lmax = max(lens)
@@ -220,34 +230,29 @@ def build_algebra(
                     continue
                 # distinct terms w give distinct paths p*w*q: nothing adds up
                 row = {top - rank_of[compose(quiver, p, compose(quiver, w, q))]: c for w, c in rel.terms.items()}
-                ideal.insert(row)
+                if len(row) == 1:
+                    units.update(row)
+                else:
+                    mixed.append(row)
+    ideal = Echelon(field, ({k: c for k, c in row.items() if k not in units} for row in mixed))
+    rows = {c: {} for c in units} | ideal.rows
 
     # The pivot paths are eliminated and the rest form the basis. A fully
     # reduced row is supported on its pivot and basis paths, so it is the
     # normal form of its pivot path: the pivot equals minus the rest.
-    pivots = {top - c for c in ideal.rows}
+    pivots = {top - c for c in rows}
     basis = tuple(path_of[i] for i in range(len(all_paths)) if i not in pivots)
     nf_table = {
-        path_of[top - c]: {
-            path_of[top - k]: field.neg(v) for k, v in ideal.rows[c].items() if k != c
-        }
-        for c in sorted(ideal.rows, reverse=True)
+        path_of[top - c]: {path_of[top - k]: field.neg(v) for k, v in rows[c].items() if k != c}
+        for c in sorted(rows, reverse=True)
     }
 
     # Loewy certificate: smallest m with every length-m path reducing to zero.
-    loewy = None
-    for m in range(1, max_len + 1):
-        ok = True
-        for p in by_len[m]:
-            if p in rank_of and rank_of[p] not in pivots:
-                ok = False
-                break
-            if p in nf_table and nf_table[p]:
-                ok = False
-                break
-        if ok:
-            loewy = m
-            break
+    # Every pivot path has a normal form in the table.
+    loewy = next(
+        (m for m in range(1, max_len + 1) if all(rank_of[p] in pivots and not nf_table[p] for p in by_len[m])),
+        None,
+    )
     if loewy is None:
         raise NotAdmissible(
             f"no m <= {max_len} has all length-m paths reducing to zero; "

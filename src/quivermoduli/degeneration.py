@@ -58,7 +58,9 @@ from .grass import (
 from .linalg import Echelon, SparseRow, apply, combine
 from .reps import (
     Rep,
+    _by_vertex,
     _graded_span,
+    _on_basis,
     _quotient,
     _top_epi_exists,
     decompose_local,
@@ -124,7 +126,9 @@ def no_proper_topstable_deg(
 
     With a simple top M is local and is its own summand, and it is never
     built: the cover map P -> M is onto, so the presentation kernel is C
-    itself. Otherwise the summand search is decompose_local, which splits
+    itself. When every row of C lies in one generator block Lambda z_r,
+    the summands are the P_r/C_r (_block_pieces), and End(M) is not
+    solved. Otherwise the summand search is decompose_local, which splits
     M along non-units read off the action of End(M) on the top M/JM, by
     one exact route over Q and F_q: it returns the local summands or
     proves that M is not a sum of local modules, so the verdict is always
@@ -149,37 +153,58 @@ def no_proper_topstable_deg(
       maps C into C.
 
     This function runs the refusals, in this order: C must be a submodule
-    of P (NotSubmodule) inside JP (TopMismatch). The verdict itself is
-    _closed_orbit, which the maximality sweep calls on certified points.
-    The verdict is exact and searches nothing, so limits and seed are
-    unused.
+    of P (NotSubmodule) inside JP (TopMismatch), with no quotient built.
+    The verdict itself is _closed_orbit, which the maximality sweep calls
+    on certified points. The verdict is exact and searches nothing, so
+    limits and seed are unused.
     """
-    if P.top.simple:
-        # the refusal coker_rep would give, without building the quotient
-        _graded_span(P.rep, C.span)
-        M = None
-    else:
-        M = coker_rep(P, C)
+    # the refusal coker_rep would give, without building the quotient
+    _graded_span(P.rep, C.span)
     _require_top(alg, P, C)
-    return _closed_orbit(alg, P, C, M)
+    return _closed_orbit(alg, P, C)
+
+
+def _block_pieces(P: ProjectiveCover, C: SubmodulePoint) -> list[Rep] | None:
+    """The local summands P_r/C_r of M = P/C, one per generator z_r, when
+    every row of C lies in one generator block Lambda z_r; None otherwise.
+
+    The RREF of a sum over complementary coordinate blocks is the union of
+    the blocks' RREFs, so C = (+)_r C_r with C_r = C meet Lambda z_r exactly
+    when each stored row lies in one block. Then M = (+)_r P_r/C_r, each
+    local with top S_{v_r} as C lies in JP, on the unit vectors of block r
+    off C's pivots, read as in reps._quotient."""
+    gen = [r for _, r in P.belems]
+    if any(gen[k] != gen[p] for p, row in C.span.rows.items() for k in row):
+        return None
+    one = P.alg.field.one()
+    return [
+        _on_basis(
+            P.rep,
+            _by_vertex(P.rep, (i for i, s in enumerate(gen) if s == r and i not in C.span.rows)),
+            lambda i: {i: one},
+            C.span.reduce,
+        )
+        for r in range(len(P.gens))
+    ]
 
 
 def _closed_orbit(
     alg: Algebra,
     P: ProjectiveCover,
     C: SubmodulePoint,
-    M: Rep | None,
     rank: int | None = None,
 ) -> DegenerationVerdict:
     """The verdict of no_proper_topstable_deg on a point C already known to
-    be a submodule of JP, with no refusal checked again. M is P/C, or None
-    for a simple top, where the verdict needs no quotient; rank is that of
+    be a submodule of JP, with no refusal checked again. rank is that of
     condition (ii), psi -> psi(C) mod C on Hom(P, JP), when the caller has
-    already found it, and is computed (_stab_rank) otherwise."""
+    already found it, and is computed (_stab_rank) otherwise. Condition (i)
+    needs no summand for a simple top, takes the block pieces of a C in the
+    generator blocks (_block_pieces), and builds and splits M = P/C
+    (decompose_local) for the other points only."""
     if P.top.simple:
         kernel_dims = [(P.gens[0], (C.dim,))]
     else:
-        pieces = decompose_local(alg, M)
+        pieces = _block_pieces(P, C) or decompose_local(alg, _quotient(P.rep, C.span))
         if pieces is NotSumOfLocals:
             return DegenerationVerdict(
                 False, "module is not a direct sum of local modules"
@@ -341,7 +366,8 @@ def maximal_topdeg_candidates(
     it holds exactly when Hom(P, JP) maps C into C, and a point that some
     basis map of ``endo.unipotent`` moves is dropped before its quotient is
     split; the points left get the full verdict (_closed_orbit) with the
-    rank of (ii) known to be 0.
+    rank of (ii) known to be 0. P/C is built only for the split route or
+    the hom-order filter.
 
     Each point is certified once. Explicit ``candidates`` meet the refusals
     of no_proper_topstable_deg, with the same errors in the same order.
@@ -378,15 +404,11 @@ def maximal_topdeg_candidates(
             _require_top(alg, P, pt)
         if any(_stab_residues(P, pt, endo, endo.unipotent)):
             continue
-        quotient = None if P.top.simple else _quotient(P.rep, pt.span)
-        verdict = _closed_orbit(alg, P, pt, quotient, rank=0)
+        verdict = _closed_orbit(alg, P, pt, rank=0)
         if verdict.holds is not True:
             continue
-        if M is not None:
-            if quotient is None:
-                quotient = _quotient(P.rep, pt.span)
-            if not hom_order_leq(M, quotient):
-                continue
+        if M is not None and not hom_order_leq(M, _quotient(P.rep, pt.span)):
+            continue
         witness = None
         if base is not None and pt.rows != base.rows:
             for j in endo.unipotent:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+from quivermoduli.algebra import enumerate_paths
 from quivermoduli.degeneration import no_proper_topstable_deg
 from quivermoduli.errors import EquationsViolated, NotSubmodule, UnsupportedAlgebra
 from quivermoduli.fields import Field
@@ -21,7 +22,7 @@ from quivermoduli.grass import (
 )
 from quivermoduli.linalg import Echelon, dense, identity, kernel_basis, solve, span_rref, sparse, transpose, zeros
 from quivermoduli.polys import PolyRing, poly_det
-from quivermoduli.quiver import PathWord
+from quivermoduli.quiver import PathWord, compose, deglex_key
 from quivermoduli.reps import Rep, _vertex_dims, hom_basis, hom_dim, radical_layering, sub_rep
 
 
@@ -135,6 +136,40 @@ def walk_end(arrows: list[tuple[str, int, int]], start: int, labels: tuple[str, 
         assert s == at
         at = e
     return at
+
+
+def all_products_algebra(quiver, relations, field: Field, max_len: int):
+    """(basis, normal-form table, Loewy length or None) of KQ/I by
+    eliminating every bounded-length product p*r*q of the relations, one
+    term or several, in one Echelon, with columns in reverse deglex rank.
+    relations must have canonical coefficients, as Algebra.relations does."""
+    by_len = enumerate_paths(quiver, max_len)
+    all_paths = sorted((p for lst in by_len for p in lst), key=lambda p: deglex_key(quiver, p))
+    rank_of = {p: i for i, p in enumerate(all_paths)}
+    top = len(all_paths) - 1
+    ideal = Echelon(field)
+    for rel in relations:
+        lmax = max(rel.lengths())
+        r_start = next(iter(rel.terms)).start
+        r_end = next(iter(rel.terms)).end
+        short = [q for lst in by_len[: max_len - lmax + 1] for q in lst]
+        for q in (q for q in short if q.end == r_start):
+            for p in (p for p in short if p.start == r_end):
+                if p.length + lmax + q.length <= max_len:
+                    ideal.insert(
+                        {top - rank_of[compose(quiver, p, compose(quiver, w, q))]: c for w, c in rel.terms.items()}
+                    )
+    pivots = {top - c for c in ideal.rows}
+    basis = tuple(p for i, p in enumerate(all_paths) if i not in pivots)
+    nf_table = {
+        all_paths[top - c]: {all_paths[top - k]: field.neg(v) for k, v in row.items() if k != c}
+        for c, row in ideal.rows.items()
+    }
+    loewy = next(
+        (m for m in range(1, max_len + 1) if all(rank_of[p] in pivots and not nf_table[p] for p in by_len[m])),
+        None,
+    )
+    return basis, nf_table, loewy
 
 
 def all_rref_matrices(field: Field, ncols: int):

@@ -2,15 +2,34 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quivermoduli import BadRelation, Element, Field, NotAdmissible, QQ, build_algebra, make_quiver
+from quivermoduli import BadRelation, Element, Field, NotAdmissible, QQ, algebra, build_algebra, make_quiver
+from quivermoduli.dsl import doc_algebra, parse_input
+from quivermoduli.linalg import Echelon
 from quivermoduli.quiver import deglex_key, idempotent, path_from_labels
 
-from conftest import all_paths_of_length, fork_merge_algebra, monomials, rel
-from oracles import count_walks
+from conftest import (
+    all_paths_of_length,
+    cycle_flag_algebra,
+    double_loop_algebra,
+    fork_merge_algebra,
+    inhomogeneous_algebra,
+    kronecker3_over,
+    kronecker_over,
+    loop_bridge_over,
+    monomials,
+    rel,
+    star3_over,
+    two_loop_two_arrow_algebra,
+)
+from oracles import all_products_algebra, count_walks
+
+INPUTS = Path(__file__).resolve().parent.parent / "scripts" / "inputs"
 
 CYCLE_ARROWS = [("a1", 1, 2), ("a2", 1, 2), ("a3", 1, 2), ("a4", 1, 2), ("b", 2, 3), ("c", 3, 1)]
 
@@ -231,3 +250,46 @@ def test_reduction_never_increases_deglex(p):
     else:
         for b in nf:
             assert deglex_key(_Q, b) < deglex_key(_Q, p)
+
+
+# -- the monomial part of the ideal needs no elimination ------------------------
+
+
+def test_fixture_and_document_algebras_match_the_all_products_elimination():
+    makers = (
+        kronecker_over,
+        kronecker3_over,
+        loop_bridge_over,
+        star3_over,
+        cycle_flag_algebra,
+        fork_merge_algebra,
+        double_loop_algebra,
+        two_loop_two_arrow_algebra,
+    )
+    algs = [(make.__name__, make(field)) for make in makers for field in (Field(2), Field(3), QQ)]
+    algs.append(("inhomogeneous", inhomogeneous_algebra()))
+    # every document but the candidate list, which holds points only
+    docs = sorted(path for path in INPUTS.glob("*.qm") if not path.stem.endswith("_candidates"))
+    algs += [(path.name, doc_algebra(parse_input(path.read_text()))) for path in docs]
+    assert len(algs) == 29
+    for name, alg in algs:
+        expected = all_products_algebra(alg.quiver, alg.relations, alg.field, alg.max_len)
+        assert (alg.basis, alg._nf_table, alg.loewy) == expected, name
+
+
+@pytest.mark.parametrize("doc, inserted", [("mixed_tops.qm", 0), ("fork_merge.qm", 1)])
+def test_only_relations_with_several_terms_are_eliminated(monkeypatch, doc, inserted):
+    # mixed_tops has 20 monomial relations and no other; fork_merge has the
+    # one product c*a - c*b of its merge relation
+    rows = []
+
+    class Recording(Echelon):
+        def insert(self, row):
+            rows.append(row)
+            return super().insert(row)
+
+    monkeypatch.setattr(algebra, "Echelon", Recording)
+    alg = doc_algebra(parse_input((INPUTS / doc).read_text()))
+    assert len(rows) == inserted
+    assert all(len(row) == 2 for row in rows)
+    assert alg.is_monomial() == (inserted == 0)

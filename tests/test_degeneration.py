@@ -115,13 +115,10 @@ def test_incomparable_presentation_kernels(kronecker):
     )
 
 
-def test_a_non_simple_top_verdict_builds_one_radical_per_piece(monkeypatch, kronecker):
-    # the split route builds each piece's radical, and the verdict reads
-    # the piece's top vertex and top maps off that same Echelon instead of
-    # building it again
-    q = kronecker.quiver
-    P = projective_cover(kronecker, (2, 0))
-    C = point_from_generators(P, [(rel(q, (1, ["a1"])), 0), (rel(q, (1, ["a2"])), 1)])
+def _radical_reads(monkeypatch, alg, P, C):
+    """Run the verdict on a kronecker point whose two pieces do not chain,
+    and return, per piece whose top vertex the verdict read, the radicals
+    handed out for it."""
     returned = {}
     real_radical, real_top = reps._radical, degeneration._top
 
@@ -133,10 +130,32 @@ def test_a_non_simple_top_verdict_builds_one_radical_per_piece(monkeypatch, kron
     tops = []
     monkeypatch.setattr(reps, "_radical", recording)
     monkeypatch.setattr(degeneration, "_top", lambda piece: tops.append(piece) or real_top(piece))
-    assert no_proper_topstable_deg(kronecker, P, C).holds is False
+    assert no_proper_topstable_deg(alg, P, C).holds is False
     assert len(tops) == 2
-    for piece in tops:
-        _, rads = returned[id(piece)]
+    return [returned[id(piece)][1] for piece in tops]
+
+
+def test_a_non_simple_top_verdict_builds_one_radical_per_piece(monkeypatch, kronecker):
+    # every reader of a piece's radical gets the same Echelon: the verdict
+    # reads the piece's top vertex and top maps off one Echelon. The point
+    # lies in the generator blocks, so its pieces come from them
+    q = kronecker.quiver
+    P = projective_cover(kronecker, (2, 0))
+    C = point_from_generators(P, [(rel(q, (1, ["a1"])), 0), (rel(q, (1, ["a2"])), 1)])
+    for rads in _radical_reads(monkeypatch, kronecker, P, C):
+        assert all(rad is rads[0] for rad in rads)
+
+
+def test_the_split_route_builds_one_radical_per_piece(monkeypatch, kronecker):
+    # the automorphism z2 -> z2 + z1 of P moves span(a1*z1, a2*z2) off the
+    # generator blocks, so the split route builds each piece's radical, and
+    # the verdict reads the same Echelon again instead of building it
+    q = kronecker.quiver
+    P = projective_cover(kronecker, (2, 0))
+    C = point_from_generators(
+        P, [(rel(q, (1, ["a1"])), 0), [(rel(q, (1, ["a2"])), 1), (rel(q, (1, ["a2"])), 0)]]
+    )
+    for rads in _radical_reads(monkeypatch, kronecker, P, C):
         # asked by reps._pieces and degeneration._top, and by the top maps
         # when some map between the pieces exists
         assert len(rads) >= 2
@@ -438,6 +457,44 @@ def test_mixed_point_degenerates_but_family_points_do_not(double_loop):
         v = no_proper_topstable_deg(alg, P, point)
         assert v.holds is True
         assert v.hom_dims == (16, 16)
+
+
+def test_a_point_in_the_generator_blocks_solves_no_endomorphisms(monkeypatch, double_loop):
+    # a point of the limit family lies in Lambda*z2, so its pieces are
+    # Lambda*z1 and Lambda*z2/C: no split search and no End(M). The
+    # automorphism z2 -> z2 + z1 of P moves it off the blocks, and that
+    # point is split once
+    alg = double_loop
+    P = projective_cover(alg, (2, 0))
+    q = alg.quiver
+    gens = [
+        rel(q, (1, ["a", "w1"]), (2, ["a", "w2"])),
+        rel(q, (1, ["b", "w3"]), (3, ["b", "w4"])),
+        rel(q, (1, ["a", "w1"]), (1, ["b", "w4"])),
+    ]
+    moved = point_from_generators(P, [[(x, 1), (x, 0)] for x in gens])
+    split, endos = [], []
+    real_split, real_hom = degeneration.decompose_local, reps._hom_maps
+
+    def splitting(alg, M):
+        split.append(M)
+        return real_split(alg, M)
+
+    def solving(M, N):
+        if M is N:
+            endos.append(M)
+        return real_hom(M, N)
+
+    monkeypatch.setattr(degeneration, "decompose_local", splitting)
+    monkeypatch.setattr(reps, "_hom_maps", solving)
+    for C, calls in ((family_point(alg, P, 1, 1), 0), (moved, 1)):
+        split.clear()
+        endos.clear()
+        verdict = no_proper_topstable_deg(alg, P, C)
+        assert verdict.holds is True
+        assert verdict.kernel_dims == ((1, (0, 3)),)
+        assert len(split) == calls
+        assert len(endos) >= calls
 
 
 def test_limits_of_the_mixed_point_land_on_the_family(double_loop):

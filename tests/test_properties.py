@@ -4,7 +4,9 @@ submodule sweeps agree with an all-subspace oracle, top maps, Fitting
 splits and one-parameter limits on sparse maps agree with the dense block
 routes, layerings and verdicts survive base change, charts of squarefree
 tops absorb automorphisms, the stratum sweep and the arrow matrices count
-the same modules, and no sparse sum stores a zero."""
+the same modules, also over random algebras, whose normal forms match the
+all-products elimination, the block pieces of a point match its split
+summands, and no sparse sum stores a zero."""
 
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from conftest import (
     two_loop_two_arrow_algebra,
 )
 from oracles import (
+    all_products_algebra,
     arrow_images_span,
     block_top_map_oracle,
     brute_force_skeleta,
@@ -57,18 +60,20 @@ from oracles import (
     sub_rep_oracle,
     sum_of_locals_oracle,
 )
+from test_degeneration import SWEEP_FQ_STRATA, sweep_fq_stratum
 from quivermoduli import Element, Field, QQ, build_algebra, make_quiver
 from quivermoduli.algebra import enumerate_paths
 from quivermoduli.config import DEFAULT_LIMITS, SearchLimits
 from quivermoduli.degeneration import (
     DegenerationVerdict,
+    _block_pieces,
     hom_order_leq,
     maximal_topdeg_candidates,
     no_proper_topstable_deg,
     one_param_limit,
 )
 from quivermoduli.dsl import doc_point, parse_input, render_document
-from quivermoduli.errors import EquationsViolated, NotInvertible, NotSumOfLocals, UnsupportedAlgebra
+from quivermoduli.errors import EquationsViolated, NotAdmissible, NotInvertible, NotSumOfLocals, UnsupportedAlgebra
 from quivermoduli.grass import (
     _chart_sweepable,
     _stab_residues,
@@ -418,6 +423,42 @@ def test_chart_points_are_the_submodules_in_the_radical():
     assert points >= 690
 
 
+@st.composite
+def bound_presentations(draw, fields=(Field(2), Field(3), QQ), several=True):
+    """(quiver, relations, field, max_len) of a small KQ/I: 1 to 3
+    vertices, 1 to 4 arrows between drawn vertices, a drawn set of paths of
+    length 2 and 3 as monomial relations and, when several is True, at most
+    one relation with two or three parallel terms of length 2, none of them
+    a monomial relation; the window max_len is 3 or 4."""
+    f = draw(st.sampled_from(fields))
+    n = draw(st.integers(1, 3))
+    ends = st.integers(1, n)
+    q = make_quiver(n, [(f"x{i}", draw(ends), draw(ends)) for i in range(draw(st.integers(1, 4)))])
+    by_len = enumerate_paths(q, 3)
+    paths = by_len[2] + by_len[3]
+    parallel: dict[tuple[int, int], list] = {}
+    for p in by_len[2]:
+        parallel.setdefault((p.start, p.end), []).append(p)
+    groups = [g for g in parallel.values() if len(g) > 1]
+    terms = []
+    if several and groups and draw(st.booleans()):
+        terms = draw(st.lists(st.sampled_from(draw(st.sampled_from(groups))), min_size=2, max_size=3, unique=True))
+    rels = [Element({p: f.one()}) for p in paths if p not in terms and draw(st.booleans())]
+    if terms:
+        coeffs = st.sampled_from([c for c in map(f.of_int, (1, 2, -1)) if not f.is_zero(c)])
+        rels.append(Element({p: draw(coeffs) for p in terms}))
+    return q, rels, f, draw(st.sampled_from((3, 4)))
+
+
+@st.composite
+def bound_algebras(draw, fields=(Field(2), Field(3), QQ), several=True):
+    """An algebra of bound_presentations that build_algebra certifies."""
+    try:
+        return build_algebra(*draw(bound_presentations(fields, several)))
+    except NotAdmissible:
+        assume(False)
+
+
 def _gl_order(q, n):
     return math.prod(q**n - q**i for i in range(n))
 
@@ -445,33 +486,75 @@ def _reps_with_top(alg, d, top):
     return count
 
 
+def _count_both_sides(alg, top):
+    """Check the count identity on every stratum of the cover with top T
+    whose arrow-matrix tuples fit _REP_TUPLE_BUDGET, and count the strata
+    checked by whether they have points.
+
+    Aut(P) acts on GRASS^T_d and GL_d on Rep^T_d, with the isomorphism
+    classes of modules with top T and dimension vector d as orbits on both
+    sides. Stab(C) maps onto Aut(P/C) with kernel 1 + Hom(P, C) of q^h
+    elements, h = sum_r dim e_{v_r} C, so summing orbit sizes gives
+    |GRASS| q^h |GL_d| = |Aut P| |Rep^T_d|, where
+    |Aut P| = q^dim Hom(P, JP) prod_v |GL_{t_v}|. The left side counts the
+    sweep's points, the right side every arrow-matrix tuple."""
+    q = alg.field.p
+    checked = Counter()
+    P = projective_cover(alg, top)
+    aut = q ** len(P.endo.unipotent) * math.prod(_gl_order(q, t) for t in top)
+    for d in itertools.product(*(range(t, m + 1) for t, m in zip(top, P.dims))):
+        reps_count = _reps_with_top(alg, d, top)
+        if reps_count is None:
+            continue
+        charts = [chart_equations(P, sigma) for sigma in skeleta_with_dims(P, d)]
+        points = sum(1 for _ in stratum_points(charts, DEFAULT_LIMITS, random.Random(0)))
+        h = sum(P.dims[v - 1] - d[v - 1] for v in P.gens)
+        left = points * q**h * math.prod(_gl_order(q, x) for x in d)
+        assert left == aut * reps_count, (alg.quiver, alg.relations, q, top, d, points, reps_count)
+        checked[points > 0] += 1
+    return checked
+
+
 def test_both_sides_of_the_paper_count_the_same_modules():
-    # Aut(P) acts on GRASS^T_d and GL_d on Rep^T_d, with the isomorphism
-    # classes of modules with top T and dimension vector d as orbits on
-    # both sides. Stab(C) maps onto Aut(P/C) with kernel 1 + Hom(P, C) of
-    # q^h elements, h = sum_r dim e_{v_r} C, so summing orbit sizes gives
-    # |GRASS| q^h |GL_d| = |Aut P| |Rep^T_d|, where
-    # |Aut P| = q^dim Hom(P, JP) prod_v |GL_{t_v}|. The left side counts the
-    # sweep's points, the right side every arrow-matrix tuple.
     checked = Counter()
     for make in (kronecker_over, loop_bridge_over, two_loop_two_arrow_algebra):
         for q in (2, 3):
             alg = make(Field(q))
             for top in ((1, 0), (2, 0), (1, 1)):
-                P = projective_cover(alg, top)
-                aut = q ** len(P.endo.unipotent) * math.prod(_gl_order(q, t) for t in top)
-                for d in itertools.product(*(range(t, m + 1) for t, m in zip(top, P.dims))):
-                    reps_count = _reps_with_top(alg, d, top)
-                    if reps_count is None:
-                        continue
-                    charts = [chart_equations(P, sigma) for sigma in skeleta_with_dims(P, d)]
-                    points = sum(1 for _ in stratum_points(charts, DEFAULT_LIMITS, random.Random(0)))
-                    h = sum(P.dims[v - 1] - d[v - 1] for v in P.gens)
-                    left = points * q**h * math.prod(_gl_order(q, x) for x in d)
-                    assert left == aut * reps_count, (make.__name__, q, top, d, points, reps_count)
-                    checked[points > 0] += 1
+                checked += _count_both_sides(alg, top)
     # 58 strata with points, 10 empty ones with d >= T
     assert checked == Counter({True: 58, False: 10})
+
+
+@given(alg=bound_algebras(fields=(Field(2), Field(3)), several=False))
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_both_sides_count_the_same_modules_over_random_monomial_algebras(alg):
+    # each top S_v, 2 S_v and, with two vertices or more, S_1 + S_2
+    n = alg.quiver.n
+    tops = [tuple(k * (i == v) for i in range(n)) for k in (1, 2) for v in range(n)]
+    tops += [(1, 1) + (0,) * (n - 2)] if n > 1 else []
+    checked = Counter()
+    for top in tops:
+        checked += _count_both_sides(alg, top)
+    assert checked[True] > 0
+
+
+@given(case=bound_presentations())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_random_algebras_match_the_all_products_elimination(case):
+    # the drawn relations are canonical, so the oracle reads them as drawn
+    expected = all_products_algebra(*case)
+    try:
+        alg = build_algebra(*case)
+    except NotAdmissible:
+        assert expected[2] is None
+        return
+    assert (alg.basis, alg._nf_table, alg.loewy) == expected
 
 
 def test_pinned_coordinates_cut_out_the_first_skeleton_cell():
@@ -1227,6 +1310,24 @@ def _verdict_by_the_quotient_route(P, C):
     )
 
 
+def _block_pieces_match_the_split_route(P, C):
+    """For C in the generator blocks, its block pieces P_r/C_r are the
+    local summands decompose_local finds on P/C, as a multiset up to
+    isomorphism. Returns whether C lay in the blocks."""
+    pieces = _block_pieces(P, C)
+    if pieces is None:
+        return False
+    split = decompose_local(P.alg, coker_rep(P, C))
+    assert split is not NotSumOfLocals
+    left = list(split)
+    for piece in pieces:
+        same = [j for j, other in enumerate(left) if is_isomorphic(piece, other) is True]
+        assert same
+        del left[same[0]]
+    assert not left
+    return True
+
+
 _CHART_POINT_SETTINGS = settings(
     max_examples=150,
     deadline=None,
@@ -1243,6 +1344,33 @@ def test_verdict_hom_dims_match_the_quotient_route(case):
     # condition (ii) of the closed-orbit test: the unipotent orbit is a point
     assert hp - hm == orbit_dims(P, C).unipotent, name
     assert no_proper_topstable_deg(P.alg, P, C) == _verdict_by_the_quotient_route(P, C), name
+
+
+@given(case=chart_points())
+@_CHART_POINT_SETTINGS
+def test_block_pieces_match_the_split_route_on_chart_points(case):
+    name, P, C = case
+    if not P.top.simple:
+        _block_pieces_match_the_split_route(P, C)
+    assert no_proper_topstable_deg(P.alg, P, C) == _verdict_by_the_quotient_route(P, C), name
+
+
+def test_block_pieces_match_the_split_route_on_the_sweep_strata():
+    # every point of the sweep-fq strata; the counts are of the points that
+    # condition (ii) keeps, which a sweep-fq round hands to the verdict
+    routes = Counter()
+    for i, case in enumerate(SWEEP_FQ_STRATA):
+        _, P, _, points = sweep_fq_stratum(i)
+        endo = P.endo
+        for C in points:
+            assert no_proper_topstable_deg(P.alg, P, C) == _verdict_by_the_quotient_route(P, C), case
+            if P.top.simple:
+                continue
+            route = "blocks" if _block_pieces_match_the_split_route(P, C) else "split"
+            routes[route, not any(_stab_residues(P, C, endo, endo.unipotent))] += 1
+    assert routes == Counter(
+        {("blocks", True): 92, ("split", True): 122, ("blocks", False): 68, ("split", False): 12}
+    )
 
 
 @given(case=chart_points())
