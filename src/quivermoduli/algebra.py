@@ -16,6 +16,8 @@ zero reduction is an honest ideal-membership certificate.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import NotAdmissible, SearchTooLarge
 from .fields import Field, Scalar
 from .linalg import Echelon, SparseRow
@@ -139,6 +141,17 @@ class Algebra:
             layers[p.length][p.end - 1] += 1
         return tuple(tuple(row) for row in layers)
 
+    def lengths_grade_radical(self, v: int) -> bool:
+        """True iff no non-basis path starting at v has a strictly shorter
+        path in its normal form. Then J^l*Lambda*e_v, spanned by the normal
+        forms of the paths of length >= l from v, is the span B_l of the
+        basis paths of length >= l from v, for every l, so
+        projective_layer_dims is the radical layering of Lambda*e_v.
+        Otherwise a path of length m has a shorter basis path in its normal
+        form, which lies in J^m*Lambda*e_v but not in B_m: the two
+        layerings, trailing zero rows dropped, differ at m."""
+        return not any(q.length < p.length for p, nf in self._nf_table.items() if p.start == v for q in nf)
+
     def is_nakayama(self) -> bool:
         """True iff every indecomposable projective and injective is uniserial,
         which for a connected bound quiver algebra means in- and out-degree at
@@ -218,16 +231,15 @@ def build_algebra(
     units: set[int] = set()
     mixed: list[SparseRow] = []
     for rel in relations:
-        lens = rel.lengths()
-        lmax = max(lens)
+        room = max_len - max(rel.lengths())
         r_start = next(iter(rel.terms)).start
         r_end = next(iter(rel.terms)).end
-        rights = [q for lst in by_len[: max_len - lmax + 1] for q in lst if q.end == r_start]
-        lefts = [p for lst in by_len[: max_len - lmax + 1] for p in lst if p.start == r_end]
+        rights = [q for lst in by_len[: room + 1] for q in lst if q.end == r_start]
+        # left paths grouped by length: a right path q leaves room for the
+        # groups of length <= room - |q|
+        lefts = [[p for p in lst if p.start == r_end] for lst in by_len[: room + 1]]
         for q in rights:
-            for p in lefts:
-                if p.length + lmax + q.length > max_len:
-                    continue
+            for p in itertools.chain.from_iterable(lefts[: room - q.length + 1]):
                 # distinct terms w give distinct paths p*w*q: nothing adds up
                 row = {top - rank_of[compose(quiver, p, compose(quiver, w, q))]: c for w, c in rel.terms.items()}
                 if len(row) == 1:

@@ -50,7 +50,7 @@ from .grass import (
     skeleta_of_point,
     skeleta_with_dims,
 )
-from .reps import radical_layering, rep_of_projective
+from .reps import radical_layering
 from .stability import Weight, classify_stability, stable_factors, theta_of
 
 COMMANDS = (
@@ -154,12 +154,12 @@ def _cmd_algebra_info(doc, flags, limits):
     alg = _build_algebra(doc, flags)
     projectives = []
     for v in alg.quiver.vertices:
-        rep = rep_of_projective(alg, v)
+        layers = alg.projective_layer_dims(v)
         projectives.append(
             {
                 "vertex": v,
-                "dims": list(rep.d),
-                "layering": _fmt_layering(alg.projective_layer_dims(v)),
+                "dims": [sum(col) for col in zip(*layers)],
+                "layering": _fmt_layering(layers),
             }
         )
     result = {

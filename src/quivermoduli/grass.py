@@ -8,8 +8,10 @@ and each skeleton carries an affine chart whose coordinates are the
 congruence coefficients of arrow-images off the skeleton.
 
 The chart machinery requires basis-path lengths to induce the radical
-filtration of the projectives (true whenever the reduction never rewrites a
-path into shorter ones); projective_cover refuses otherwise.
+filtration of the projectives, which holds exactly when the reduction never
+rewrites a path into shorter ones (Algebra.lengths_grade_radical);
+projective_cover refuses otherwise. P is built once from its path basis
+(reps._free_rep).
 """
 
 from __future__ import annotations
@@ -46,12 +48,11 @@ from .reps import (
     Rep,
     SemisimpleSequence,
     _by_vertex,
+    _free_rep,
     _graded_span,
     _quotient,
     closure,
-    direct_sum,
     radical_layering,
-    rep_of_projective,
 )
 
 #: A basis element p*z_r of P: the path p together with the copy index r.
@@ -102,8 +103,8 @@ def top_spec(alg: Algebra, mult: tuple[int, ...] | list[int]) -> TopSpec:
 class ProjectiveCover:
     """P = (+)_r Lambda*z_r with z_r normed by the idempotent at gens[r].
 
-    Coordinates are the path basis elements p*z_r, listed in the same order
-    as the flattened space of the underlying Rep (vertex blocks, copies in
+    Coordinates are the path basis elements p*z_r, which come with the
+    underlying Rep from one reps._free_rep call (vertex blocks, copies in
     order inside each block).
     """
 
@@ -112,28 +113,15 @@ class ProjectiveCover:
     def __init__(self, alg: Algebra, top: TopSpec):
         self.alg = alg
         self.top = top
-        gens = []
-        for v in alg.quiver.vertices:
-            gens.extend([v] * top.mult[v - 1])
-        self.gens = tuple(gens)
-        for v in sorted(set(gens)):
-            if _trim(alg.projective_layer_dims(v)) != _trim(
-                radical_layering(alg, rep_of_projective(alg, v))
-            ):
+        self.gens = tuple(v for v in alg.quiver.vertices for _ in range(top.mult[v - 1]))
+        for v in sorted(set(self.gens)):
+            if not alg.lengths_grade_radical(v):
                 raise UnsupportedAlgebra(
                     f"path lengths do not grade the radical filtration of "
                     f"Lambda*e{v}; charts are unavailable for this algebra"
                 )
-        rep = rep_of_projective(alg, self.gens[0])
-        for v in self.gens[1:]:
-            rep = direct_sum(rep, rep_of_projective(alg, v))
-        self.rep = rep
-        belems: list[BElem] = []
-        for v in alg.quiver.vertices:
-            for r, gv in enumerate(self.gens):
-                belems.extend((p, r) for p in alg.basis_at(gv) if p.end == v)
-        self.belems = tuple(belems)
-        self.index = {b: i for i, b in enumerate(belems)}
+        self.belems, self.rep = _free_rep(alg, self.gens)
+        self.index = {b: i for i, b in enumerate(self.belems)}
         self._endo: EndoSpace | None = None
 
     @property
@@ -161,10 +149,9 @@ class ProjectiveCover:
     def generator_elems(self) -> list[BElem]:
         return [(idempotent(v), r) for r, v in enumerate(self.gens)]
 
-    def element_vector(self, x: Element, r: int) -> Vector:
-        """Global coordinates of x*z_r (x is reduced to normal form first)."""
-        f = self.alg.field
-        v = [f.zero()] * self.total
+    def element_vector(self, x: Element, r: int) -> SparseRow:
+        """Sparse global coordinates of x*z_r (x is reduced to normal form first)."""
+        v: SparseRow = {}
         for p, c in self.alg.normal_form(x).terms.items():
             if p.start != self.gens[r]:
                 raise ValueError(f"element does not start at the vertex of z{r + 1}")
@@ -239,7 +226,7 @@ def point_from_generators(P: ProjectiveCover, gens) -> SubmodulePoint:
     for g in gens:
         v: SparseRow = {}
         for x, r in [g] if isinstance(g, tuple) else g:
-            f.axpy(v, f.one(), sparse(f, P.element_vector(x, r)))
+            f.axpy(v, f.one(), P.element_vector(x, r))
         vecs.append(v)
     return submodule_point(P, closure(P.rep, vecs).rows.values())
 

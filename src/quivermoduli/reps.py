@@ -44,7 +44,6 @@ from .linalg import (
     apply,
     combine,
     compose,
-    dense,
     is_invertible,
     inverse,
     mat_mul,
@@ -151,23 +150,24 @@ def simple_rep(alg: Algebra, v: int) -> Rep:
     return zero_rep(alg, d)
 
 
+def _free_rep(alg: Algebra, gens: tuple[int, ...]) -> tuple[tuple[tuple[PathWord, int], ...], Rep]:
+    """The basis elements p*z_r of (+)_r Lambda*e_{gens[r]} and its Rep:
+    vertex blocks in order, copies in order inside a block, and inside copy
+    r the paths of alg.basis_at(gens[r]) that end at the block's vertex.
+    The arrows act by alg.arrow_act."""
+    blocks = [[(p, r) for r, g in enumerate(gens) for p in alg.basis_at(g) if p.end == v] for v in alg.quiver.vertices]
+    index = {b: i for i, b in enumerate(itertools.chain.from_iterable(blocks))}
+    arrows: dict[str, Map] = {a.label: {} for a in alg.quiver.arrows}
+    for (p, r), j in index.items():
+        for a in alg.quiver.arrows_out(p.end):
+            if col := {index[b, r]: c for b, c in alg.arrow_act(a.label, p).items()}:
+                arrows[a.label][j] = col
+    return tuple(index), Rep._of_maps(alg, tuple(map(len, blocks)), arrows)
+
+
 def rep_of_projective(alg: Algebra, v: int) -> Rep:
-    """The left module Lambda*e_v on its path basis, each vertex block in
-    the order of alg.basis_at(v)."""
-    cols = alg.basis_at(v)
-    d = tuple(sum(1 for p in cols if p.end == j) for j in alg.quiver.vertices)
-    order = sorted(cols, key=lambda p: p.end)  # stable: basis order within a block
-    index = {p: i for i, p in enumerate(order)}
-    f = alg.field
-    arrows = {}
-    for a in alg.quiver.arrows:
-        arrows[a.label] = {
-            index[p]: col
-            for p in order
-            if p.end == a.start
-            and (col := {index[b]: c for b, c in alg.arrow_act(a.label, p).items() if not f.is_zero(c)})
-        }
-    return Rep._of_maps(alg, d, arrows)
+    """The left module Lambda*e_v on its path basis (_free_rep)."""
+    return _free_rep(alg, (v,))[1]
 
 
 def direct_sum(M: Rep, N: Rep) -> Rep:
@@ -581,7 +581,12 @@ def sub_rep(M: Rep, space: list[Vector]) -> Rep:
     """The submodule U spanned by the given vectors, on the RREF basis of
     each e_v*U. A basis vector is named by its pivot, and a vector of U has
     its coordinates at the pivots. Raises NotSubmodule (_graded_span)."""
-    span = _graded_span(M, Echelon.of(M.field, space))
+    return _sub(M, _graded_span(M, Echelon.of(M.field, space)))
+
+
+def _sub(M: Rep, span: Echelon) -> Rep:
+    """The submodule U with the given Echelon, on its rows as in sub_rep;
+    U must already be known to be a submodule, as the Fitting pieces are."""
     return _on_basis(M, _by_vertex(M, span.rows), lambda p: span.rows[p], lambda w: w)
 
 
@@ -686,14 +691,14 @@ def _rational_root(mu: list[Fraction]) -> Fraction | None:
     return None
 
 
-def _split_once(M: Rep, x: Map):
+def _split_once(M: Rep, x: Map) -> tuple[Echelon, Echelon] | None:
     """Fitting split along an endomorphism: (ker x^k, im x^k) when proper.
 
     x is graded, so with k = max_v d_v every vertex block x_v has reached
     its Fitting exponent by x^k. Row j = (x^k e_j, e_j), with e_j tagged at
     n + j, enters one Echelon. The rows with a tag for pivot are the RREF
     of ker x^k, read at their tags; the others, tags dropped, are the RREF
-    of im x^k. Both come back as global RREF row lists.
+    of im x^k. Both come back as Echelons.
     """
     f = M.field
     n, k = M.total, max(M.d)
@@ -703,11 +708,11 @@ def _split_once(M: Rep, x: Map):
         for _ in range(k):
             w = apply(f, x, w)
         span.insert({**w, n + j: f.one()})
-    rows = [span.rows[p] for p in span.pivots()]
-    img = [dense(f, {i: y for i, y in r.items() if i < n}, n) for r in rows if min(r) < n]
-    if not img or len(img) == n:
+    ker, img = Echelon(f), Echelon(f)
+    img.rows = {p: {i: y for i, y in r.items() if i < n} for p, r in span.rows.items() if p < n}
+    ker.rows = {p - n: {i - n: y for i, y in r.items()} for p, r in span.rows.items() if p >= n}
+    if not img.rows or len(img) == n:
         return None
-    ker = [dense(f, {i - n: y for i, y in r.items()}, n) for r in rows if min(r) >= n]
     return ker, img
 
 
@@ -846,8 +851,8 @@ def _pieces(M: Rep, basis: list[Map] | None = None) -> list[Rep] | None:
     split = None if x is None else _split_once(M, x)
     if split is None:
         return None
-    left = _pieces(sub_rep(M, split[0]))
-    right = None if left is None else _pieces(sub_rep(M, split[1]))
+    left = _pieces(_sub(M, split[0]))
+    right = None if left is None else _pieces(_sub(M, split[1]))
     return None if right is None else left + right
 
 

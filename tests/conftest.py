@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from quivermoduli import QQ, Element, Field, build_algebra, make_quiver, path_from_labels
+from quivermoduli.dsl import doc_algebra, parse_input
 from quivermoduli.linalg import Echelon
 from quivermoduli.quiver import PathWord
 
@@ -113,6 +115,29 @@ def inhomogeneous_algebra():
     over Q: cd lies in J^3 although its path has length 2."""
     q = make_quiver(4, [("a", 1, 2), ("b", 2, 3), ("c", 3, 4), ("d", 1, 3)])
     return build_algebra(q, [rel(q, (1, ["c", "b", "a"]), (-1, ["c", "d"]))], QQ, 4)
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "scripts" / "inputs"
+
+
+def fixture_and_document_algebras():
+    """(name, algebra) for the 29 fixture and document algebras: each
+    fixture family over F2, F3 and Q, inhomogeneous_algebra, and every
+    document but the candidate list, which holds points only."""
+    makers = (
+        kronecker_over,
+        kronecker3_over,
+        loop_bridge_over,
+        star3_over,
+        cycle_flag_algebra,
+        fork_merge_algebra,
+        double_loop_algebra,
+        two_loop_two_arrow_algebra,
+    )
+    algs = [(make.__name__, make(field)) for make in makers for field in (Field(2), Field(3), QQ)]
+    algs.append(("inhomogeneous", inhomogeneous_algebra()))
+    docs = sorted(path for path in INPUTS.glob("*.qm") if not path.stem.endswith("_candidates"))
+    return algs + [(path.name, doc_algebra(parse_input(path.read_text()))) for path in docs]
 
 
 def double_loop_algebra(field):

@@ -7,6 +7,7 @@ shares code with the package internals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from quivermoduli.algebra import enumerate_paths
@@ -23,7 +24,7 @@ from quivermoduli.grass import (
 from quivermoduli.linalg import Echelon, dense, identity, kernel_basis, solve, span_rref, sparse, transpose, zeros
 from quivermoduli.polys import PolyRing, poly_det
 from quivermoduli.quiver import PathWord, compose, deglex_key
-from quivermoduli.reps import Rep, _vertex_dims, hom_basis, hom_dim, radical_layering, sub_rep
+from quivermoduli.reps import Rep, _vertex_dims, direct_sum, hom_basis, hom_dim, radical_layering, sub_rep
 
 
 # -- textbook linear algebra, sharing nothing with quivermoduli.linalg ---------
@@ -307,6 +308,33 @@ def dense_projective_oracle(alg, v):
                     m[local[b]][local[p]] = c
         mats[a.label] = m
     return Rep(alg, d, mats)
+
+
+def length_grading_oracle(alg, v) -> bool:
+    """The cover's former certificate that path lengths grade the radical
+    of Lambda*e_v: its length buckets (projective_layer_dims) equal its
+    radical layering, trailing zero rows dropped. The layering is read off
+    dense RREF spans of the dense projective."""
+
+    def trim(rows):
+        rows = list(rows)
+        while rows and not any(rows[-1]):
+            rows.pop()
+        return rows
+
+    layering = radical_layering_oracle(alg, dense_projective_oracle(alg, v))
+    return trim(alg.projective_layer_dims(v)) == trim(layering)
+
+
+def direct_sum_cover_oracle(alg, gens):
+    """The cover's former construction: the basis elements p*z_r, vertex
+    block by vertex block and copy by copy, and the chain of direct_sum
+    calls over the dense projectives Lambda*e_{gens[r]}, whose layout they
+    must match."""
+    belems = [
+        (p, r) for v in alg.quiver.vertices for r, g in enumerate(gens) for p in alg.basis_at(g) if p.end == v
+    ]
+    return belems, functools.reduce(direct_sum, [dense_projective_oracle(alg, v) for v in gens])
 
 
 def block_sum_oracle(M, N):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,22 +12,14 @@ from quivermoduli.linalg import Echelon
 from quivermoduli.quiver import deglex_key, idempotent, path_from_labels
 
 from conftest import (
+    INPUTS,
     all_paths_of_length,
-    cycle_flag_algebra,
-    double_loop_algebra,
+    fixture_and_document_algebras,
     fork_merge_algebra,
-    inhomogeneous_algebra,
-    kronecker3_over,
-    kronecker_over,
-    loop_bridge_over,
     monomials,
     rel,
-    star3_over,
-    two_loop_two_arrow_algebra,
 )
 from oracles import all_products_algebra, count_walks
-
-INPUTS = Path(__file__).resolve().parent.parent / "scripts" / "inputs"
 
 CYCLE_ARROWS = [("a1", 1, 2), ("a2", 1, 2), ("a3", 1, 2), ("a4", 1, 2), ("b", 2, 3), ("c", 3, 1)]
 
@@ -256,21 +246,7 @@ def test_reduction_never_increases_deglex(p):
 
 
 def test_fixture_and_document_algebras_match_the_all_products_elimination():
-    makers = (
-        kronecker_over,
-        kronecker3_over,
-        loop_bridge_over,
-        star3_over,
-        cycle_flag_algebra,
-        fork_merge_algebra,
-        double_loop_algebra,
-        two_loop_two_arrow_algebra,
-    )
-    algs = [(make.__name__, make(field)) for make in makers for field in (Field(2), Field(3), QQ)]
-    algs.append(("inhomogeneous", inhomogeneous_algebra()))
-    # every document but the candidate list, which holds points only
-    docs = sorted(path for path in INPUTS.glob("*.qm") if not path.stem.endswith("_candidates"))
-    algs += [(path.name, doc_algebra(parse_input(path.read_text()))) for path in docs]
+    algs = fixture_and_document_algebras()
     assert len(algs) == 29
     for name, alg in algs:
         expected = all_products_algebra(alg.quiver, alg.relations, alg.field, alg.max_len)

@@ -43,18 +43,20 @@ from quivermoduli.grass import (
     skeleta_with_dims,
     submodule_point,
 )
-from quivermoduli.linalg import sparse
+from quivermoduli.cli import main
+from quivermoduli.linalg import Echelon, sparse
 from quivermoduli.reps import closure, radical_layering
 
 from conftest import (
     all_paths_of_length,
+    fixture_and_document_algebras,
     fork_merge_algebra,
     inhomogeneous_algebra,
     monomials,
     path_word,
     rel,
 )
-from oracles import plain_stratum_points, skeleta_of_point_oracle
+from oracles import direct_sum_cover_oracle, length_grading_oracle, plain_stratum_points, skeleta_of_point_oracle
 
 
 def skeleton_names(sk):
@@ -137,11 +139,105 @@ def test_top_spec_rejects_zero_and_negative():
         TopSpec((1, -1))
 
 
+def _refusal(v):
+    return (
+        f"path lengths do not grade the radical filtration of Lambda*e{v}; "
+        "charts are unavailable for this algebra"
+    )
+
+
 def test_cover_requires_length_graded_radical():
     q = make_quiver(4, [("a", 1, 2), ("b", 2, 3), ("c", 3, 4), ("d", 1, 3)])
     alg = build_algebra(q, [rel(q, (1, ["c", "b", "a"]), (-1, ["c", "d"]))], QQ, 4)
-    with pytest.raises(UnsupportedAlgebra):
+    with pytest.raises(UnsupportedAlgebra) as refusal:
         projective_cover(alg, (1, 0, 0, 0))
+    assert str(refusal.value) == _refusal(1)
+
+
+# -- one construction of P ------------------------------------------------------
+
+
+def _tops(alg):
+    """Each top S_v and 2 S_v, and 2 S_1 plus every other simple once."""
+    n = alg.quiver.n
+    tops = [tuple(k * (i == v) for i in range(n)) for v in range(n) for k in (1, 2)]
+    return tops + [(2,) + (1,) * (n - 1)] * (n > 1)
+
+
+def test_the_length_certificate_matches_the_layering_comparison():
+    refused = []
+    for name, alg in fixture_and_document_algebras():
+        for v in alg.quiver.vertices:
+            assert alg.lengths_grade_radical(v) == length_grading_oracle(alg, v), (name, v)
+            if not alg.lengths_grade_radical(v):
+                refused.append((name, v))
+    # cba = cd rewrites the path cba into a shorter one
+    assert refused == [("inhomogeneous", 1)]
+
+
+def test_the_cover_is_the_direct_sum_of_its_projectives():
+    # Map for Map, on tops with a simple twice among them
+    checked = 0
+    for name, alg in fixture_and_document_algebras():
+        for top in _tops(alg):
+            if max(top) < 2 or not all(alg.lengths_grade_radical(v + 1) for v, t in enumerate(top) if t):
+                continue
+            P = projective_cover(alg, top)
+            belems, rep = direct_sum_cover_oracle(alg, P.gens)
+            assert list(P.belems) == belems, (name, top)
+            assert (P.rep.d, P.rep.arrows) == (rep.d, rep.arrows), (name, top)
+            checked += 1
+    assert checked == 97
+
+
+def test_building_a_cover_inserts_no_echelon_row(monkeypatch):
+    # the certificate is read off the normal forms and P is built on its
+    # path basis, so no elimination runs, not even for a refusal
+    algs = fixture_and_document_algebras()
+    rows = []
+    real = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert", lambda self, row: rows.append(row) or real(self, row))
+    built = refused = 0
+    for _, alg in algs:
+        for top in _tops(alg):
+            try:
+                projective_cover(alg, top)
+                built += 1
+            except UnsupportedAlgebra:
+                refused += 1
+    assert rows == []
+    assert (built, refused) == (166, 3)
+
+
+def _two_refusals():
+    """inhomogeneous_algebra twice over, on vertices 1-4 and 5-8: vertices 1
+    and 5 refuse."""
+    arrows = [("a", 1, 2), ("b", 2, 3), ("c", 3, 4), ("d", 1, 3)]
+    q = make_quiver(8, arrows + [(x + "2", s + 4, e + 4) for x, s, e in arrows])
+    rels = [rel(q, (1, ["c", "b", "a"]), (-1, ["c", "d"])), rel(q, (1, ["c2", "b2", "a2"]), (-1, ["c2", "d2"]))]
+    return build_algebra(q, rels, QQ, 4)
+
+
+def test_the_refusal_names_the_first_vertex_that_refuses():
+    alg = _two_refusals()
+    assert [v for v in alg.quiver.vertices if not alg.lengths_grade_radical(v)] == [1, 5]
+    for top, v in [((0, 0, 0, 0, 1, 0, 0, 0), 5), ((0, 1, 0, 0, 2, 0, 0, 0), 5), ((1, 0, 0, 0, 1, 0, 0, 0), 1)]:
+        with pytest.raises(UnsupportedAlgebra) as refusal:
+            projective_cover(alg, top)
+        assert str(refusal.value) == _refusal(v), top
+    assert projective_cover(alg, (0, 1, 1, 1, 0, 1, 1, 1)).dims == (0, 1, 2, 3, 0, 1, 2, 3)
+
+
+def test_the_cli_prints_the_refusal(tmp_path, capsys):
+    doc = tmp_path / "doc.qm"
+    doc.write_text(
+        "quiver { vertices: 1 2 3 4; arrows: a: 1 -> 2, b: 2 -> 3, c: 3 -> 4, d: 1 -> 3; }\n"
+        "algebra { field: Q; max_len: 4; relations: [1*c*b*a - 1*c*d]; }\n"
+        "top { mult: (1, 0, 0, 0); }\n"
+        "dimvec { d: (1, 1, 1, 1); }\n"
+    )
+    assert main(["skeleta", str(doc)]) == 1
+    assert capsys.readouterr() == ("", f"error: {_refusal(1)}\n")
 
 
 def test_point_from_generators_takes_arrow_closure(loop_bridge):

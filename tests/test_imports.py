@@ -204,3 +204,35 @@ def test_a_rep_is_its_arrow_maps():
     assert _readers(source, {"_matrix"}) == ["Rep", "global_matrix", "hom_basis"]
     assert _readers(source, {"mats"}) == ["Rep", "base_change"]
     assert "_arrows" not in Rep.__slots__ and "mats" not in Rep.__slots__
+
+
+# -- one construction of P -------------------------------------------------------
+
+COVER_REBUILDERS = {"direct_sum", "rep_of_projective", "radical_layering"}
+
+
+def _calls_in_class(source: str, cls: str, names: set[str]) -> list[str]:
+    """The names among ``names`` that the body of class ``cls`` calls, as a
+    name or an attribute."""
+    body = next(s for s in ast.parse(source).body if isinstance(s, ast.ClassDef) and s.name == cls)
+    called = (n.func for n in ast.walk(body) if isinstance(n, ast.Call))
+    return sorted({getattr(f, "id", getattr(f, "attr", None)) for f in called} & names)
+
+
+def test_the_scan_flags_a_call_in_a_class_body():
+    source = (
+        "def direct_sum(a, b): return a\n"
+        "class Cover:\n"
+        "    def __init__(self):\n"
+        "        self.rep = reps.direct_sum(rep_of_projective(1), None)\n"
+        "        self.f = radical_layering\n"
+    )
+    assert _calls_in_class(source, "Cover", COVER_REBUILDERS) == ["direct_sum", "rep_of_projective"]
+
+
+def test_the_cover_is_built_once_from_its_path_basis():
+    # P and its coordinates come from one reps._free_rep call and the
+    # certificate from the normal forms: no direct-sum chain, no second
+    # projective, no layering elimination
+    source = (SRC / "grass.py").read_text()
+    assert _calls_in_class(source, "ProjectiveCover", COVER_REBUILDERS) == []

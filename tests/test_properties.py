@@ -46,6 +46,7 @@ from oracles import (
     dense_relation_equations,
     fitting_split_oracle,
     iso_oracle,
+    length_grading_oracle,
     naive_is_nilpotent,
     naive_mat_mul,
     naive_mat_vec,
@@ -101,6 +102,7 @@ from quivermoduli.polys import Poly, PolyRing
 from quivermoduli.reps import (
     Rep,
     _by_vertex,
+    _graded_span,
     _split_once,
     _vertex_dims,
     base_change,
@@ -424,12 +426,13 @@ def test_chart_points_are_the_submodules_in_the_radical():
 
 
 @st.composite
-def bound_presentations(draw, fields=(Field(2), Field(3), QQ), several=True):
+def bound_presentations(draw, fields=(Field(2), Field(3), QQ), several=True, mixed=False):
     """(quiver, relations, field, max_len) of a small KQ/I: 1 to 3
     vertices, 1 to 4 arrows between drawn vertices, a drawn set of paths of
     length 2 and 3 as monomial relations and, when several is True, at most
     one relation with two or three parallel terms of length 2, none of them
-    a monomial relation; the window max_len is 3 or 4."""
+    a monomial relation; the window max_len is 3 or 4. When mixed is True,
+    the terms are parallel paths of length 2 or 3, so they may mix lengths."""
     f = draw(st.sampled_from(fields))
     n = draw(st.integers(1, 3))
     ends = st.integers(1, n)
@@ -437,7 +440,7 @@ def bound_presentations(draw, fields=(Field(2), Field(3), QQ), several=True):
     by_len = enumerate_paths(q, 3)
     paths = by_len[2] + by_len[3]
     parallel: dict[tuple[int, int], list] = {}
-    for p in by_len[2]:
+    for p in paths if mixed else by_len[2]:
         parallel.setdefault((p.start, p.end), []).append(p)
     groups = [g for g in parallel.values() if len(g) > 1]
     terms = []
@@ -451,10 +454,10 @@ def bound_presentations(draw, fields=(Field(2), Field(3), QQ), several=True):
 
 
 @st.composite
-def bound_algebras(draw, fields=(Field(2), Field(3), QQ), several=True):
+def bound_algebras(draw, fields=(Field(2), Field(3), QQ), several=True, mixed=False):
     """An algebra of bound_presentations that build_algebra certifies."""
     try:
-        return build_algebra(*draw(bound_presentations(fields, several)))
+        return build_algebra(*draw(bound_presentations(fields, several, mixed)))
     except NotAdmissible:
         assume(False)
 
@@ -555,6 +558,19 @@ def test_random_algebras_match_the_all_products_elimination(case):
         assert expected[2] is None
         return
     assert (alg.basis, alg._nf_table, alg.loewy) == expected
+
+
+@given(alg=bound_algebras(mixed=True))
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_the_length_certificate_matches_the_layering_comparison_on_random_algebras(alg):
+    # a relation may mix terms of length 2 and 3, so some draws refuse
+    for v in alg.quiver.vertices:
+        assert alg.lengths_grade_radical(v) == length_grading_oracle(alg, v), (alg.relations, v)
 
 
 def test_pinned_coordinates_cut_out_the_first_skeleton_cell():
@@ -756,7 +772,11 @@ def test_block_fitting_split_matches_the_global_oracle(M, data):
     basis = reps._hom_maps(M, M)
     units = {j: {j: f.one()} for j in range(M.total)}
     x = combine(f, [data.draw(scalars) for _ in basis] + [f.neg(data.draw(scalars))], basis + [units])
-    assert _split_once(M, x) == fitting_split_oracle(M, _blocks_of(M, M, x))
+    split = _split_once(M, x)
+    got = None if split is None else tuple(piece.rref(M.total) for piece in split)
+    assert got == fitting_split_oracle(M, _blocks_of(M, M, x))
+    for piece in split or ():
+        assert _graded_span(M, piece) is piece  # a submodule, as _pieces reads it
 
 
 def _blocks_of(M, N, x):
@@ -910,17 +930,20 @@ def test_subquotients_match_the_dense_routes_on_the_split_pieces_over_q(case):
     # every space the split route cuts a sum of locals over Q into
     alg, summands, M = case
     assume(len(summands) >= 2)
-    spaces = []
+    spans = []
+    real = reps._sub
 
-    def recording(N, space):
-        spaces.append((N, space))
-        return sub_rep(N, space)
+    def recording(N, span):
+        spans.append((N, span))
+        return real(N, span)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reps, "sub_rep", recording)
+        mp.setattr(reps, "_sub", recording)
         decompose_local(alg, M)
-    assert len(spaces) == 2 * (len(summands) - 1)
-    for N, space in spaces:
+    assert len(spans) == 2 * (len(summands) - 1)
+    for N, span in spans:
+        assert _graded_span(N, span) is span
+        space = span.rref(N.total)
         assert _same_rep(sub_rep(N, space), sub_rep_oracle(N, space))
         assert _same_rep(quotient_rep(N, space), quotient_rep_oracle(N, space))
 
