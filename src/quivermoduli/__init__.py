@@ -11,14 +11,11 @@ from .errors import (
     FieldNotFinite,
     IdealNotGraded,
     NotAdmissible,
-    NotInvertible,
     NotNilpotentDirection,
-    NotOnChart,
     NotSubmodule,
     NotSumOfLocals,
     SearchTooLarge,
     ShapeMismatch,
-    SingularBlock,
     TopMismatch,
     TypeMismatch,
     Unknown,
@@ -42,9 +39,7 @@ __all__ = [
     "FieldNotFinite",
     "IdealNotGraded",
     "NotAdmissible",
-    "NotInvertible",
     "NotNilpotentDirection",
-    "NotOnChart",
     "NotSubmodule",
     "NotSumOfLocals",
     "PathWord",
@@ -52,7 +47,6 @@ __all__ = [
     "Quiver",
     "SearchTooLarge",
     "ShapeMismatch",
-    "SingularBlock",
     "TopMismatch",
     "TypeMismatch",
     "Unknown",

@@ -87,7 +87,7 @@ class Algebra:
         """Basis paths of the projective Lambda*e_start, deglex ascending."""
         return [p for p in self.basis if p.start == start]
 
-    # -- normal forms and multiplication --------------------------------
+    # -- normal forms -----------------------------------------------------
 
     def nf_path(self, p: PathWord) -> dict[PathWord, Scalar]:
         """Normal form of a single path as a basis-supported coefficient dict."""
@@ -105,17 +105,6 @@ class Algebra:
         out = Element()
         for p, c in x.terms.items():
             f.axpy(out.terms, c, self.nf_path(p))
-        return out
-
-    def mul(self, later: Element, earlier: Element) -> Element:
-        """Product later*earlier ("first earlier, then later"), normal formed."""
-        f = self.field
-        out = Element()
-        for p, cp in later.terms.items():
-            for q, cq in earlier.terms.items():
-                pq = compose(self.quiver, p, q)
-                if pq is not None:
-                    f.axpy(out.terms, f.mul(cp, cq), self.nf_path(pq))
         return out
 
     def arrow_act(self, label: str, b: PathWord) -> dict[PathWord, Scalar]:

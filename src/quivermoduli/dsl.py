@@ -38,9 +38,8 @@ block's parser; the quiver block, matrices and the direction block (which
 checks a key before its ":") keep shapes of their own.
 
 parse_input checks label references, composability, and shapes, reporting
-positions as "line L, column C"; render_document writes the canonical form,
-and parsing the rendered text reproduces the document exactly. The builders
-at the bottom turn a parsed document into live algebra and module objects.
+positions as "line L, column C". The builders at the bottom turn a parsed
+document into live algebra and module objects.
 """
 
 from __future__ import annotations
@@ -76,11 +75,6 @@ class PathRef:
 
     labels: tuple[str, ...]
     vertex: int | None = None
-
-    def render(self) -> str:
-        if not self.labels:
-            return f"e{self.vertex}"
-        return "*".join(self.labels)
 
 
 @dataclass(frozen=True)
@@ -578,80 +572,6 @@ def parse_input(text: str) -> InputDocument:
 def parse_points(text: str, doc: InputDocument) -> tuple[PointBlock, ...]:
     """Parse a file of point blocks against the labels declared by doc."""
     return _Parser(text, known=doc).parse_point_list()
-
-
-# -- rendering ----------------------------------------------------------------
-
-
-def _render_lincomb(terms: Lincomb) -> str:
-    parts: list[str] = []
-    for k, t in enumerate(terms):
-        c = t.coeff
-        if k == 0:
-            parts.append(f"{c}*{t.ref.render()}")
-        elif c < 0:
-            parts.append(f" - {-c}*{t.ref.render()}")
-        else:
-            parts.append(f" + {c}*{t.ref.render()}")
-    return "".join(parts)
-
-
-def _render_generator(gen: Generator) -> str:
-    return " + ".join(f"({_render_lincomb(p.terms)}).z{p.copy}" for p in gen)
-
-
-def _render_tuple(t: tuple[int, ...]) -> str:
-    return "(" + ", ".join(str(x) for x in t) + ")"
-
-
-def _render_matrix(rows: tuple[tuple[Fraction, ...], ...]) -> str:
-    return "[" + ", ".join("[" + ", ".join(str(x) for x in r) + "]" for r in rows) + "]"
-
-
-def render_document(doc: InputDocument) -> str:
-    out: list[str] = []
-    out.append("quiver {")
-    out.append("  vertices: " + " ".join(str(v) for v in doc.vertices) + ";")
-    if doc.arrows:
-        decls = ", ".join(f"{lbl}: {s} -> {e}" for lbl, s, e in doc.arrows)
-        out.append(f"  arrows: {decls};")
-    out.append("}")
-    out.append("algebra {")
-    out.append(f"  field: {doc.field};")
-    out.append(f"  max_len: {doc.max_len};")
-    if doc.relations:
-        rels = ", ".join(_render_lincomb(r) for r in doc.relations)
-        out.append(f"  relations: [{rels}];")
-    out.append("}")
-    if doc.module is not None:
-        out.append("module {")
-        out.append(f"  d: {_render_tuple(doc.module.d)};")
-        for lbl, rows in doc.module.mats:
-            out.append(f"  {lbl}: {_render_matrix(rows)};")
-        out.append("}")
-    for block in doc.points:
-        gens = ", ".join(_render_generator(g) for g in block)
-        out.append("point {")
-        out.append(f"  generators: [{gens}];")
-        out.append("}")
-    if doc.weight is not None:
-        out.append(f"weight {{ theta: {_render_tuple(doc.weight)}; }}")
-    if doc.top is not None:
-        out.append(f"top {{ mult: {_render_tuple(doc.top)}; }}")
-    if doc.d is not None:
-        out.append(f"dimvec {{ d: {_render_tuple(doc.d)}; }}")
-    if doc.layering is not None:
-        rows = ", ".join(_render_tuple(r) for r in doc.layering)
-        out.append(f"layering {{ layers: [{rows}]; }}")
-    if doc.skeleton is not None:
-        elems = ", ".join(f"{e.ref.render()}.z{e.copy}" for e in doc.skeleton)
-        out.append(f"skeleton {{ elems: [{elems}]; }}")
-    if doc.direction is not None:
-        out.append("direction {")
-        for r, gen in doc.direction:
-            out.append(f"  z{r}: {_render_generator(gen)};")
-        out.append("}")
-    return "\n".join(out) + "\n"
 
 
 # -- builders -----------------------------------------------------------------

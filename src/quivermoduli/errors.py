@@ -32,16 +32,8 @@ class SearchTooLarge(DomainError):
     """An enumeration would exceed the configured budget."""
 
 
-class NotOnChart(DomainError):
-    """P is not the direct sum of C and the span of the skeleton."""
-
-
 class EquationsViolated(DomainError):
     """Coordinate values do not satisfy the chart equations."""
-
-
-class NotInvertible(DomainError):
-    """Endomorphism is singular on P/JP (not an automorphism)."""
 
 
 class IdealNotGraded(DomainError):
@@ -58,10 +50,6 @@ class NotNilpotentDirection(DomainError):
 
 class DimensionMismatch(DomainError):
     """Dimension vectors disagree where equality is required."""
-
-
-class SingularBlock(DomainError):
-    """A group element has a non-invertible block."""
 
 
 class UnsupportedAlgebra(DomainError):

@@ -122,9 +122,6 @@ class Field:
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return (a + b) % self.p if self.p is not None else a + b
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.p if self.p is not None else a - b
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return (a * b) % self.p if self.p is not None else a * b
 
@@ -153,11 +150,6 @@ class Field:
         if self.p is not None:
             return rng.randrange(self.p)
         return Fraction(rng.randint(-span, span))
-
-    def parse(self, text: str) -> Scalar:
-        """Parse "n" or "n/m" into a scalar of this field."""
-        text = text.strip()
-        return self.of_fraction(Fraction(text))
 
     def format(self, a: Scalar) -> str:
         if self.p is not None:

@@ -23,25 +23,9 @@ from dataclasses import dataclass, field
 
 from .algebra import Algebra
 from .config import DEFAULT_LIMITS, SearchLimits
-from .errors import (
-    EquationsViolated,
-    IdealNotGraded,
-    NotInvertible,
-    NotOnChart,
-    NotSubmodule,
-    UnsupportedAlgebra,
-)
+from .errors import EquationsViolated, IdealNotGraded, NotSubmodule, UnsupportedAlgebra
 from .fields import Scalar
-from .linalg import (
-    Echelon,
-    Map,
-    SparseRow,
-    Vector,
-    apply,
-    combine,
-    is_invertible,
-    sparse,
-)
+from .linalg import Echelon, Map, SparseRow, Vector, apply, sparse
 from .polys import Poly, PolyRing
 from .quiver import Element, PathWord, compose, deglex_key, extend, idempotent
 from .reps import (
@@ -140,12 +124,6 @@ class ProjectiveCover:
     def total(self) -> int:
         return self.rep.total
 
-    def unit(self, b: BElem) -> Vector:
-        f = self.alg.field
-        v = [f.zero()] * self.total
-        v[self.index[b]] = f.one()
-        return v
-
     def generator_elems(self) -> list[BElem]:
         return [(idempotent(v), r) for r, v in enumerate(self.gens)]
 
@@ -234,10 +212,9 @@ def point_from_generators(P: ProjectiveCover, gens) -> SubmodulePoint:
 def in_radical(P: ProjectiveCover, C: SubmodulePoint) -> bool:
     """Does C lie in JP? Path lengths grade the radical, so JP is spanned by
     the basis elements other than the generators z_r: C lies in JP exactly
-    when every row of C is zero at the z_r coordinates."""
-    f = P.alg.field
+    when no stored RREF row of C has an entry at a z_r coordinate."""
     zpos = [P.index[b] for b in P.generator_elems()]
-    return all(f.is_zero(row[j]) for row in C.rows for j in zpos)
+    return not any(j in row for row in C.span.rows.values() for j in zpos)
 
 
 def is_grass_point(
@@ -417,11 +394,11 @@ class ChartPresentation:
     """The affine chart of a skeleton: coordinates and defining equations.
 
     variables[k] = (arrow label, b, b') indexes the coefficient of b' in the
-    congruence for the arrow-image of b; generators lists, per off-skeleton
-    arrow-image, the generic generator alpha*b - sum c_{b'} b' of the point.
-    residues maps every basis element of P to its generic expansion over the
-    skeleton, a sparse row with no zero entries, so points are recovered by
-    evaluating the stored entries alone. For a monomial ideal, pinned lists
+    congruence for the arrow-image of b: the point's generator for that
+    off-skeleton arrow-image is alpha*b - sum c_{b'} b'. residues maps
+    every basis element of P to its generic expansion over the skeleton, a
+    sparse row with no zero entries, so points are recovered by evaluating
+    the stored entries alone. For a monomial ideal, pinned lists
     the variables (a, b, b') with |b'| = |b| + 1 and b' after a*b in
     belem_key order: the points whose first skeleton is sigma are those
     where all of them vanish (see stratum_points). Otherwise it is empty.
@@ -432,7 +409,6 @@ class ChartPresentation:
     ring: PolyRing
     variables: tuple[tuple[str, BElem, BElem], ...]
     equations: tuple[Poly, ...]
-    generators: tuple[tuple[str, BElem, tuple[tuple[BElem, int], ...]], ...]
     residues: dict[BElem, Residue]
     pinned: tuple[int, ...]
 
@@ -450,7 +426,6 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
 
     variables: list[tuple[str, BElem, BElem]] = []
     var_of: dict[tuple[str, BElem], list[tuple[BElem, int]]] = {}
-    generators: list[tuple[str, BElem, tuple[tuple[BElem, int], ...]]] = []
     monomial = alg.is_monomial()
     pinned: list[int] = []
     for b in sig_list:
@@ -472,7 +447,6 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
                 entry.append((b2, len(variables)))
                 variables.append((a.label, b, b2))
             var_of[(a.label, b)] = entry
-            generators.append((a.label, b, tuple(entry)))
 
     ring = PolyRing(f, [f"c{k + 1}" for k in range(len(variables))])
     one = ring.one()
@@ -547,7 +521,6 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
         ring=ring,
         variables=tuple(variables),
         equations=tuple(equations),
-        generators=tuple(generators),
         residues=residues,
         pinned=tuple(pinned),
     )
@@ -586,49 +559,6 @@ def coords_to_point(pres: ChartPresentation, values) -> SubmodulePoint:
     return submodule_point(P, rows)
 
 
-def point_to_coords(
-    P: ProjectiveCover,
-    sigma: Skeleton,
-    C: SubmodulePoint,
-    pres: ChartPresentation | None = None,
-) -> list[Scalar]:
-    """Coordinates of C on the chart of sigma (inverse of coords_to_point)."""
-    if pres is None:
-        pres = chart_equations(P, sigma)
-    f = P.alg.field
-    n = C.dim
-    if n + len(sigma) != P.total:
-        raise NotOnChart("dim C + |sigma| != dim P")
-    # sigma's columns go last, so P = C (+) span(sigma) exactly when C's
-    # pivots are the first n columns; the residue of a vector modulo C then
-    # lies in span(sigma) and is the vector's sigma-component
-    sig_cols = [P.index[b] for b in sigma.elems]
-    sig_set = set(sig_cols)
-    order = [i for i in range(P.total) if i not in sig_set] + sig_cols
-    col = {i: k for k, i in enumerate(order)}
-    span = Echelon(f, ({col[i]: x for i, x in enumerate(row) if not f.is_zero(x)} for row in C.rows))
-    if span.pivots() != list(range(n)):
-        raise NotOnChart("P is not the direct sum of C and the span of sigma")
-
-    values = [f.zero()] * len(pres.variables)
-    for label, b, entry in pres.generators:
-        p, r = b
-        q = extend(p, P.alg.quiver.arrow(label))
-        res = span.reduce({col[P.index[(q, r)]]: f.one()})
-        allowed = {b2: k for b2, k in entry}
-        for i, b2 in enumerate(pres.sigma.elems):
-            c = res.get(n + i)
-            if c is None:
-                continue
-            if b2 not in allowed:
-                raise NotOnChart(
-                    f"residue of {P.describe((q, r))} meets {P.describe(b2)}, "
-                    f"which the layering of sigma forbids"
-                )
-            values[allowed[b2]] = c
-    return values
-
-
 def describe_endo(elem: tuple[int, int, PathWord]) -> str:
     """The basis endomorphism (r, s, u) of P, which maps z_r to u*z_s."""
     r, s, u = elem
@@ -658,13 +588,6 @@ class EndoSpace:
 
     def describe(self, j: int) -> str:
         return describe_endo(self.elems[j])
-
-    def identity_coords(self) -> list[Scalar]:
-        f = self.cover.alg.field
-        out = [f.zero()] * self.dim
-        for j in self.torus:
-            out[j] = f.one()
-        return out
 
     def coeff_index(self, r: int, s: int, u: PathWord) -> int:
         return self.elems.index((r, s, u))
@@ -699,37 +622,6 @@ def endo_space(P: ProjectiveCover) -> EndoSpace:
     deg0 = tuple(j for j, (_, _, u) in enumerate(elems) if u.length == 0)
     torus = tuple(j for j in deg0 if elems[j][0] == elems[j][1])
     return EndoSpace(P, tuple(elems), images, unip, deg0, torus)
-
-
-def apply_auto(
-    P: ProjectiveCover,
-    coeffs,
-    C: SubmodulePoint,
-    endo: EndoSpace | None = None,
-) -> SubmodulePoint:
-    """Image f(C) of a point under an automorphism given by endo coordinates.
-
-    f must be invertible on P/JP (block per vertex over the generators);
-    otherwise NotInvertible is raised.
-    """
-    if endo is None:
-        endo = P.endo
-    f = P.alg.field
-    coeffs = [f.of_int(c) if isinstance(c, int) else c for c in coeffs]
-    if len(coeffs) != endo.dim:
-        raise ValueError(f"End(P) has dimension {endo.dim}, got {len(coeffs)}")
-    for v in sorted(set(P.gens)):
-        copies = [r for r, gv in enumerate(P.gens) if gv == v]
-        blk = [[f.zero()] * len(copies) for _ in copies]
-        for j in endo.degree0:
-            r, s, _ = endo.elems[j]
-            if P.gens[r] != v:
-                continue
-            blk[copies.index(s)][copies.index(r)] = coeffs[j]
-        if copies and not is_invertible(f, blk):
-            raise NotInvertible(f"degree-0 block at vertex {v} is singular")
-    h = combine(f, coeffs, endo.images)
-    return submodule_point(P, [apply(f, h, row) for row in C.span.rows.values()])
 
 
 @dataclass(frozen=True)

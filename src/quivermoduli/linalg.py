@@ -6,16 +6,16 @@ vector, zero columns left out; apply, compose and combine build on
 Field.axpy. Every elimination goes through one kernel, Echelon: a row space
 kept in fully reduced echelon form under incremental insertion. A Rep holds
 its arrows as Maps; dense matrices (lists of row lists) remain only at the
-edges: arrow matrices read in and written out (Rep.mats, hom_basis), base
-changes, and the dense views of Echelon below (rref, kernels, solve, inverse,
-det).
+edges: arrow matrices read in and written out (Rep.mats, hom_basis), points
+as RREF rows (SubmodulePoint.rows), and the dense views of Echelon below
+(rref, kernels, solve). Only this module multiplies dense matrices.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import DimensionMismatch, NotInvertible
+from .errors import DimensionMismatch
 from .fields import Field, Scalar
 
 Matrix = list[list[Scalar]]
@@ -75,12 +75,6 @@ def mat_pow(field: Field, a: Matrix, k: int) -> Matrix:
         if k:
             base = mat_mul(field, base, base)
     return out
-
-
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 # -- sparse maps -----------------------------------------------------------------
@@ -190,7 +184,6 @@ class Echelon:
         p = min(res)
         lead = res[p]
         if lead != 1:
-            # a new dict: det reads the lead off the residue it placed
             res, scaled = {}, res
             axpy(res, f.inv(lead), scaled)
         for r in self.rows.values():
@@ -239,10 +232,6 @@ def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
     return ech.rref(len(a[0]) if a else 0), ech.pivots()
 
 
-def rank(field: Field, a: Matrix) -> int:
-    return len(Echelon.of(field, a))
-
-
 def kernel_basis(field: Field, a: Matrix, ncols: int | None = None) -> list[Vector]:
     """Basis of the right kernel {x : a @ x = 0}."""
     if ncols is None:
@@ -269,47 +258,7 @@ def solve(field: Field, a: Matrix, b: Vector) -> Vector | None:
     return x
 
 
-def inverse(field: Field, a: Matrix) -> Matrix:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("inverse of non-square matrix")
-    ident = identity(field, n)
-    aug = [row[:] + ident[i] for i, row in enumerate(a)]
-    red, pivots = rref(field, aug)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        raise NotInvertible("matrix is singular")
-    return [row[n:] for row in red[:n]]
-
-
-def det(field: Field, a: Matrix) -> Scalar:
-    """Each row's residue is the row minus a combination of earlier rows,
-    so the residues form a matrix of the same determinant that is
-    triangular in pivot order: det is the product of their leading entries
-    times the sign of that order."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("determinant of non-square matrix")
-    ech = Echelon(field)
-    d = field.one()
-    order: list[int] = []
-    for row in a:
-        res = ech.reduce(sparse(field, row))
-        if not res:
-            return field.zero()
-        order.append(ech._place(res))
-        d = field.mul(d, res[order[-1]])
-    inversions = sum(1 for i in range(n) for j in range(i) if order[j] > order[i])
-    return field.neg(d) if inversions % 2 else d
-
-
-def is_invertible(field: Field, a: Matrix) -> bool:
-    n = len(a)
-    return all(len(row) == n for row in a) and not field.is_zero(det(field, a))
-
-
 # -- row spaces as canonical objects ----------------------------------------
-
-SpaceKey = tuple[tuple[Scalar, ...], ...]
 
 
 def span_rref(field: Field, vectors: list[Vector]) -> list[Vector]:
@@ -318,11 +267,6 @@ def span_rref(field: Field, vectors: list[Vector]) -> list[Vector]:
         return []
     red, _ = rref(field, vectors)
     return red
-
-
-def space_key(rows: list[Vector]) -> SpaceKey:
-    """Hashable canonical form of an RREF row list."""
-    return tuple(tuple(r) for r in rows)
 
 
 def reduce_mod(field: Field, rref_rows: list[Vector], v: Vector) -> Vector:

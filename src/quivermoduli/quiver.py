@@ -26,6 +26,8 @@ class Quiver:
     n: int
     arrows: tuple[Arrow, ...]
     _by_label: dict = dc_field(init=False, repr=False, compare=False, hash=False, default=None)
+    # label -> declaration index, the order deglex_key compares arrows in
+    _index: dict = dc_field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -38,6 +40,7 @@ class Quiver:
                 raise ValueError(f"duplicate arrow label {a.label!r}")
             by_label[a.label] = a
         object.__setattr__(self, "_by_label", by_label)
+        object.__setattr__(self, "_index", {a.label: i for i, a in enumerate(self.arrows)})
 
     @property
     def vertices(self) -> range:
@@ -131,7 +134,7 @@ def path_from_labels(quiver: Quiver, labels_rtl: Iterable[str]) -> PathWord:
 def deglex_key(quiver: Quiver, p: PathWord) -> tuple:
     """Total order on parallel-or-not paths: degree first, then lex on the
     application-order arrow sequence (declaration order), then start vertex."""
-    idx = {a.label: i for i, a in enumerate(quiver.arrows)}
+    idx = quiver._index
     return (p.length, tuple(idx[l] for l in p.arrows), p.start)
 
 
@@ -144,19 +147,8 @@ class Element:
     def __init__(self, terms: dict[PathWord, Scalar] | None = None):
         self.terms: dict[PathWord, Scalar] = dict(terms or {})
 
-    @staticmethod
-    def from_path(p: PathWord, coeff: Scalar) -> "Element":
-        if coeff == 0:
-            return Element()
-        return Element({p: coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def add(self, other: "Element", field: Field) -> "Element":
-        out = Element(self.terms)
-        field.axpy(out.terms, field.one(), other.terms)
-        return out
 
     def ends(self) -> set[tuple[int, int]]:
         return {(p.start, p.end) for p in self.terms}

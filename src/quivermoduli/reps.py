@@ -20,14 +20,12 @@ import itertools
 import math
 import random
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra
 from .config import DEFAULT_LIMITS, SearchLimits
 from .errors import (
     FieldNotFinite,
-    NotInvertible,
     NotSubmodule,
     NotSumOfLocals,
     SearchTooLarge,
@@ -44,13 +42,9 @@ from .linalg import (
     apply,
     combine,
     compose,
-    is_invertible,
-    inverse,
-    mat_mul,
-    rank,
     sparse_kernel_basis,
 )
-from .quiver import Element, PathWord, idempotent
+from .quiver import Element, PathWord
 
 SemisimpleSequence = tuple[tuple[int, ...], ...]
 
@@ -105,10 +99,6 @@ class Rep:
     def offset(self, v: int) -> int:
         return sum(self.d[: v - 1])
 
-    def block(self, vec: Vector, v: int) -> Vector:
-        o = self.offset(v)
-        return vec[o : o + self.d[v - 1]]
-
     def dim_at(self, v: int) -> int:
         return self.d[v - 1]
 
@@ -134,11 +124,6 @@ def _matrix(f: Field, x: Map, rows: range, cols: range) -> Matrix:
     """The dense block of a Map on the given global rows and columns."""
     zero = f.zero()
     return [[x.get(j, {}).get(i, zero) for j in cols] for i in rows]
-
-
-@dataclass
-class GroupElement:
-    blocks: dict[int, Matrix]
 
 
 def zero_rep(alg: Algebra, d: tuple[int, ...]) -> Rep:
@@ -170,22 +155,6 @@ def rep_of_projective(alg: Algebra, v: int) -> Rep:
     return _free_rep(alg, (v,))[1]
 
 
-def direct_sum(M: Rep, N: Rep) -> Rep:
-    """M (+) N, with the block of M before that of N at every vertex."""
-    d = tuple(x + y for x, y in zip(M.d, N.d))
-
-    def shifted(x: Map, col0: int, row0: int) -> Map:
-        return {col0 + j: {row0 + i: y for i, y in col.items()} for j, col in x.items()}
-
-    arrows = {}
-    for a in M.alg.quiver.arrows:
-        s, e = a.start, a.end
-        x = shifted(M.arrows[a.label], N.offset(s), N.offset(e))
-        x.update(shifted(N.arrows[a.label], M.offset(s) + M.dim_at(s), M.offset(e) + M.dim_at(e)))
-        arrows[a.label] = x
-    return Rep._of_maps(M.alg, d, arrows)
-
-
 def _element_image(M: Rep, x: Element, vec: SparseRow) -> SparseRow:
     """The image x.vec of a sparse global vector under an algebra element.
 
@@ -202,48 +171,10 @@ def _element_image(M: Rep, x: Element, vec: SparseRow) -> SparseRow:
     return out
 
 
-def global_matrix(M: Rep, x: Element) -> Matrix:
-    """Action of any algebra element on the flattened space K^|d|."""
-    one, n = M.field.one(), range(M.total)
-    return _matrix(M.field, {j: _element_image(M, x, {j: one}) for j in n}, n, n)
-
-
 def rep_validate(alg: Algebra, M: Rep) -> bool:
     """Does M satisfy the relations? (The Rep constructor checks shapes.)"""
     one = alg.field.one()
     return not any(_element_image(M, rel, {j: one}) for rel in alg.relations for j in range(M.total))
-
-
-def base_change(M: Rep, g: GroupElement) -> Rep:
-    f = M.field
-    for v in M.alg.quiver.vertices:
-        blk = g.blocks.get(v)
-        if blk is None or len(blk) != M.dim_at(v) or any(len(r) != M.dim_at(v) for r in blk):
-            raise ShapeMismatch(f"group element block at vertex {v} has wrong shape")
-    inv = {}
-    for v in M.alg.quiver.vertices:
-        if M.dim_at(v) == 0:
-            inv[v] = []
-            continue
-        try:
-            inv[v] = inverse(f, g.blocks[v])
-        except NotInvertible:
-            raise NotInvertible(f"group element block at vertex {v} is singular") from None
-    mats = M.mats
-    for a in M.alg.quiver.arrows:
-        mats[a.label] = mat_mul(f, mat_mul(f, g.blocks[a.end], mats[a.label]), inv[a.start])
-    return Rep(M.alg, M.d, mats)
-
-
-def random_group_element(field: Field, d: tuple[int, ...], rng: random.Random) -> GroupElement:
-    blocks = {}
-    for v, n in enumerate(d, start=1):
-        while True:
-            m = [[field.random(rng) for _ in range(n)] for _ in range(n)]
-            if n == 0 or is_invertible(field, m):
-                blocks[v] = m
-                break
-    return GroupElement(blocks)
 
 
 def closure(M: Rep, vecs: Iterable[SparseRow]) -> Echelon:
@@ -504,52 +435,6 @@ def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[
                 if len(seen) > limits.submodule_spaces:
                     raise SearchTooLarge("submodule count exceeds budget")
     return [span.rref(n) for span in lattice]
-
-
-def submodule_dim_vectors(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> set[tuple[int, ...]]:
-    return {_vertex_dims(M, sp) for sp in submodule_spans(M, limits)}
-
-
-# -- annihilators -------------------------------------------------------------
-
-
-def ideal_span(alg: Algebra, gens: list[Element]) -> list[Element]:
-    """A basis of the two-sided ideal generated by gens, as normal-formed
-    elements: the generators closed under arrow and idempotent actions."""
-    f = alg.field
-    span = Echelon(f)
-    queue: list[Element] = []
-
-    def push(x: Element) -> None:
-        x = alg.normal_form(x)
-        if span.insert({alg.basis_index[p]: c for p, c in x.terms.items()}) is not None:
-            queue.append(x)
-
-    for g in gens:
-        push(g)
-    multipliers = [Element.from_path(idempotent(v), f.one()) for v in alg.quiver.vertices]
-    for a in alg.quiver.arrows:
-        multipliers.append(Element.from_path(PathWord(a.start, (a.label,), a.end), f.one()))
-    while queue:
-        x = queue.pop()
-        for m in multipliers:
-            push(alg.mul(m, x))
-            push(alg.mul(x, m))
-    return [
-        Element({alg.basis[i]: c for i, c in span.rows[p].items()}) for p in span.pivots()
-    ]
-
-
-def annihilator_dim(alg: Algebra, M: Rep, ideal_gens: list[Element]) -> int:
-    """dim {m in M : l.m = 0 for all l in the two-sided ideal <ideal_gens>}."""
-    f = alg.field
-    span = ideal_span(alg, ideal_gens)
-    if not span:
-        return M.total
-    stacked: list[Vector] = []
-    for el in span:
-        stacked.extend(global_matrix(M, el))
-    return M.total - rank(f, stacked)
 
 
 # -- subquotients -------------------------------------------------------------

@@ -9,9 +9,7 @@ fields; the rationals would force sampling and a missed submodule could
 silently flip a verdict.
 
 Semistable modules factor through chains of stable ones. stable_factors
-extracts such a chain greedily (smallest zero-weight submodule first),
-and two semistable modules are S-equivalent exactly when the resulting
-multisets match up to isomorphism, read off hom dimensions (s_equivalent).
+extracts such a chain greedily (smallest zero-weight submodule first).
 """
 
 from __future__ import annotations
@@ -20,18 +18,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import DEFAULT_LIMITS, SearchLimits
-from .errors import DimensionMismatch, NotSemistable, SingularBlock
-from .fields import Field, Scalar
-from .linalg import Vector, det
-from .reps import (
-    GroupElement,
-    Rep,
-    _vertex_dims,
-    hom_dim,
-    quotient_rep,
-    sub_rep,
-    submodule_spans,
-)
+from .errors import DimensionMismatch, NotSemistable
+from .linalg import Vector
+from .reps import Rep, _vertex_dims, quotient_rep, sub_rep, submodule_spans
 
 
 @dataclass(frozen=True)
@@ -46,9 +35,6 @@ class Weight:
     def __len__(self) -> int:
         return len(self.theta)
 
-    def scaled(self, c: int) -> "Weight":
-        return Weight(tuple(c * t for t in self.theta))
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(t) for t in self.theta) + ")"
 
@@ -58,41 +44,6 @@ def theta_of(theta: Weight, d: tuple[int, ...]) -> int:
     if len(theta.theta) != len(d):
         raise DimensionMismatch(f"weight has {len(theta.theta)} entries, dimension vector {len(d)}")
     return sum(t * x for t, x in zip(theta.theta, d))
-
-
-def character_value(field: Field, theta: Weight, g: GroupElement) -> Scalar:
-    """The character chi(g) = prod over vertices of det(g_v)^theta(v)."""
-    out = field.one()
-    for v, block in sorted(g.blocks.items()):
-        e = theta.theta[v - 1]
-        if not block:
-            continue
-        dv = det(field, block)
-        if field.is_zero(dv):
-            raise SingularBlock(f"block at vertex {v} is singular")
-        if e >= 0:
-            out = field.mul(out, _ipow(field, dv, e))
-        else:
-            out = field.mul(out, _ipow(field, field.inv(dv), -e))
-    return out
-
-
-def _ipow(field: Field, a: Scalar, e: int) -> Scalar:
-    out = field.one()
-    for _ in range(e):
-        out = field.mul(out, a)
-    return out
-
-
-def local_top_weight(i: int, d: tuple[int, ...]) -> Weight:
-    """The weight vanishing on d that rewards every vertex except i.
-
-    theta(j) = 1 for j != i and theta(i) = -sum of the other coordinates,
-    so theta(d) = 0 whenever d_i = 1. Local modules with top S_i and
-    dimension vector d are exactly the stable ones for this weight.
-    """
-    rest = sum(x for j, x in enumerate(d, start=1) if j != i)
-    return Weight(tuple(-rest if j == i else 1 for j in range(1, len(d) + 1)))
 
 
 class StabilityClass(Enum):
@@ -164,22 +115,3 @@ def _minimal_zero_weight_submodule(M: Rep, theta: Weight, spans: list[list[Vecto
         if best_key is None or key < best_key:
             best, best_key = sp, key
     return best
-
-
-def s_equivalent(M: Rep, N: Rep, theta: Weight, limits: SearchLimits = DEFAULT_LIMITS) -> bool:
-    """Do the stable factor multisets of M and N match? The factors are
-    theta-stable of weight 0, so a nonzero map between two of them is an
-    isomorphism (King 1994): they match exactly when hom_dim(f, g) != 0."""
-    if M.d != N.d:
-        return False
-    fm = stable_factors(M, theta, limits)
-    fn = stable_factors(N, theta, limits)
-    if len(fm) != len(fn):
-        return False
-    remaining = list(fn)
-    for f in fm:
-        hit = next((i for i, g in enumerate(remaining) if hom_dim(f, g) != 0), None)
-        if hit is None:
-            return False
-        remaining.pop(hit)
-    return True

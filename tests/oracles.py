@@ -3,12 +3,18 @@
 Everything here is deliberately naive: plain walks on the quiver, exhaustive
 subspace sweeps, brute-force skeleton counting. The point is that none of it
 shares code with the package internals.
+
+The last section holds what the tests need and no command does: builders
+of test inputs (direct sums, base changes, weights, document text) and the
+inverse routes the properties check the package against (the coordinates
+of a point on a chart, the automorphisms of the cover).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 
 from quivermoduli.algebra import enumerate_paths
 from quivermoduli.degeneration import no_proper_topstable_deg
@@ -17,14 +23,17 @@ from quivermoduli.fields import Field
 from quivermoduli.grass import (
     _chart_points,
     _chart_sweepable,
+    chart_equations,
     coker_rep,
     coords_to_point,
     enumerate_skeleta,
+    submodule_point,
 )
-from quivermoduli.linalg import Echelon, dense, identity, kernel_basis, solve, span_rref, sparse, transpose, zeros
+from quivermoduli.linalg import Echelon, apply, combine, dense, identity, kernel_basis, solve, span_rref, sparse, zeros
 from quivermoduli.polys import PolyRing, poly_det
-from quivermoduli.quiver import PathWord, compose, deglex_key
-from quivermoduli.reps import Rep, _vertex_dims, direct_sum, hom_basis, hom_dim, radical_layering, sub_rep
+from quivermoduli.quiver import Element, PathWord, compose, deglex_key, extend
+from quivermoduli.reps import Rep, _vertex_dims, hom_basis, hom_dim, radical_layering, sub_rep, submodule_spans
+from quivermoduli.stability import Weight
 
 
 # -- textbook linear algebra, sharing nothing with quivermoduli.linalg ---------
@@ -44,7 +53,7 @@ def naive_rank(field: Field, rows) -> int:
         for i in range(len(m)):
             if i != rank and m[i][col] != 0:
                 c = field.mul(m[i][col], inv)
-                m[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(m[i], m[rank])]
+                m[i] = [field.add(x, field.neg(field.mul(c, y))) for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
 
@@ -99,7 +108,7 @@ def leibniz_det(field: Field, a):
         term = field.one()
         for i in range(n):
             term = field.mul(term, a[i][perm[i]])
-        total = field.sub(total, term) if inversions % 2 else field.add(total, term)
+        total = field.add(total, field.neg(term) if inversions % 2 else term)
     return total
 
 
@@ -211,12 +220,12 @@ def brute_force_submodule_spans(M) -> set[tuple]:
     out = set()
     for rows in all_rref_matrices(f, n):
         arrow_images = (
-            embed(a.end, naive_mat_vec(f, mats[a.label], M.block(w, a.start)))
+            embed(a.end, naive_mat_vec(f, mats[a.label], [w[i] for i in M.coords(a.start)]))
             for w in rows
             for a in M.alg.quiver.arrows
         )
         # idempotent stability: every vertex component must stay inside too
-        components = (embed(vert, M.block(w, vert)) for w in rows for vert in M.alg.quiver.vertices)
+        components = (embed(vert, [w[i] for i in M.coords(vert)]) for w in rows for vert in M.alg.quiver.vertices)
         if all(naive_in_span(f, rows, v) for v in itertools.chain(arrow_images, components)):
             out.add(tuple(tuple(r) for r in rows))
     return out
@@ -229,7 +238,7 @@ def brute_force_submodule_dims(M) -> set[tuple[int, ...]]:
     for rows in brute_force_submodule_spans(M):
         dims = []
         for vert in M.alg.quiver.vertices:
-            proj = [M.block(list(w), vert) for w in rows]
+            proj = [[w[i] for i in M.coords(vert)] for w in rows]
             dims.append(naive_rank(f, proj) if proj and M.dim_at(vert) else 0)
         out.add(tuple(dims))
     return out
@@ -249,7 +258,7 @@ def graded_basis_oracle(M, space):
     """Per-vertex RREF bases, in block coordinates, of the projections of a
     vertex-graded subspace to the vertex blocks."""
     f = M.field
-    return {v: span_rref(f, [M.block(w, v) for w in space]) if M.dim_at(v) else [] for v in M.alg.quiver.vertices}
+    return {v: span_rref(f, [[w[i] for i in M.coords(v)] for w in space]) if M.dim_at(v) else [] for v in M.alg.quiver.vertices}
 
 
 def sub_rep_oracle(M, space):
@@ -381,7 +390,7 @@ def dense_hom_oracle(M, N) -> int:
                 for k in range(M.dim_at(e)):
                     row[unknown[e, i, k]] = f.add(row[unknown[e, i, k]], xm[a.label][k][j])
                 for k in range(N.dim_at(s)):
-                    row[unknown[s, k, j]] = f.sub(row[unknown[s, k, j]], xn[a.label][i][k])
+                    row[unknown[s, k, j]] = f.add(row[unknown[s, k, j]], f.neg(xn[a.label][i][k]))
                 rows.append(row)
     return n - naive_rank(f, rows)
 
@@ -405,7 +414,7 @@ def socle_dims_oracle(P):
     """Dimension vectors of JP and of soc(JP) inside P: soc(JP) is the
     kernel of the stacked arrow matrices on the RREF basis of JP."""
     f = P.alg.field
-    jp = span_rref(f, [P.unit(b) for b in P.belems if b[0].length >= 1])
+    jp = span_rref(f, [dense(f, {P.index[b]: f.one()}, P.total) for b in P.belems if b[0].length >= 1])
     n = len(jp)
     rows = []
     for a in P.alg.quiver.arrows:
@@ -507,7 +516,7 @@ def presentation_kernel_oracle(alg, v, piece, gen):
     mats = piece.mats
     cols = []
     for p in paths:
-        block = piece.block(gen, p.start)  # a length-0 path is e_start
+        block = [gen[i] for i in piece.coords(p.start)]  # a length-0 path is e_start
         for label in p.arrows:
             block = naive_mat_vec(f, mats[label], block)
         col = [f.zero()] * piece.total
@@ -938,3 +947,237 @@ def closed_orbit_verdicts(P, points) -> list:
     (point, verdict) for every point, each with the full verdict of
     no_proper_topstable_deg. The sweep keeps the points whose verdict holds."""
     return [(C, no_proper_topstable_deg(P.alg, P, C)) for C in points]
+
+
+# -- helpers no command needs: test inputs and inverse routes -------------------
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def space_key(rows) -> tuple:
+    """Hashable canonical form of an RREF row list."""
+    return tuple(tuple(r) for r in rows)
+
+
+def algebra_mul(alg, later, earlier):
+    """The product later*earlier ("first earlier, then later") in the
+    algebra, normal formed."""
+    f = alg.field
+    out = Element()
+    for p, cp in later.terms.items():
+        for q, cq in earlier.terms.items():
+            pq = compose(alg.quiver, p, q)
+            if pq is not None:
+                f.axpy(out.terms, f.mul(cp, cq), alg.nf_path(pq))
+    return out
+
+
+def direct_sum(M, N):
+    """M (+) N, with the block of M before that of N at every vertex."""
+    d = tuple(x + y for x, y in zip(M.d, N.d))
+
+    def shifted(x, col0, row0):
+        return {col0 + j: {row0 + i: y for i, y in col.items()} for j, col in x.items()}
+
+    arrows = {}
+    for a in M.alg.quiver.arrows:
+        s, e = a.start, a.end
+        x = shifted(M.arrows[a.label], N.offset(s), N.offset(e))
+        x.update(shifted(N.arrows[a.label], M.offset(s) + M.dim_at(s), M.offset(e) + M.dim_at(e)))
+        arrows[a.label] = x
+    return Rep._of_maps(M.alg, d, arrows)
+
+
+@dataclass
+class GroupElement:
+    """An element of GL_d: one square block per vertex."""
+
+    blocks: dict
+
+
+def random_group_element(field: Field, d, rng) -> GroupElement:
+    """Each block drawn entry by entry, again until it is invertible."""
+    blocks = {}
+    for v, n in enumerate(d, start=1):
+        while True:
+            m = [[field.random(rng) for _ in range(n)] for _ in range(n)]
+            if naive_rank(field, m) == n:
+                blocks[v] = m
+                break
+    return GroupElement(blocks)
+
+
+def base_change(M, g: GroupElement):
+    """g.M, with arrow matrices g_e x_a g_s^-1. A row r of a new matrix
+    solves r g_s = the row of g_e x_a, so no inverse is formed. ValueError
+    for a misshapen or singular block."""
+    f = M.field
+    for v in M.alg.quiver.vertices:
+        blk, n = g.blocks.get(v), M.dim_at(v)
+        if blk is None or len(blk) != n or any(len(r) != n for r in blk):
+            raise ValueError(f"group element block at vertex {v} has wrong shape")
+        if naive_rank(f, blk) < n:
+            raise ValueError(f"group element block at vertex {v} is singular")
+    mats = M.mats
+    for a in M.alg.quiver.arrows:
+        if M.dim_at(a.start) and M.dim_at(a.end):
+            right = transpose(g.blocks[a.start])
+            mats[a.label] = [solve(f, right, row) for row in naive_mat_mul(f, g.blocks[a.end], mats[a.label])]
+    return Rep(M.alg, M.d, mats)
+
+
+def submodule_dim_vectors(M) -> set[tuple[int, ...]]:
+    return {_vertex_dims(M, sp) for sp in submodule_spans(M)}
+
+
+def local_top_weight(i: int, d) -> Weight:
+    """The weight vanishing on d that rewards every vertex except i.
+
+    theta(j) = 1 for j != i and theta(i) = -sum of the other coordinates,
+    so theta(d) = 0 whenever d_i = 1. Local modules with top S_i and
+    dimension vector d are exactly the stable ones for this weight.
+    """
+    rest = sum(x for j, x in enumerate(d, start=1) if j != i)
+    return Weight(tuple(-rest if j == i else 1 for j in range(1, len(d) + 1)))
+
+
+def identity_coords(endo) -> list:
+    """The End(P) coordinates of the identity: 1 on the torus, else 0."""
+    f = endo.cover.alg.field
+    return [f.one() if j in endo.torus else f.zero() for j in range(endo.dim)]
+
+
+def apply_auto(P, coeffs, C, endo=None):
+    """The image of a point under the automorphism of P with the given
+    End(P) coordinates. ValueError unless the degree-0 block at every
+    vertex, over the generators there, is invertible."""
+    if endo is None:
+        endo = P.endo
+    f = P.alg.field
+    coeffs = [f.of_int(c) if isinstance(c, int) else c for c in coeffs]
+    if len(coeffs) != endo.dim:
+        raise ValueError(f"End(P) has dimension {endo.dim}, got {len(coeffs)}")
+    for v in sorted(set(P.gens)):
+        copies = [r for r, gv in enumerate(P.gens) if gv == v]
+        blk = [[f.zero()] * len(copies) for _ in copies]
+        for j in endo.degree0:
+            r, s, _ = endo.elems[j]
+            if P.gens[r] == v:
+                blk[copies.index(s)][copies.index(r)] = coeffs[j]
+        if naive_rank(f, blk) < len(copies):
+            raise ValueError(f"degree-0 block at vertex {v} is singular")
+    h = combine(f, coeffs, endo.images)
+    return submodule_point(P, [apply(f, h, row) for row in C.span.rows.values()])
+
+
+def point_to_coords(P, sigma, C, pres=None) -> list:
+    """The coordinates of C on the chart of sigma, the inverse of
+    coords_to_point. ValueError when C is not on the chart.
+
+    sigma's columns go last, so P = C (+) span(sigma) exactly when C's
+    pivots are the first dim C columns; the residue modulo C of an
+    arrow-image off sigma then lies in span(sigma), and its entries fill
+    the image's coordinate slots in pres.variables.
+    """
+    if pres is None:
+        pres = chart_equations(P, sigma)
+    alg = P.alg
+    f = alg.field
+    n = C.dim
+    if n + len(sigma) != P.total:
+        raise ValueError("dim C + |sigma| != dim P")
+    sig_cols = [P.index[b] for b in sigma.elems]
+    order = [i for i in range(P.total) if i not in sig_cols] + sig_cols
+    col = {i: k for k, i in enumerate(order)}
+    span = Echelon(f, ({col[i]: x for i, x in enumerate(row) if not f.is_zero(x)} for row in C.rows))
+    if span.pivots() != list(range(n)):
+        raise ValueError("P is not the direct sum of C and the span of sigma")
+    slots: dict = {}
+    for k, (label, b, b2) in enumerate(pres.variables):
+        slots.setdefault((label, b), {})[b2] = k
+    values = [f.zero()] * len(pres.variables)
+    for p, r in sigma.elems:
+        for a in alg.quiver.arrows_out(p.end):
+            q = extend(p, a)
+            if q not in alg.basis_index or (q, r) in sigma:
+                continue
+            allowed = slots.get((a.label, (p, r)), {})
+            res = span.reduce({col[P.index[(q, r)]]: f.one()})
+            for i, b2 in enumerate(sigma.elems):
+                c = res.get(n + i)
+                if c is None:
+                    continue
+                if b2 not in allowed:
+                    raise ValueError(
+                        f"residue of {P.describe((q, r))} meets {P.describe(b2)}, "
+                        f"which the layering of sigma forbids"
+                    )
+                values[allowed[b2]] = c
+    return values
+
+
+def _render_ref(ref) -> str:
+    return "*".join(ref.labels) if ref.labels else f"e{ref.vertex}"
+
+
+def _render_lincomb(terms) -> str:
+    parts = []
+    for k, t in enumerate(terms):
+        c = t.coeff
+        if k == 0:
+            parts.append(f"{c}*{_render_ref(t.ref)}")
+        elif c < 0:
+            parts.append(f" - {-c}*{_render_ref(t.ref)}")
+        else:
+            parts.append(f" + {c}*{_render_ref(t.ref)}")
+    return "".join(parts)
+
+
+def _render_generator(gen) -> str:
+    return " + ".join(f"({_render_lincomb(p.terms)}).z{p.copy}" for p in gen)
+
+
+def _render_tuple(t) -> str:
+    return "(" + ", ".join(str(x) for x in t) + ")"
+
+
+def render_document(doc) -> str:
+    """The canonical text of a parsed document: parsing it gives the
+    document back."""
+    out = ["quiver {", "  vertices: " + " ".join(str(v) for v in doc.vertices) + ";"]
+    if doc.arrows:
+        decls = ", ".join(f"{lbl}: {s} -> {e}" for lbl, s, e in doc.arrows)
+        out.append(f"  arrows: {decls};")
+    out += ["}", "algebra {", f"  field: {doc.field};", f"  max_len: {doc.max_len};"]
+    if doc.relations:
+        rels = ", ".join(_render_lincomb(r) for r in doc.relations)
+        out.append(f"  relations: [{rels}];")
+    out.append("}")
+    if doc.module is not None:
+        out += ["module {", f"  d: {_render_tuple(doc.module.d)};"]
+        for lbl, rows in doc.module.mats:
+            matrix = "[" + ", ".join("[" + ", ".join(str(x) for x in r) + "]" for r in rows) + "]"
+            out.append(f"  {lbl}: {matrix};")
+        out.append("}")
+    for block in doc.points:
+        gens = ", ".join(_render_generator(g) for g in block)
+        out += ["point {", f"  generators: [{gens}];", "}"]
+    if doc.weight is not None:
+        out.append(f"weight {{ theta: {_render_tuple(doc.weight)}; }}")
+    if doc.top is not None:
+        out.append(f"top {{ mult: {_render_tuple(doc.top)}; }}")
+    if doc.d is not None:
+        out.append(f"dimvec {{ d: {_render_tuple(doc.d)}; }}")
+    if doc.layering is not None:
+        rows = ", ".join(_render_tuple(r) for r in doc.layering)
+        out.append(f"layering {{ layers: [{rows}]; }}")
+    if doc.skeleton is not None:
+        elems = ", ".join(f"{_render_ref(e.ref)}.z{e.copy}" for e in doc.skeleton)
+        out.append(f"skeleton {{ elems: [{elems}]; }}")
+    if doc.direction is not None:
+        out.append("direction {")
+        out += [f"  z{r}: {_render_generator(gen)};" for r, gen in doc.direction]
+        out.append("}")
+    return "\n".join(out) + "\n"

@@ -18,10 +18,11 @@ from quivermoduli.dsl import (
     doc_point,
     parse_input,
     parse_points,
-    render_document,
 )
 from quivermoduli.errors import TypeMismatch, UnknownLabel
 from quivermoduli.grass import endo_space, projective_cover, skeleta_of_point
+
+from oracles import render_document
 
 LOOP_BRIDGE = """\
 quiver {

@@ -164,9 +164,7 @@ def test_the_split_route_builds_one_radical_per_piece(monkeypatch, kronecker):
 
 def test_quotient_must_share_the_cover_top(loop_bridge):
     P, Cb, Cba = bridge_points(loop_bridge)
-    whole = point_from_generators(
-        P, [(Element.from_path(idempotent(1), QQ.one()), 0)]
-    )
+    whole = point_from_generators(P, [(Element({idempotent(1): QQ.one()}), 0)])
     with pytest.raises(TopMismatch) as err:
         no_proper_topstable_deg(loop_bridge, P, whole)
     assert str(err.value) == "quotient has top (0, 0), cover was built for (1, 0)"
@@ -176,7 +174,7 @@ def test_simple_top_refuses_a_subspace_that_is_not_a_submodule(loop_bridge):
     # span(a*z1) misses b*a*z1, its image under b
     P = projective_cover(loop_bridge, (1, 0))
     a = next(b for b in P.belems if b[0].arrows == ("a",))
-    C = submodule_point(P, [P.unit(a)])
+    C = submodule_point(P, [{P.index[a]: QQ.one()}])
     with pytest.raises(NotSubmodule) as err:
         no_proper_topstable_deg(loop_bridge, P, C)
     assert str(err.value) == "subspace is not stable under the arrow action"
@@ -193,8 +191,8 @@ def test_the_sweep_refuses_a_candidate_that_is_not_a_submodule(loop_bridge):
     # verdict, with the verdict's messages; span(a*z1 + b*z1) is not even
     # graded, and z1 -> a*z1 moves it, so a filter run first would drop it
     P = projective_cover(loop_bridge, (1, 0))
-    a, b = (P.unit(x) for x in P.belems if x[0].length == 1)
-    mixed = submodule_point(P, [[loop_bridge.field.add(x, y) for x, y in zip(a, b)]])
+    a, b = ({P.index[x]: QQ.one()} for x in P.belems if x[0].length == 1)
+    mixed = submodule_point(P, [a | b])
     assert _moved(P, mixed)
     cases = [
         (submodule_point(P, [a]), "subspace is not stable under the arrow action"),
@@ -211,7 +209,7 @@ def test_the_sweep_refuses_a_candidate_that_is_not_a_submodule(loop_bridge):
 
 
 def test_the_sweep_refuses_a_candidate_outside_the_radical(loop_bridge):
-    e1 = Element.from_path(idempotent(1), QQ.one())
+    e1 = Element({idempotent(1): QQ.one()})
     P = projective_cover(loop_bridge, (1, 0))
     whole = point_from_generators(P, [(e1, 0)])
     # z1 -> a*z2 moves the first copy Lambda*z1 of the cover of S1^2

@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from quivermoduli import (
     EquationsViolated,
     Field,
-    NotInvertible,
-    NotOnChart,
     QQ,
     UnsupportedAlgebra,
     build_algebra,
@@ -24,27 +23,26 @@ from quivermoduli.config import DEFAULT_LIMITS
 from quivermoduli.degeneration import one_param_limit
 from quivermoduli.grass import (
     TopSpec,
-    apply_auto,
     chart_equations,
     coker_rep,
     coords_to_point,
     endo_invariant,
     endo_space,
     enumerate_skeleta,
+    in_radical,
     is_grass_point,
     is_homogeneous_point,
     make_skeleton,
     moduli_report,
     orbit_dims,
     point_from_generators,
-    point_to_coords,
     projective_cover,
     skeleta_of_point,
     skeleta_with_dims,
     submodule_point,
 )
 from quivermoduli.cli import main
-from quivermoduli.linalg import Echelon, sparse
+from quivermoduli.linalg import Echelon, dense, sparse
 from quivermoduli.reps import closure, radical_layering
 
 from conftest import (
@@ -56,7 +54,15 @@ from conftest import (
     path_word,
     rel,
 )
-from oracles import direct_sum_cover_oracle, length_grading_oracle, plain_stratum_points, skeleta_of_point_oracle
+from oracles import (
+    apply_auto,
+    direct_sum_cover_oracle,
+    identity_coords,
+    length_grading_oracle,
+    plain_stratum_points,
+    point_to_coords,
+    skeleta_of_point_oracle,
+)
 
 
 def skeleton_names(sk):
@@ -282,7 +288,7 @@ def test_every_point_keeps_the_echelon_its_rows_are_read_off(loop_bridge):
     charts = [chart_equations(P, sigma) for sigma in skeleta_with_dims(P, (2, 1))]
     pres = next(pres for pres in charts if pres.variables)
     on_chart = coords_to_point(pres, [2] * len(pres.variables))
-    coeffs = endo.identity_coords()
+    coeffs = identity_coords(endo)
     for j in endo.unipotent:
         coeffs[j] = loop_bridge.field.of_int(3)
     moved = apply_auto(P, coeffs, Cb, endo)
@@ -297,13 +303,52 @@ def test_every_point_keeps_the_echelon_its_rows_are_read_off(loop_bridge):
 def test_points_with_equal_rows_are_equal_whatever_order_built_their_spans(loop_bridge):
     P = projective_cover(loop_bridge, (1, 0))
     f = loop_bridge.field
-    u, w = (P.unit(b) for b in P.belems if b[0].length == 1)
+    u, w = (dense(f, {P.index[b]: f.one()}, P.total) for b in P.belems if b[0].length == 1)
     rows = [[f.add(x, y) for x, y in zip(u, w)], w]
     one, other = submodule_point(P, rows), submodule_point(P, rows[::-1])
     # the stored rows come in different orders, the points are one
     assert list(one.span.rows) != list(other.span.rows)
     assert one == other and hash(one) == hash(other) and repr(one) == repr(other)
     assert len({one, other}) == 1
+
+
+def test_a_span_through_a_generator_is_not_in_the_radical(loop_bridge):
+    P = projective_cover(loop_bridge, (1, 0))
+    f = loop_bridge.field
+    unit = [[f.one() if i == j else f.zero() for i in range(P.total)] for j in range(P.total)]
+    whole, radical = submodule_point(P, unit), submodule_point(P, unit[1:])
+    assert not in_radical(P, whole) and not is_grass_point(P, whole, (0, 0))
+    assert in_radical(P, radical) and is_grass_point(P, radical, (1, 0))
+    # a z1 coordinate is caught whatever row of the echelon it sits in
+    mixed = submodule_point(P, [unit[3], [f.one(), f.zero(), f.of_int(2), f.one()]])
+    assert not in_radical(P, mixed)
+
+
+def test_in_radical_reads_the_generator_coordinates_of_every_row():
+    # oracle: C lies in JP when every row of C is zero at the coordinates
+    # of the generators z_r, the basis elements of path length 0
+    rng = random.Random(11)
+    seen = set()
+    for name, alg in fixture_and_document_algebras():
+        f = alg.field
+        for v in alg.quiver.vertices:
+            top = tuple(2 if w == v else 0 for w in alg.quiver.vertices)
+            try:
+                P = projective_cover(alg, top)
+            except UnsupportedAlgebra:
+                continue
+            zpos = [i for i, (p, _) in enumerate(P.belems) if p.length == 0]
+            for _ in range(4):
+                off = set(zpos) if rng.random() < 0.5 else set()
+                rows = [
+                    [f.zero() if i in off else f.of_int(rng.choice((0, 0, 1, 2))) for i in range(P.total)]
+                    for _ in range(rng.randint(1, 3))
+                ]
+                C = submodule_point(P, rows)
+                expected = all(row[i] == 0 for row in C.rows for i in zpos)
+                assert in_radical(P, C) is expected, (name, top, rows)
+                seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_coker_rep_layering(loop_bridge):
@@ -366,7 +411,7 @@ def test_kronecker_chart_roundtrip(kronecker):
     assert pres.variables[0][0] == "a2"
     assert len(pres.equations) == 0
     pt = coords_to_point(pres, [f.of_int(5)])
-    assert pt.rows == ((f.zero(), f.one(), f.parse("-1/5")),)
+    assert pt.rows == ((f.zero(), f.one(), Fraction(-1, 5)),)
     assert point_to_coords(P, sigma, pt, pres) == [f.of_int(5)]
     assert len(skeleta_of_point(P, pt)) == 2
 
@@ -376,7 +421,7 @@ def test_point_off_chart_is_rejected(kronecker):
     f = kronecker.field
     sks = skeleta_with_dims(P, (1, 1))
     other = coords_to_point(chart_equations(P, sks[1]), [f.zero()])
-    with pytest.raises(NotOnChart):
+    with pytest.raises(ValueError, match="not the direct sum"):
         point_to_coords(P, sks[0], other, chart_equations(P, sks[0]))
 
 
@@ -483,11 +528,11 @@ def test_apply_auto_moves_along_unipotent_direction(loop_bridge):
         "z1 -> z1",
         "z1 -> a*z1",
     ]
-    coeffs = endo.identity_coords()
+    coeffs = identity_coords(endo)
     coeffs[endo.unipotent[0]] = f.one()
     moved = apply_auto(P, coeffs, Cb, endo)
     assert moved.rows == ((f.zero(), f.zero(), f.one(), f.one()),)
-    with pytest.raises(NotInvertible):
+    with pytest.raises(ValueError, match="singular"):
         apply_auto(P, [f.zero()] * len(endo.elems), Cb, endo)
 
 
@@ -627,11 +672,11 @@ def test_skeleta_of_point_on_an_inhomogeneous_ideal_match_the_rank_filter_oracle
     for top in [(0, 1, 1, 0), (0, 2, 0, 0)]:
         P = projective_cover(alg, top)
         rad = [b for b in P.belems if b[0].length > 0]
-        vecs = [P.unit(b) for b in rad]
+        vecs = [dense(f, {P.index[b]: f.one()}, P.total) for b in rad]
         for i, b in enumerate(rad):
             for b2 in rad[i + 1 :]:
                 if b[0].end == b2[0].end:
-                    vecs.append([f.add(x, y) for x, y in zip(P.unit(b), P.unit(b2))])
+                    vecs.append(dense(f, {P.index[b]: f.one(), P.index[b2]: f.one()}, P.total))
         for k in range(len(vecs) + 1):
             for gens in itertools.combinations(vecs, k):
                 C = submodule_point(P, closure(P.rep, [sparse(f, g) for g in gens]).rows.values())

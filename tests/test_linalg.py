@@ -2,7 +2,8 @@
 
 Every property compares quivermoduli.linalg with code in tests/oracles.py
 that shares nothing with it: column-by-column Gaussian elimination, spans
-enumerated element by element, and the Leibniz expansion of det. The sparse
+enumerated element by element, and the Leibniz expansion of det (against
+polys.poly_det, the one determinant left in the package). The sparse
 accumulation Field.axpy, one kernel per field, is checked against a plain
 dense sum, and the Map arithmetic (apply, compose, combine) against plain
 matrix products.
@@ -16,20 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivermoduli.errors import DimensionMismatch, NotInvertible
+from quivermoduli.errors import DimensionMismatch
 from quivermoduli.fields import QQ, Field
 from quivermoduli.quiver import PathWord
+from quivermoduli.polys import PolyRing, poly_det
 from quivermoduli.linalg import (
     Echelon,
     apply,
     combine,
     compose,
-    det,
-    inverse,
-    is_invertible,
     kernel_basis,
     mat_mul,
-    rank,
     rref,
     solve,
     span_rref,
@@ -89,7 +87,7 @@ def test_dense_rows_over_f3_are_read_as_residues():
     assert rref(f, [[1, -1]]) == ([[1, 2]], [0])
     assert rref(f, [[4, 1]]) == rref(f, [[-2, 7]]) == ([[1, 1]], [0])
     assert Echelon.of(f, [[1, -1]]).key() == Echelon.of(f, [[1, 2]]).key() == Echelon.of(f, [[4, -4]]).key()
-    assert rank(f, [[3, -6], [0, 0]]) == 0
+    assert len(Echelon.of(f, [[3, -6], [0, 0]])) == 0
     assert sparse(f, [3, -1, 4, 0]) == {1: 2, 2: 1}
 
 
@@ -123,25 +121,57 @@ def test_kernels_are_annihilated_and_have_dimension_n_minus_rank(m):
             assert all(y == 0 for y in naive_mat_vec(f, a, x))
 
 
-@given(m=matrices(square=True))
+@given(m=matrices(), data=st.data())
 @PROPERTY
-def test_det_agrees_with_the_leibniz_expansion(m):
-    f, a, _ = m
-    assert det(f, a) == leibniz_det(f, a)
-
-
-@given(m=matrices(square=True))
-@PROPERTY
-def test_inverse_times_matrix_is_the_identity(m):
-    f, a, n = m
-    if not is_invertible(f, a):
-        assert naive_rank(f, a) < n
-        with pytest.raises(NotInvertible):
-            inverse(f, a)
+def test_solve_answers_none_exactly_when_the_system_is_inconsistent(m, data):
+    f, a, ncols = m
+    b = [data.draw(st.sampled_from(row + [f.zero(), f.one()])) for row in a]
+    x = solve(f, a, b)
+    if not a:
+        # a dense matrix with no rows carries no width: the empty solution
+        assert x == []
         return
-    inv = inverse(f, a)
-    prod = [naive_mat_vec(f, inv, [a[i][j] for i in range(n)]) for j in range(n)]
-    assert prod == [[f.one() if i == j else f.zero() for i in range(n)] for j in range(n)]
+    augmented = [row + [bv] for row, bv in zip(a, b)]
+    if x is None:
+        assert naive_rank(f, augmented) > naive_rank(f, a)
+    else:
+        assert len(x) == ncols
+        assert naive_mat_vec(f, a, x) == b
+
+
+@given(m=matrices(square=True))
+@PROPERTY
+def test_solve_inverts_exactly_the_full_rank_square_matrices(m):
+    # the columns x_j of a @ x_j = e_j make an inverse, and some e_j has no
+    # solution when a is singular
+    f, a, n = m
+    unit = [[f.one() if i == j else f.zero() for i in range(n)] for j in range(n)]
+    cols = [solve(f, a, e) for e in unit]
+    if naive_rank(f, a) < n:
+        assert None in cols
+        return
+    assert [naive_mat_vec(f, a, x) for x in cols] == unit
+
+
+@given(m=matrices(square=True))
+@PROPERTY
+def test_poly_det_of_the_generic_matrix_evaluates_to_the_leibniz_expansion(m):
+    f, a, n = m
+    ring = PolyRing(f, [f"x{i}{j}" for i in range(n) for j in range(n)])
+    generic = [[ring.var(n * i + j) for j in range(n)] for i in range(n)]
+    assert poly_det(generic).eval([x for row in a for x in row]) == leibniz_det(f, a)
+
+
+@given(m=matrices(square=True))
+@PROPERTY
+def test_poly_det_of_constant_entries_is_the_leibniz_expansion(m):
+    # zero entries are skipped by the expansion; the constant ring has the
+    # one monomial ()
+    f, a, _ = m
+    ring = PolyRing(f, [])
+    det = poly_det([[ring.const(x) for x in row] for row in a])
+    expected = leibniz_det(f, a)
+    assert det.terms == ({} if expected == 0 else {(): expected})
 
 
 # sparse rows may be keyed by column indices, paths or monomials
@@ -234,7 +264,7 @@ def test_mat_mul_refuses_a_row_of_width_two_times_no_rows():
 
 @pytest.mark.parametrize("f", FIELDS, ids=str)
 def test_mat_mul_through_a_zero_dimension_keeps_the_rows(f):
-    # m x 0 times 0 x 0 is m x 0: base_change at a zero vertex relies on it
+    # m x 0 times 0 x 0 is m x 0
     assert mat_mul(f, [[], [], []], []) == [[], [], []]
     assert mat_mul(f, [], []) == []
 
