@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedAlgebra,
 )
 from .fields import QQ, Field, parse_field_name
-from .quiver import Arrow, Element, PathWord, Quiver, idempotent, make_quiver, path_from_labels
+from .quiver import Arrow, Element, PathWord, Quiver, idempotent, make_quiver
 from .algebra import Algebra, build_algebra
 
 __all__ = [
@@ -56,5 +56,4 @@ __all__ = [
     "idempotent",
     "make_quiver",
     "parse_field_name",
-    "path_from_labels",
 ]

@@ -35,8 +35,8 @@ from .quiver import (
 PATH_BUDGET = 500_000
 
 
-def enumerate_paths(quiver: Quiver, max_len: int, budget: int = PATH_BUDGET) -> list[list[PathWord]]:
-    """Paths grouped by length, 0..max_len."""
+def enumerate_paths(quiver: Quiver, max_len: int) -> list[list[PathWord]]:
+    """Paths grouped by length, 0..max_len; SearchTooLarge past PATH_BUDGET."""
     by_len: list[list[PathWord]] = [[idempotent(v) for v in quiver.vertices]]
     total = quiver.n
     for _ in range(max_len):
@@ -47,8 +47,8 @@ def enumerate_paths(quiver: Quiver, max_len: int, budget: int = PATH_BUDGET) -> 
                 if q is not None:
                     nxt.append(q)
         total += len(nxt)
-        if total > budget:
-            raise SearchTooLarge(f"more than {budget} paths of length <= {max_len}")
+        if total > PATH_BUDGET:
+            raise SearchTooLarge(f"more than {PATH_BUDGET} paths of length <= {max_len}")
         by_len.append(nxt)
     return by_len
 

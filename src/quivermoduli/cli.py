@@ -53,20 +53,6 @@ from .grass import (
 from .reps import radical_layering
 from .stability import Weight, classify_stability, stable_factors, theta_of
 
-COMMANDS = (
-    "algebra-info",
-    "skeleta",
-    "chart",
-    "point",
-    "orbit",
-    "stability",
-    "stable-factors",
-    "maxdeg-test",
-    "limit",
-    "moduli-report",
-)
-
-
 @dataclass(frozen=True)
 class CliFlags:
     field: str | None = None
@@ -130,11 +116,6 @@ def _n(count: int, noun: str) -> str:
 # -- document access -----------------------------------------------------------
 
 
-def _build_algebra(doc: InputDocument, flags: CliFlags):
-    override = parse_field_name(flags.field) if flags.field else None
-    return doc_algebra(doc, override)
-
-
 def _cover(doc: InputDocument, alg) -> ProjectiveCover:
     return projective_cover(alg, tuple(need(doc.top, "top")))
 
@@ -150,8 +131,7 @@ def _weight(doc: InputDocument) -> Weight:
 # -- commands -------------------------------------------------------------------
 
 
-def _cmd_algebra_info(doc, flags, limits):
-    alg = _build_algebra(doc, flags)
+def _cmd_algebra_info(doc, alg, flags, limits):
     projectives = []
     for v in alg.quiver.vertices:
         layers = alg.projective_layer_dims(v)
@@ -187,8 +167,7 @@ def _cmd_algebra_info(doc, flags, limits):
     return result, {}, lines
 
 
-def _cmd_skeleta(doc, flags, limits):
-    alg = _build_algebra(doc, flags)
+def _cmd_skeleta(doc, alg, flags, limits):
     P = _cover(doc, alg)
     if doc.layering is not None:
         sks = enumerate_skeleta(P, doc.layering)
@@ -214,8 +193,7 @@ def _cmd_skeleta(doc, flags, limits):
     return result, {}, lines
 
 
-def _cmd_chart(doc, flags, limits):
-    alg = _build_algebra(doc, flags)
+def _cmd_chart(doc, alg, flags, limits):
     P = _cover(doc, alg)
     sigma = doc_skeleton(P, doc)
     pres = chart_equations(P, sigma)
@@ -248,8 +226,7 @@ def _cmd_chart(doc, flags, limits):
     return result, {}, lines
 
 
-def _cmd_point(doc, flags, limits):
-    alg = _build_algebra(doc, flags)
+def _cmd_point(doc, alg, flags, limits):
     P = _cover(doc, alg)
     pt = _base_point(doc, P)
     M = coker_rep(P, pt)
@@ -283,8 +260,7 @@ def _cmd_point(doc, flags, limits):
     return result, {}, lines
 
 
-def _cmd_orbit(doc, flags, limits):
-    alg = _build_algebra(doc, flags)
+def _cmd_orbit(doc, alg, flags, limits):
     P = _cover(doc, alg)
     pt = _base_point(doc, P)
     endo = P.endo
@@ -309,8 +285,7 @@ def _cmd_orbit(doc, flags, limits):
     return result, {"moved_by": moved_by} if moved_by else {}, lines
 
 
-def _cmd_stability(doc, flags, limits):
-    alg = _build_algebra(doc, flags)
+def _cmd_stability(doc, alg, flags, limits):
     M = doc_module(doc, alg)
     theta = _weight(doc)
     t = theta_of(theta, M.d)
@@ -328,8 +303,7 @@ def _cmd_stability(doc, flags, limits):
     return result, {}, lines
 
 
-def _cmd_stable_factors(doc, flags, limits):
-    alg = _build_algebra(doc, flags)
+def _cmd_stable_factors(doc, alg, flags, limits):
     M = doc_module(doc, alg)
     theta = _weight(doc)
     factors = stable_factors(M, theta, limits)
@@ -348,7 +322,7 @@ def _cmd_stable_factors(doc, flags, limits):
     return result, {}, lines
 
 
-def _verdict_dict(f: Field, verdict) -> dict:
+def _verdict_dict(verdict) -> dict:
     return {
         "holds": verdict.holds,
         "reason": verdict.reason,
@@ -359,8 +333,7 @@ def _verdict_dict(f: Field, verdict) -> dict:
     }
 
 
-def _cmd_maxdeg_test(doc, flags, limits):
-    alg = _build_algebra(doc, flags)
+def _cmd_maxdeg_test(doc, alg, flags, limits):
     P = _cover(doc, alg)
     f = alg.field
     base = doc_point(P, doc.points[0]) if doc.points else None
@@ -370,7 +343,7 @@ def _cmd_maxdeg_test(doc, flags, limits):
 
     if base is not None:
         verdict = no_proper_topstable_deg(alg, P, base, limits)
-        result["point"] = _verdict_dict(f, verdict)
+        result["point"] = _verdict_dict(verdict)
         lines.append(f"point verdict: no proper top-stable degeneration = "
                      f"{_yesno(verdict.holds)}")
         lines.append(f"reason: {verdict.reason}")
@@ -424,8 +397,7 @@ def _cmd_maxdeg_test(doc, flags, limits):
     return result, certificates, lines
 
 
-def _cmd_limit(doc, flags, limits):
-    alg = _build_algebra(doc, flags)
+def _cmd_limit(doc, alg, flags, limits):
     P = _cover(doc, alg)
     base = _base_point(doc, P)
     endo = P.endo
@@ -458,8 +430,7 @@ def _cmd_limit(doc, flags, limits):
     return result, {}, lines
 
 
-def _cmd_moduli_report(doc, flags, limits):
-    alg = _build_algebra(doc, flags)
+def _cmd_moduli_report(doc, alg, flags, limits):
     top, d = tuple(need(doc.top, "top")), tuple(need(doc.d, "dimvec"))
     rep = moduli_report(alg, top, d, limits)
     f = alg.field
@@ -490,29 +461,32 @@ def _cmd_moduli_report(doc, flags, limits):
     return result, certificates, lines
 
 
-_DISPATCH = {
-    "algebra-info": _cmd_algebra_info,
-    "skeleta": _cmd_skeleta,
-    "chart": _cmd_chart,
-    "point": _cmd_point,
-    "orbit": _cmd_orbit,
-    "stability": _cmd_stability,
-    "stable-factors": _cmd_stable_factors,
-    "maxdeg-test": _cmd_maxdeg_test,
-    "limit": _cmd_limit,
-    "moduli-report": _cmd_moduli_report,
+# name -> (handler, help), in the order the subcommands are listed
+_TABLE = {
+    "algebra-info": (_cmd_algebra_info, "dimensions and structure of the algebra"),
+    "skeleta": (_cmd_skeleta, "enumerate skeleta for a top and dimension or layering"),
+    "chart": (_cmd_chart, "variables and equations of one skeleton's chart"),
+    "point": (_cmd_point, "normalize a submodule point and describe its quotient"),
+    "orbit": (_cmd_orbit, "orbit dimensions and invariance of a point"),
+    "stability": (_cmd_stability, "classify a module against a weight"),
+    "stable-factors": (_cmd_stable_factors, "split a semistable module into stable factors"),
+    "maxdeg-test": (_cmd_maxdeg_test, "test points for proper top-stable degenerations"),
+    "limit": (_cmd_limit, "one-parameter limit of a point along a direction"),
+    "moduli-report": (_cmd_moduli_report, "fine-moduli verdict for a top and dimension vector"),
 }
+COMMANDS = tuple(_TABLE)
 
 
 def run_command(doc: InputDocument, command: str, flags: CliFlags) -> Report:
-    if command not in _DISPATCH:
+    if command not in _TABLE:
         raise ValueError(f"unknown command {command!r}")
     limits = DEFAULT_LIMITS
     if flags.seed is not None:
         limits = limits.with_seed(flags.seed)
     if flags.max_sweep is not None:
         limits = limits.with_sweep(flags.max_sweep)
-    result, certificates, lines = _DISPATCH[command](doc, flags, limits)
+    alg = doc_algebra(doc, parse_field_name(flags.field) if flags.field else None)
+    result, certificates, lines = _TABLE[command][0](doc, alg, flags, limits)
     return Report(
         command=command,
         seed=limits.seed,
@@ -551,20 +525,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "algebra-info": "dimensions and structure of the algebra",
-        "skeleta": "enumerate skeleta for a top and dimension or layering",
-        "chart": "variables and equations of one skeleton's chart",
-        "point": "normalize a submodule point and describe its quotient",
-        "orbit": "orbit dimensions and invariance of a point",
-        "stability": "classify a module against a weight",
-        "stable-factors": "split a semistable module into stable factors",
-        "maxdeg-test": "test points for proper top-stable degenerations",
-        "limit": "one-parameter limit of a point along a direction",
-        "moduli-report": "fine-moduli verdict for a top and dimension vector",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, parents=[common], help=helps[name])
+    for name, (_, help_text) in _TABLE.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
         if name == "maxdeg-test":
             p.add_argument(
                 "--candidates", help="file of extra point blocks to test"

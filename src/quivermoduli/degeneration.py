@@ -389,7 +389,7 @@ def maximal_topdeg_candidates(
             if not _chart_sweepable(pres, limits):
                 raise SearchTooLarge(
                     f"chart with {len(pres.variables)} variables exceeds "
-                    f"the sweep budget {limits.chart_sweep}"
+                    f"the sweep budget {limits.sweep}"
                 )
         rng = random.Random(limits.seed)
         points = (pt for _, _, pt in stratum_points(charts, limits, rng))

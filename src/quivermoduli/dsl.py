@@ -38,8 +38,10 @@ block's parser; the quiver block, matrices and the direction block (which
 checks a key before its ":") keep shapes of their own.
 
 parse_input checks label references, composability, and shapes, reporting
-positions as "line L, column C". The builders at the bottom turn a parsed
-document into live algebra and module objects.
+positions as "line L, column C"; a token carries only its offset, which
+_where turns into that form when an error is raised. Paths are parsed
+straight into PathWords, the algebra's own type, and the builders at the
+bottom turn a parsed document into live algebra and module objects.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .algebra import Algebra, build_algebra
 from .errors import TypeMismatch, UnknownLabel
@@ -62,25 +64,16 @@ from .grass import (
     point_from_generators,
 )
 from .linalg import zeros
-from .quiver import Element, PathWord, Quiver, idempotent, make_quiver, path_from_labels
+from .quiver import Element, PathWord, idempotent, make_quiver
 from .reps import Rep, rep_validate
 
 # -- document shape -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PathRef:
-    """A path named by its arrow labels in right-to-left order, or the
-    idempotent at ``vertex`` when the label list is empty."""
-
-    labels: tuple[str, ...]
-    vertex: int | None = None
-
-
-@dataclass(frozen=True)
 class PathTerm:
     coeff: Fraction
-    ref: PathRef
+    ref: PathWord
 
 
 Lincomb = tuple[PathTerm, ...]
@@ -100,7 +93,7 @@ PointBlock = tuple[Generator, ...]
 
 @dataclass(frozen=True)
 class SkelElem:
-    ref: PathRef
+    ref: PathWord
     copy: int
 
 
@@ -130,47 +123,38 @@ class InputDocument:
 # -- tokens -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident, int, punct, eof
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the parsed text
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r\n]+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<arrow>->)"
+    r"(?P<skip>[ \t\r\n]+|#[^\n]*)"
     r"|(?P<int>\d+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[{}()\[\]:;,*+\-./])"
+    r"|(?P<punct>->|[{}()\[\]:;,*+\-./])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
+
+
+def _where(text: str, pos: int) -> str:
+    """The offset pos of text as "line L, column C", both from 1."""
+    line = text.count("\n", 0, pos) + 1
+    column = pos - text.rfind("\n", 0, pos)
+    return f"line {line}, column {column}"
 
 
 def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SyntaxError(
-                f"line {line}, column {col}: unexpected character {text[pos]!r}"
-            )
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        raw = m.group()
-        if kind == "arrow":
-            toks.append(Token("punct", "->", line, col))
-        elif kind in ("int", "ident", "punct"):
-            toks.append(Token(kind, raw, line, col))
-        nl = raw.count("\n")
-        if nl:
-            line += nl
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = m.end()
-    toks.append(Token("eof", "", line, col))
+        if kind == "bad":
+            raise SyntaxError(f"{_where(text, m.start())}: unexpected character {m.group()!r}")
+        if kind != "skip":
+            toks.append(Token(kind, m.group(), m.start()))
+    toks.append(Token("eof", "", len(text)))
     return toks
 
 
@@ -183,6 +167,7 @@ _IDEM_RE = re.compile(r"^e([1-9]\d*)$")
 
 class _Parser:
     def __init__(self, text: str, known: InputDocument | None = None):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         if known is None:
@@ -208,7 +193,7 @@ class _Parser:
 
     def fail(self, msg: str, tok: Token | None = None) -> None:
         t = tok or self.peek()
-        raise SyntaxError(f"line {t.line}, column {t.col}: {msg}")
+        raise SyntaxError(f"{_where(self.text, t.pos)}: {msg}")
 
     def expect(self, text: str) -> Token:
         t = self.peek()
@@ -223,10 +208,10 @@ class _Parser:
         return self.advance()
 
     def bad_label(self, msg: str, tok: Token) -> None:
-        raise UnknownLabel(f"line {tok.line}, column {tok.col}: {msg}")
+        raise UnknownLabel(f"{_where(self.text, tok.pos)}: {msg}")
 
     def bad_type(self, msg: str, tok: Token) -> None:
-        raise TypeMismatch(f"line {tok.line}, column {tok.col}: {msg}")
+        raise TypeMismatch(f"{_where(self.text, tok.pos)}: {msg}")
 
     # grammar shapes
 
@@ -318,10 +303,10 @@ class _Parser:
 
     # paths and linear combinations
 
-    def check_path(self, toks: list[Token]) -> PathRef:
-        """Validate the component labels of a path_tokens list and their
-        composability; text order is composition order, so each component
-        is applied after the one to its right."""
+    def check_path(self, toks: list[Token]) -> PathWord:
+        """The path of a path_tokens list, once its component labels and
+        their composability are checked; text order is composition order,
+        so each component is applied after the one to its right."""
         comps = toks[::2]
         first = comps[0]
         if len(comps) == 1:
@@ -330,7 +315,7 @@ class _Parser:
                 v = int(m.group(1))
                 if v not in self.vertices:
                     self.bad_label(f"idempotent of undeclared vertex {v}", first)
-                return PathRef((), v)
+                return idempotent(v)
         for tok in comps:
             if tok.text not in self.arrows:
                 if _IDEM_RE.match(tok.text):
@@ -344,7 +329,8 @@ class _Parser:
                     f"path does not compose: {later.text} cannot follow {earlier.text}",
                     later,
                 )
-        return PathRef(tuple(t.text for t in comps))
+        arrows = tuple(t.text for t in reversed(comps))  # application order
+        return PathWord(self.arrows[arrows[0]][0], arrows, self.arrows[arrows[-1]][1])
 
     def path_term(self, sign: int) -> PathTerm:
         coeff = Fraction(1)
@@ -585,29 +571,18 @@ def need(value: T | None, block: str) -> T:
     return value
 
 
-def doc_quiver(doc: InputDocument) -> Quiver:
-    return make_quiver(len(doc.vertices), list(doc.arrows))
-
-
-def _path_word(quiver: Quiver, ref: PathRef) -> PathWord:
-    if not ref.labels:
-        return idempotent(ref.vertex)
-    return path_from_labels(quiver, list(ref.labels))
-
-
-def element_of(quiver: Quiver, field: Field, terms: Lincomb) -> Element:
+def element_of(field: Field, terms: Lincomb) -> Element:
     out = Element()
     for t in terms:
-        field.axpy(out.terms, field.of_fraction(t.coeff), {_path_word(quiver, t.ref): field.one()})
+        field.axpy(out.terms, field.of_fraction(t.coeff), {t.ref: field.one()})
     return out
 
 
 def doc_algebra(doc: InputDocument, field: Field | None = None) -> Algebra:
     if field is None:
         field = parse_field_name(doc.field)
-    quiver = doc_quiver(doc)
-    rels = [element_of(quiver, field, r) for r in doc.relations]
-    return build_algebra(quiver, rels, field, doc.max_len)
+    rels = [element_of(field, r) for r in doc.relations]
+    return build_algebra(make_quiver(len(doc.vertices), doc.arrows), rels, field, doc.max_len)
 
 
 def doc_module(doc: InputDocument, alg: Algebra) -> Rep:
@@ -638,12 +613,10 @@ def _copy_index(P: ProjectiveCover, copy: int) -> int:
 
 
 def _gen_pairs(P: ProjectiveCover, gen: Generator) -> list[tuple[Element, int]]:
-    quiver = P.alg.quiver
-    f = P.alg.field
     pairs = []
     for part in gen:
         r = _copy_index(P, part.copy)
-        pairs.append((element_of(quiver, f, part.terms), r))
+        pairs.append((element_of(P.alg.field, part.terms), r))
     return pairs
 
 
@@ -653,10 +626,7 @@ def doc_point(P: ProjectiveCover, block: PointBlock) -> SubmodulePoint:
 
 
 def doc_skeleton(P: ProjectiveCover, doc: InputDocument) -> Skeleton:
-    elems = []
-    for e in need(doc.skeleton, "skeleton"):
-        r = _copy_index(P, e.copy)
-        elems.append((_path_word(P.alg.quiver, e.ref), r))
+    elems = [(e.ref, _copy_index(P, e.copy)) for e in need(doc.skeleton, "skeleton")]
     return make_skeleton(P, elems)
 
 

@@ -479,12 +479,9 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
 
     def push(label: str, row: Residue) -> Residue:
         """The arrow applied to a row over sigma, expanded over sigma again."""
-        arrow = quiver.arrow(label)
         out: Residue = {}
         for (p, r), coeff in row.items():
-            if p.end != arrow.start:
-                continue
-            for w, c in alg.nf_path(extend(p, arrow)).items():
+            for w, c in alg.arrow_act(label, p).items():
                 _add_row(out, rho((w, r)), coeff.scale(c))
         return {b2: e for b2, e in out.items() if not e.is_zero()}
 
@@ -721,10 +718,10 @@ class ModuliVerdict:
 
 def _chart_sweepable(pres: ChartPresentation, limits: SearchLimits) -> bool:
     """Whether _chart_points sweeps the chart exhaustively: it has no
-    variables, or its q^N coordinate tuples fit limits.chart_sweep."""
+    variables, or its q^N coordinate tuples fit limits.sweep."""
     f = pres.cover.alg.field
     nvars = len(pres.variables)
-    return nvars == 0 or (f.is_finite and f.order**nvars <= limits.chart_sweep)
+    return nvars == 0 or (f.is_finite and f.order**nvars <= limits.sweep)
 
 
 def _chart_points(

@@ -112,25 +112,6 @@ def compose(quiver: Quiver, later: PathWord, earlier: PathWord) -> PathWord | No
     return PathWord(earlier.start, earlier.arrows + later.arrows, later.end)
 
 
-def path_from_labels(quiver: Quiver, labels_rtl: Iterable[str]) -> PathWord:
-    """Build a path from labels written right-to-left (as in "b*a": first a).
-
-    Raises ValueError when consecutive arrows do not compose.
-    """
-    seq = list(labels_rtl)[::-1]  # application order
-    if not seq:
-        raise ValueError("empty label list; use idempotent(v) for e_v")
-    first = quiver.arrow(seq[0])
-    p = PathWord(first.start, (first.label,), first.end)
-    for lbl in seq[1:]:
-        a = quiver.arrow(lbl)
-        q = extend(p, a)
-        if q is None:
-            raise ValueError(f"arrows do not compose: {a.label} after {p}")
-        p = q
-    return p
-
-
 def deglex_key(quiver: Quiver, p: PathWord) -> tuple:
     """Total order on parallel-or-not paths: degree first, then lex on the
     application-order arrow sequence (declaration order), then start vertex."""

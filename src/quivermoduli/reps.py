@@ -400,16 +400,16 @@ def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[
     time: every U found so far also yields U + C, unless U already holds
     C's generator g. Its echelon form is U's with the residue of g modulo U
     placed and C's rows inserted; g is reduced once. After the last C the
-    lattice holds every sum of cyclics, i.e. every submodule. The
-    submodule_vectors budget caps q^|d|, not the number of vectors closed.
+    lattice holds every sum of cyclics, i.e. every submodule. The sweep
+    budget caps q^|d|, not the number of vectors closed.
     """
     f = M.field
     if not f.is_finite:
         raise FieldNotFinite("submodule enumeration requires a finite field")
     n = M.total
     q = f.order
-    if q**n > limits.submodule_vectors:
-        raise SearchTooLarge(f"would sweep {q**n} generator vectors (budget {limits.submodule_vectors})")
+    if q**n > limits.sweep:
+        raise SearchTooLarge(f"would sweep {q**n} generator vectors (budget {limits.sweep})")
     cyclics: dict[frozenset, tuple[SparseRow, Echelon]] = {}
     for v in M.alg.quiver.vertices:
         o = M.offset(v)
@@ -514,8 +514,7 @@ def _rational_root(mu: list[Fraction]) -> Fraction | None:
     """A rational root of a monic polynomial (coefficients low degree first),
     or None when it has none. Exact, with no floating point.
 
-    Degree 2 reads the root off the discriminant when it is a square.
-    Otherwise, with the coefficients scaled to integers a_0..a_m, a root p/q
+    With the coefficients scaled to integers a_0..a_m, a root p/q
     in lowest terms has q | a_m and lies strictly inside Cauchy's bound B.
     Sturm's sequence counts the distinct real roots in (lo, hi] when neither
     end is a root, and bisection of (-B, B] stops once an interval holding
@@ -523,15 +522,6 @@ def _rational_root(mu: list[Fraction]) -> Fraction | None:
     most a_m lie at least that far apart, so the fraction with denominator
     at most a_m nearest the midpoint is the only candidate in it.
     """
-    if len(mu) == 3:
-        disc = mu[1] * mu[1] - 4 * mu[0]
-        if disc < 0:
-            return None
-        num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
-        if num * num != disc.numerator or den * den != disc.denominator:
-            return None
-        return (Fraction(num, den) - mu[1]) / 2
-
     def value(poly: list[Fraction], x: Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(poly):

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from quivermoduli import QQ, Element, Field, build_algebra, make_quiver, path_from_labels
+from quivermoduli import QQ, Element, Field, build_algebra, make_quiver
 from quivermoduli.dsl import doc_algebra, parse_input
 from quivermoduli.linalg import Echelon
 from quivermoduli.quiver import PathWord
+
+from oracles import path_from_labels
 
 
 def rel(quiver, *terms):

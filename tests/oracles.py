@@ -5,9 +5,10 @@ subspace sweeps, brute-force skeleton counting. The point is that none of it
 shares code with the package internals.
 
 The last section holds what the tests need and no command does: builders
-of test inputs (direct sums, base changes, weights, document text) and the
-inverse routes the properties check the package against (the coordinates
-of a point on a chart, the automorphisms of the cover).
+of test inputs (paths from labels, direct sums, base changes, weights,
+document text) and the inverse routes the properties check the package
+against (the coordinates of a point on a chart, the automorphisms of the
+cover).
 """
 
 from __future__ import annotations
@@ -952,6 +953,25 @@ def closed_orbit_verdicts(P, points) -> list:
 # -- helpers no command needs: test inputs and inverse routes -------------------
 
 
+def path_from_labels(quiver, labels_rtl) -> PathWord:
+    """Build a path from labels written right-to-left (as in "b*a": first a).
+
+    Raises ValueError when consecutive arrows do not compose.
+    """
+    seq = list(labels_rtl)[::-1]  # application order
+    if not seq:
+        raise ValueError("empty label list; use idempotent(v) for e_v")
+    first = quiver.arrow(seq[0])
+    p = PathWord(first.start, (first.label,), first.end)
+    for lbl in seq[1:]:
+        a = quiver.arrow(lbl)
+        q = extend(p, a)
+        if q is None:
+            raise ValueError(f"arrows do not compose: {a.label} after {p}")
+        p = q
+    return p
+
+
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -1118,20 +1138,16 @@ def point_to_coords(P, sigma, C, pres=None) -> list:
     return values
 
 
-def _render_ref(ref) -> str:
-    return "*".join(ref.labels) if ref.labels else f"e{ref.vertex}"
-
-
 def _render_lincomb(terms) -> str:
     parts = []
     for k, t in enumerate(terms):
         c = t.coeff
         if k == 0:
-            parts.append(f"{c}*{_render_ref(t.ref)}")
+            parts.append(f"{c}*{t.ref}")
         elif c < 0:
-            parts.append(f" - {-c}*{_render_ref(t.ref)}")
+            parts.append(f" - {-c}*{t.ref}")
         else:
-            parts.append(f" + {c}*{_render_ref(t.ref)}")
+            parts.append(f" + {c}*{t.ref}")
     return "".join(parts)
 
 
@@ -1174,7 +1190,7 @@ def render_document(doc) -> str:
         rows = ", ".join(_render_tuple(r) for r in doc.layering)
         out.append(f"layering {{ layers: [{rows}]; }}")
     if doc.skeleton is not None:
-        elems = ", ".join(f"{_render_ref(e.ref)}.z{e.copy}" for e in doc.skeleton)
+        elems = ", ".join(f"{e.ref}.z{e.copy}" for e in doc.skeleton)
         out.append(f"skeleton {{ elems: [{elems}]; }}")
     if doc.direction is not None:
         out.append("direction {")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from quivermoduli import BadRelation, Element, Field, NotAdmissible, QQ, algebra, build_algebra, make_quiver
 from quivermoduli.dsl import doc_algebra, parse_input
 from quivermoduli.linalg import Echelon
-from quivermoduli.quiver import deglex_key, idempotent, path_from_labels
+from quivermoduli.quiver import deglex_key, idempotent
 
 from conftest import (
     INPUTS,
@@ -19,7 +19,7 @@ from conftest import (
     monomials,
     rel,
 )
-from oracles import algebra_mul, all_products_algebra, count_walks
+from oracles import algebra_mul, all_products_algebra, count_walks, path_from_labels
 
 CYCLE_ARROWS = [("a1", 1, 2), ("a2", 1, 2), ("a3", 1, 2), ("a4", 1, 2), ("b", 2, 3), ("c", 3, 1)]
 

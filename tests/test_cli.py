@@ -268,6 +268,14 @@ PARSE_ERRORS = [
     (_DOC + "direction { z1: (1*a).z1; z1: (1*b).z1; }", TypeMismatch,
      "line 3, column 27: direction for z1 given twice"),
     (_DOC + "direction { z1 (1*a).z1; }", SyntaxError, "line 3, column 16: expected ':', found '('"),
+    # positions after comments, CRLF line ends and tabs, and at the end of input
+    ("# two vertices, one loop\nquiver { vertices: 1 2; # declared in order\n  arrows: a: 1 -> 3; }",
+     UnknownLabel, "line 3, column 11: arrow a uses undeclared vertex 3"),
+    (_DOC.replace("\n", "\r\n") + "module { d: (1, 1); c: [[1]]; }", UnknownLabel,
+     "line 3, column 21: unknown arrow label 'c'"),
+    (_HEAD + "algebra {\tfield: Q;\tmax_len: 3;\trelations: [1*c]; }", UnknownLabel,
+     "line 2, column 47: unknown arrow label 'c'"),
+    (_DOC + "module { d: (1, 1);", SyntaxError, "line 3, column 20: expected ident, found ''"),
 ]
 
 # the same for candidate files, parsed against _DOC

@@ -6,7 +6,8 @@ routes, layerings and verdicts survive base change, charts of squarefree
 tops absorb automorphisms, the stratum sweep and the arrow matrices count
 the same modules, also over random algebras, whose normal forms match the
 all-products elimination, the block pieces of a point match its split
-summands, and no sparse sum stores a zero."""
+summands, the rational root search finds a root exactly when there is one,
+and no sparse sum stores a zero."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -1074,6 +1076,34 @@ def test_isomorphism_of_jordan_modules_matches_the_full_block_oracle(M, N):
     assert decompose_local(M.alg, M) is NotSumOfLocals
     assert decompose_local(N.alg, N) is NotSumOfLocals
     assert is_isomorphic(M, N) is iso_oracle(M, N)
+
+
+_SMALL_ROOTS = sorted({Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)})
+# x^2 + 1, x^2 - 2, x^2 + x + 1 and x^3 - 2, low degree first: no rational root
+_NO_ROOT = ((1, 0, 1), (-2, 0, 1), (1, 1, 1), (-2, 0, 0, 1))
+
+
+def _poly_mul(u, w):
+    out = [Fraction(0)] * (len(u) + len(w) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(w):
+            out[i + j] += x * y
+    return out
+
+
+@given(
+    roots=st.lists(st.sampled_from(_SMALL_ROOTS), max_size=3),
+    others=st.lists(st.sampled_from(_NO_ROOT), max_size=2),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_the_rational_root_is_a_root_and_none_only_without_one(roots, others):
+    # repeated linear factors give double roots, which Sturm counts once
+    assume(roots or others)
+    mu = [Fraction(1)]
+    for factor in [(-r, 1) for r in roots] + others:
+        mu = _poly_mul(mu, [Fraction(c) for c in factor])
+    got = reps._rational_root(mu)
+    assert (got in roots) if roots else (got is None)
 
 
 @given(M=small_reps(fields=(Field(2), Field(3), QQ)), data=st.data())

@@ -349,7 +349,7 @@ def test_vector_budget_refuses_before_any_closure(kronecker_f2, monkeypatch):
     monkeypatch.setattr(reps, "closure", closure)
     P = rep_of_projective(kronecker_f2, 1)  # |d| = 3
     with pytest.raises(SearchTooLarge, match=r"^would sweep 8 generator vectors \(budget 7\)$"):
-        submodule_spans(P, SearchLimits(submodule_vectors=7))
+        submodule_spans(P, SearchLimits(sweep=7))
 
 
 def test_space_budget_caps_the_lattice_size(kronecker_f2):
