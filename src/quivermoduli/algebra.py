@@ -75,7 +75,6 @@ class Algebra:
         self.basis_index = {p: i for i, p in enumerate(basis)}
         self._nf_table = nf_table
         self.loewy = loewy
-        self._arrow_left_cache: dict[tuple[str, PathWord], dict[PathWord, Scalar]] = {}
 
     # -- structure ------------------------------------------------------
 
@@ -106,17 +105,6 @@ class Algebra:
         for p, c in x.terms.items():
             f.axpy(out.terms, c, self.nf_path(p))
         return out
-
-    def arrow_act(self, label: str, b: PathWord) -> dict[PathWord, Scalar]:
-        """Normal form of (arrow * basis path), cached; {} when not composable."""
-        key = (label, b)
-        hit = self._arrow_left_cache.get(key)
-        if hit is None:
-            a = self.quiver.arrow(label)
-            q = extend(b, a)
-            hit = {} if q is None else self.nf_path(q)
-            self._arrow_left_cache[key] = hit
-        return hit
 
     # -- derived invariants ----------------------------------------------
 

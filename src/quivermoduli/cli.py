@@ -263,9 +263,8 @@ def _cmd_point(doc, alg, flags, limits):
 def _cmd_orbit(doc, alg, flags, limits):
     P = _cover(doc, alg)
     pt = _base_point(doc, P)
-    endo = P.endo
-    od = orbit_dims(P, pt, endo)
-    invariant, witness = endo_invariant(P, pt, endo)
+    od = orbit_dims(P, pt)
+    invariant, witness = endo_invariant(P, pt)
     moved_by = None if witness is None else describe_endo(witness)
     result = {
         "aut": od.aut,

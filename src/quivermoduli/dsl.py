@@ -60,6 +60,7 @@ from .grass import (
     ProjectiveCover,
     Skeleton,
     SubmodulePoint,
+    describe_endo,
     make_skeleton,
     point_from_generators,
 )
@@ -641,9 +642,6 @@ def doc_direction(P: ProjectiveCover, endo: EndoSpace, doc: InputDocument) -> li
                 try:
                     j = endo.coeff_index(r, s, u)
                 except ValueError:
-                    raise TypeMismatch(
-                        f"z{copy} -> {P.describe((u, s))} is not an endomorphism "
-                        f"of the cover"
-                    ) from None
+                    raise TypeMismatch(f"{describe_endo((r, s, u))} is not an endomorphism of the cover") from None
                 coeffs[j] = f.add(coeffs[j], c)
     return coeffs

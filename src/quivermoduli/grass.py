@@ -2,10 +2,11 @@
 
 A semisimple top T pins a projective cover P = (+)_r Lambda*z_r; the variety
 of interest is the set of submodules C <= JP with dim P/C = d, acted on by
-Aut(P). Everything here is coordinatized over the path basis of P: points
-are RREF row spans, skeleta are subpath-closed sets of (path, copy) pairs,
-and each skeleton carries an affine chart whose coordinates are the
-congruence coefficients of arrow-images off the skeleton.
+Aut(P). Everything here is coordinatized by the positions of the path
+basis p*z_r of P: points are RREF row spans, skeleta are subpath-closed
+sets of positions, and each skeleton carries an affine chart whose
+coordinates are the congruence coefficients of arrow-images off the
+skeleton. (path, copy) pairs appear only at parse and print.
 
 The chart machinery requires basis-path lengths to induce the radical
 filtration of the projectives, which holds exactly when the reduction never
@@ -25,9 +26,9 @@ from .algebra import Algebra
 from .config import DEFAULT_LIMITS, SearchLimits
 from .errors import EquationsViolated, IdealNotGraded, NotSubmodule, UnsupportedAlgebra
 from .fields import Scalar
-from .linalg import Echelon, Map, SparseRow, Vector, apply, sparse
+from .linalg import Echelon, Map, SparseRow, apply
 from .polys import Poly, PolyRing
-from .quiver import Element, PathWord, compose, deglex_key, extend, idempotent
+from .quiver import Element, PathWord, deglex_key, extend
 from .reps import (
     Rep,
     SemisimpleSequence,
@@ -38,10 +39,6 @@ from .reps import (
     closure,
     radical_layering,
 )
-
-#: A basis element p*z_r of P: the path p together with the copy index r.
-BElem = tuple[PathWord, int]
-
 
 @dataclass(frozen=True)
 class TopSpec:
@@ -84,15 +81,26 @@ def top_spec(alg: Algebra, mult: tuple[int, ...] | list[int]) -> TopSpec:
     return t
 
 
+def elem_name(p: PathWord, r: int) -> str:
+    """The basis element p*z_r as printed."""
+    return f"z{r + 1}" if p.length == 0 else f"{p}*z{r + 1}"
+
+
 class ProjectiveCover:
     """P = (+)_r Lambda*z_r with z_r normed by the idempotent at gens[r].
 
-    Coordinates are the path basis elements p*z_r, which come with the
-    underlying Rep from one reps._free_rep call (vertex blocks, copies in
-    order inside each block).
+    The coordinates are the positions 0..|P|-1 of the path basis, which
+    comes with the Rep from one reps._free_rep call (vertex blocks, copies
+    in order inside each block). belems[i] = (p, r) names the element
+    p*z_r at position i, for parsing and printing; the rest reads the
+    Rep's arrow Maps and three tables on positions:
+    * parent[i]: the position of p'*z_r for p = a*p', or -1 at a z_r;
+    * ext[i]: arrow label a -> the position of a*p*z_r, when a*p is a basis
+      path, in arrows_out order;
+    * rank[i]: the place of p*z_r in the order (deglex p, r).
     """
 
-    __slots__ = ("alg", "top", "gens", "rep", "belems", "index", "_endo")
+    __slots__ = ("alg", "top", "gens", "rep", "belems", "index", "parent", "ext", "rank", "_endo")
 
     def __init__(self, alg: Algebra, top: TopSpec):
         self.alg = alg
@@ -106,6 +114,14 @@ class ProjectiveCover:
                 )
         self.belems, self.rep = _free_rep(alg, self.gens)
         self.index = {b: i for i, b in enumerate(self.belems)}
+        quiver = alg.quiver
+        self.parent = tuple(self.index[p.initial(p.length - 1, quiver), r] if p.length else -1 for p, r in self.belems)
+        self.ext = tuple(
+            {a.label: j for a in quiver.arrows_out(p.end) if (j := self.index.get((extend(p, a), r))) is not None}
+            for p, r in self.belems
+        )
+        order = {b: k for k, b in enumerate(sorted(self.belems, key=lambda b: (deglex_key(quiver, b[0]), b[1])))}
+        self.rank = tuple(order[b] for b in self.belems)
         self._endo: EndoSpace | None = None
 
     @property
@@ -124,9 +140,6 @@ class ProjectiveCover:
     def total(self) -> int:
         return self.rep.total
 
-    def generator_elems(self) -> list[BElem]:
-        return [(idempotent(v), r) for r, v in enumerate(self.gens)]
-
     def element_vector(self, x: Element, r: int) -> SparseRow:
         """Sparse global coordinates of x*z_r (x is reduced to normal form first)."""
         v: SparseRow = {}
@@ -136,25 +149,16 @@ class ProjectiveCover:
             v[self.index[(p, r)]] = c
         return v
 
-    def describe(self, b: BElem) -> str:
-        p, r = b
-        if p.length == 0:
-            return f"z{r + 1}"
-        return f"{p}*z{r + 1}"
-
-    def belem_key(self, b: BElem) -> tuple:
-        return (deglex_key(self.alg.quiver, b[0]), b[1])
+    def describe(self, i: int) -> str:
+        """The basis element at position i, as printed."""
+        return elem_name(*self.belems[i])
 
     def __repr__(self) -> str:
         return f"ProjectiveCover(top={self.top}, dims={self.dims})"
 
 
 def projective_cover(alg: Algebra, top: TopSpec | tuple[int, ...]) -> ProjectiveCover:
-    if not isinstance(top, TopSpec):
-        top = top_spec(alg, top)
-    elif len(top.mult) != alg.quiver.n:
-        raise ValueError("top multiplicity vector has wrong length")
-    return ProjectiveCover(alg, top)
+    return ProjectiveCover(alg, top_spec(alg, top.mult if isinstance(top, TopSpec) else top))
 
 
 def _trim(rows: SemisimpleSequence) -> tuple[tuple[int, ...], ...]:
@@ -183,11 +187,10 @@ class SubmodulePoint:
         return len(self.rows)
 
 
-def submodule_point(P: ProjectiveCover, vectors: Iterable[Vector | SparseRow]) -> SubmodulePoint:
-    """The point spanned by the given vectors, dense or sparse rows. P/C
-    has at each vertex the coordinates that are not pivots of C."""
-    f = P.alg.field
-    span = Echelon(f, (v if isinstance(v, dict) else sparse(f, v) for v in vectors))
+def submodule_point(P: ProjectiveCover, vectors: Iterable[SparseRow]) -> SubmodulePoint:
+    """The point spanned by the given sparse rows. P/C has at each vertex
+    the coordinates that are not pivots of C."""
+    span = Echelon(P.alg.field, vectors)
     dims = tuple(n - len(b) for n, b in zip(P.dims, _by_vertex(P.rep, span.rows)))
     return SubmodulePoint(tuple(map(tuple, span.rref(P.total))), dims, span)
 
@@ -213,8 +216,7 @@ def in_radical(P: ProjectiveCover, C: SubmodulePoint) -> bool:
     """Does C lie in JP? Path lengths grade the radical, so JP is spanned by
     the basis elements other than the generators z_r: C lies in JP exactly
     when no stored RREF row of C has an entry at a z_r coordinate."""
-    zpos = [P.index[b] for b in P.generator_elems()]
-    return not any(j in row for row in C.span.rows.values() for j in zpos)
+    return not any(P.parent[j] < 0 for row in C.span.rows.values() for j in row)
 
 
 def is_grass_point(
@@ -237,7 +239,8 @@ def coker_rep(P: ProjectiveCover, C: SubmodulePoint) -> Rep:
 
 @dataclass(frozen=True)
 class Skeleton:
-    """A subpath-closed set of basis elements p*z_r containing every z_r.
+    """A subpath-closed set of basis elements p*z_r containing every z_r,
+    as their positions in P, listed in P.rank order.
 
     The derived layering counts, per path length l and end vertex, how many
     members sit at that spot; on a chart every quotient has this radical
@@ -245,14 +248,11 @@ class Skeleton:
     l = 0..loewy-1, and keeps its trailing zero rows.
     """
 
-    elems: tuple[BElem, ...]
+    elems: tuple[int, ...]
     layering: SemisimpleSequence
 
     def __len__(self) -> int:
         return len(self.elems)
-
-    def __contains__(self, b: BElem) -> bool:
-        return b in self.elems
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -260,21 +260,30 @@ class Skeleton:
 
 
 def make_skeleton(P: ProjectiveCover, elems) -> Skeleton:
-    elems = sorted(set(elems), key=P.belem_key)
+    """The skeleton on the given (path, copy) pairs. ValueError at the first
+    pair in deglex order off the basis of P or without its initial subpath,
+    else at the first missing generator."""
+    quiver = P.alg.quiver
+    elems = sorted(set(elems), key=lambda b: (deglex_key(quiver, b[0]), b[1]))
     have = set(elems)
     for p, r in elems:
         if (p, r) not in P.index:
-            raise ValueError(f"{P.describe((p, r))} is not a basis element of P")
-        if p.length and (p.initial(p.length - 1, P.alg.quiver), r) not in have:
-            raise ValueError(f"skeleton is not closed under initial subpaths at {P.describe((p, r))}")
-    for b in P.generator_elems():
-        if b not in have:
-            raise ValueError(f"skeleton is missing the generator {P.describe(b)}")
-    n = P.alg.quiver.n
-    rows = [[0] * n for _ in range(P.alg.loewy)]
-    for p, _ in elems:
+            raise ValueError(f"{elem_name(p, r)} is not a basis element of P")
+        if p.length and (p.initial(p.length - 1, quiver), r) not in have:
+            raise ValueError(f"skeleton is not closed under initial subpaths at {elem_name(p, r)}")
+    for i, b in enumerate(P.belems):
+        if P.parent[i] < 0 and b not in have:
+            raise ValueError(f"skeleton is missing the generator {P.describe(i)}")
+    return _skeleton(P, [P.index[b] for b in elems])
+
+
+def _skeleton(P: ProjectiveCover, elems: list[int]) -> Skeleton:
+    """The skeleton on the given positions of P, which must form one."""
+    rows = [[0] * P.alg.quiver.n for _ in range(P.alg.loewy)]
+    for i in elems:
+        p = P.belems[i][0]
         rows[p.length][p.end - 1] += 1
-    return Skeleton(tuple(elems), tuple(tuple(r) for r in rows))
+    return Skeleton(tuple(sorted(elems, key=P.rank.__getitem__)), tuple(tuple(r) for r in rows))
 
 
 def _grow_skeleta(
@@ -307,38 +316,36 @@ def _grow_skeleta(
     tops = P.top.mult
     if any(t > dv for t, dv in zip(tops, d)):
         return []
-    zrow = P.generator_elems()
+    zrow = [i for i, j in enumerate(P.parent) if j < 0]
     f = P.alg.field
     found: list[Skeleton] = []
-    residues: dict[BElem, SparseRow] = {}
+    residues: dict[int, SparseRow] = {}
 
-    def residue(b: BElem) -> SparseRow:
-        """e_b modulo C, reduced once per basis element."""
-        if b not in residues:
-            residues[b] = C.reduce({P.index[b]: f.one()})
-        return residues[b]
+    def residue(i: int) -> SparseRow:
+        """e_i modulo C, reduced once per basis element."""
+        if i not in residues:
+            residues[i] = C.reduce({i: f.one()})
+        return residues[i]
 
     def grow(
-        chosen: list[BElem], frontier: list[BElem], layer: int, left: tuple[int, ...], span: Echelon | None
+        chosen: list[int], frontier: list[int], layer: int, left: tuple[int, ...], span: Echelon | None
     ) -> None:
         if span is not None:
             # span holds the residues of chosen minus frontier; the frontier's
             # residues join it
             span = span.copy()
-            if any(span.insert(residue(b)) is None for b in frontier):
+            if any(span.insert(residue(i)) is None for i in frontier):
                 return
         if not any(left):
-            found.append(make_skeleton(P, chosen))
+            found.append(_skeleton(P, chosen))
             return
-        cands: dict[int, list[BElem]] = {v: [] for v in quiver.vertices}
-        for p, r in frontier:
-            for a in quiver.arrows_out(p.end):
-                q = extend(p, a)
-                if q in P.alg.basis_index:
-                    cands[q.end].append((q, r))
+        cands: dict[int, list[int]] = {v: [] for v in quiver.vertices}
+        for i in frontier:
+            for j in P.ext[i].values():
+                cands[P.belems[j][0].end].append(j)
         pools = []
         for v in quiver.vertices:
-            cands[v].sort(key=P.belem_key)
+            cands[v].sort(key=P.rank.__getitem__)
             sizes = range(left[v - 1] + 1) if S is None else (S[layer][v - 1],)
             pools.append([c for k in sizes for c in itertools.combinations(cands[v], k)])
         for picks in itertools.product(*pools):
@@ -349,7 +356,7 @@ def _grow_skeleta(
 
     left = tuple(dv - t for dv, t in zip(d, tops))
     grow(list(zrow), list(zrow), 1, left, None if C is None else Echelon(f))
-    found.sort(key=lambda s: tuple(P.belem_key(b) for b in s.elems))
+    found.sort(key=lambda s: tuple(P.rank[i] for i in s.elems))
     return found
 
 
@@ -380,7 +387,7 @@ def skeleta_of_point(
 
 
 #: A residue over a skeleton: its nonzero entries, by member of the skeleton.
-Residue = dict[BElem, Poly]
+Residue = dict[int, Poly]
 
 
 def _add_row(out: Residue, row: Residue, k: Poly) -> None:
@@ -394,22 +401,23 @@ class ChartPresentation:
     """The affine chart of a skeleton: coordinates and defining equations.
 
     variables[k] = (arrow label, b, b') indexes the coefficient of b' in the
-    congruence for the arrow-image of b: the point's generator for that
-    off-skeleton arrow-image is alpha*b - sum c_{b'} b'. residues maps
+    congruence for the arrow-image of b, members b, b' of sigma given by
+    their positions in P: the point's generator for that off-skeleton
+    arrow-image is alpha*b - sum c_{b'} b'. residues maps the position of
     every basis element of P to its generic expansion over the skeleton, a
     sparse row with no zero entries, so points are recovered by evaluating
     the stored entries alone. For a monomial ideal, pinned lists
     the variables (a, b, b') with |b'| = |b| + 1 and b' after a*b in
-    belem_key order: the points whose first skeleton is sigma are those
+    P.rank order: the points whose first skeleton is sigma are those
     where all of them vanish (see stratum_points). Otherwise it is empty.
     """
 
     cover: ProjectiveCover
     sigma: Skeleton
     ring: PolyRing
-    variables: tuple[tuple[str, BElem, BElem], ...]
+    variables: tuple[tuple[str, int, int], ...]
     equations: tuple[Poly, ...]
-    residues: dict[BElem, Residue]
+    residues: dict[int, Residue]
     pinned: tuple[int, ...]
 
     @property
@@ -419,52 +427,45 @@ class ChartPresentation:
 
 def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
     alg = P.alg
-    quiver = alg.quiver
     f = alg.field
+    paths = [p for p, _ in P.belems]
     sig_list = list(sigma.elems)
     sig_set = set(sig_list)
 
-    variables: list[tuple[str, BElem, BElem]] = []
-    var_of: dict[tuple[str, BElem], list[tuple[BElem, int]]] = {}
+    variables: list[tuple[str, int, int]] = []
+    var_of: dict[tuple[str, int], list[tuple[int, int]]] = {}
     monomial = alg.is_monomial()
     pinned: list[int] = []
     for b in sig_list:
-        p, r = b
-        for a in quiver.arrows_out(p.end):
-            q = extend(p, a)
-            if q not in alg.basis_index or (q, r) in sig_set:
+        for label, j in P.ext[b].items():
+            if j in sig_set:
                 continue
-            targets = [
-                b2
-                for b2 in sig_list
-                if b2[0].end == a.end and b2[0].length >= p.length + 1
-            ]
-            qkey = P.belem_key((q, r))
+            q = paths[j]
             entry = []
-            for b2 in targets:
-                if monomial and b2[0].length == q.length and P.belem_key(b2) > qkey:
+            for b2 in [t for t in sig_list if paths[t].end == q.end and paths[t].length >= q.length]:
+                if monomial and paths[b2].length == q.length and P.rank[b2] > P.rank[j]:
                     pinned.append(len(variables))
                 entry.append((b2, len(variables)))
-                variables.append((a.label, b, b2))
-            var_of[(a.label, b)] = entry
+                variables.append((label, b, b2))
+            var_of[(label, b)] = entry
 
     ring = PolyRing(f, [f"c{k + 1}" for k in range(len(variables))])
     one = ring.one()
-    rho_memo: dict[BElem, Residue] = {}
-    busy: set[BElem] = set()
+    rho_memo: dict[int, Residue] = {}
+    busy: set[int] = set()
 
-    def rho(b: BElem) -> Residue:
+    def rho(b: int) -> Residue:
         """The generic expansion of b over sigma."""
         if b in sig_set:
             return {b: one}
         if b in rho_memo:
             return rho_memo[b]
-        p, r = b
-        parent = (p.initial(p.length - 1, quiver), r)
+        p = paths[b]
+        parent = P.parent[b]
         label = p.last_arrow()
         if parent in sig_set:
             out = {b2: ring.var(k) for b2, k in var_of[(label, parent)]}
-        elif not any(b2[0].end == p.end and b2[0].length >= p.length for b2 in sig_list):
+        elif not any(paths[b2].end == p.end and paths[b2].length >= p.length for b2 in sig_list):
             # the class of b lies in J^l(P/C)e_v, l = |b| and v its end, and
             # the members of sigma of length >= l at v are a basis of it
             out = {}
@@ -480,12 +481,13 @@ def chart_equations(P: ProjectiveCover, sigma: Skeleton) -> ChartPresentation:
     def push(label: str, row: Residue) -> Residue:
         """The arrow applied to a row over sigma, expanded over sigma again."""
         out: Residue = {}
-        for (p, r), coeff in row.items():
-            for w, c in alg.arrow_act(label, p).items():
-                _add_row(out, rho((w, r)), coeff.scale(c))
+        cols = P.rep.arrows[label]
+        for b, coeff in row.items():
+            for w, c in cols.get(b, {}).items():
+                _add_row(out, rho(w), coeff.scale(c))
         return {b2: e for b2, e in out.items() if not e.is_zero()}
 
-    residues = {b: rho(b) for b in sorted(P.belems, key=lambda t: t[0].length)}
+    residues = {b: rho(b) for b in sorted(range(P.total), key=lambda b: paths[b].length)}
 
     # one equation per nonzero entry of each relation's action on sigma,
     # relation by relation, column by column, deduplicated up to scalars;
@@ -543,15 +545,15 @@ def coords_to_point(pres: ChartPresentation, values) -> SubmodulePoint:
             raise EquationsViolated(f"chart equation {eq.format()} = 0 fails")
     sig_set = set(pres.sigma.elems)
     rows = []
-    for b in P.belems:
+    for b in range(P.total):
         if b in sig_set:
             continue
         # e_b minus its expansion over sigma, which does not contain b
-        row = {P.index[b]: f.one()}
+        row = {b: f.one()}
         for b2, e in pres.residues[b].items():
             c = e.eval(vals)
             if not f.is_zero(c):
-                row[P.index[b2]] = f.neg(c)
+                row[b2] = f.neg(c)
         rows.append(row)
     return submodule_point(P, rows)
 
@@ -559,25 +561,22 @@ def coords_to_point(pres: ChartPresentation, values) -> SubmodulePoint:
 def describe_endo(elem: tuple[int, int, PathWord]) -> str:
     """The basis endomorphism (r, s, u) of P, which maps z_r to u*z_s."""
     r, s, u = elem
-    rhs = f"z{s + 1}" if u.length == 0 else f"{u}*z{s + 1}"
-    return f"z{r + 1} -> {rhs}"
+    return f"z{r + 1} -> {elem_name(u, s)}"
 
 
 @dataclass(eq=False)
 class EndoSpace:
     """Basis of End(P): elems[j] = (r, s, u) is the map z_r -> u*z_s, zero on
     the other generators. images[j] is its Map: the coordinate of each
-    basis element p*z_r goes to the sparse row of its image, the normal
-    form of p*u on copy s. unipotent/degree0/torus list the indices of the
-    strictly-length-raising, the length-zero, and the diagonal length-zero
-    basis elements."""
+    basis element p*z_r goes to the sparse row of its image p*u*z_s.
+    unipotent/degree0 list the indices of the strictly-length-raising and
+    the length-zero basis elements."""
 
     cover: ProjectiveCover
     elems: tuple[tuple[int, int, PathWord], ...]
     images: list[Map]
     unipotent: tuple[int, ...]
     degree0: tuple[int, ...]
-    torus: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -595,8 +594,9 @@ class EndoSpace:
 
 
 def endo_space(P: ProjectiveCover) -> EndoSpace:
+    """The basis of End(P). The map z_r -> u*z_s sends p*z_r, for p = a*p',
+    to a times the image of p'*z_r: one arrow action per basis element."""
     alg = P.alg
-    f = alg.field
     elems: list[tuple[int, int, PathWord]] = []
     for r, vr in enumerate(P.gens):
         for s, vs in enumerate(P.gens):
@@ -604,21 +604,22 @@ def endo_space(P: ProjectiveCover) -> EndoSpace:
                 if u.end == vr:
                     elems.append((r, s, u))
     elems.sort(key=lambda t: (t[0], t[1], deglex_key(alg.quiver, t[2])))
+    gens = [i for i, j in enumerate(P.parent) if j < 0]
+    by_length = sorted(range(P.total), key=lambda i: P.belems[i][0].length)
     images = []
     for r, s, u in elems:
-        cols: Map = {}
-        for p, r2 in P.belems:
-            if r2 != r:
-                continue
-            word = compose(alg.quiver, p, u)
-            img = {P.index[(w, s)]: c for w, c in alg.nf_path(word).items() if not f.is_zero(c)}
-            if img:
-                cols[P.index[(p, r2)]] = img
-        images.append(cols)
+        top = gens[s]
+        for label in u.arrows:
+            top = P.ext[top][label]
+        img: Map = {gens[r]: {top: alg.field.one()}}
+        for i in by_length:
+            p, r2 = P.belems[i]
+            if r2 == r and p.length:
+                img[i] = P.rep.act(p.last_arrow(), img[P.parent[i]])
+        images.append({i: row for i, row in img.items() if row})
     unip = tuple(j for j, (_, _, u) in enumerate(elems) if u.length >= 1)
     deg0 = tuple(j for j, (_, _, u) in enumerate(elems) if u.length == 0)
-    torus = tuple(j for j in deg0 if elems[j][0] == elems[j][1])
-    return EndoSpace(P, tuple(elems), images, unip, deg0, torus)
+    return EndoSpace(P, tuple(elems), images, unip, deg0)
 
 
 @dataclass(frozen=True)
@@ -655,11 +656,8 @@ def _stab_rank(
     return len(Echelon(P.alg.field, _stab_residues(P, C, endo, subset)))
 
 
-def orbit_dims(
-    P: ProjectiveCover, C: SubmodulePoint, endo: EndoSpace | None = None
-) -> OrbitDims:
-    if endo is None:
-        endo = P.endo
+def orbit_dims(P: ProjectiveCover, C: SubmodulePoint) -> OrbitDims:
+    endo = P.endo
     f = P.alg.field
     residues = list(_stab_residues(P, C, endo, range(endo.dim)))
 
@@ -782,7 +780,7 @@ def stratum_points(
       the path basis is zero in P), and every such basis extends to a
       skeleton; so the first skeleton is greedy: it takes an extension
       exactly when that is independent, in J^l M / J^{l+1} M, of the
-      extensions before it in belem_key order;
+      extensions before it in P.rank order;
     * on the chart of sigma an extension a*b off sigma is congruent,
       modulo C + J^{l+1} P, to the sum of c(a, b, b') b' over the members
       b' of length l; so sigma is greedy exactly when c(a, b, b') = 0
@@ -827,7 +825,7 @@ def moduli_report(
         # of length >= 1 from v to v
         v = P.gens[0]
         one = alg.field.one()
-        loops = [P.index[b] for b in P.belems if b[0].length >= 1 and b[0].end == v]
+        loops = [i for i, (p, _) in enumerate(P.belems) if p.length >= 1 and p.end == v]
         if not any(P.rep.act(a.label, {i: one}) for i in loops for a in alg.quiver.arrows_out(v)):
             return ModuliVerdict(
                 kind="Fine",
@@ -838,7 +836,6 @@ def moduli_report(
                 ),
                 exhaustive=True,
             )
-    endo = P.endo
     rng = random.Random(limits.seed)
     if isinstance(d, int):
         dvecs = [
@@ -857,7 +854,7 @@ def moduli_report(
                 yield charts[-1]
 
     for pres, vals, C in stratum_points(presentations(), limits, rng):
-        ok, g = endo_invariant(P, C, endo)
+        ok, g = endo_invariant(P, C)
         if not ok:
             labels = ", ".join(
                 f"{name}={alg.field.format(v)}" for name, v in zip(pres.ring.names, vals)

@@ -44,7 +44,7 @@ from .linalg import (
     compose,
     sparse_kernel_basis,
 )
-from .quiver import Element, PathWord
+from .quiver import Element, PathWord, extend
 
 SemisimpleSequence = tuple[tuple[int, ...], ...]
 
@@ -139,13 +139,13 @@ def _free_rep(alg: Algebra, gens: tuple[int, ...]) -> tuple[tuple[tuple[PathWord
     """The basis elements p*z_r of (+)_r Lambda*e_{gens[r]} and its Rep:
     vertex blocks in order, copies in order inside a block, and inside copy
     r the paths of alg.basis_at(gens[r]) that end at the block's vertex.
-    The arrows act by alg.arrow_act."""
+    The arrow a sends p*z_r to the normal form of a*p on copy r."""
     blocks = [[(p, r) for r, g in enumerate(gens) for p in alg.basis_at(g) if p.end == v] for v in alg.quiver.vertices]
     index = {b: i for i, b in enumerate(itertools.chain.from_iterable(blocks))}
     arrows: dict[str, Map] = {a.label: {} for a in alg.quiver.arrows}
     for (p, r), j in index.items():
         for a in alg.quiver.arrows_out(p.end):
-            if col := {index[b, r]: c for b, c in alg.arrow_act(a.label, p).items()}:
+            if col := {index[b, r]: c for b, c in alg.nf_path(extend(p, a)).items()}:
                 arrows[a.label][j] = col
     return tuple(index), Rep._of_maps(alg, tuple(map(len, blocks)), arrows)
 

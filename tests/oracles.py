@@ -314,7 +314,7 @@ def dense_projective_oracle(alg, v):
         m = zeros(f, d[a.end - 1], d[a.start - 1])
         for p in cols:
             if p.end == a.start:
-                for b, c in alg.arrow_act(a.label, p).items():
+                for b, c in alg.nf_path(extend(p, a)).items():
                     m[local[b]][local[p]] = c
         mats[a.label] = m
     return Rep(alg, d, mats)
@@ -682,12 +682,18 @@ def naive_orbit_dim(P, C, elems) -> int:
 # -- skeleta and chart equations -----------------------------------------------
 
 
+def belem_order(P):
+    """The order (deglex path, copy) on the (path, copy) pairs of P."""
+    return lambda b: (deglex_key(P.alg.quiver, b[0]), b[1])
+
+
 def brute_force_skeleta(P) -> list[tuple]:
     """Every subpath-closed subset of P.belems containing the generators,
-    found by testing every subset of the other basis elements. Each is a
-    tuple of members in P.belem_key order; the list is in deglex order of
-    those tuples."""
+    found by testing every subset of the other basis elements. Each is the
+    tuple of the positions in P of its members in belem_order; the list is
+    in deglex order of the tuples of members."""
     quiver = P.alg.quiver
+    key = belem_order(P)
     gens = [b for b in P.belems if b[0].length == 0]
     rest = [b for b in P.belems if b not in gens]
     out = []
@@ -695,9 +701,9 @@ def brute_force_skeleta(P) -> list[tuple]:
         for extra in itertools.combinations(rest, k):
             have = set(gens) | set(extra)
             if all((p.initial(p.length - 1, quiver), r) in have for p, r in extra):
-                out.append(tuple(sorted(have, key=P.belem_key)))
-    out.sort(key=lambda s: tuple(P.belem_key(b) for b in s))
-    return out
+                out.append(tuple(sorted(have, key=key)))
+    out.sort(key=lambda s: tuple(key(b) for b in s))
+    return [tuple(P.index[b] for b in s) for s in out]
 
 
 def skeleta_of_point_oracle(P, C) -> list:
@@ -711,8 +717,7 @@ def skeleta_of_point_oracle(P, C) -> list:
     pivot_rows = {next(j for j, x in enumerate(row) if x != 0): row for row in C.rows}
     free = [j for j in range(P.total) if j not in pivot_rows]
 
-    def residue(b):
-        j = P.index[b]
+    def residue(j):
         row = pivot_rows.get(j)
         if row is None:
             return [f.one() if k == j else f.zero() for k in free]
@@ -733,10 +738,13 @@ def dense_chart_residues(P, sigma):
     element over sigma; column(a, b) is the generic action of the arrow a
     on a member b of sigma, and apply_column pushes a whole residue through
     a. Each keeps its own memo and cycle guard, and a cycle raises
-    UnsupportedAlgebra. The variables are numbered as in chart_equations."""
+    UnsupportedAlgebra. The variables are numbered as in chart_equations.
+    The oracle works on (path, copy) pairs; the residues it returns are
+    keyed by position in P."""
     alg = P.alg
     quiver = alg.quiver
-    sig_list = list(sigma.elems)
+    key = belem_order(P)
+    sig_list = [P.belems[i] for i in sigma.elems]
     sig_pos = {b: i for i, b in enumerate(sig_list)}
 
     nvars = 0
@@ -752,7 +760,7 @@ def dense_chart_residues(P, sigma):
             for b2 in sig_list:
                 if b2[0].end != a.end or b2[0].length < q.length:
                     continue
-                if alg.is_monomial() and b2[0].length == q.length and P.belem_key(b2) > P.belem_key((q, r)):
+                if alg.is_monomial() and b2[0].length == q.length and key(b2) > key((q, r)):
                     pinned.append(nvars)
                 entry.append((b2, nvars))
                 nvars += 1
@@ -828,7 +836,7 @@ def dense_chart_residues(P, sigma):
                     out[i] = out[i] + entry * coeff
         return out
 
-    residues = {b: rho(b) for b in sorted(P.belems, key=lambda t: t[0].length)}
+    residues = {P.index[b]: rho(b) for b in sorted(P.belems, key=lambda t: t[0].length)}
     equations = []
     seen = set()
     for rel in alg.relations:
@@ -860,22 +868,22 @@ def dense_relation_equations(pres) -> list:
     P = pres.cover
     alg = P.alg
     ring = pres.ring
-    sig = list(pres.sigma.elems)
-    n = len(sig)
+    n = len(pres.sigma)
 
     def zero_matrix():
         return [[ring.zero() for _ in range(n)] for _ in range(n)]
 
-    pos = {b: i for i, b in enumerate(sig)}
+    pos = {b: i for i, b in enumerate(pres.sigma.elems)}
     mats = {}
     for a in alg.quiver.arrows:
         m = zero_matrix()
-        for j, (p, r) in enumerate(sig):
+        for j, b in enumerate(pres.sigma.elems):
+            p, r = P.belems[b]
             if p.end != a.start:
                 continue
             q = PathWord(p.start, p.arrows + (a.label,), a.end)
             for w, c in alg.nf_path(q).items():
-                for b2, entry in pres.residues[(w, r)].items():
+                for b2, entry in pres.residues[P.index[(w, r)]].items():
                     i = pos[b2]
                     m[i][j] = m[i][j] + entry.scale(c)
         mats[a.label] = m
@@ -1064,9 +1072,11 @@ def local_top_weight(i: int, d) -> Weight:
 
 
 def identity_coords(endo) -> list:
-    """The End(P) coordinates of the identity: 1 on the torus, else 0."""
+    """The End(P) coordinates of the identity: 1 on the torus (the
+    length-zero maps z_r -> z_r), else 0."""
     f = endo.cover.alg.field
-    return [f.one() if j in endo.torus else f.zero() for j in range(endo.dim)]
+    torus = [j for j in endo.degree0 if endo.elems[j][0] == endo.elems[j][1]]
+    return [f.one() if j in torus else f.zero() for j in range(endo.dim)]
 
 
 def apply_auto(P, coeffs, C, endo=None):
@@ -1108,7 +1118,7 @@ def point_to_coords(P, sigma, C, pres=None) -> list:
     n = C.dim
     if n + len(sigma) != P.total:
         raise ValueError("dim C + |sigma| != dim P")
-    sig_cols = [P.index[b] for b in sigma.elems]
+    sig_cols = list(sigma.elems)
     order = [i for i in range(P.total) if i not in sig_cols] + sig_cols
     col = {i: k for k, i in enumerate(order)}
     span = Echelon(f, ({col[i]: x for i, x in enumerate(row) if not f.is_zero(x)} for row in C.rows))
@@ -1118,12 +1128,13 @@ def point_to_coords(P, sigma, C, pres=None) -> list:
     for k, (label, b, b2) in enumerate(pres.variables):
         slots.setdefault((label, b), {})[b2] = k
     values = [f.zero()] * len(pres.variables)
-    for p, r in sigma.elems:
+    for b in sigma.elems:
+        p, r = P.belems[b]
         for a in alg.quiver.arrows_out(p.end):
             q = extend(p, a)
-            if q not in alg.basis_index or (q, r) in sigma:
+            if q not in alg.basis_index or P.index[(q, r)] in sig_cols:
                 continue
-            allowed = slots.get((a.label, (p, r)), {})
+            allowed = slots.get((a.label, b), {})
             res = span.reduce({col[P.index[(q, r)]]: f.one()})
             for i, b2 in enumerate(sigma.elems):
                 c = res.get(n + i)
@@ -1131,7 +1142,7 @@ def point_to_coords(P, sigma, C, pres=None) -> list:
                     continue
                 if b2 not in allowed:
                     raise ValueError(
-                        f"residue of {P.describe((q, r))} meets {P.describe(b2)}, "
+                        f"residue of {P.describe(P.index[(q, r)])} meets {P.describe(b2)}, "
                         f"which the layering of sigma forbids"
                     )
                 values[allowed[b2]] = c

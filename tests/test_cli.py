@@ -673,6 +673,24 @@ def test_domain_errors_exit_with_1(tmp_path, capsys):
     assert "is unstable for" in err
 
 
+# skeleton blocks of LOOP_BRIDGE that are no skeleton, with the top they are
+# read against and the error of the chart command; members are checked in
+# deglex order and the first that fails is reported
+SKELETON_REFUSALS = [
+    ("[e1.z1, a.z1, a*a.z1]", "(1, 0)", "error: a*a*z1 is not a basis element of P\n"),
+    ("[e1.z1, b*a.z1]", "(1, 0)", "error: skeleton is not closed under initial subpaths at b*a*z1\n"),
+    ("[e1.z1, a.z1]", "(1, 1)", "error: skeleton is missing the generator z2\n"),
+    ("[a*a*a.z1, e1.z1, b*a.z1]", "(1, 0)", "error: skeleton is not closed under initial subpaths at b*a*z1\n"),
+]
+
+
+@pytest.mark.parametrize("elems, top, message", SKELETON_REFUSALS)
+def test_the_chart_command_refuses_a_set_that_is_no_skeleton(tmp_path, capsys, elems, top, message):
+    text = LOOP_BRIDGE.replace("[e1.z1, a.z1, b*a.z1]", elems).replace("mult: (1, 0)", f"mult: {top}")
+    for args in ([], ["--json"]):
+        assert run_cli(tmp_path, capsys, text, "chart", *args) == (1, "", message), (elems, args)
+
+
 def test_unreadable_input_exits_with_1(tmp_path, capsys):
     code = main(["algebra-info", str(tmp_path / "nope.qm")])
     captured = capsys.readouterr()

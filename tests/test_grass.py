@@ -43,6 +43,7 @@ from quivermoduli.grass import (
 )
 from quivermoduli.cli import main
 from quivermoduli.linalg import Echelon, dense, sparse
+from quivermoduli.quiver import deglex_key, extend
 from quivermoduli.reps import closure, radical_layering
 
 from conftest import (
@@ -65,10 +66,10 @@ from oracles import (
 )
 
 
-def skeleton_names(sk):
+def skeleton_names(P, sk):
     """Per-copy sorted path strings, the printable identity of a skeleton."""
     by = {}
-    for p, copy in sk.elems:
+    for p, copy in (P.belems[i] for i in sk.elems):
         by.setdefault(copy, []).append(str(p))
     return {copy: sorted(names) for copy, names in by.items()}
 
@@ -132,7 +133,7 @@ def test_projective_cover_shape(kronecker):
     P = projective_cover(kronecker, (1, 0))
     assert P.dims == (1, 2)
     assert P.total == 3
-    assert [P.describe(b) for b in P.belems] == ["z1", "a1*z1", "a2*z1"]
+    assert [P.describe(i) for i in range(P.total)] == ["z1", "a1*z1", "a2*z1"]
     assert P.top.simple and P.top.squarefree and P.top.total == 1
     assert str(P.top) == "S1"
     assert P.gens == (1,)
@@ -194,6 +195,30 @@ def test_the_cover_is_the_direct_sum_of_its_projectives():
             assert (P.rep.d, P.rep.arrows) == (rep.d, rep.arrows), (name, top)
             checked += 1
     assert checked == 97
+
+
+def test_the_position_tables_are_the_subpaths_and_extensions_of_the_basis():
+    # parent, ext and rank, built once per cover, against the path
+    # operations they stand for; an extension on the basis is its own
+    # arrow image in P.rep
+    checked = 0
+    for name, alg in fixture_and_document_algebras():
+        q = alg.quiver
+        for top in itertools.product(range(3), repeat=q.n):
+            if not 1 <= sum(top) <= 2 or not all(alg.lengths_grade_radical(v + 1) for v, t in enumerate(top) if t):
+                continue
+            P = projective_cover(alg, top)
+            one = alg.field.one()
+            for i, (p, r) in enumerate(P.belems):
+                assert P.parent[i] == (P.index[p.initial(p.length - 1, q), r] if p.length else -1), (name, top, i)
+                ext = {a.label: P.index[w, r] for a in q.arrows_out(p.end) if (w := extend(p, a)) in alg.basis_index}
+                assert list(P.ext[i].items()) == list(ext.items()), (name, top, i)
+                for label, j in ext.items():
+                    assert P.rep.arrows[label][i] == {j: one}, (name, top, i, label)
+            by_rank = sorted(range(P.total), key=P.rank.__getitem__)
+            assert [P.belems[i] for i in by_rank] == sorted(P.belems, key=lambda b: (deglex_key(q, b[0]), b[1]))
+            checked += 1
+    assert checked == 189
 
 
 def test_building_a_cover_inserts_no_echelon_row(monkeypatch):
@@ -275,7 +300,7 @@ def test_raw_span_need_not_be_a_point(loop_bridge):
     P = projective_cover(loop_bridge, (1, 0))
     f = loop_bridge.field
     # span{a*z1} is not arrow-stable: b sends it to b*a*z1
-    raw = submodule_point(P, [[f.zero(), f.one(), f.zero(), f.zero()]])
+    raw = submodule_point(P, [sparse(f, [f.zero(), f.one(), f.zero(), f.zero()])])
     assert not is_grass_point(P, raw, raw.dims)
 
 
@@ -304,7 +329,7 @@ def test_points_with_equal_rows_are_equal_whatever_order_built_their_spans(loop_
     P = projective_cover(loop_bridge, (1, 0))
     f = loop_bridge.field
     u, w = (dense(f, {P.index[b]: f.one()}, P.total) for b in P.belems if b[0].length == 1)
-    rows = [[f.add(x, y) for x, y in zip(u, w)], w]
+    rows = [sparse(f, [f.add(x, y) for x, y in zip(u, w)]), sparse(f, w)]
     one, other = submodule_point(P, rows), submodule_point(P, rows[::-1])
     # the stored rows come in different orders, the points are one
     assert list(one.span.rows) != list(other.span.rows)
@@ -315,12 +340,12 @@ def test_points_with_equal_rows_are_equal_whatever_order_built_their_spans(loop_
 def test_a_span_through_a_generator_is_not_in_the_radical(loop_bridge):
     P = projective_cover(loop_bridge, (1, 0))
     f = loop_bridge.field
-    unit = [[f.one() if i == j else f.zero() for i in range(P.total)] for j in range(P.total)]
+    unit = [{j: f.one()} for j in range(P.total)]
     whole, radical = submodule_point(P, unit), submodule_point(P, unit[1:])
     assert not in_radical(P, whole) and not is_grass_point(P, whole, (0, 0))
     assert in_radical(P, radical) and is_grass_point(P, radical, (1, 0))
     # a z1 coordinate is caught whatever row of the echelon it sits in
-    mixed = submodule_point(P, [unit[3], [f.one(), f.zero(), f.of_int(2), f.one()]])
+    mixed = submodule_point(P, [unit[3], sparse(f, [f.one(), f.zero(), f.of_int(2), f.one()])])
     assert not in_radical(P, mixed)
 
 
@@ -344,7 +369,7 @@ def test_in_radical_reads_the_generator_coordinates_of_every_row():
                     [f.zero() if i in off else f.of_int(rng.choice((0, 0, 1, 2))) for i in range(P.total)]
                     for _ in range(rng.randint(1, 3))
                 ]
-                C = submodule_point(P, rows)
+                C = submodule_point(P, [sparse(f, row) for row in rows])
                 expected = all(row[i] == 0 for row in C.rows for i in zpos)
                 assert in_radical(P, C) is expected, (name, top, rows)
                 seen.add(expected)
@@ -365,7 +390,7 @@ def test_coker_rep_layering(loop_bridge):
 def test_kronecker_skeleta(kronecker):
     P = projective_cover(kronecker, (1, 0))
     sks = skeleta_with_dims(P, (1, 1))
-    assert [skeleton_names(s) for s in sks] == [
+    assert [skeleton_names(P, s) for s in sks] == [
         {0: ["a1", "e1"]},
         {0: ["a2", "e1"]},
     ]
@@ -384,10 +409,10 @@ def test_skeleta_of_point_single_chart_cases(loop_bridge):
     q = loop_bridge.quiver
     Cb = point_from_generators(P, [(rel(q, (1, ["b"])), 0)])
     Cba = point_from_generators(P, [(rel(q, (1, ["b", "a"])), 0)])
-    assert [skeleton_names(s) for s in skeleta_of_point(P, Cb)] == [
+    assert [skeleton_names(P, s) for s in skeleta_of_point(P, Cb)] == [
         {0: ["a", "b*a", "e1"]}
     ]
-    assert [skeleton_names(s) for s in skeleta_of_point(P, Cba)] == [
+    assert [skeleton_names(P, s) for s in skeleta_of_point(P, Cba)] == [
         {0: ["a", "b", "e1"]}
     ]
 
@@ -427,9 +452,9 @@ def test_point_off_chart_is_rejected(kronecker):
 
 def test_bridge_stratum_is_line_plus_point(loop_bridge):
     P = projective_cover(loop_bridge, (1, 0))
-    assert [P.describe(b) for b in P.belems] == ["z1", "a*z1", "b*z1", "b*a*z1"]
+    assert [P.describe(i) for i in range(P.total)] == ["z1", "a*z1", "b*z1", "b*a*z1"]
     charts = [
-        (skeleton_names(s), len(chart_equations(P, s).variables))
+        (skeleton_names(P, s), len(chart_equations(P, s).variables))
         for s in skeleta_with_dims(P, (2, 1))
     ]
     assert charts == [
@@ -446,7 +471,7 @@ def test_merge_relation_cuts_chart_by_an_equation():
     sigma = next(
         s
         for s in skeleta_with_dims(P, (1, 1, 1))
-        if skeleton_names(s) == {0: ["a", "c*a", "e1"]}
+        if skeleton_names(P, s) == {0: ["a", "c*a", "e1"]}
     )
     pres = chart_equations(P, sigma)
     assert len(pres.variables) == 1
@@ -473,7 +498,7 @@ def test_unsatisfiable_chart_has_constant_equation():
     sigma = next(
         s
         for s in skeleta_with_dims(P, (3,))
-        if skeleton_names(s) == {0: ["e1", "x", "x*x"]}
+        if skeleton_names(P, s) == {0: ["e1", "x", "x*x"]}
     )
     pres = chart_equations(P, sigma)
     assert pres.equations
@@ -635,7 +660,7 @@ def test_three_tops_point_has_exactly_two_skeleta():
     alg = two_loops_one_bridge_one_loop()
     P, C = three_tops_point(alg)
     found = sorted(
-        (skeleton_names(s) for s in skeleta_of_point(P, C)),
+        (skeleton_names(P, s) for s in skeleta_of_point(P, C)),
         key=lambda d: sorted(d[0]),
     )
     assert found == [
@@ -695,9 +720,10 @@ def test_skeleta_of_point_builds_only_the_skeleta_it_returns(monkeypatch):
 
     def counting(P, elems):
         built.append(elems)
-        return make_skeleton(P, elems)
+        return skeleton(P, elems)
 
-    monkeypatch.setattr(grass, "make_skeleton", counting)
+    skeleton = grass._skeleton
+    monkeypatch.setattr(grass, "_skeleton", counting)
     found = skeleta_of_point(P, C)
     assert len(found) == 2
     assert len(built) == len(found)

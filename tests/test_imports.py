@@ -247,10 +247,12 @@ def test_a_rep_is_its_arrow_maps():
 COVER_REBUILDERS = {"direct_sum", "rep_of_projective", "radical_layering"}
 
 
-def _calls_in_class(source: str, cls: str, names: set[str]) -> list[str]:
-    """The names among ``names`` that the body of class ``cls`` calls, as a
-    name or an attribute."""
-    body = next(s for s in ast.parse(source).body if isinstance(s, ast.ClassDef) and s.name == cls)
+def _calls_in(source: str, top: str, names: set[str]) -> list[str]:
+    """The names among ``names`` that the body of the top-level class or
+    function ``top`` calls, as a name or an attribute."""
+    body = next(
+        s for s in ast.parse(source).body if isinstance(s, (ast.ClassDef, ast.FunctionDef)) and s.name == top
+    )
     called = (n.func for n in ast.walk(body) if isinstance(n, ast.Call))
     return sorted({getattr(f, "id", getattr(f, "attr", None)) for f in called} & names)
 
@@ -262,8 +264,12 @@ def test_the_scan_flags_a_call_in_a_class_body():
         "    def __init__(self):\n"
         "        self.rep = reps.direct_sum(rep_of_projective(1), None)\n"
         "        self.f = radical_layering\n"
+        "def grow(P):\n"
+        "    def step(p): return alg.nf_path(extend(p, a))\n"
+        "    return step, compose\n"
     )
-    assert _calls_in_class(source, "Cover", COVER_REBUILDERS) == ["direct_sum", "rep_of_projective"]
+    assert _calls_in(source, "Cover", COVER_REBUILDERS) == ["direct_sum", "rep_of_projective"]
+    assert _calls_in(source, "grow", PATH_ARITHMETIC) == ["extend", "nf_path"]
 
 
 def test_the_cover_is_built_once_from_its_path_basis():
@@ -271,4 +277,23 @@ def test_the_cover_is_built_once_from_its_path_basis():
     # certificate from the normal forms: no direct-sum chain, no second
     # projective, no layering elimination
     source = (SRC / "grass.py").read_text()
-    assert _calls_in_class(source, "ProjectiveCover", COVER_REBUILDERS) == []
+    assert _calls_in(source, "ProjectiveCover", COVER_REBUILDERS) == []
+
+
+# -- one coordinate system for P -------------------------------------------------
+
+PATH_ARITHMETIC = {"extend", "compose", "nf_path", "normal_form", "arrow_act"}
+
+
+@pytest.mark.parametrize("name", ["_grow_skeleta", "chart_equations", "coords_to_point", "endo_space"])
+def test_the_cover_code_runs_on_positions(name):
+    # skeleta, charts, points and End(P) read P's position tables and the
+    # arrow Maps of P.rep: no path is extended, composed or normal-formed
+    assert _calls_in((SRC / "grass.py").read_text(), name, PATH_ARITHMETIC) == []
+
+
+def test_the_algebra_keeps_no_second_arrow_table():
+    algebra = next(
+        s for s in ast.parse((SRC / "algebra.py").read_text()).body if isinstance(s, ast.ClassDef) and s.name == "Algebra"
+    )
+    assert "arrow_act" not in {m.name for m in algebra.body if isinstance(m, ast.FunctionDef)}

@@ -39,6 +39,7 @@ from oracles import (
     apply_auto,
     arrow_images_span,
     base_change,
+    belem_order,
     block_top_map_oracle,
     brute_force_skeleta,
     brute_force_submodule_dims,
@@ -233,8 +234,8 @@ def skeleta_of_small_tops(draw, covers=SMALL_TOP_COVERS):
     """A cover from covers and any skeleton of it: each basis element,
     shortest first, may join once its parent path has."""
     name, P = draw(st.sampled_from(covers))
-    have = set(P.generator_elems())
-    for p, r in sorted(P.belems, key=P.belem_key):
+    have = {b for b in P.belems if b[0].length == 0}
+    for p, r in sorted(P.belems, key=belem_order(P)):
         parent = (p.initial(p.length - 1, P.alg.quiver), r) if p.length else None
         if parent in have and draw(st.booleans()):
             have.add((p, r))
@@ -337,7 +338,8 @@ def test_skeleton_growers_match_the_brute_force_oracle():
         by_layering: dict[tuple, list] = {}
         for elems in brute_force_skeleta(P):
             rows = [[0] * n for _ in range(P.alg.loewy)]
-            for p, _ in elems:
+            for i in elems:
+                p = P.belems[i][0]
                 rows[p.length][p.end - 1] += 1
             by_dims.setdefault(tuple(map(sum, zip(*rows))), []).append(elems)
             by_layering.setdefault(tuple(map(tuple, rows)), []).append(elems)
@@ -400,7 +402,7 @@ def _submodules_in_the_radical(P):
             vec = [f.zero()] * P.total
             for c, w in zip(row, basis):
                 vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, w)]
-            lifted.append(vec)
+            lifted.append(sparse(f, vec))
         C = submodule_point(P, lifted)
         out.setdefault(C.dims, set()).add(C.rows)
     return out
