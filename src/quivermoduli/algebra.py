@@ -1,12 +1,12 @@
 """Finite-dimensional path algebra quotients KQ/I with exact normal forms.
 
-build_algebra reads off the span of all bounded-length products p*r*q of the
-relation generators, with pivots chosen deglex-descending (longer paths first,
-then lexicographically larger in declaration order). The surviving paths form
-the monomial basis; every eliminated path gets a fully reduced normal form.
-A product of a one-term relation is a single path, so the monomial part of the
-ideal needs no elimination; only the products of relations with several terms,
-with those paths dropped, go through an Echelon.
+build_algebra grows the paths of the length window from the idempotents one
+arrow at a time and cuts each path, and all that extends it, once a one-term
+relation is a suffix of its arrow word: such a path lies in the ideal. Over
+the tip-free paths left, the products p*r*q of the other relations are
+eliminated with pivots chosen deglex-descending (longer paths first, then
+lexicographically larger in declaration order). The surviving paths form the
+monomial basis; every eliminated path gets a fully reduced normal form.
 
 Admissibility is certified inside the length window: the Loewy length is the
 smallest m such that every path of length m reduces to zero, and products of
@@ -33,24 +33,6 @@ from .quiver import (
 )
 
 PATH_BUDGET = 500_000
-
-
-def enumerate_paths(quiver: Quiver, max_len: int) -> list[list[PathWord]]:
-    """Paths grouped by length, 0..max_len; SearchTooLarge past PATH_BUDGET."""
-    by_len: list[list[PathWord]] = [[idempotent(v) for v in quiver.vertices]]
-    total = quiver.n
-    for _ in range(max_len):
-        nxt: list[PathWord] = []
-        for p in by_len[-1]:
-            for a in quiver.arrows_out(p.end):
-                q = extend(p, a)
-                if q is not None:
-                    nxt.append(q)
-        total += len(nxt)
-        if total > PATH_BUDGET:
-            raise SearchTooLarge(f"more than {PATH_BUDGET} paths of length <= {max_len}")
-        by_len.append(nxt)
-    return by_len
 
 
 class Algebra:
@@ -89,15 +71,14 @@ class Algebra:
     # -- normal forms -----------------------------------------------------
 
     def nf_path(self, p: PathWord) -> dict[PathWord, Scalar]:
-        """Normal form of a single path as a basis-supported coefficient dict."""
+        """Normal form of a single path as a basis-supported coefficient dict.
+        A path shorter than the Loewy length and off the basis and the table
+        of tip-free paths contains a one-term relation, so it is zero."""
         if p in self.basis_index:
             return {p: self.field.one()}
         if p.length >= self.loewy:
             return {}
-        hit = self._nf_table.get(p)
-        if hit is None:
-            raise KeyError(f"path {p} not covered by the reduction table")
-        return hit
+        return self._nf_table.get(p, {})
 
     def normal_form(self, x: Element) -> Element:
         f = self.field
@@ -140,7 +121,8 @@ class Algebra:
 
     def is_monomial(self) -> bool:
         """True iff the ideal is spanned by paths: every path outside the
-        basis reduces to zero."""
+        basis reduces to zero. Those off the table contain a one-term
+        relation and do."""
         return not any(self._nf_table.values())
 
     def is_homogeneous_ideal(self) -> bool:
@@ -173,13 +155,17 @@ def build_algebra(
 ) -> Algebra:
     """Construct KQ/I, certifying admissibility within the length window.
 
-    The paths p*w*q of one-term relations are the unit rows of the ideal's
-    RREF. The products of the other relations, with those paths dropped,
-    are the only rows eliminated; the RREF of a space is unique, so the
-    basis and normal forms are those of eliminating every product.
+    The walk visits the tip-free paths of length <= max_len, those that
+    contain no one-term relation; a path that does is a unit row of the
+    ideal's RREF and is cut with its extensions. The products of the other
+    relations over the tip-free paths, with every term that leaves them
+    dropped, are the only rows eliminated; the RREF of a space is unique,
+    so the basis and normal forms are those of eliminating every product
+    over the whole window. The table holds the tip-free paths off the basis.
 
-    Raises BadRelation for malformed generators and NotAdmissible when no
-    m <= max_len has all length-m paths reducing to zero.
+    Raises BadRelation for malformed generators, NotAdmissible when no
+    m <= max_len has all length-m paths reducing to zero, and
+    SearchTooLarge when the walk passes PATH_BUDGET tip-free paths.
     """
     canon: list[Element] = []
     for rel in relations:
@@ -193,21 +179,34 @@ def build_algebra(
         validate_relation(canon[-1], field)
     relations = canon
 
-    by_len = enumerate_paths(quiver, max_len)
+    # Tip-free paths by length. A new path's prefix is tip-free, so it
+    # contains a one-term relation iff one is a suffix of its arrow word.
+    tips = {next(iter(rel.terms)).arrows for rel in relations if len(rel.terms) == 1}
+    tip_lens = {len(t) for t in tips}
+    by_len: list[list[PathWord]] = [[idempotent(v) for v in quiver.vertices]]
+    total = quiver.n
+    while len(by_len) <= max_len and by_len[-1]:
+        grown = (extend(p, a) for p in by_len[-1] for a in quiver.arrows_out(p.end))
+        nxt = [q for q in grown if tips.isdisjoint(q.arrows[-k:] for k in tip_lens)]
+        total += len(nxt)
+        if total > PATH_BUDGET:
+            raise SearchTooLarge(f"more than {PATH_BUDGET} paths of length <= {max_len}")
+        by_len.append(nxt)
     all_paths = [p for lst in by_len for p in lst]
     all_paths.sort(key=lambda p: deglex_key(quiver, p))
     rank_of = {p: i for i, p in enumerate(all_paths)}
-    path_of = {i: p for p, i in rank_of.items()}
 
-    # Span of the ideal inside the length window: all products p*r*q whose
-    # every term still fits, as sparse rows. Columns run in reverse rank
-    # order, so the pivot of a row (its smallest column) is its
-    # deglex-largest path. A one-term product is a unit row (a tip, in
-    # Green's terms); the RREF of the span is those and the rest's RREF.
+    # Span of the rest of the ideal on the tip-free paths: all products
+    # p*r*q whose every term still fits, as sparse rows. Columns run in
+    # reverse rank order, so the pivot of a row (its smallest column) is
+    # its deglex-largest path. A term that is not tip-free is a unit
+    # column and drops out; so does every product through a p or q that
+    # is not tip-free.
     top = len(all_paths) - 1
-    units: set[int] = set()
-    mixed: list[SparseRow] = []
+    rows: list[SparseRow] = []
     for rel in relations:
+        if len(rel.terms) == 1:
+            continue
         room = max_len - max(rel.lengths())
         r_start = next(iter(rel.terms)).start
         r_end = next(iter(rel.terms)).end
@@ -218,28 +217,24 @@ def build_algebra(
         for q in rights:
             for p in itertools.chain.from_iterable(lefts[: room - q.length + 1]):
                 # distinct terms w give distinct paths p*w*q: nothing adds up
-                row = {top - rank_of[compose(quiver, p, compose(quiver, w, q))]: c for w, c in rel.terms.items()}
-                if len(row) == 1:
-                    units.update(row)
-                else:
-                    mixed.append(row)
-    ideal = Echelon(field, ({k: c for k, c in row.items() if k not in units} for row in mixed))
-    rows = {c: {} for c in units} | ideal.rows
+                pwq = ((rank_of.get(compose(quiver, p, compose(quiver, w, q))), c) for w, c in rel.terms.items())
+                rows.append({top - k: c for k, c in pwq if k is not None})
+    ideal = Echelon(field, rows)
 
     # The pivot paths are eliminated and the rest form the basis. A fully
     # reduced row is supported on its pivot and basis paths, so it is the
     # normal form of its pivot path: the pivot equals minus the rest.
-    pivots = {top - c for c in rows}
-    basis = tuple(path_of[i] for i in range(len(all_paths)) if i not in pivots)
     nf_table = {
-        path_of[top - c]: {path_of[top - k]: field.neg(v) for k, v in rows[c].items() if k != c}
-        for c in sorted(rows, reverse=True)
+        all_paths[top - c]: {all_paths[top - k]: field.neg(v) for k, v in ideal.rows[c].items() if k != c}
+        for c in sorted(ideal.rows, reverse=True)
     }
+    basis = tuple(p for p in all_paths if p not in nf_table)
 
-    # Loewy certificate: smallest m with every length-m path reducing to zero.
-    # Every pivot path has a normal form in the table.
+    # Loewy certificate: smallest m with every length-m path reducing to
+    # zero. Every tip-free length-m path must be a pivot with normal form
+    # zero; past the last layer of the walk there are none.
     loewy = next(
-        (m for m in range(1, max_len + 1) if all(rank_of[p] in pivots and not nf_table[p] for p in by_len[m])),
+        (m for m in range(1, len(by_len)) if all(p in nf_table and not nf_table[p] for p in by_len[m])),
         None,
     )
     if loewy is None:

@@ -97,7 +97,7 @@ class ProjectiveCover:
     * parent[i]: the position of p'*z_r for p = a*p', or -1 at a z_r;
     * ext[i]: arrow label a -> the position of a*p*z_r, when a*p is a basis
       path, in arrows_out order;
-    * rank[i]: the place of p*z_r in the order (deglex p, r).
+    * rank[i]: the place of p*z_r in the order (deglex p, r), alg.basis's.
     """
 
     __slots__ = ("alg", "top", "gens", "rep", "belems", "index", "parent", "ext", "rank", "_endo")
@@ -120,7 +120,7 @@ class ProjectiveCover:
             {a.label: j for a in quiver.arrows_out(p.end) if (j := self.index.get((extend(p, a), r))) is not None}
             for p, r in self.belems
         )
-        order = {b: k for k, b in enumerate(sorted(self.belems, key=lambda b: (deglex_key(quiver, b[0]), b[1])))}
+        order = {b: k for k, b in enumerate(sorted(self.belems, key=lambda b: (alg.basis_index[b[0]], b[1])))}
         self.rank = tuple(order[b] for b in self.belems)
         self._endo: EndoSpace | None = None
 

@@ -17,7 +17,6 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from quivermoduli.algebra import enumerate_paths
 from quivermoduli.degeneration import no_proper_topstable_deg
 from quivermoduli.errors import EquationsViolated, NotSubmodule, UnsupportedAlgebra
 from quivermoduli.fields import Field
@@ -32,7 +31,7 @@ from quivermoduli.grass import (
 )
 from quivermoduli.linalg import Echelon, apply, combine, dense, identity, kernel_basis, solve, span_rref, sparse, zeros
 from quivermoduli.polys import PolyRing, poly_det
-from quivermoduli.quiver import Element, PathWord, compose, deglex_key, extend
+from quivermoduli.quiver import Element, PathWord, compose, deglex_key, extend, idempotent
 from quivermoduli.reps import Rep, _vertex_dims, hom_basis, hom_dim, radical_layering, sub_rep, submodule_spans
 from quivermoduli.stability import Weight
 
@@ -149,11 +148,20 @@ def walk_end(arrows: list[tuple[str, int, int]], start: int, labels: tuple[str, 
     return at
 
 
+def enumerate_paths(quiver, max_len: int) -> list[list[PathWord]]:
+    """Every path of the window grouped by length, 0..max_len."""
+    by_len = [[idempotent(v) for v in quiver.vertices]]
+    for _ in range(max_len):
+        by_len.append([extend(p, a) for p in by_len[-1] for a in quiver.arrows_out(p.end)])
+    return by_len
+
+
 def all_products_algebra(quiver, relations, field: Field, max_len: int):
-    """(basis, normal-form table, Loewy length or None) of KQ/I by
-    eliminating every bounded-length product p*r*q of the relations, one
-    term or several, in one Echelon, with columns in reverse deglex rank.
-    relations must have canonical coefficients, as Algebra.relations does."""
+    """(basis, normal form of every path of the window, Loewy length or
+    None) of KQ/I by eliminating every bounded-length product p*r*q of the
+    relations, one term or several, in one Echelon, with columns in reverse
+    deglex rank. relations must have canonical coefficients, as
+    Algebra.relations does."""
     by_len = enumerate_paths(quiver, max_len)
     all_paths = sorted((p for lst in by_len for p in lst), key=lambda p: deglex_key(quiver, p))
     rank_of = {p: i for i, p in enumerate(all_paths)}
@@ -172,15 +180,15 @@ def all_products_algebra(quiver, relations, field: Field, max_len: int):
                     )
     pivots = {top - c for c in ideal.rows}
     basis = tuple(p for i, p in enumerate(all_paths) if i not in pivots)
-    nf_table = {
+    normal_forms = {p: {p: field.one()} for p in basis} | {
         all_paths[top - c]: {all_paths[top - k]: field.neg(v) for k, v in row.items() if k != c}
         for c, row in ideal.rows.items()
     }
     loewy = next(
-        (m for m in range(1, max_len + 1) if all(rank_of[p] in pivots and not nf_table[p] for p in by_len[m])),
+        (m for m in range(1, max_len + 1) if all(p not in basis and not normal_forms[p] for p in by_len[m])),
         None,
     )
-    return basis, nf_table, loewy
+    return basis, normal_forms, loewy
 
 
 def all_rref_matrices(field: Field, ncols: int):

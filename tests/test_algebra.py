@@ -6,10 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quivermoduli import BadRelation, Element, Field, NotAdmissible, QQ, algebra, build_algebra, make_quiver
+from quivermoduli import (
+    BadRelation,
+    Element,
+    Field,
+    NotAdmissible,
+    QQ,
+    SearchTooLarge,
+    algebra,
+    build_algebra,
+    make_quiver,
+)
 from quivermoduli.dsl import doc_algebra, parse_input
 from quivermoduli.linalg import Echelon
-from quivermoduli.quiver import deglex_key, idempotent
+from quivermoduli.quiver import deglex_key, extend, idempotent
 
 from conftest import (
     INPUTS,
@@ -19,7 +29,7 @@ from conftest import (
     monomials,
     rel,
 )
-from oracles import algebra_mul, all_products_algebra, count_walks, path_from_labels
+from oracles import algebra_mul, all_products_algebra, count_walks, enumerate_paths, path_from_labels
 
 CYCLE_ARROWS = [("a1", 1, 2), ("a2", 1, 2), ("a3", 1, 2), ("a4", 1, 2), ("b", 2, 3), ("c", 3, 1)]
 
@@ -269,8 +279,53 @@ def test_fixture_and_document_algebras_match_the_all_products_elimination():
     algs = fixture_and_document_algebras()
     assert len(algs) == 29
     for name, alg in algs:
-        expected = all_products_algebra(alg.quiver, alg.relations, alg.field, alg.max_len)
-        assert (alg.basis, alg._nf_table, alg.loewy) == expected, name
+        basis, normal_forms, loewy = all_products_algebra(alg.quiver, alg.relations, alg.field, alg.max_len)
+        assert (alg.basis, alg.loewy) == (basis, loewy), name
+        assert {p: alg.nf_path(p) for p in normal_forms} == normal_forms, name
+
+
+def _mixed_tops():
+    return doc_algebra(parse_input((INPUTS / "mixed_tops.qm").read_text()))
+
+
+@pytest.mark.parametrize("max_len", [9, 12])
+def test_a_monomial_window_past_the_path_budget_is_answered_from_its_tip_free_paths(max_len):
+    # vertex 1 has four loops and the arrows a, b out, so the window holds
+    # 6 * 4**(k - 1) paths of each length k >= 1 from it and more than
+    # PATH_BUDGET in all; every loop product is a one-term relation
+    small = _mixed_tops()
+    assert small.max_len == 3
+    assert 2 + sum(6 * 4 ** (k - 1) for k in range(1, max_len + 1)) > algebra.PATH_BUDGET
+    big = build_algebra(small.quiver, list(small.relations), small.field, max_len)
+    assert (big.basis, big.loewy, big.is_monomial()) == (small.basis, small.loewy, True)
+    paths = [p for layer in enumerate_paths(small.quiver, 4) for p in layer]
+    assert {p: big.nf_path(p) for p in paths} == {p: small.nf_path(p) for p in paths}
+
+
+def test_the_walk_builds_at_most_one_path_per_basis_path_and_arrow(monkeypatch):
+    # each extend call builds one path; the walk extends the tip-free paths,
+    # which for a monomial algebra are the basis paths
+    calls = []
+
+    def counting_extend(path, arrow):
+        calls.append(path)
+        return extend(path, arrow)
+
+    small = _mixed_tops()
+    monkeypatch.setattr(algebra, "extend", counting_extend)
+    big = build_algebra(small.quiver, list(small.relations), small.field, 12)
+    assert big.dim == small.dim == 12
+    assert 0 < len(calls) <= small.quiver.n + big.dim * len(small.quiver.arrows)
+
+
+def test_the_path_budget_refusal_counts_the_paths_of_the_walk(monkeypatch):
+    # no relations on an acyclic quiver: e1, e2, a, b are four paths
+    q = make_quiver(2, [("a", 1, 2), ("b", 1, 2)])
+    monkeypatch.setattr(algebra, "PATH_BUDGET", 4)
+    assert build_algebra(q, [], QQ, 2).dim == 4
+    monkeypatch.setattr(algebra, "PATH_BUDGET", 3)
+    with pytest.raises(SearchTooLarge, match=r"^more than 3 paths of length <= 2$"):
+        build_algebra(q, [], QQ, 2)
 
 
 @pytest.mark.parametrize("doc, inserted", [("mixed_tops.qm", 0), ("fork_merge.qm", 1)])
