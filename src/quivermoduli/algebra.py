@@ -1,62 +1,66 @@
-"""Finite-dimensional path algebra quotients KQ/I with exact normal forms.
+"""Finite-dimensional path algebra quotients KQ/I, kept as their arrow table.
+
+Lambda = KQ/I is its deglex path basis on integer positions (e_v at v - 1)
+and one table, built once: for each arrow a, the linalg.Map sending basis
+position b to the normal form of a*b. The normal form of any path is the
+fold of the table along its arrows from its start idempotent.
 
 build_algebra grows the paths of the length window from the idempotents one
 arrow at a time and cuts each path, and all that extends it, once a one-term
 relation is a suffix of its arrow word: such a path lies in the ideal. Over
-the tip-free paths left, the products p*r*q of the other relations are
-eliminated with pivots chosen deglex-descending (longer paths first, then
-lexicographically larger in declaration order). The surviving paths form the
-monomial basis; every eliminated path gets a fully reduced normal form.
+the tip-free paths left, the products p*r*q of the other relations that fit
+the window are eliminated with pivots chosen deglex-descending (longer paths
+first, then lexicographically larger in declaration order). The basis grows
+outward: a path that is no pivot is a basis path when its initial subpath
+is one. Each table entry comes from the window's rows.
 
-Admissibility is certified inside the length window: the Loewy length is the
-smallest m such that every path of length m reduces to zero, and products of
-relations are only used when all their terms fit under max_len, so every
-zero reduction is an honest ideal-membership certificate.
+The table is certified. The rows lie in I, so a path whose fold is zero
+lies in I. If every relation r folds to zero on every basis path, then so
+does every p*r*q, as fold(p*r*q) = p*fold(r*fold(q)), so the table is
+exactly KQ/I. With one-term relations only, every path folds to itself or
+to zero, and the check is not needed.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from .errors import NotAdmissible, SearchTooLarge
 from .fields import Field, Scalar
-from .linalg import Echelon, SparseRow
-from .quiver import (
-    Element,
-    PathWord,
-    Quiver,
-    compose,
-    deglex_key,
-    extend,
-    idempotent,
-    validate_relation,
-)
+from .linalg import Echelon, Map, SparseRow, apply
+from .quiver import Element, PathWord, Quiver, deglex_key, extend, idempotent, validate_relation
 
 PATH_BUDGET = 500_000
 
 
-class Algebra:
-    """KQ/I with a fixed monomial basis and reduction table. Construct via
-    build_algebra, not directly."""
+def _fold(field: Field, arrows: dict[str, Map], vec: SparseRow, labels: tuple[str, ...]) -> SparseRow:
+    """vec pushed along the arrow Maps of the labels, first label first."""
+    for label in labels:
+        vec = apply(field, arrows[label], vec)
+    return vec
 
-    def __init__(
-        self,
-        quiver: Quiver,
-        field: Field,
-        relations: tuple[Element, ...],
-        max_len: int,
-        basis: tuple[PathWord, ...],
-        nf_table: dict[PathWord, dict[PathWord, Scalar]],
-        loewy: int,
-    ):
-        self.quiver = quiver
-        self.field = field
-        self.relations = relations
-        self.max_len = max_len
-        self.basis = basis
-        self.basis_index = {p: i for i, p in enumerate(basis)}
-        self._nf_table = nf_table
-        self.loewy = loewy
+
+@dataclass(eq=False)
+class Algebra:
+    """KQ/I on its path basis and arrow table; build it with build_algebra.
+
+    basis[i] is the basis path at position i, deglex ascending. arrows[a]
+    sends position i to the normal form of a*basis[i], zero products left
+    out. parent[i] is the position of the initial subpath of basis[i] (-1 at
+    an idempotent), and ext[i] maps an arrow label a to the position of
+    a*basis[i] when that is a basis path, in arrows_out order.
+    """
+
+    quiver: Quiver
+    field: Field
+    relations: tuple[Element, ...]
+    max_len: int
+    basis: tuple[PathWord, ...]
+    arrows: dict[str, Map]
+    parent: tuple[int, ...]
+    ext: tuple[dict[str, int], ...]
+    loewy: int
 
     # -- structure ------------------------------------------------------
 
@@ -71,14 +75,10 @@ class Algebra:
     # -- normal forms -----------------------------------------------------
 
     def nf_path(self, p: PathWord) -> dict[PathWord, Scalar]:
-        """Normal form of a single path as a basis-supported coefficient dict.
-        A path shorter than the Loewy length and off the basis and the table
-        of tip-free paths contains a one-term relation, so it is zero."""
-        if p in self.basis_index:
-            return {p: self.field.one()}
-        if p.length >= self.loewy:
-            return {}
-        return self._nf_table.get(p, {})
+        """Normal form of a path of any length, deglex ascending: the fold of
+        the arrow table along its arrows from e_start."""
+        v = _fold(self.field, self.arrows, {p.start - 1: self.field.one()}, p.arrows)
+        return {self.basis[i]: v[i] for i in sorted(v)}
 
     def normal_form(self, x: Element) -> Element:
         f = self.field
@@ -100,15 +100,19 @@ class Algebra:
         return tuple(tuple(row) for row in layers)
 
     def lengths_grade_radical(self, v: int) -> bool:
-        """True iff no non-basis path starting at v has a strictly shorter
-        path in its normal form. Then J^l*Lambda*e_v, spanned by the normal
-        forms of the paths of length >= l from v, is the span B_l of the
-        basis paths of length >= l from v, for every l, so
-        projective_layer_dims is the radical layering of Lambda*e_v.
-        Otherwise a path of length m has a shorter basis path in its normal
-        form, which lies in J^m*Lambda*e_v but not in B_m: the two
-        layerings, trailing zero rows dropped, differ at m."""
-        return not any(q.length < p.length for p, nf in self._nf_table.items() if p.start == v for q in nf)
+        """True iff every table entry a*b, b a basis path from v, is
+        supported on paths of length |b| + 1. Then, by induction on length,
+        the normal form of every path from v keeps its length, so
+        J^l*Lambda*e_v, spanned by the normal forms of the paths of length
+        >= l from v, is the span B_l of the basis paths of length >= l from
+        v, for every l, and projective_layer_dims is the radical layering
+        of Lambda*e_v. Otherwise the path a*b, of length m, has a shorter
+        basis path in its normal form, which lies in J^m*Lambda*e_v but not
+        in B_m: the two layerings, trailing zero rows dropped, differ at m."""
+        b = self.basis
+        return all(
+            b[j].length == b[i].length + 1 for x in self.arrows.values() for i in x if b[i].start == v for j in x[i]
+        )
 
     def is_nakayama(self) -> bool:
         """True iff every indecomposable projective and injective is uniserial,
@@ -120,25 +124,17 @@ class Algebra:
         return True
 
     def is_monomial(self) -> bool:
-        """True iff the ideal is spanned by paths: every path outside the
-        basis reduces to zero. Those off the table contain a one-term
-        relation and do."""
-        return not any(self._nf_table.values())
+        """True iff the ideal is spanned by paths: every nonzero a*b is a
+        basis path. Those are the entries of ext, so the table holds no
+        other entry."""
+        return sum(map(len, self.arrows.values())) == sum(map(len, self.ext))
 
     def is_homogeneous_ideal(self) -> bool:
         """True iff the relation ideal is generated by length-homogeneous
-        elements: every length component of every generator must itself reduce
-        to zero."""
-        for rel in self.relations:
-            by_len: dict[int, Element] = {}
-            for p, c in rel.terms.items():
-                by_len.setdefault(p.length, Element()).terms[p] = c
-            if len(by_len) == 1:
-                continue
-            for part in by_len.values():
-                if not self.normal_form(part).is_zero():
-                    return False
-        return True
+        elements, that is, graded by length: then every length component of
+        p - nf(p) lies in I, so normal forms keep lengths, and conversely.
+        That is length grading at every vertex."""
+        return all(self.lengths_grade_radical(v) for v in self.quiver.vertices)
 
     def __repr__(self) -> str:
         return (
@@ -155,17 +151,19 @@ def build_algebra(
 ) -> Algebra:
     """Construct KQ/I, certifying admissibility within the length window.
 
-    The walk visits the tip-free paths of length <= max_len, those that
-    contain no one-term relation; a path that does is a unit row of the
-    ideal's RREF and is cut with its extensions. The products of the other
-    relations over the tip-free paths, with every term that leaves them
-    dropped, are the only rows eliminated; the RREF of a space is unique,
-    so the basis and normal forms are those of eliminating every product
-    over the whole window. The table holds the tip-free paths off the basis.
+    A tip-free path, one that contains no one-term relation, gets its normal
+    form in deglex order: a pivot is minus the rest of its fully reduced
+    row, whose paths come earlier; a path whose initial subpath b is a basis
+    path is one itself; any other path is its last arrow applied to the form
+    of its initial subpath. The form of a*b, b a basis path, is the table
+    entry. The Loewy length is the smallest m <= max_len at which every
+    tip-free path has form zero. When a relation has several terms, every
+    relation is folded on every basis path (the module docstring says why).
 
     Raises BadRelation for malformed generators, NotAdmissible when no
-    m <= max_len has all length-m paths reducing to zero, and
-    SearchTooLarge when the walk passes PATH_BUDGET tip-free paths.
+    m <= max_len has all length-m paths reducing to zero or a relation
+    does not fold to zero, and SearchTooLarge when the walk passes
+    PATH_BUDGET tip-free paths.
     """
     canon: list[Element] = []
     for rel in relations:
@@ -194,7 +192,8 @@ def build_algebra(
         by_len.append(nxt)
     all_paths = [p for lst in by_len for p in lst]
     all_paths.sort(key=lambda p: deglex_key(quiver, p))
-    rank_of = {p: i for i, p in enumerate(all_paths)}
+    # a path is its start and arrow word
+    rank_of = {(p.start, p.arrows): i for i, p in enumerate(all_paths)}
 
     # Span of the rest of the ideal on the tip-free paths: all products
     # p*r*q whose every term still fits, as sparse rows. Columns run in
@@ -217,38 +216,54 @@ def build_algebra(
         for q in rights:
             for p in itertools.chain.from_iterable(lefts[: room - q.length + 1]):
                 # distinct terms w give distinct paths p*w*q: nothing adds up
-                pwq = ((rank_of.get(compose(quiver, p, compose(quiver, w, q))), c) for w, c in rel.terms.items())
+                pwq = ((rank_of.get((q.start, q.arrows + w.arrows + p.arrows)), c) for w, c in rel.terms.items())
                 rows.append({top - k: c for k, c in pwq if k is not None})
     ideal = Echelon(field, rows)
 
-    # The pivot paths are eliminated and the rest form the basis. A fully
-    # reduced row is supported on its pivot and basis paths, so it is the
-    # normal form of its pivot path: the pivot equals minus the rest.
-    nf_table = {
-        all_paths[top - c]: {all_paths[top - k]: field.neg(v) for k, v in ideal.rows[c].items() if k != c}
-        for c in sorted(ideal.rows, reverse=True)
-    }
-    basis = tuple(p for p in all_paths if p not in nf_table)
+    # the outward basis and the table, in deglex order (see the docstring)
+    one = field.one()
+    basis: list[PathWord] = []
+    parent: list[int] = []
+    ext: list[dict[str, int]] = []
+    arrows: dict[str, Map] = {a.label: {} for a in quiver.arrows}
+    place = [-1] * len(all_paths)  # rank -> basis position, -1 off the basis
+    forms: list[SparseRow] = []
+    for k, p in enumerate(all_paths):
+        # the initial subpath; an idempotent finds itself, not yet placed
+        b = place[j := rank_of[p.start, p.arrows[:-1]]]
+        if (row := ideal.rows.get(top - k)) is not None:
+            form: SparseRow = {}
+            for c, x in row.items():
+                if c != top - k:
+                    field.axpy(form, field.neg(x), forms[top - c])
+        elif b >= 0 or not p.length:
+            place[k] = len(basis)
+            form = {len(basis): one}
+            if b >= 0:
+                ext[b][p.arrows[-1]] = len(basis)
+            basis.append(p)
+            parent.append(b)
+            ext.append({})
+        else:
+            form = apply(field, arrows[p.arrows[-1]], forms[j])
+        if b >= 0 and form:
+            arrows[p.arrows[-1]][b] = form
+        forms.append(form)
 
-    # Loewy certificate: smallest m with every length-m path reducing to
-    # zero. Every tip-free length-m path must be a pivot with normal form
-    # zero; past the last layer of the walk there are none.
-    loewy = next(
-        (m for m in range(1, len(by_len)) if all(p in nf_table and not nf_table[p] for p in by_len[m])),
-        None,
-    )
+    alive = {p.length for p, form in zip(all_paths, forms) if form}
+    loewy = next((m for m in range(1, len(by_len)) if m not in alive), None)
     if loewy is None:
         raise NotAdmissible(
             f"no m <= {max_len} has all length-m paths reducing to zero; "
             "the ideal may not be admissible or max_len is too small"
         )
-
-    # Inside the certified window the basis must be closed under initial
-    # subpaths; deglex multiplicativity guarantees it, so just double-check.
-    bset = set(basis)
-    for p in basis:
-        for m in range(p.length):
-            if p.initial(m, quiver) not in bset:
-                raise NotAdmissible("internal: basis not closed under initial subpaths")
-
-    return Algebra(quiver, field, tuple(relations), max_len, basis, nf_table, loewy)
+    if any(len(rel.terms) > 1 for rel in relations):
+        for rel, i in itertools.product(relations, range(len(basis))):
+            acts: SparseRow = {}
+            for w, c in rel.terms.items():
+                field.axpy(acts, c, _fold(field, arrows, {i: one}, w.arrows))
+            if acts:
+                raise NotAdmissible(
+                    f"the relation {rel.format(field)} does not reduce to zero on {basis[i]}; max_len may be too small"
+                )
+    return Algebra(quiver, field, tuple(relations), max_len, tuple(basis), arrows, tuple(parent), tuple(ext), loewy)

@@ -28,7 +28,7 @@ from .errors import EquationsViolated, IdealNotGraded, NotSubmodule, Unsupported
 from .fields import Scalar
 from .linalg import Echelon, Map, SparseRow, apply
 from .polys import Poly, PolyRing
-from .quiver import Element, PathWord, deglex_key, extend
+from .quiver import PathWord, deglex_key
 from .reps import (
     Rep,
     SemisimpleSequence,
@@ -93,7 +93,8 @@ class ProjectiveCover:
     comes with the Rep from one reps._free_rep call (vertex blocks, copies
     in order inside each block). belems[i] = (p, r) names the element
     p*z_r at position i, for parsing and printing; the rest reads the
-    Rep's arrow Maps and three tables on positions:
+    Rep's arrow Maps and three tables on positions, each Lambda's copied
+    onto every z_r:
     * parent[i]: the position of p'*z_r for p = a*p', or -1 at a z_r;
     * ext[i]: arrow label a -> the position of a*p*z_r, when a*p is a basis
       path, in arrows_out order;
@@ -112,16 +113,14 @@ class ProjectiveCover:
                     f"path lengths do not grade the radical filtration of "
                     f"Lambda*e{v}; charts are unavailable for this algebra"
                 )
-        self.belems, self.rep = _free_rep(alg, self.gens)
+        elems, self.rep = _free_rep(alg, self.gens)
+        at = {b: k for k, b in enumerate(elems)}
+        self.parent = tuple(at[alg.parent[i], r] if alg.parent[i] >= 0 else -1 for i, r in elems)
+        self.ext = tuple({a: at[j, r] for a, j in alg.ext[i].items()} for i, r in elems)
+        order = {b: k for k, b in enumerate(sorted(elems))}
+        self.rank = tuple(order[b] for b in elems)
+        self.belems = tuple((alg.basis[i], r) for i, r in elems)
         self.index = {b: i for i, b in enumerate(self.belems)}
-        quiver = alg.quiver
-        self.parent = tuple(self.index[p.initial(p.length - 1, quiver), r] if p.length else -1 for p, r in self.belems)
-        self.ext = tuple(
-            {a.label: j for a in quiver.arrows_out(p.end) if (j := self.index.get((extend(p, a), r))) is not None}
-            for p, r in self.belems
-        )
-        order = {b: k for k, b in enumerate(sorted(self.belems, key=lambda b: (alg.basis_index[b[0]], b[1])))}
-        self.rank = tuple(order[b] for b in self.belems)
         self._endo: EndoSpace | None = None
 
     @property
@@ -139,15 +138,6 @@ class ProjectiveCover:
     @property
     def total(self) -> int:
         return self.rep.total
-
-    def element_vector(self, x: Element, r: int) -> SparseRow:
-        """Sparse global coordinates of x*z_r (x is reduced to normal form first)."""
-        v: SparseRow = {}
-        for p, c in self.alg.normal_form(x).terms.items():
-            if p.start != self.gens[r]:
-                raise ValueError(f"element does not start at the vertex of z{r + 1}")
-            v[self.index[(p, r)]] = c
-        return v
 
     def describe(self, i: int) -> str:
         """The basis element at position i, as printed."""
@@ -207,7 +197,10 @@ def point_from_generators(P: ProjectiveCover, gens) -> SubmodulePoint:
     for g in gens:
         v: SparseRow = {}
         for x, r in [g] if isinstance(g, tuple) else g:
-            f.axpy(v, f.one(), P.element_vector(x, r))
+            for p, c in P.alg.normal_form(x).terms.items():
+                if p.start != P.gens[r]:
+                    raise ValueError(f"element does not start at the vertex of z{r + 1}")
+                f.axpy(v, c, {P.index[p, r]: f.one()})
         vecs.append(v)
     return submodule_point(P, closure(P.rep, vecs).rows.values())
 
@@ -603,15 +596,11 @@ def endo_space(P: ProjectiveCover) -> EndoSpace:
             for u in alg.basis_at(vs):
                 if u.end == vr:
                     elems.append((r, s, u))
-    elems.sort(key=lambda t: (t[0], t[1], deglex_key(alg.quiver, t[2])))
     gens = [i for i, j in enumerate(P.parent) if j < 0]
     by_length = sorted(range(P.total), key=lambda i: P.belems[i][0].length)
     images = []
     for r, s, u in elems:
-        top = gens[s]
-        for label in u.arrows:
-            top = P.ext[top][label]
-        img: Map = {gens[r]: {top: alg.field.one()}}
+        img: Map = {gens[r]: {P.index[u, s]: alg.field.one()}}
         for i in by_length:
             p, r2 = P.belems[i]
             if r2 == r and p.length:

@@ -105,13 +105,6 @@ def extend(path: PathWord, arrow: Arrow) -> PathWord | None:
     return PathWord(path.start, path.arrows + (arrow.label,), arrow.end)
 
 
-def compose(quiver: Quiver, later: PathWord, earlier: PathWord) -> PathWord | None:
-    """The product later*earlier ("first earlier, then later"), or None."""
-    if earlier.end != later.start:
-        return None
-    return PathWord(earlier.start, earlier.arrows + later.arrows, later.end)
-
-
 def deglex_key(quiver: Quiver, p: PathWord) -> tuple:
     """Total order on parallel-or-not paths: degree first, then lex on the
     application-order arrow sequence (declaration order), then start vertex."""

@@ -44,7 +44,7 @@ from .linalg import (
     compose,
     sparse_kernel_basis,
 )
-from .quiver import Element, PathWord, extend
+from .quiver import Element
 
 SemisimpleSequence = tuple[tuple[int, ...], ...]
 
@@ -135,18 +135,21 @@ def simple_rep(alg: Algebra, v: int) -> Rep:
     return zero_rep(alg, d)
 
 
-def _free_rep(alg: Algebra, gens: tuple[int, ...]) -> tuple[tuple[tuple[PathWord, int], ...], Rep]:
-    """The basis elements p*z_r of (+)_r Lambda*e_{gens[r]} and its Rep:
-    vertex blocks in order, copies in order inside a block, and inside copy
-    r the paths of alg.basis_at(gens[r]) that end at the block's vertex.
-    The arrow a sends p*z_r to the normal form of a*p on copy r."""
-    blocks = [[(p, r) for r, g in enumerate(gens) for p in alg.basis_at(g) if p.end == v] for v in alg.quiver.vertices]
-    index = {b: i for i, b in enumerate(itertools.chain.from_iterable(blocks))}
-    arrows: dict[str, Map] = {a.label: {} for a in alg.quiver.arrows}
-    for (p, r), j in index.items():
-        for a in alg.quiver.arrows_out(p.end):
-            if col := {index[b, r]: c for b, c in alg.nf_path(extend(p, a)).items()}:
-                arrows[a.label][j] = col
+def _free_rep(alg: Algebra, gens: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], Rep]:
+    """The basis elements b*z_r of (+)_r Lambda*e_{gens[r]}, as pairs (i, r)
+    with i the position of b in alg.basis, and its Rep: vertex blocks in
+    order, copies in order inside a block, and inside copy r the basis paths
+    from gens[r] that end at the block's vertex, in basis order. Each arrow
+    acts on copy r by Lambda's Map."""
+    blocks = [
+        [(i, r) for r, g in enumerate(gens) for i, p in enumerate(alg.basis) if p.start == g and p.end == v]
+        for v in alg.quiver.vertices
+    ]
+    index = {b: k for k, b in enumerate(itertools.chain.from_iterable(blocks))}
+    arrows = {
+        label: {k: {index[j, r]: c for j, c in x[i].items()} for (i, r), k in index.items() if i in x}
+        for label, x in alg.arrows.items()
+    }
     return tuple(index), Rep._of_maps(alg, tuple(map(len, blocks)), arrows)
 
 

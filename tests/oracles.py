@@ -31,7 +31,7 @@ from quivermoduli.grass import (
 )
 from quivermoduli.linalg import Echelon, apply, combine, dense, identity, kernel_basis, solve, span_rref, sparse, zeros
 from quivermoduli.polys import PolyRing, poly_det
-from quivermoduli.quiver import Element, PathWord, compose, deglex_key, extend, idempotent
+from quivermoduli.quiver import Element, PathWord, Quiver, deglex_key, extend, idempotent
 from quivermoduli.reps import Rep, _vertex_dims, hom_basis, hom_dim, radical_layering, sub_rep, submodule_spans
 from quivermoduli.stability import Weight
 
@@ -146,6 +146,13 @@ def walk_end(arrows: list[tuple[str, int, int]], start: int, labels: tuple[str, 
         assert s == at
         at = e
     return at
+
+
+def compose(quiver: Quiver, later: PathWord, earlier: PathWord) -> PathWord | None:
+    """The product later*earlier ("first earlier, then later"), or None."""
+    if earlier.end != later.start:
+        return None
+    return PathWord(earlier.start, earlier.arrows + later.arrows, later.end)
 
 
 def enumerate_paths(quiver, max_len: int) -> list[list[PathWord]]:
@@ -342,6 +349,19 @@ def length_grading_oracle(alg, v) -> bool:
 
     layering = radical_layering_oracle(alg, dense_projective_oracle(alg, v))
     return trim(alg.projective_layer_dims(v)) == trim(layering)
+
+
+def homogeneous_ideal_oracle(alg) -> bool:
+    """The former graded-ideal rule: the ideal is generated by
+    length-homogeneous elements when every length component of every
+    relation reduces to zero on its own."""
+    for rel in alg.relations:
+        by_len: dict[int, Element] = {}
+        for p, c in rel.terms.items():
+            by_len.setdefault(p.length, Element()).terms[p] = c
+        if len(by_len) > 1 and any(not alg.normal_form(part).is_zero() for part in by_len.values()):
+            return False
+    return True
 
 
 def direct_sum_cover_oracle(alg, gens):
@@ -762,7 +782,7 @@ def dense_chart_residues(P, sigma):
         p, r = b
         for a in quiver.arrows_out(p.end):
             q = PathWord(p.start, p.arrows + (a.label,), a.end)
-            if q not in alg.basis_index or (q, r) in sig_pos:
+            if q not in alg.basis or (q, r) in sig_pos:
                 continue
             entry = []
             for b2 in sig_list:
@@ -819,7 +839,7 @@ def dense_chart_residues(P, sigma):
         a = quiver.arrow(label)
         q = PathWord(p.start, p.arrows + (label,), a.end)
         out = [ring.zero() for _ in sig_list]
-        if q in alg.basis_index:
+        if q in alg.basis:
             if (q, r) in sig_pos:
                 out[sig_pos[(q, r)]] = ring.one()
             else:
@@ -1140,7 +1160,7 @@ def point_to_coords(P, sigma, C, pres=None) -> list:
         p, r = P.belems[b]
         for a in alg.quiver.arrows_out(p.end):
             q = extend(p, a)
-            if q not in alg.basis_index or P.index[(q, r)] in sig_cols:
+            if q not in alg.basis or P.index[(q, r)] in sig_cols:
                 continue
             allowed = slots.get((a.label, b), {})
             res = span.reduce({col[P.index[(q, r)]]: f.one()})

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quivermoduli import (
@@ -29,7 +29,15 @@ from conftest import (
     monomials,
     rel,
 )
-from oracles import algebra_mul, all_products_algebra, count_walks, enumerate_paths, path_from_labels
+from oracles import (
+    algebra_mul,
+    all_products_algebra,
+    count_walks,
+    enumerate_paths,
+    homogeneous_ideal_oracle,
+    path_from_labels,
+)
+from test_properties import bound_algebras
 
 CYCLE_ARROWS = [("a1", 1, 2), ("a2", 1, 2), ("a3", 1, 2), ("a4", 1, 2), ("b", 2, 3), ("c", 3, 1)]
 
@@ -223,11 +231,14 @@ def _sum(x, y):
 
 
 @st.composite
-def elements(draw):
+def elements(draw, alg=_ALG):
+    """Sums of paths of alg's window."""
+    f = alg.field
+    paths = [p for layer in enumerate_paths(alg.quiver, alg.max_len) for p in layer]
     out = Element()
     for _ in range(draw(st.integers(1, 4))):
-        p = draw(st.sampled_from(_PATHS))
-        QQ.axpy(out.terms, QQ.of_int(draw(st.integers(-4, 4))), {p: QQ.one()})
+        p = draw(st.sampled_from(paths))
+        f.axpy(out.terms, f.of_int(draw(st.integers(-4, 4))), {p: f.one()})
     return out
 
 
@@ -240,17 +251,21 @@ def test_normal_form_is_a_linear_projection(x, y):
     assert lhs.terms == rhs.terms
 
 
-@given(x=elements(), y=elements())
-def test_multiplication_descends_to_the_quotient(x, y):
-    direct = algebra_mul(_ALG, x, y)
-    reduced = algebra_mul(_ALG, _ALG.normal_form(x), _ALG.normal_form(y))
+@given(alg=st.one_of(st.just(_ALG), bound_algebras()), data=st.data())
+@settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+def test_multiplication_descends_to_the_quotient(alg, data):
+    # a product of two window paths may be twice as long as the window:
+    # nf_path folds the arrow table along a path of any length
+    x, y = data.draw(elements(alg)), data.draw(elements(alg))
+    direct = algebra_mul(alg, x, y)
+    reduced = algebra_mul(alg, alg.normal_form(x), alg.normal_form(y))
     assert direct.terms == reduced.terms
 
 
 @given(p=st.sampled_from([w for w in _PATHS if w.length >= 1]))
 def test_reduction_never_increases_deglex(p):
     nf = _ALG.nf_path(p)
-    if p in _ALG.basis_index:
+    if p in _ALG.basis:
         assert nf == {p: QQ.one()}
     else:
         for b in nf:
@@ -273,6 +288,15 @@ def test_deglex_orders_by_length_then_declared_arrows_then_start():
 
 
 # -- the monomial part of the ideal needs no elimination ------------------------
+
+
+def test_the_graded_ideal_rule_matches_the_former_one_on_the_fixture_algebras():
+    # length grading at every vertex against every length component of
+    # every relation reducing to zero; inhomogeneous_algebra is not graded
+    algs = fixture_and_document_algebras()
+    assert [name for name, alg in algs if not alg.is_homogeneous_ideal()] == ["inhomogeneous"]
+    for name, alg in algs:
+        assert alg.is_homogeneous_ideal() == homogeneous_ideal_oracle(alg), name
 
 
 def test_fixture_and_document_algebras_match_the_all_products_elimination():
@@ -344,3 +368,53 @@ def test_only_relations_with_several_terms_are_eliminated(monkeypatch, doc, inse
     assert len(rows) == inserted
     assert all(len(row) == 2 for row in rows)
     assert alg.is_monomial() == (inserted == 0)
+
+
+# -- the outward basis and the certificate of the arrow table --------------------
+
+
+@pytest.mark.parametrize("max_len", [4, 5, 6])
+def test_a_path_whose_initial_subpath_is_eliminated_is_no_basis_path(max_len):
+    # x1*x1 lies in the ideal, as x1*x0*x0 does, but no product that fits
+    # the window reaches x1**max_len: the all-products elimination keeps
+    # that path of the ideal in its basis, at every window
+    f = Field(2)
+    q = make_quiver(1, [("x0", 1, 1), ("x1", 1, 1)])
+    rels = [rel(q, (1, ["x1", "x0"])), rel(q, (1, ["x0", "x1"])), rel(q, (1, ["x0"] * 3))]
+    rels.append(rel(q, (1, ["x1", "x0", "x0"]), (1, ["x1", "x1"])))
+    alg = build_algebra(q, rels, f, max_len)
+    assert ([str(p) for p in alg.basis], alg.loewy) == (["e1", "x0", "x1", "x0*x0"], 3)
+    basis, _, loewy = all_products_algebra(q, alg.relations, f, max_len)
+    assert (basis, loewy) == (alg.basis + (path_from_labels(q, ["x1"] * max_len),), 3)
+
+
+def test_a_window_that_the_elimination_refuses_answers_as_the_next_one_does():
+    # x2*x0 lies in the ideal, as x0*x1*x0 does, but at max_len 3 no
+    # product reaches x1*x2*x0, so the all-products elimination refuses
+    f = Field(2)
+    q = make_quiver(2, [("x0", 1, 2), ("x1", 2, 1), ("x2", 2, 2)])
+    rels = [rel(q, (1, ["x0", "x1"])), rel(q, (1, ["x2", "x2"])), rel(q, (1, ["x0", "x1", "x0"]), (1, ["x2", "x0"]))]
+    alg = build_algebra(q, rels, f, 3)
+    assert (alg.dim, alg.loewy) == (7, 3)
+    assert all_products_algebra(q, alg.relations, f, 3)[2] is None
+    basis, normal_forms, loewy = all_products_algebra(q, alg.relations, f, 4)
+    assert (alg.basis, alg.loewy) == (basis, loewy)
+    assert {p: alg.nf_path(p) for p in normal_forms} == normal_forms
+
+
+def test_the_certificate_refuses_a_window_whose_basis_meets_the_ideal():
+    # x*x lies in the ideal, as x*x*x*x does, so x*x*a does too; at max_len
+    # 4 no product reaches x*x*a, and its initial subpath x*a is a basis
+    # path, so the relation folds to x*x*a on a
+    q = make_quiver(2, [("x", 1, 1), ("a", 2, 1)])
+    rels = [rel(q, (1, ["x", "x", "x"])), rel(q, (1, ["x", "x"]), (1, ["x", "x", "x", "x"]))]
+    message = r"^the relation x\*x \+ x\*x\*x\*x does not reduce to zero on a; max_len may be too small$"
+    with pytest.raises(NotAdmissible, match=message):
+        build_algebra(q, rels, QQ, 4)
+    alg = build_algebra(q, rels, QQ, 5)
+    assert ([str(p) for p in alg.basis], alg.loewy) == (["e1", "e2", "x", "a", "x*a"], 3)
+    # the all-products elimination answers max_len 4 with x*x*a in its basis
+    basis, _, loewy = all_products_algebra(q, alg.relations, QQ, 4)
+    assert (basis, loewy) == (alg.basis + (path_from_labels(q, ["x", "x", "a"]),), 4)
+    basis, _, loewy = all_products_algebra(q, alg.relations, QQ, 5)
+    assert (basis, loewy) == (alg.basis, alg.loewy)

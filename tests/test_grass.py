@@ -211,7 +211,7 @@ def test_the_position_tables_are_the_subpaths_and_extensions_of_the_basis():
             one = alg.field.one()
             for i, (p, r) in enumerate(P.belems):
                 assert P.parent[i] == (P.index[p.initial(p.length - 1, q), r] if p.length else -1), (name, top, i)
-                ext = {a.label: P.index[w, r] for a in q.arrows_out(p.end) if (w := extend(p, a)) in alg.basis_index}
+                ext = {a.label: P.index[w, r] for a in q.arrows_out(p.end) if (w := extend(p, a)) in alg.basis}
                 assert list(P.ext[i].items()) == list(ext.items()), (name, top, i)
                 for label, j in ext.items():
                     assert P.rep.arrows[label][i] == {j: one}, (name, top, i, label)

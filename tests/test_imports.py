@@ -274,7 +274,7 @@ def test_the_scan_flags_a_call_in_a_class_body():
 
 def test_the_cover_is_built_once_from_its_path_basis():
     # P and its coordinates come from one reps._free_rep call and the
-    # certificate from the normal forms: no direct-sum chain, no second
+    # certificate from the arrow table: no direct-sum chain, no second
     # projective, no layering elimination
     source = (SRC / "grass.py").read_text()
     assert _calls_in(source, "ProjectiveCover", COVER_REBUILDERS) == []
@@ -282,7 +282,7 @@ def test_the_cover_is_built_once_from_its_path_basis():
 
 # -- one coordinate system for P -------------------------------------------------
 
-PATH_ARITHMETIC = {"extend", "compose", "nf_path", "normal_form", "arrow_act"}
+PATH_ARITHMETIC = {"extend", "compose", "nf_path", "normal_form", "arrow_act", "initial"}
 
 
 @pytest.mark.parametrize("name", ["_grow_skeleta", "chart_equations", "coords_to_point", "endo_space"])
@@ -292,8 +292,33 @@ def test_the_cover_code_runs_on_positions(name):
     assert _calls_in((SRC / "grass.py").read_text(), name, PATH_ARITHMETIC) == []
 
 
+@pytest.mark.parametrize("name, top", [("grass.py", "ProjectiveCover"), ("reps.py", "_free_rep")])
+def test_the_cover_copies_the_arrow_table_of_the_algebra(name, top):
+    # P's arrow Maps, parent, ext and rank are Lambda's, copied onto each
+    # generator: building a cover does no path arithmetic
+    assert _calls_in((SRC / name).read_text(), top, PATH_ARITHMETIC) == []
+
+
+def _members(cls: ast.ClassDef) -> set[str]:
+    """The methods of a class, its annotated fields and the attributes its
+    methods assign on self."""
+    out = {s.name for s in cls.body if isinstance(s, ast.FunctionDef)}
+    out |= {s.target.id for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+    targets = [t for n in ast.walk(cls) if isinstance(n, ast.Assign) for t in n.targets]
+    targets += [n.target for n in ast.walk(cls) if isinstance(n, ast.AnnAssign)]
+    return out | {t.attr for t in targets if isinstance(t, ast.Attribute)}
+
+
+def test_the_scan_reads_the_members_of_a_class():
+    source = "class A:\n    size: int\n    def __init__(self):\n        self.table = {}\n        self.n: int = 0\n"
+    assert _members(ast.parse(source).body[0]) == {"size", "__init__", "table", "n"}
+
+
 def test_the_algebra_keeps_no_second_arrow_table():
+    # Lambda is its basis and arrow table: no table of normal forms keyed
+    # by path, no path index, no second arrow action
     algebra = next(
         s for s in ast.parse((SRC / "algebra.py").read_text()).body if isinstance(s, ast.ClassDef) and s.name == "Algebra"
     )
-    assert "arrow_act" not in {m.name for m in algebra.body if isinstance(m, ast.FunctionDef)}
+    assert {"arrows", "parent", "ext"} <= _members(algebra)
+    assert _members(algebra).isdisjoint({"arrow_act", "_nf_table", "basis_index"})
