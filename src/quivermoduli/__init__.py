@@ -15,7 +15,6 @@ from .errors import (
     NotSubmodule,
     NotSumOfLocals,
     SearchTooLarge,
-    ShapeMismatch,
     TopMismatch,
     TypeMismatch,
     Unknown,
@@ -46,7 +45,6 @@ __all__ = [
     "QQ",
     "Quiver",
     "SearchTooLarge",
-    "ShapeMismatch",
     "TopMismatch",
     "TypeMismatch",
     "Unknown",

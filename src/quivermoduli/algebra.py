@@ -3,7 +3,7 @@
 Lambda = KQ/I is its deglex path basis on integer positions (e_v at v - 1)
 and one table, built once: for each arrow a, the linalg.Map sending basis
 position b to the normal form of a*b. The normal form of any path is the
-fold of the table along its arrows from its start idempotent.
+fold of the table along its arrows from its start idempotent (linalg.fold).
 
 build_algebra grows the paths of the length window from the idempotents one
 arrow at a time and cuts each path, and all that extends it, once a one-term
@@ -19,6 +19,16 @@ lies in I. If every relation r folds to zero on every basis path, then so
 does every p*r*q, as fold(p*r*q) = p*fold(r*fold(q)), so the table is
 exactly KQ/I. With one-term relations only, every path folds to itself or
 to zero, and the check is not needed.
+
+A nonzero fold w of r on a basis path b is a combination of basis paths
+that lies in I: every table entry a*b' is congruent to a*b' modulo I (a
+basis path is shorter than the Loewy length, so a*b' fits the window, and
+a form differs from its path by rows), so w is congruent to r*b. w joins
+the relations and the table is built again (the Groebner restart). w is
+a row of the new build, so its deglex-largest path, a basis path before,
+becomes a pivot, and the basis only shrinks: there are at most dim Lambda
+restarts. As I lies in J^2, so does w: a restart never meets a relation
+with a term of length < 2.
 """
 
 from __future__ import annotations
@@ -27,18 +37,20 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotAdmissible, SearchTooLarge
-from .fields import Field, Scalar
-from .linalg import Echelon, Map, SparseRow, apply
+from .fields import Field
+from .linalg import Echelon, Map, SparseRow, apply, fold
 from .quiver import Element, PathWord, Quiver, deglex_key, extend, idempotent, validate_relation
 
 PATH_BUDGET = 500_000
 
 
-def _fold(field: Field, arrows: dict[str, Map], vec: SparseRow, labels: tuple[str, ...]) -> SparseRow:
-    """vec pushed along the arrow Maps of the labels, first label first."""
-    for label in labels:
-        vec = apply(field, arrows[label], vec)
-    return vec
+def relation_image(field: Field, maps: dict[str, Map], rel: Element, vec: SparseRow) -> SparseRow:
+    """rel*vec on arrow Maps: the sum over the terms c*w of rel of c times
+    the fold of vec along w."""
+    out: SparseRow = {}
+    for w, c in rel.terms.items():
+        field.axpy(out, c, fold(field, maps, vec, w.arrows))
+    return out
 
 
 @dataclass(eq=False)
@@ -49,7 +61,8 @@ class Algebra:
     sends position i to the normal form of a*basis[i], zero products left
     out. parent[i] is the position of the initial subpath of basis[i] (-1 at
     an idempotent), and ext[i] maps an arrow label a to the position of
-    a*basis[i] when that is a basis path, in arrows_out order.
+    a*basis[i] when that is a basis path, in arrows_out order. relations
+    are the relations as given, without those a Groebner restart adds.
     """
 
     quiver: Quiver
@@ -71,21 +84,6 @@ class Algebra:
     def basis_at(self, start: int) -> list[PathWord]:
         """Basis paths of the projective Lambda*e_start, deglex ascending."""
         return [p for p in self.basis if p.start == start]
-
-    # -- normal forms -----------------------------------------------------
-
-    def nf_path(self, p: PathWord) -> dict[PathWord, Scalar]:
-        """Normal form of a path of any length, deglex ascending: the fold of
-        the arrow table along its arrows from e_start."""
-        v = _fold(self.field, self.arrows, {p.start - 1: self.field.one()}, p.arrows)
-        return {self.basis[i]: v[i] for i in sorted(v)}
-
-    def normal_form(self, x: Element) -> Element:
-        f = self.field
-        out = Element()
-        for p, c in x.terms.items():
-            f.axpy(out.terms, c, self.nf_path(p))
-        return out
 
     # -- derived invariants ----------------------------------------------
 
@@ -158,12 +156,13 @@ def build_algebra(
     of its initial subpath. The form of a*b, b a basis path, is the table
     entry. The Loewy length is the smallest m <= max_len at which every
     tip-free path has form zero. When a relation has several terms, every
-    relation is folded on every basis path (the module docstring says why).
+    relation is folded on every basis path, and a nonzero fold joins the
+    relations for a new build (the module docstring says why this is sound
+    and ends).
 
     Raises BadRelation for malformed generators, NotAdmissible when no
-    m <= max_len has all length-m paths reducing to zero or a relation
-    does not fold to zero, and SearchTooLarge when the walk passes
-    PATH_BUDGET tip-free paths.
+    m <= max_len has all length-m paths reducing to zero, and
+    SearchTooLarge when the walk passes PATH_BUDGET tip-free paths.
     """
     canon: list[Element] = []
     for rel in relations:
@@ -176,7 +175,25 @@ def build_algebra(
         canon.append(Element(terms))
         validate_relation(canon[-1], field)
     relations = canon
+    generators = list(relations)
+    # with one-term relations only, every path folds to itself or to zero
+    checked = relations if any(len(rel.terms) > 1 for rel in relations) else []
+    one = field.one()
+    while True:
+        basis, arrows, parent, ext, loewy = _arrow_table(quiver, generators, field, max_len)
+        folds = (relation_image(field, arrows, rel, {i: one}) for rel in checked for i in range(len(basis)))
+        w = next(filter(None, folds), None)
+        if w is None:
+            return Algebra(quiver, field, tuple(relations), max_len, basis, arrows, parent, ext, loewy)
+        # w lies in I (the module docstring says why): a relation the window missed
+        generators.append(Element({basis[j]: c for j, c in w.items()}))
 
+
+def _arrow_table(
+    quiver: Quiver, relations: list[Element], field: Field, max_len: int
+) -> tuple[tuple[PathWord, ...], dict[str, Map], tuple[int, ...], tuple[dict[str, int], ...], int]:
+    """The basis, arrow Maps, parent and ext tables and Loewy length that
+    the window's rows give (build_algebra's docstring), not yet certified."""
     # Tip-free paths by length. A new path's prefix is tip-free, so it
     # contains a one-term relation iff one is a suffix of its arrow word.
     tips = {next(iter(rel.terms)).arrows for rel in relations if len(rel.terms) == 1}
@@ -220,7 +237,7 @@ def build_algebra(
                 rows.append({top - k: c for k, c in pwq if k is not None})
     ideal = Echelon(field, rows)
 
-    # the outward basis and the table, in deglex order (see the docstring)
+    # the outward basis and the table, in deglex order (build_algebra says how)
     one = field.one()
     basis: list[PathWord] = []
     parent: list[int] = []
@@ -257,13 +274,4 @@ def build_algebra(
             f"no m <= {max_len} has all length-m paths reducing to zero; "
             "the ideal may not be admissible or max_len is too small"
         )
-    if any(len(rel.terms) > 1 for rel in relations):
-        for rel, i in itertools.product(relations, range(len(basis))):
-            acts: SparseRow = {}
-            for w, c in rel.terms.items():
-                field.axpy(acts, c, _fold(field, arrows, {i: one}, w.arrows))
-            if acts:
-                raise NotAdmissible(
-                    f"the relation {rel.format(field)} does not reduce to zero on {basis[i]}; max_len may be too small"
-                )
-    return Algebra(quiver, field, tuple(relations), max_len, tuple(basis), arrows, tuple(parent), tuple(ext), loewy)
+    return tuple(basis), arrows, tuple(parent), tuple(ext), loewy

@@ -64,7 +64,7 @@ from .grass import (
     make_skeleton,
     point_from_generators,
 )
-from .linalg import zeros
+from .linalg import Map, fold
 from .quiver import Element, PathWord, idempotent, make_quiver
 from .reps import Rep, rep_validate
 
@@ -587,17 +587,22 @@ def doc_algebra(doc: InputDocument, field: Field | None = None) -> Algebra:
 
 
 def doc_module(doc: InputDocument, alg: Algebra) -> Rep:
+    """The module block as a Rep: each matrix, whose shape the parser has
+    checked, is written column by column into its arrow's Map; an arrow
+    with no matrix acts by zero. TypeMismatch when the relations fail."""
     module = need(doc.module, "module")
     f = alg.field
-    d = module.d
-    mats = {
-        lbl: [[f.of_fraction(x) for x in row] for row in rows]
-        for lbl, rows in module.mats
-    }
+    mats = dict(module.mats)
+    offset = [sum(module.d[:i]) for i in range(len(module.d))]
+    arrows: dict[str, Map] = {}
     for a in alg.quiver.arrows:
-        if a.label not in mats:
-            mats[a.label] = zeros(f, d[a.end - 1], d[a.start - 1])
-    M = Rep(alg, d, mats)
+        col0, row0 = offset[a.start - 1], offset[a.end - 1]
+        arrows[a.label] = {
+            col0 + t: img
+            for t, col in enumerate(zip(*mats.get(a.label, ())))
+            if (img := {row0 + i: y for i, x in enumerate(col) if not f.is_zero(y := f.of_fraction(x))})
+        }
+    M = Rep(alg, module.d, arrows)
     if not rep_validate(alg, M):
         raise TypeMismatch("module matrices do not satisfy the algebra relations")
     return M
@@ -632,16 +637,21 @@ def doc_skeleton(P: ProjectiveCover, doc: InputDocument) -> Skeleton:
 
 
 def doc_direction(P: ProjectiveCover, endo: EndoSpace, doc: InputDocument) -> list:
-    alg = P.alg
-    f = alg.field
+    """The coefficients in endo's basis of the direction block. A term
+    u*z_s given for z_r must run from the vertex of z_s to that of z_r
+    (TypeMismatch otherwise); it is folded from z_s's position through P's
+    arrow Maps, and each position i of the image is the basis map
+    endo.index[r, i]."""
+    f = P.alg.field
+    one = f.one()
     coeffs = [f.zero()] * endo.dim
     for copy, gen in need(doc.direction, "direction"):
         r = _copy_index(P, copy)
         for x, s in _gen_pairs(P, gen):
-            for u, c in alg.normal_form(x).terms.items():
-                try:
-                    j = endo.coeff_index(r, s, u)
-                except ValueError:
-                    raise TypeMismatch(f"{describe_endo((r, s, u))} is not an endomorphism of the cover") from None
-                coeffs[j] = f.add(coeffs[j], c)
+            for u, c in x.terms.items():
+                if (u.start, u.end) != (P.gens[s], P.gens[r]):
+                    raise TypeMismatch(f"{describe_endo((r, s, u))} is not an endomorphism of the cover")
+                for i, y in fold(f, P.rep.arrows, {P.index[idempotent(u.start), s]: one}, u.arrows).items():
+                    j = endo.index[r, i]
+                    coeffs[j] = f.add(coeffs[j], f.mul(c, y))
     return coeffs

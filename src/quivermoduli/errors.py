@@ -16,10 +16,6 @@ class BadRelation(DomainError):
     """A relation has a component of length < 2 or mixes non-parallel paths."""
 
 
-class ShapeMismatch(DomainError):
-    """Matrix shapes do not match the dimension vector / arrow endpoints."""
-
-
 class NotSubmodule(DomainError):
     """A claimed submodule span is not stable under the arrow action."""
 

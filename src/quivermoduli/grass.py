@@ -26,9 +26,9 @@ from .algebra import Algebra
 from .config import DEFAULT_LIMITS, SearchLimits
 from .errors import EquationsViolated, IdealNotGraded, NotSubmodule, UnsupportedAlgebra
 from .fields import Scalar
-from .linalg import Echelon, Map, SparseRow, apply
+from .linalg import Echelon, Map, SparseRow, apply, fold
 from .polys import Poly, PolyRing
-from .quiver import PathWord, deglex_key
+from .quiver import PathWord, deglex_key, idempotent
 from .reps import (
     Rep,
     SemisimpleSequence,
@@ -190,17 +190,21 @@ def point_from_generators(P: ProjectiveCover, gens) -> SubmodulePoint:
     components, closed under the arrows.
 
     Each generator is an (Element, copy) pair or a list of such pairs; lists
-    are summed, so generators may mix copies (e.g. a1*z1 - a2*b*z2).
+    are summed, so generators may mix copies (e.g. a1*z1 - a2*b*z2). Each
+    path p of an element acts on z_r: the fold of z_r's position along p
+    through P's arrow Maps. ValueError for a path that does not start at
+    the vertex of z_r.
     """
     f = P.alg.field
+    one = f.one()
     vecs = []
     for g in gens:
         v: SparseRow = {}
         for x, r in [g] if isinstance(g, tuple) else g:
-            for p, c in P.alg.normal_form(x).terms.items():
+            for p, c in x.terms.items():
                 if p.start != P.gens[r]:
                     raise ValueError(f"element does not start at the vertex of z{r + 1}")
-                f.axpy(v, c, {P.index[p, r]: f.one()})
+                f.axpy(v, c, fold(f, P.rep.arrows, {P.index[idempotent(p.start), r]: one}, p.arrows))
         vecs.append(v)
     return submodule_point(P, closure(P.rep, vecs).rows.values())
 
@@ -254,18 +258,18 @@ class Skeleton:
 
 def make_skeleton(P: ProjectiveCover, elems) -> Skeleton:
     """The skeleton on the given (path, copy) pairs. ValueError at the first
-    pair in deglex order off the basis of P or without its initial subpath,
-    else at the first missing generator."""
+    pair in deglex order off the basis of P or without its initial subpath
+    (read off P.parent), else at the first missing generator."""
     quiver = P.alg.quiver
     elems = sorted(set(elems), key=lambda b: (deglex_key(quiver, b[0]), b[1]))
-    have = set(elems)
-    for p, r in elems:
-        if (p, r) not in P.index:
-            raise ValueError(f"{elem_name(p, r)} is not a basis element of P")
-        if p.length and (p.initial(p.length - 1, quiver), r) not in have:
-            raise ValueError(f"skeleton is not closed under initial subpaths at {elem_name(p, r)}")
-    for i, b in enumerate(P.belems):
-        if P.parent[i] < 0 and b not in have:
+    have = {P.index.get(b) for b in elems}
+    for b in elems:
+        if (i := P.index.get(b)) is None:
+            raise ValueError(f"{elem_name(*b)} is not a basis element of P")
+        if P.parent[i] >= 0 and P.parent[i] not in have:
+            raise ValueError(f"skeleton is not closed under initial subpaths at {elem_name(*b)}")
+    for i in range(P.total):
+        if P.parent[i] < 0 and i not in have:
             raise ValueError(f"skeleton is missing the generator {P.describe(i)}")
     return _skeleton(P, [P.index[b] for b in elems])
 
@@ -560,13 +564,16 @@ def describe_endo(elem: tuple[int, int, PathWord]) -> str:
 @dataclass(eq=False)
 class EndoSpace:
     """Basis of End(P): elems[j] = (r, s, u) is the map z_r -> u*z_s, zero on
-    the other generators. images[j] is its Map: the coordinate of each
-    basis element p*z_r goes to the sparse row of its image p*u*z_s.
+    the other generators. index[r, i] = j names it by r and the position i
+    of u*z_s in P, so an image of z_r read off P's positions is looked up
+    term by term. images[j] is its Map: the coordinate of each basis
+    element p*z_r goes to the sparse row of its image p*u*z_s.
     unipotent/degree0 list the indices of the strictly-length-raising and
     the length-zero basis elements."""
 
     cover: ProjectiveCover
     elems: tuple[tuple[int, int, PathWord], ...]
+    index: dict[tuple[int, int], int]
     images: list[Map]
     unipotent: tuple[int, ...]
     degree0: tuple[int, ...]
@@ -578,9 +585,6 @@ class EndoSpace:
     def describe(self, j: int) -> str:
         return describe_endo(self.elems[j])
 
-    def coeff_index(self, r: int, s: int, u: PathWord) -> int:
-        return self.elems.index((r, s, u))
-
     def apply(self, j: int, vec: SparseRow) -> SparseRow:
         """The image of a sparse vector under the basis endomorphism j."""
         return apply(self.cover.alg.field, self.images[j], vec)
@@ -591,10 +595,12 @@ def endo_space(P: ProjectiveCover) -> EndoSpace:
     to a times the image of p'*z_r: one arrow action per basis element."""
     alg = P.alg
     elems: list[tuple[int, int, PathWord]] = []
+    index: dict[tuple[int, int], int] = {}
     for r, vr in enumerate(P.gens):
         for s, vs in enumerate(P.gens):
             for u in alg.basis_at(vs):
                 if u.end == vr:
+                    index[r, P.index[u, s]] = len(elems)
                     elems.append((r, s, u))
     gens = [i for i, j in enumerate(P.parent) if j < 0]
     by_length = sorted(range(P.total), key=lambda i: P.belems[i][0].length)
@@ -608,7 +614,7 @@ def endo_space(P: ProjectiveCover) -> EndoSpace:
         images.append({i: row for i, row in img.items() if row})
     unip = tuple(j for j, (_, _, u) in enumerate(elems) if u.length >= 1)
     deg0 = tuple(j for j, (_, _, u) in enumerate(elems) if u.length == 0)
-    return EndoSpace(P, tuple(elems), images, unip, deg0)
+    return EndoSpace(P, tuple(elems), index, images, unip, deg0)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,16 @@
 
 Sparse rows are dicts from column index to a nonzero scalar. A linear map
 is a Map: each source coordinate goes to the sparse image of its unit
-vector, zero columns left out; apply, compose and combine build on
-Field.axpy. Every elimination goes through one kernel, Echelon: a row space
-kept in fully reduced echelon form under incremental insertion. A Rep holds
-its arrows as Maps; dense matrices (lists of row lists) remain only at the
-edges: arrow matrices read in and written out (Rep.mats, hom_basis), points
-as RREF rows (SubmodulePoint.rows), and the dense views of Echelon below
-(rref, kernels, solve). Only this module multiplies dense matrices.
+vector, zero columns left out; apply, fold, compose and combine build on
+Field.axpy. A module, Lambda and the cover P all hold their arrows as Maps
+on integer positions, and fold is the one way a path acts on them: the
+vector pushed along the arrow Maps of the path's labels. Every elimination
+goes through one kernel, Echelon: a row space kept in fully reduced echelon
+form under incremental insertion. Dense matrices (lists of row lists)
+remain only at the edges: arrow matrices written out (Rep.mats,
+hom_basis), points as RREF rows (SubmodulePoint.rows), and the dense views
+of Echelon below (rref, kernels, solve). Only this module multiplies dense
+matrices.
 """
 
 from __future__ import annotations
@@ -88,6 +91,16 @@ def apply(field: Field, x: Map, vec: SparseRow) -> SparseRow:
         if col is not None:
             field.axpy(out, y, col)
     return out
+
+
+def fold(field: Field, maps: dict[str, Map], vec: SparseRow, labels: Iterable[str]) -> SparseRow:
+    """vec pushed along the Maps of the labels, first label first: the
+    action of the path with that arrow word. An arrow's Map has columns only
+    at its start vertex, so a path of length >= 1 folds to zero from a
+    vector supported off its start."""
+    for label in labels:
+        vec = apply(field, maps[label], vec)
+    return vec
 
 
 def compose(field: Field, x: Map, y: Map) -> Map:

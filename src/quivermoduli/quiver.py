@@ -25,32 +25,24 @@ class Arrow:
 class Quiver:
     n: int
     arrows: tuple[Arrow, ...]
-    _by_label: dict = dc_field(init=False, repr=False, compare=False, hash=False, default=None)
     # label -> declaration index, the order deglex_key compares arrows in
     _index: dict = dc_field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("quiver needs at least one vertex")
-        by_label: dict[str, Arrow] = {}
+        index: dict[str, int] = {}
         for a in self.arrows:
             if not (1 <= a.start <= self.n and 1 <= a.end <= self.n):
                 raise ValueError(f"arrow {a.label}: endpoints outside 1..{self.n}")
-            if a.label in by_label:
+            if a.label in index:
                 raise ValueError(f"duplicate arrow label {a.label!r}")
-            by_label[a.label] = a
-        object.__setattr__(self, "_by_label", by_label)
-        object.__setattr__(self, "_index", {a.label: i for i, a in enumerate(self.arrows)})
+            index[a.label] = len(index)
+        object.__setattr__(self, "_index", index)
 
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def arrow(self, label: str) -> Arrow:
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise KeyError(f"unknown arrow label {label!r}") from None
 
     def arrows_out(self, v: int) -> list[Arrow]:
         return [a for a in self.arrows if a.start == v]
@@ -74,14 +66,6 @@ class PathWord:
     @property
     def length(self) -> int:
         return len(self.arrows)
-
-    def initial(self, m: int, quiver: Quiver) -> "PathWord":
-        """The initial subpath consisting of the first m arrows applied."""
-        if not 0 <= m <= self.length:
-            raise ValueError("bad subpath length")
-        if m == 0:
-            return PathWord(self.start, (), self.start)
-        return PathWord(self.start, self.arrows[:m], quiver.arrow(self.arrows[m - 1]).end)
 
     def last_arrow(self) -> str:
         if not self.arrows:

@@ -5,12 +5,13 @@ those decompositions and the top maps.
 A Rep is its arrow Maps: each arrow a: s -> e is a linalg.Map from the
 global coordinates of the block of s to those of the block of e, where
 vectors of the module live in the flattened space K^|d| with vertex blocks
-in vertex order. Dense d_end x d_start matrices are read in once, by the
-constructor, and written out only on request (Rep.mats). Every submodule
-is graded by vertices (idempotents act), so per-vertex dimensions of
-subspaces are read off the pivots of their RREF bases. Rep.act and
-Rep.project, the arrow and idempotent actions, take and return sparse
-rows.
+in vertex order. Every builder, the document reader included, writes the
+Maps directly; dense d_end x d_start matrices are only written out, on
+request (Rep.mats). A path acts by linalg.fold along the arrow Maps, and a
+relation by the sum of its terms' folds. Every submodule is graded by
+vertices (idempotents act), so per-vertex dimensions of subspaces are read
+off the pivots of their RREF bases. Rep.act and Rep.project, the arrow and
+idempotent actions, take and return sparse rows.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ import random
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 
-from .algebra import Algebra
+from .algebra import Algebra, relation_image
 from .config import DEFAULT_LIMITS, SearchLimits
 from .errors import (
     FieldNotFinite,
     NotSubmodule,
     NotSumOfLocals,
     SearchTooLarge,
-    ShapeMismatch,
     Unknown,
 )
 from .fields import Field, Scalar
@@ -44,41 +44,24 @@ from .linalg import (
     compose,
     sparse_kernel_basis,
 )
-from .quiver import Element
 
 SemisimpleSequence = tuple[tuple[int, ...], ...]
 
 
 class Rep:
+    """The module of dimension vector d whose arrow a acts by the Map
+    arrows[a], given for every arrow of the quiver; every column of it lies
+    in the block of a's start and every image in the block of its end. The
+    constructor takes the Maps as they are and checks nothing."""
+
     __slots__ = ("alg", "d", "arrows", "_radical")
 
-    def __init__(self, alg: Algebra, d: tuple[int, ...], mats: dict[str, Matrix]):
-        """The module with the given d_end x d_start arrow matrices, each read
-        into a Map; ShapeMismatch for a missing or misshapen matrix."""
+    def __init__(self, alg: Algebra, d: tuple[int, ...], arrows: dict[str, Map]):
         self.alg = alg
         self.d = tuple(d)
-        f = alg.field
-        self.arrows: dict[str, Map] = {}
-        for a in alg.quiver.arrows:
-            m = mats.get(a.label)
-            if m is None:
-                raise ShapeMismatch(f"missing matrix for arrow {a.label}")
-            r, c = self.dim_at(a.end), self.dim_at(a.start)
-            if len(m) != r or any(len(row) != c for row in m):
-                raise ShapeMismatch(f"arrow {a.label}: expected {r}x{c}, got {len(m)}x{len(m[0]) if m else 0}")
-            row0, col0 = self.offset(a.end), self.offset(a.start)
-            self.arrows[a.label] = {
-                col0 + t: col for t in range(c) if (col := {row0 + i: x[t] for i, x in enumerate(m) if not f.is_zero(x[t])})
-            }
+        self.arrows = arrows
         # JM as an Echelon, built by _radical
         self._radical: Echelon | None = None
-
-    @classmethod
-    def _of_maps(cls, alg: Algebra, d: tuple[int, ...], arrows: dict[str, Map]) -> Rep:
-        """The module with the given arrow Maps: the builders' constructor."""
-        M = cls.__new__(cls)
-        M.alg, M.d, M.arrows, M._radical = alg, tuple(d), arrows, None
-        return M
 
     @property
     def mats(self) -> dict[str, Matrix]:
@@ -127,7 +110,7 @@ def _matrix(f: Field, x: Map, rows: range, cols: range) -> Matrix:
 
 
 def zero_rep(alg: Algebra, d: tuple[int, ...]) -> Rep:
-    return Rep._of_maps(alg, d, {a.label: {} for a in alg.quiver.arrows})
+    return Rep(alg, d, {a.label: {} for a in alg.quiver.arrows})
 
 
 def simple_rep(alg: Algebra, v: int) -> Rep:
@@ -150,34 +133,15 @@ def _free_rep(alg: Algebra, gens: tuple[int, ...]) -> tuple[tuple[tuple[int, int
         label: {k: {index[j, r]: c for j, c in x[i].items()} for (i, r), k in index.items() if i in x}
         for label, x in alg.arrows.items()
     }
-    return tuple(index), Rep._of_maps(alg, tuple(map(len, blocks)), arrows)
-
-
-def rep_of_projective(alg: Algebra, v: int) -> Rep:
-    """The left module Lambda*e_v on its path basis (_free_rep)."""
-    return _free_rep(alg, (v,))[1]
-
-
-def _element_image(M: Rep, x: Element, vec: SparseRow) -> SparseRow:
-    """The image x.vec of a sparse global vector under an algebra element.
-
-    Each path's term projects vec to the path's start vertex and pushes it
-    along the arrows one Rep.act at a time, so no path matrix is formed and
-    a zero-dimensional vertex on the way needs no special case.
-    """
-    out: SparseRow = {}
-    for p, c in x.terms.items():
-        w = M.project(vec, p.start)
-        for lbl in p.arrows:
-            w = M.act(lbl, w)
-        M.field.axpy(out, c, w)
-    return out
+    return tuple(index), Rep(alg, tuple(map(len, blocks)), arrows)
 
 
 def rep_validate(alg: Algebra, M: Rep) -> bool:
-    """Does M satisfy the relations? (The Rep constructor checks shapes.)"""
+    """Does M satisfy the relations? Each relation acts on every basis
+    vector of M through M's arrow Maps (algebra.relation_image); its paths
+    have length >= 2, so each folds to zero from a vector off its start."""
     one = alg.field.one()
-    return not any(_element_image(M, rel, {j: one}) for rel in alg.relations for j in range(M.total))
+    return not any(relation_image(alg.field, M.arrows, rel, {j: one}) for rel in alg.relations for j in range(M.total))
 
 
 def closure(M: Rep, vecs: Iterable[SparseRow]) -> Echelon:
@@ -462,7 +426,7 @@ def _on_basis(
             for i in names[a.start - 1]
             if (col := {index[k]: y for k, y in coords(M.act(a.label, vector(i))).items() if k in index})
         }
-    return Rep._of_maps(M.alg, tuple(map(len, names)), arrows)
+    return Rep(M.alg, tuple(map(len, names)), arrows)
 
 
 def sub_rep(M: Rep, space: list[Vector]) -> Rep:

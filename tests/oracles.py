@@ -5,10 +5,12 @@ subspace sweeps, brute-force skeleton counting. The point is that none of it
 shares code with the package internals.
 
 The last section holds what the tests need and no command does: builders
-of test inputs (paths from labels, direct sums, base changes, weights,
-document text) and the inverse routes the properties check the package
-against (the coordinates of a point on a chart, the automorphisms of the
-cover).
+of test inputs (paths from labels, modules from dense matrices, the
+projectives, direct sums, base changes, weights, document text), path
+arithmetic the package runs on positions instead (initial subpaths, normal
+forms keyed by path), and the inverse routes the properties check the
+package against (the coordinates of a point on a chart, the automorphisms
+of the cover).
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from quivermoduli.grass import (
     enumerate_skeleta,
     submodule_point,
 )
-from quivermoduli.linalg import Echelon, apply, combine, dense, identity, kernel_basis, solve, span_rref, sparse, zeros
+from quivermoduli.linalg import Echelon, apply, combine, dense, fold, identity, kernel_basis, solve, span_rref, sparse, zeros
 from quivermoduli.polys import PolyRing, poly_det
-from quivermoduli.quiver import Element, PathWord, Quiver, deglex_key, extend, idempotent
-from quivermoduli.reps import Rep, _vertex_dims, hom_basis, hom_dim, radical_layering, sub_rep, submodule_spans
+from quivermoduli.quiver import Arrow, Element, PathWord, Quiver, deglex_key, extend, idempotent
+from quivermoduli.reps import Rep, _free_rep, _vertex_dims, hom_basis, hom_dim, radical_layering, sub_rep, submodule_spans
 from quivermoduli.stability import Weight
 
 
@@ -291,7 +293,7 @@ def sub_rep_oracle(M, space):
             img = naive_mat_vec(f, arrows[a.label], w)
             cols.append(solve(f, transpose(bases[a.end]), img) if bases[a.end] else [])
         mats[a.label] = [list(row) for row in zip(*cols)] if cols and bases[a.end] else zeros(f, d[a.end - 1], d[a.start - 1])
-    return Rep(M.alg, d, mats)
+    return rep_of_matrices(M.alg, d, mats)
 
 
 def quotient_rep_oracle(M, space):
@@ -310,7 +312,7 @@ def quotient_rep_oracle(M, space):
             res = spans[a.end].reduce(sparse(f, [row[i] for row in arrows[a.label]]))
             cols.append([res.get(k, f.zero()) for k in keep[a.end]])
         mats[a.label] = [list(row) for row in zip(*cols)] if cols and d[a.end - 1] else zeros(f, d[a.end - 1], d[a.start - 1])
-    return Rep(M.alg, d, mats)
+    return rep_of_matrices(M.alg, d, mats)
 
 
 def dense_projective_oracle(alg, v):
@@ -329,10 +331,10 @@ def dense_projective_oracle(alg, v):
         m = zeros(f, d[a.end - 1], d[a.start - 1])
         for p in cols:
             if p.end == a.start:
-                for b, c in alg.nf_path(extend(p, a)).items():
+                for b, c in nf_path(alg, extend(p, a)).items():
                     m[local[b]][local[p]] = c
         mats[a.label] = m
-    return Rep(alg, d, mats)
+    return rep_of_matrices(alg, d, mats)
 
 
 def length_grading_oracle(alg, v) -> bool:
@@ -359,7 +361,7 @@ def homogeneous_ideal_oracle(alg) -> bool:
         by_len: dict[int, Element] = {}
         for p, c in rel.terms.items():
             by_len.setdefault(p.length, Element()).terms[p] = c
-        if len(by_len) > 1 and any(not alg.normal_form(part).is_zero() for part in by_len.values()):
+        if len(by_len) > 1 and any(not normal_form(alg, part).is_zero() for part in by_len.values()):
             return False
     return True
 
@@ -393,7 +395,7 @@ def block_sum_oracle(M, N):
             for j in range(cn):
                 m[rm + i][cm + j] = an[a.label][i][j]
         mats[a.label] = m
-    return Rep(M.alg, d, mats)
+    return rep_of_matrices(M.alg, d, mats)
 
 
 def dense_hom_oracle(M, N) -> int:
@@ -653,7 +655,7 @@ def dense_endo_matrix(P, elem):
         if r2 != r:
             continue
         word = PathWord(u.start, u.arrows + p.arrows, p.end)
-        for w, c in P.alg.nf_path(word).items():
+        for w, c in nf_path(P.alg, word).items():
             m[P.index[(w, s)]][col] = c
     return m
 
@@ -728,7 +730,7 @@ def brute_force_skeleta(P) -> list[tuple]:
     for k in range(len(rest) + 1):
         for extra in itertools.combinations(rest, k):
             have = set(gens) | set(extra)
-            if all((p.initial(p.length - 1, quiver), r) in have for p, r in extra):
+            if all((initial(p, p.length - 1, quiver), r) in have for p, r in extra):
                 out.append(tuple(sorted(have, key=key)))
     out.sort(key=lambda s: tuple(key(b) for b in s))
     return [tuple(P.index[b] for b in s) for s in out]
@@ -817,7 +819,7 @@ def dense_chart_residues(P, sigma):
         if key in busy:
             raise UnsupportedAlgebra("cyclic reduction while expanding chart residues")
         busy.add(key)
-        parent = (p.initial(p.length - 1, quiver), r)
+        parent = (initial(p, p.length - 1, quiver), r)
         label = p.last_arrow()
         if parent in sig_pos:
             out = column(label, parent)
@@ -836,7 +838,7 @@ def dense_chart_residues(P, sigma):
             raise UnsupportedAlgebra("cyclic reduction while expanding chart residues")
         busy.add(guard)
         p, r = b
-        a = quiver.arrow(label)
+        a = arrow(quiver, label)
         q = PathWord(p.start, p.arrows + (label,), a.end)
         out = [ring.zero() for _ in sig_list]
         if q in alg.basis:
@@ -846,7 +848,7 @@ def dense_chart_residues(P, sigma):
                 for b2, k in var_of[(label, b)]:
                     out[sig_pos[b2]] = out[sig_pos[b2]] + ring.var(k)
         else:
-            for w, c in alg.nf_path(q).items():
+            for w, c in nf_path(alg, q).items():
                 for i, entry in enumerate(rho((w, r))):
                     out[i] = out[i] + entry.scale(c)
         busy.discard(guard)
@@ -855,7 +857,7 @@ def dense_chart_residues(P, sigma):
 
     def apply_column(label, vec):
         out = [ring.zero() for _ in sig_list]
-        start = quiver.arrow(label).start
+        start = arrow(quiver, label).start
         for j, coeff in enumerate(vec):
             if coeff.is_zero() or sig_list[j][0].end != start:
                 continue
@@ -910,7 +912,7 @@ def dense_relation_equations(pres) -> list:
             if p.end != a.start:
                 continue
             q = PathWord(p.start, p.arrows + (a.label,), a.end)
-            for w, c in alg.nf_path(q).items():
+            for w, c in nf_path(alg, q).items():
                 for b2, entry in pres.residues[P.index[(w, r)]].items():
                     i = pos[b2]
                     m[i][j] = m[i][j] + entry.scale(c)
@@ -997,15 +999,69 @@ def path_from_labels(quiver, labels_rtl) -> PathWord:
     seq = list(labels_rtl)[::-1]  # application order
     if not seq:
         raise ValueError("empty label list; use idempotent(v) for e_v")
-    first = quiver.arrow(seq[0])
+    first = arrow(quiver, seq[0])
     p = PathWord(first.start, (first.label,), first.end)
     for lbl in seq[1:]:
-        a = quiver.arrow(lbl)
+        a = arrow(quiver, lbl)
         q = extend(p, a)
         if q is None:
             raise ValueError(f"arrows do not compose: {a.label} after {p}")
         p = q
     return p
+
+
+def arrow(quiver, label) -> Arrow:
+    """The arrow of the quiver with the given label."""
+    return next(a for a in quiver.arrows if a.label == label)
+
+
+def initial(p: PathWord, m: int, quiver) -> PathWord:
+    """The initial subpath of p made of its first m arrows applied."""
+    if not 0 <= m <= p.length:
+        raise ValueError("bad subpath length")
+    if m == 0:
+        return idempotent(p.start)
+    return PathWord(p.start, p.arrows[:m], arrow(quiver, p.arrows[m - 1]).end)
+
+
+def nf_path(alg, p: PathWord) -> dict[PathWord, object]:
+    """The normal form of a path of any length, deglex ascending: the fold
+    of the arrow table of alg along its arrows from e_start."""
+    v = fold(alg.field, alg.arrows, {p.start - 1: alg.field.one()}, p.arrows)
+    return {alg.basis[i]: v[i] for i in sorted(v)}
+
+
+def normal_form(alg, x: Element) -> Element:
+    """The normal form of an element, term by term (nf_path)."""
+    out = Element()
+    for p, c in x.terms.items():
+        alg.field.axpy(out.terms, c, nf_path(alg, p))
+    return out
+
+
+def rep_of_projective(alg, v: int) -> Rep:
+    """The left module Lambda*e_v on its path basis: the cover of the
+    simple top at v (reps._free_rep)."""
+    return _free_rep(alg, (v,))[1]
+
+
+def rep_of_matrices(alg, d, mats) -> Rep:
+    """The module with the given d_end x d_start arrow matrices, one for
+    every arrow, each read into a Map column by column. ValueError for a
+    missing or misshapen matrix."""
+    f = alg.field
+    offset = [sum(d[:i]) for i in range(len(d))]
+    arrows = {}
+    for a in alg.quiver.arrows:
+        m = mats.get(a.label)
+        r, c = d[a.end - 1], d[a.start - 1]
+        if m is None or len(m) != r or any(len(row) != c for row in m):
+            raise ValueError(f"arrow {a.label}: no {r}x{c} matrix")
+        row0, col0 = offset[a.end - 1], offset[a.start - 1]
+        arrows[a.label] = {
+            col0 + t: col for t in range(c) if (col := {row0 + i: x[t] for i, x in enumerate(m) if not f.is_zero(x[t])})
+        }
+    return Rep(alg, d, arrows)
 
 
 def transpose(a):
@@ -1026,7 +1082,7 @@ def algebra_mul(alg, later, earlier):
         for q, cq in earlier.terms.items():
             pq = compose(alg.quiver, p, q)
             if pq is not None:
-                f.axpy(out.terms, f.mul(cp, cq), alg.nf_path(pq))
+                f.axpy(out.terms, f.mul(cp, cq), nf_path(alg, pq))
     return out
 
 
@@ -1043,7 +1099,7 @@ def direct_sum(M, N):
         x = shifted(M.arrows[a.label], N.offset(s), N.offset(e))
         x.update(shifted(N.arrows[a.label], M.offset(s) + M.dim_at(s), M.offset(e) + M.dim_at(e)))
         arrows[a.label] = x
-    return Rep._of_maps(M.alg, d, arrows)
+    return Rep(M.alg, d, arrows)
 
 
 @dataclass
@@ -1081,7 +1137,7 @@ def base_change(M, g: GroupElement):
         if M.dim_at(a.start) and M.dim_at(a.end):
             right = transpose(g.blocks[a.start])
             mats[a.label] = [solve(f, right, row) for row in naive_mat_mul(f, g.blocks[a.end], mats[a.label])]
-    return Rep(M.alg, M.d, mats)
+    return rep_of_matrices(M.alg, M.d, mats)
 
 
 def submodule_dim_vectors(M) -> set[tuple[int, ...]]:

@@ -4,6 +4,7 @@ parse errors, document builders, frozen command output, and exit codes."""
 import io
 import itertools
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -325,6 +326,7 @@ def test_module_builder_fills_missing_arrows_with_zeros():
     alg = doc_algebra(doc)
     M = doc_module(doc, alg)
     z = alg.field.zero()
+    assert M.arrows["a2"] == {}
     assert M.mats["a2"] == [[z, z], [z, z]]
 
 
@@ -354,8 +356,28 @@ def test_direction_must_be_an_endomorphism_of_the_cover():
     alg = doc_algebra(doc)
     P = projective_cover(alg, doc.top)
     endo = endo_space(P)
-    with pytest.raises(TypeMismatch, match="is not an endomorphism of the cover"):
+    with pytest.raises(TypeMismatch, match=r"^z1 -> a1\*z1 is not an endomorphism of the cover$"):
         doc_direction(P, endo, doc)
+
+
+@pytest.mark.parametrize("top, path", [("(0, 1)", "a*a"), ("(1, 0)", "b*a*a")])
+def test_a_direction_term_off_the_vertices_of_its_generators_is_refused_even_in_the_ideal(top, path):
+    # a*a and b*a*a lie in the ideal; over top (0, 1) the cover is
+    # Lambda*e2 = span(z1) and a*a starts at 1, not at z1's vertex 2; over
+    # top (1, 0), b*a*a starts at z1's vertex 1 but ends at 2
+    doc = parse_input(_DOC + f"top {{ mult: {top}; }}\ndirection {{ z1: (1*{path}).z1; }}")
+    P = projective_cover(doc_algebra(doc), doc.top)
+    with pytest.raises(TypeMismatch, match=rf"^z1 -> {re.escape(path)}\*z1 is not an endomorphism of the cover$"):
+        doc_direction(P, endo_space(P), doc)
+
+
+def test_a_point_generator_off_the_vertex_of_its_generator_is_refused_even_in_the_ideal():
+    # a*a lies in the ideal and starts at 1; over top (0, 1) the cover is
+    # span(z1), with z1 at vertex 2
+    doc = parse_input(_DOC + "top { mult: (0, 1); }\npoint { generators: [(1*a*a).z1]; }")
+    P = projective_cover(doc_algebra(doc), doc.top)
+    with pytest.raises(ValueError, match=r"^element does not start at the vertex of z1$"):
+        doc_point(P, doc.points[0])
 
 
 # ---------------------------------------------------------------- commands

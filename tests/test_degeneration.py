@@ -4,6 +4,7 @@ one-parameter limits, the hom order, and finite-field maximality sweeps."""
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from collections import Counter
 
@@ -37,7 +38,6 @@ from quivermoduli.grass import (
     submodule_point,
 )
 from quivermoduli.quiver import idempotent
-from quivermoduli.reps import rep_of_projective
 from conftest import (
     double_loop_algebra,
     kronecker3_over,
@@ -47,6 +47,7 @@ from conftest import (
     star3_over,
     two_loop_two_arrow_algebra,
 )
+from oracles import rep_of_projective
 
 
 def endo_index(endo, desc):
@@ -315,6 +316,25 @@ def test_hom_order_along_the_limit(loop_bridge):
     assert hom_order_leq(Mba, Mb) is False
     with pytest.raises(DimensionMismatch):
         hom_order_leq(Mb, rep_of_projective(loop_bridge, 1))
+
+
+def test_the_hom_order_needs_no_projective_test_module():
+    # dim Hom(Lambda*e_v, X) = dim e_v*X (Yoneda), the same for M and N of
+    # one d, so the projectives the hom order once tested never decide it:
+    # on the first points of each sweep-fq stratum, the default test list
+    # (simples, M and N) answers as the list with the projectives does
+    answers = Counter()
+    for i in range(len(SWEEP_FQ_STRATA)):
+        alg, P, _, points = sweep_fq_stratum(i)
+        verts = alg.quiver.vertices
+        projectives = [rep_of_projective(alg, v) for v in verts]
+        mods = [coker_rep(P, C) for C in points[:6]]
+        for M, N in itertools.product(mods, repeat=2):
+            old = projectives + [reps.simple_rep(alg, v) for v in verts] + [M, N]
+            assert hom_order_leq(M, N) == hom_order_leq(M, N, old), SWEEP_FQ_STRATA[i]
+            answers[hom_order_leq(M, N)] += 1
+        assert all(reps.hom_dim(X, M) == M.d[v - 1] for X, v in zip(projectives, verts) for M in mods)
+    assert answers[True] and answers[False]
 
 
 # -- finite-field sweeps ------------------------------------------------------

@@ -59,6 +59,7 @@ from oracles import (
     apply_auto,
     direct_sum_cover_oracle,
     identity_coords,
+    initial,
     length_grading_oracle,
     plain_stratum_points,
     point_to_coords,
@@ -210,7 +211,7 @@ def test_the_position_tables_are_the_subpaths_and_extensions_of_the_basis():
             P = projective_cover(alg, top)
             one = alg.field.one()
             for i, (p, r) in enumerate(P.belems):
-                assert P.parent[i] == (P.index[p.initial(p.length - 1, q), r] if p.length else -1), (name, top, i)
+                assert P.parent[i] == (P.index[initial(p, p.length - 1, q), r] if p.length else -1), (name, top, i)
                 ext = {a.label: P.index[w, r] for a in q.arrows_out(p.end) if (w := extend(p, a)) in alg.basis}
                 assert list(P.ext[i].items()) == list(ext.items()), (name, top, i)
                 for label, j in ext.items():

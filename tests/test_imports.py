@@ -2,8 +2,9 @@
 definition and method of the package is reached from the command line, or
 is a name the benchmark wraps: a deleted helper takes its imports with it,
 and what only the tests use lives in tests/. Maps between modules are
-sparse (linalg.Map): only linalg multiplies dense matrices, and a Rep is
-its arrow Maps, written out dense only by its views."""
+sparse (linalg.Map): only linalg multiplies dense matrices, a Rep is its
+arrow Maps, built by one constructor and written out dense only by its
+views, and a path acts on Maps through one fold."""
 
 from __future__ import annotations
 
@@ -236,10 +237,44 @@ def test_a_rep_is_its_arrow_maps():
     from quivermoduli.reps import Rep
 
     source = (SRC / "reps.py").read_text()
-    assert set(_readers(source, {"zeros"})) <= {"Rep", "hom_basis"}
+    assert _readers(source, {"zeros", "mats"}) == []
     assert _readers(source, {"_matrix"}) == ["Rep", "hom_basis"]
-    assert _readers(source, {"mats"}) == ["Rep"]
     assert "_arrows" not in Rep.__slots__ and "mats" not in Rep.__slots__
+
+
+def _class(source: str, name: str) -> ast.ClassDef:
+    return next(s for s in ast.parse(source).body if isinstance(s, ast.ClassDef) and s.name == name)
+
+
+def _second_constructors(cls: ast.ClassDef) -> list[str]:
+    """The methods of a class that build an instance besides __init__:
+    class and static methods, and __new__."""
+    return [
+        s.name
+        for s in cls.body
+        if isinstance(s, ast.FunctionDef)
+        and (s.name == "__new__" or any(getattr(d, "id", None) in ("classmethod", "staticmethod") for d in s.decorator_list))
+    ]
+
+
+def test_the_scan_flags_a_second_constructor():
+    source = (
+        "class Rep:\n"
+        "    def __init__(self, arrows): self.arrows = arrows\n"
+        "    @classmethod\n"
+        "    def _of_maps(cls, arrows): return cls.__new__(cls)\n"
+        "    @property\n"
+        "    def mats(self): return {}\n"
+    )
+    assert _second_constructors(_class(source, "Rep")) == ["_of_maps"]
+
+
+def test_a_rep_has_one_constructor_and_no_module_reads_matrices_in():
+    # every builder, the document reader included, hands Rep its arrow Maps;
+    # no dense reader pads a module block with zero matrices
+    assert _second_constructors(_class((SRC / "reps.py").read_text(), "Rep")) == []
+    assert all(".__new__" not in _loads([ast.parse(p.read_text())]) for p in MODULES)
+    assert _imported((SRC / "dsl.py").read_text(), {"zeros"}) == []
 
 
 # -- one construction of P -------------------------------------------------------
@@ -292,6 +327,14 @@ def test_the_cover_code_runs_on_positions(name):
     assert _calls_in((SRC / "grass.py").read_text(), name, PATH_ARITHMETIC) == []
 
 
+@pytest.mark.parametrize("name, top", [("grass.py", "point_from_generators"), ("dsl.py", "doc_direction")])
+def test_parsed_paths_act_on_the_cover_by_folding(name, top):
+    # a point generator or a direction is folded from z_r's position along
+    # P's arrow Maps: no path is normal-formed in Lambda and looked up again
+    source = (SRC / name).read_text()
+    assert _calls_in(source, top, PATH_ARITHMETIC | {"fold"}) == ["fold"]
+
+
 @pytest.mark.parametrize("name, top", [("grass.py", "ProjectiveCover"), ("reps.py", "_free_rep")])
 def test_the_cover_copies_the_arrow_table_of_the_algebra(name, top):
     # P's arrow Maps, parent, ext and rank are Lambda's, copied onto each
@@ -316,9 +359,15 @@ def test_the_scan_reads_the_members_of_a_class():
 
 def test_the_algebra_keeps_no_second_arrow_table():
     # Lambda is its basis and arrow table: no table of normal forms keyed
-    # by path, no path index, no second arrow action
-    algebra = next(
-        s for s in ast.parse((SRC / "algebra.py").read_text()).body if isinstance(s, ast.ClassDef) and s.name == "Algebra"
-    )
+    # by path, no path index, no second arrow action, no normal form keyed
+    # by path
+    algebra = _class((SRC / "algebra.py").read_text(), "Algebra")
     assert {"arrows", "parent", "ext"} <= _members(algebra)
-    assert _members(algebra).isdisjoint({"arrow_act", "_nf_table", "basis_index"})
+    assert _members(algebra).isdisjoint({"arrow_act", "_nf_table", "basis_index", "nf_path", "normal_form"})
+
+
+def test_paths_and_relations_act_through_one_fold():
+    # linalg.fold is the one action of a path on arrow Maps: no second fold
+    # in algebra, no element image in reps
+    tops = {p.stem: {s.name for s in ast.parse(p.read_text()).body if isinstance(s, ast.FunctionDef)} for p in MODULES}
+    assert [m for m, names in tops.items() if names & {"fold", "_fold", "_element_image"}] == ["linalg"]

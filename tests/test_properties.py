@@ -56,12 +56,15 @@ from oracles import (
     homogeneous_ideal_oracle,
     iso_oracle,
     length_grading_oracle,
+    initial,
     local_top_weight,
     naive_is_nilpotent,
     naive_mat_mul,
     naive_mat_vec,
     naive_orbit_dim,
     naive_rank,
+    nf_path,
+    normal_form,
     plain_stratum_points,
     point_to_coords,
     quotient_rep_oracle,
@@ -69,6 +72,8 @@ from oracles import (
     radical_layering_oracle,
     random_group_element,
     render_document,
+    rep_of_matrices,
+    rep_of_projective,
     skeleta_of_point_oracle,
     socle_dims_oracle,
     space_key,
@@ -113,7 +118,6 @@ from quivermoduli.linalg import Echelon, apply, combine, identity, kernel_basis,
 from quivermoduli.polys import Poly, PolyRing
 from quivermoduli.quiver import extend
 from quivermoduli.reps import (
-    Rep,
     _by_vertex,
     _graded_span,
     _split_once,
@@ -124,7 +128,6 @@ from quivermoduli.reps import (
     is_isomorphic,
     quotient_rep,
     radical_layering,
-    rep_of_projective,
     rep_validate,
     simple_rep,
     sub_rep,
@@ -238,7 +241,7 @@ def skeleta_of_small_tops(draw, covers=SMALL_TOP_COVERS):
     name, P = draw(st.sampled_from(covers))
     have = {b for b in P.belems if b[0].length == 0}
     for p, r in sorted(P.belems, key=belem_order(P)):
-        parent = (p.initial(p.length - 1, P.alg.quiver), r) if p.length else None
+        parent = (initial(p, p.length - 1, P.alg.quiver), r) if p.length else None
         if parent in have and draw(st.booleans()):
             have.add((p, r))
     return name, P, make_skeleton(P, have)
@@ -503,7 +506,7 @@ def _reps_with_top(alg, d, top):
     for entries in itertools.product(f.elements(), repeat=n):
         it = iter(entries)
         mats = {a.label: [[next(it) for _ in range(c)] for _ in range(r)] for a, (r, c) in zip(arrows, shapes)}
-        M = Rep(alg, d, mats)
+        M = rep_of_matrices(alg, d, mats)
         count += rep_validate(alg, M) and top_dims(alg, M) == top
     return count
 
@@ -567,7 +570,7 @@ def test_both_sides_count_the_same_modules_over_random_monomial_algebras(alg):
 
 
 def _closed(quiver, basis) -> bool:
-    return all(p.initial(m, quiver) in basis for p in basis for m in range(p.length))
+    return all(initial(p, m, quiver) in basis for p in basis for m in range(p.length))
 
 
 @given(case=st.one_of(bound_presentations(), bound_presentations(mixed=True), bound_presentations(shorter=True)))
@@ -587,7 +590,7 @@ def test_random_algebras_match_the_all_products_elimination(case):
         return
     if loewy is not None and _closed(quiver, basis):
         assert (alg.basis, alg.loewy) == (basis, loewy)
-        assert {p: alg.nf_path(p) for p in normal_forms} == normal_forms
+        assert {p: nf_path(alg, p) for p in normal_forms} == normal_forms
         return
     # a new answer: a wider window of the oracle confirms it, or else the
     # table agrees with the window's normal forms and every relation is
@@ -596,11 +599,11 @@ def test_random_algebras_match_the_all_products_elimination(case):
         basis2, normal_forms2, loewy2 = all_products_algebra(quiver, rels, f, wider)
         if loewy2 is not None and _closed(quiver, basis2):
             assert (alg.basis, alg.loewy) == (basis2, loewy2)
-            assert {p: alg.nf_path(p) for p in normal_forms2} == normal_forms2
+            assert {p: nf_path(alg, p) for p in normal_forms2} == normal_forms2
             return
     for b in alg.basis:
         for a in quiver.arrows_out(b.end):
-            assert alg.nf_path(extend(b, a)) == normal_forms[extend(b, a)], (b, a)
+            assert nf_path(alg, extend(b, a)) == normal_forms[extend(b, a)], (b, a)
     n = alg.dim
     mats = {a: [[x.get(i, {}).get(j, f.zero()) for i in range(n)] for j in range(n)] for a, x in alg.arrows.items()}
     for rel in alg.relations:
@@ -712,7 +715,7 @@ def _small_rep(draw, alg, cap, d=None):
             [f.of_int(draw(st.integers(lo, hi))) for _ in range(cols)]
             for _ in range(rows)
         ]
-    M = Rep(alg, tuple(d), mats)
+    M = rep_of_matrices(alg, tuple(d), mats)
     assume(rep_validate(alg, M))
     return M
 
@@ -915,7 +918,7 @@ def _local_pools(field):
     projectives and, for the Kronecker quiver, the (1,1) points."""
     kronecker = _kronecker(field)
     points = [
-        Rep(kronecker, (1, 1), {"a1": [[field.of_int(s)]], "a2": [[field.of_int(t)]]})
+        rep_of_matrices(kronecker, (1, 1), {"a1": [[field.of_int(s)]], "a2": [[field.of_int(t)]]})
         for s, t in ((1, 0), (0, 1), (1, 1), (1, -2))
     ]
     pools = []
@@ -1089,7 +1092,7 @@ def _jordan_pair(alg, *blocks):
                 a2[o + i][o + i + 1] = f.one()
         o += n
     ident = [[f.one() if i == j else f.zero() for j in range(size)] for i in range(size)]
-    return Rep(alg, (size, size), {"a1": ident, "a2": a2})
+    return rep_of_matrices(alg, (size, size), {"a1": ident, "a2": a2})
 
 
 # (blocks of M, blocks of N), N = None for a base change of M
@@ -1243,7 +1246,7 @@ def test_normal_forms_products_and_polynomials_store_no_zero(alg, data):
         return Element({p: c for p in paths if (c := data.draw(scalars)) != 0})
 
     x, y = element(), element()
-    assert _zero_free(alg.normal_form(x).terms)
+    assert _zero_free(normal_form(alg, x).terms)
     assert _zero_free(algebra_mul(alg, x, y).terms) and _zero_free(algebra_mul(alg, y, x).terms)
     ring = PolyRing(f, ["s", "t"])
 

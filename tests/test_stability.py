@@ -9,22 +9,22 @@ import pytest
 
 from quivermoduli import FieldNotFinite, QQ, reps, stability
 from quivermoduli.errors import DimensionMismatch, NotSemistable
-from quivermoduli.reps import Rep, is_isomorphic, simple_rep
+from quivermoduli.reps import is_isomorphic, simple_rep
 from quivermoduli.stability import StabilityClass, Weight, classify_stability, stable_factors, theta_of
 
-from oracles import base_change, direct_sum, local_top_weight, random_group_element
+from oracles import base_change, direct_sum, local_top_weight, random_group_element, rep_of_matrices
 
 
 def kron_point(alg, lam):
     f = alg.field
-    return Rep(alg, (1, 1), {"a1": [[f.one()]], "a2": [[lam]]})
+    return rep_of_matrices(alg, (1, 1), {"a1": [[f.one()]], "a2": [[lam]]})
 
 
 def kron_split_pair(alg):
     """M_[1:0] + M_[0:1]: a1 and a2 act by complementary projections."""
     f = alg.field
     one, zero = f.one(), f.zero()
-    return Rep(
+    return rep_of_matrices(
         alg,
         (2, 2),
         {"a1": [[one, zero], [zero, zero]], "a2": [[zero, zero], [zero, one]]},
@@ -154,7 +154,7 @@ def test_stable_factors_do_not_depend_on_the_order_of_a_split_sum(kronecker_f3):
     one, zero = f.one(), f.zero()
     M = kron_split_pair(kronecker_f3)
     # the same pair assembled in the opposite order
-    N = Rep(
+    N = rep_of_matrices(
         kronecker_f3,
         (2, 2),
         {"a1": [[zero, zero], [zero, one]], "a2": [[one, zero], [zero, zero]]},
@@ -168,7 +168,7 @@ def test_stable_factors_are_invariant_under_base_change(kronecker_f3):
     f = kronecker_f3.field
     theta = Weight((-1, 1))
     one, zero = f.one(), f.zero()
-    jordan = Rep(kronecker_f3, (2, 2), {"a1": [[one, zero], [zero, one]], "a2": [[one, one], [zero, one]]})
+    jordan = rep_of_matrices(kronecker_f3, (2, 2), {"a1": [[one, zero], [zero, one]], "a2": [[one, one], [zero, one]]})
     rng = random.Random(5)
     for M in (kron_point(kronecker_f3, f.of_int(2)), kron_split_pair(kronecker_f3), jordan):
         g = random_group_element(f, M.d, rng)
@@ -193,7 +193,7 @@ def test_a_non_split_extension_has_the_stable_factors_of_the_split_one(kronecker
     # kron_point(1) by itself: the same stable factors, another module
     f = kronecker_f3.field
     one, zero = f.one(), f.zero()
-    J = Rep(
+    J = rep_of_matrices(
         kronecker_f3,
         (2, 2),
         {"a1": [[one, zero], [zero, one]], "a2": [[one, one], [zero, one]]},
