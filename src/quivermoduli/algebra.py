@@ -5,35 +5,39 @@ and one table, built once: for each arrow a, the linalg.Map sending basis
 position b to the normal form of a*b. The normal form of any path is the
 fold of the table along its arrows from its start idempotent (linalg.fold).
 
-build_algebra grows the paths of the length window from the idempotents one
-arrow at a time and cuts each path, and all that extends it, once a one-term
-relation is a suffix of its arrow word: such a path lies in the ideal. Over
-the tip-free paths left, the products p*r*q of the other relations that fit
-the window are eliminated with pivots chosen deglex-descending (longer paths
-first, then lexicographically larger in declaration order). The basis grows
-outward: a path that is no pivot is a basis path when its initial subpath
-is one. Each table entry comes from the window's rows.
+build_algebra grows the basis and the table outward from the idempotents,
+one length at a time (Green's noncommutative Groebner reduction, 1999). The
+candidates of length l are the paths a*b, b a basis path of length l - 1,
+that have no one-term relation as a suffix; one that has lies in I, and so
+does everything that extends it. When some relation has several terms,
+every relation r is folded on every basis path b with |lead r| + |b| = l,
+where lead r is the deglex-largest term of r. The fold runs through the
+table built so far, and each candidate stands for itself. Each such row is
+eliminated with the candidates in deglex-descending order, so a row's pivot
+is its deglex-largest candidate. A candidate that is no pivot becomes a
+basis path; a pivot's table entry is minus the rest of its row, whose
+candidates are deglex-smaller and whose basis paths are shorter.
 
-The table is certified. The rows lie in I, so a path whose fold is zero
-lies in I. If every relation r folds to zero on every basis path, then so
-does every p*r*q, as fold(p*r*q) = p*fold(r*fold(q)), so the table is
-exactly KQ/I. With one-term relations only, every path folds to itself or
-to zero, and the check is not needed.
+Every row, each candidate read as its own path, lies in I: each table
+entry is congruent to its path modulo I, so the row is congruent to r*b.
+A row that reduces to shorter basis paths alone is a combination w of
+basis paths in I. w joins the relations and the table is built again (the
+Groebner restart). As I lies in J^2, so does w: a restart never meets a
+relation with a term of length < 2. The leading path of w was a basis
+path; in every later build the row of w on its start idempotent makes it
+a pivot when it is a candidate. So no two restarts find the same leading
+path, and as these paths are shorter than max_len, the loop ends.
 
-A nonzero fold w of r on a basis path b is a combination of basis paths
-that lies in I: every table entry a*b' is congruent to a*b' modulo I (a
-basis path is shorter than the Loewy length, so a*b' fits the window, and
-a form differs from its path by rows), so w is congruent to r*b. w joins
-the relations and the table is built again (the Groebner restart). w is
-a row of the new build, so its deglex-largest path, a basis path before,
-becomes a pivot, and the basis only shrinks: there are at most dim Lambda
-restarts. As I lies in J^2, so does w: a restart never meets a relation
-with a term of length < 2.
+The table is then certified. A path whose fold is zero lies in I. If every
+relation r folds to zero on every basis path, then so does every p*r*q, as
+fold(p*r*q) = p*fold(r*fold(q)), so the table is exactly KQ/I. With
+one-term relations only, every path folds to itself or to zero, and the
+check is not needed. A nonzero fold is a combination of basis paths in I
+and restarts the build as a row does (Bergman's diamond lemma, 1978).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import NotAdmissible, SearchTooLarge
@@ -147,22 +151,21 @@ def build_algebra(
     field: Field,
     max_len: int,
 ) -> Algebra:
-    """Construct KQ/I, certifying admissibility within the length window.
+    """Construct KQ/I, certifying it and its Loewy length <= max_len.
 
-    A tip-free path, one that contains no one-term relation, gets its normal
-    form in deglex order: a pivot is minus the rest of its fully reduced
-    row, whose paths come earlier; a path whose initial subpath b is a basis
-    path is one itself; any other path is its last arrow applied to the form
-    of its initial subpath. The form of a*b, b a basis path, is the table
-    entry. The Loewy length is the smallest m <= max_len at which every
-    tip-free path has form zero. When a relation has several terms, every
-    relation is folded on every basis path, and a nonzero fold joins the
-    relations for a new build (the module docstring says why this is sound
-    and ends).
+    _arrow_table grows the basis and the table one length at a time, up to
+    max_len; a relation among basis paths that its rows find joins the
+    relations for a new build. When a relation has several terms, every
+    relation is then folded on every basis path, and a nonzero fold joins
+    the relations in the same way (the module docstring says why this is
+    sound and ends). The Loewy length is the smallest m at which the forms
+    of the length-m paths span zero, read off the certified table; a basis
+    path of length max_len refuses before the certificate.
 
     Raises BadRelation for malformed generators, NotAdmissible when no
     m <= max_len has all length-m paths reducing to zero, and
-    SearchTooLarge when the walk passes PATH_BUDGET tip-free paths.
+    SearchTooLarge when the basis paths and the candidates of one length
+    pass PATH_BUDGET.
     """
     canon: list[Element] = []
     for rel in relations:
@@ -180,98 +183,91 @@ def build_algebra(
     checked = relations if any(len(rel.terms) > 1 for rel in relations) else []
     one = field.one()
     while True:
-        basis, arrows, parent, ext, loewy = _arrow_table(quiver, generators, field, max_len)
-        folds = (relation_image(field, arrows, rel, {i: one}) for rel in checked for i in range(len(basis)))
-        w = next(filter(None, folds), None)
+        basis, arrows, parent, ext, w = _arrow_table(quiver, generators, field, max_len)
+        # the certificate, unless a row found w or a basis path has length
+        # max_len (then J^max_len is not zero)
+        if w is None and basis[-1].length < max_len:
+            folds = (relation_image(field, arrows, rel, {i: one}) for rel in checked for i in range(len(basis)))
+            w = next(filter(None, folds), None)
         if w is None:
-            return Algebra(quiver, field, tuple(relations), max_len, basis, arrows, parent, ext, loewy)
-        # w lies in I (the module docstring says why): a relation the window missed
+            break
+        # w lies in I (the module docstring says why): a relation among basis paths
         generators.append(Element({basis[j]: c for j, c in w.items()}))
-
-
-def _arrow_table(
-    quiver: Quiver, relations: list[Element], field: Field, max_len: int
-) -> tuple[tuple[PathWord, ...], dict[str, Map], tuple[int, ...], tuple[dict[str, int], ...], int]:
-    """The basis, arrow Maps, parent and ext tables and Loewy length that
-    the window's rows give (build_algebra's docstring), not yet certified."""
-    # Tip-free paths by length. A new path's prefix is tip-free, so it
-    # contains a one-term relation iff one is a suffix of its arrow word.
-    tips = {next(iter(rel.terms)).arrows for rel in relations if len(rel.terms) == 1}
-    tip_lens = {len(t) for t in tips}
-    by_len: list[list[PathWord]] = [[idempotent(v) for v in quiver.vertices]]
-    total = quiver.n
-    while len(by_len) <= max_len and by_len[-1]:
-        grown = (extend(p, a) for p in by_len[-1] for a in quiver.arrows_out(p.end))
-        nxt = [q for q in grown if tips.isdisjoint(q.arrows[-k:] for k in tip_lens)]
-        total += len(nxt)
-        if total > PATH_BUDGET:
-            raise SearchTooLarge(f"more than {PATH_BUDGET} paths of length <= {max_len}")
-        by_len.append(nxt)
-    all_paths = [p for lst in by_len for p in lst]
-    all_paths.sort(key=lambda p: deglex_key(quiver, p))
-    # a path is its start and arrow word
-    rank_of = {(p.start, p.arrows): i for i, p in enumerate(all_paths)}
-
-    # Span of the rest of the ideal on the tip-free paths: all products
-    # p*r*q whose every term still fits, as sparse rows. Columns run in
-    # reverse rank order, so the pivot of a row (its smallest column) is
-    # its deglex-largest path. A term that is not tip-free is a unit
-    # column and drops out; so does every product through a p or q that
-    # is not tip-free.
-    top = len(all_paths) - 1
-    rows: list[SparseRow] = []
-    for rel in relations:
-        if len(rel.terms) == 1:
-            continue
-        room = max_len - max(rel.lengths())
-        r_start = next(iter(rel.terms)).start
-        r_end = next(iter(rel.terms)).end
-        rights = [q for lst in by_len[: room + 1] for q in lst if q.end == r_start]
-        # left paths grouped by length: a right path q leaves room for the
-        # groups of length <= room - |q|
-        lefts = [[p for p in lst if p.start == r_end] for lst in by_len[: room + 1]]
-        for q in rights:
-            for p in itertools.chain.from_iterable(lefts[: room - q.length + 1]):
-                # distinct terms w give distinct paths p*w*q: nothing adds up
-                pwq = ((rank_of.get((q.start, q.arrows + w.arrows + p.arrows)), c) for w, c in rel.terms.items())
-                rows.append({top - k: c for k, c in pwq if k is not None})
-    ideal = Echelon(field, rows)
-
-    # the outward basis and the table, in deglex order (build_algebra says how)
-    one = field.one()
-    basis: list[PathWord] = []
-    parent: list[int] = []
-    ext: list[dict[str, int]] = []
-    arrows: dict[str, Map] = {a.label: {} for a in quiver.arrows}
-    place = [-1] * len(all_paths)  # rank -> basis position, -1 off the basis
-    forms: list[SparseRow] = []
-    for k, p in enumerate(all_paths):
-        # the initial subpath; an idempotent finds itself, not yet placed
-        b = place[j := rank_of[p.start, p.arrows[:-1]]]
-        if (row := ideal.rows.get(top - k)) is not None:
-            form: SparseRow = {}
-            for c, x in row.items():
-                if c != top - k:
-                    field.axpy(form, field.neg(x), forms[top - c])
-        elif b >= 0 or not p.length:
-            place[k] = len(basis)
-            form = {len(basis): one}
-            if b >= 0:
-                ext[b][p.arrows[-1]] = len(basis)
-            basis.append(p)
-            parent.append(b)
-            ext.append({})
-        else:
-            form = apply(field, arrows[p.arrows[-1]], forms[j])
-        if b >= 0 and form:
-            arrows[p.arrows[-1]][b] = form
-        forms.append(form)
-
-    alive = {p.length for p, form in zip(all_paths, forms) if form}
-    loewy = next((m for m in range(1, len(by_len)) if m not in alive), None)
-    if loewy is None:
+    # the Loewy length: the smallest m at which the forms of the paths of
+    # length m span zero. When the ideal is graded by length, they span the
+    # basis paths of length m (Algebra.lengths_grade_radical), and the
+    # level loop, which runs apply and Echelon on every level, is skipped
+    alg = Algebra(quiver, field, tuple(relations), max_len, basis, arrows, parent, ext, basis[-1].length + 1)
+    if not alg.is_homogeneous_ideal():
+        level, alg.loewy = Echelon(field, ({v: one} for v in range(quiver.n))), 0
+        while level.rows and alg.loewy <= max_len:
+            level = Echelon(field, (apply(field, x, row) for x in arrows.values() for row in level.rows.values()))
+            alg.loewy += 1
+    if alg.loewy > max_len:
         raise NotAdmissible(
             f"no m <= {max_len} has all length-m paths reducing to zero; "
             "the ideal may not be admissible or max_len is too small"
         )
-    return tuple(basis), arrows, tuple(parent), tuple(ext), loewy
+    return alg
+
+
+def _arrow_table(
+    quiver: Quiver, relations: list[Element], field: Field, max_len: int
+) -> tuple[tuple[PathWord, ...], dict[str, Map], tuple[int, ...], tuple[dict[str, int], ...], SparseRow | None]:
+    """One outward pass (the module docstring): the basis, arrow Maps and
+    parent and ext tables, not yet certified, and None; or, once a row
+    leaves a combination w of basis paths alone, the table so far and w as
+    a row on basis positions."""
+    # A candidate's initial subpath is a basis path, so contains no one-term
+    # relation: the candidate contains one iff one is a suffix of its word.
+    tips = {next(iter(rel.terms)).arrows for rel in relations if len(rel.terms) == 1}
+    tip_lens = {len(t) for t in tips}
+    # once a relation has several terms, every relation r gives a row at
+    # length |lead r| + |b| for each basis path b that ends at its start
+    several = any(len(rel.terms) > 1 for rel in relations)
+    leads = [(max(rel.lengths()), next(iter(rel.terms)).start, rel) for rel in relations if several]
+    one = field.one()
+    basis = [idempotent(v) for v in quiver.vertices]
+    parent = [-1] * quiver.n
+    ext: list[dict[str, int]] = [{} for _ in basis]
+    arrows: dict[str, Map] = {a.label: {} for a in quiver.arrows}
+    starts = [0, quiver.n]  # the basis paths of length l sit at starts[l]:starts[l + 1]
+    for l in range(1, max_len + 1):
+        grown = ((extend(basis[b], a), b) for b in range(starts[l - 1], starts[l]) for a in quiver.arrows_out(basis[b].end))
+        cands = [(p, b) for p, b in grown if tips.isdisjoint(p.arrows[-k:] for k in tip_lens)]
+        if not cands:
+            break
+        if starts[l] + len(cands) > PATH_BUDGET:
+            raise SearchTooLarge(f"more than {PATH_BUDGET} paths of length <= {max_len}")
+        cands.sort(key=lambda c: deglex_key(quiver, c[0]))
+        # candidate k stands for itself at column -1 - k, so the pivot of a
+        # row is its deglex-largest candidate
+        for k, (p, b) in enumerate(cands):
+            arrows[p.arrows[-1]][b] = {-1 - k: one}
+        ideal = Echelon(field)
+        folds = (
+            relation_image(field, arrows, rel, {b: one})
+            for lead, start, rel in leads if lead <= l
+            for b in range(starts[l - lead], starts[l - lead + 1]) if basis[b].end == start
+        )
+        for row in folds:
+            # a pivot at a basis column: the row left basis paths alone
+            if (c := ideal.insert(row)) is not None and c >= 0:
+                return tuple(basis), arrows, tuple(parent), tuple(ext), ideal.rows[c]
+        # a candidate that is no pivot is a basis path; a pivot is minus the
+        # rest of its row, whose candidates come earlier
+        place = {}
+        for k, (p, b) in enumerate(cands):
+            a = p.arrows[-1]
+            if (row := ideal.rows.get(-1 - k)) is None:
+                place[-1 - k] = ext[b][a] = len(basis)
+                arrows[a][b] = {len(basis): one}
+                basis.append(p)
+                parent.append(b)
+                ext.append({})
+            elif form := {place.get(j, j): field.neg(x) for j, x in row.items() if j != -1 - k}:
+                arrows[a][b] = form
+            else:
+                del arrows[a][b]
+        starts.append(len(basis))
+    return tuple(basis), arrows, tuple(parent), tuple(ext), None

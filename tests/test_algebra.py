@@ -302,6 +302,14 @@ def test_the_graded_ideal_rule_matches_the_former_one_on_the_fixture_algebras():
         assert alg.is_homogeneous_ideal() == homogeneous_ideal_oracle(alg), name
 
 
+def test_the_level_loop_gives_the_graded_loewy_lengths_on_the_fixture_algebras(monkeypatch):
+    # build_algebra reads the Loewy length of a graded ideal off its longest
+    # basis path; the level loop, run on every algebra, agrees
+    graded = [(name, alg.loewy) for name, alg in fixture_and_document_algebras()]
+    monkeypatch.setattr(algebra.Algebra, "is_homogeneous_ideal", lambda self: False)
+    assert [(name, alg.loewy) for name, alg in fixture_and_document_algebras()] == graded
+
+
 def test_fixture_and_document_algebras_match_the_all_products_elimination():
     algs = fixture_and_document_algebras()
     assert len(algs) == 29
@@ -355,10 +363,8 @@ def test_the_path_budget_refusal_counts_the_paths_of_the_walk(monkeypatch):
         build_algebra(q, [], QQ, 2)
 
 
-@pytest.mark.parametrize("doc, inserted", [("mixed_tops.qm", 0), ("fork_merge.qm", 1)])
-def test_only_relations_with_several_terms_are_eliminated(monkeypatch, doc, inserted):
-    # mixed_tops has 20 monomial relations and no other; fork_merge has the
-    # one product c*a - c*b of its merge relation
+def _recorded_rows(monkeypatch):
+    """The rows that build_algebra inserts into any Echelon from now on."""
     rows = []
 
     class Recording(Echelon):
@@ -367,10 +373,63 @@ def test_only_relations_with_several_terms_are_eliminated(monkeypatch, doc, inse
             return super().insert(row)
 
     monkeypatch.setattr(algebra, "Echelon", Recording)
+    return rows
+
+
+@pytest.mark.parametrize("doc, inserted", [("mixed_tops.qm", 0), ("fork_merge.qm", 1)])
+def test_only_relations_with_several_terms_are_eliminated(monkeypatch, doc, inserted):
+    # mixed_tops has 20 monomial relations and no other, so no row; in
+    # fork_merge the merge relation c*a - c*b meets one basis path, e1, at
+    # length 2, and no candidate is left at length 3
+    rows = _recorded_rows(monkeypatch)
     alg = doc_algebra(parse_input((INPUTS / doc).read_text()))
     assert len(rows) == inserted
     assert all(len(row) == 2 for row in rows)
     assert alg.is_monomial() == (inserted == 0)
+
+
+def _commuting_loops():
+    """Three commuting loops with zero squares: dim 8 and Loewy length 4."""
+    q = make_quiver(1, [("x", 1, 1), ("y", 1, 1), ("z", 1, 1)])
+    rels = [rel(q, (1, [u, u])) for u in "xyz"]
+    return q, rels + [rel(q, (1, [u, v]), (-1, [v, u])) for u, v in ("xy", "xz", "yz")]
+
+
+@pytest.mark.parametrize("doc", ["mixed_tops.qm", "fork_merge.qm", None])
+def test_the_walk_extends_basis_paths_only(monkeypatch, doc):
+    # candidates grow from basis paths alone: a pivot or a cut path is
+    # never extended. With doc None, the commuting loops: their pivots
+    # x*y, x*z and y*z have arrows out
+    extended = []
+
+    def recording_extend(path, arrow):
+        extended.append(path)
+        return extend(path, arrow)
+
+    monkeypatch.setattr(algebra, "extend", recording_extend)
+    if doc is None:
+        alg = build_algebra(*_commuting_loops(), QQ, 6)
+    else:
+        alg = doc_algebra(parse_input((INPUTS / doc).read_text()))
+    assert extended
+    assert set(extended) <= set(alg.basis)
+
+
+@pytest.mark.parametrize("max_len", [4, 24])
+def test_a_wider_window_adds_no_row(monkeypatch, max_len):
+    # the walk stops at length 4, where every candidate is a pivot: the
+    # six relations meet e1 at length 2, the three arrows at length 3 and
+    # the three paths of length 2 at length 4
+    q, rels = _commuting_loops()
+    small = build_algebra(q, rels, QQ, 4)
+    rows = _recorded_rows(monkeypatch)
+    alg = build_algebra(q, rels, QQ, max_len)
+    assert ([str(p) for p in alg.basis], alg.loewy) == (
+        ["e1", "x", "y", "z", "y*x", "z*x", "z*y", "z*y*x"],
+        4,
+    )
+    assert (alg.arrows, alg.parent, alg.ext) == (small.arrows, small.parent, small.ext)
+    assert len(rows) == 6 * (1 + 3 + 3)
 
 
 # -- the outward basis and the certificate of the arrow table --------------------
@@ -405,12 +464,12 @@ def test_a_window_that_the_elimination_refuses_answers_as_the_next_one_does():
     assert {p: nf_path(alg, p) for p in normal_forms} == normal_forms
 
 
-@pytest.mark.parametrize("max_len, builds", [(4, 2), (5, 1), (6, 1)])
-def test_a_nonzero_fold_of_a_relation_joins_the_relations(monkeypatch, max_len, builds):
-    # x*x lies in the ideal, as x*x*x*x does, so x*x*a does too; at max_len
-    # 4 no product reaches x*x*a, and its initial subpath x*a is a basis
-    # path, so the relation folds to x*x*a on a: that fold joins the
-    # relations, and the second build answers as the wider windows do
+@pytest.mark.parametrize("max_len", [4, 5, 6])
+def test_a_nonzero_fold_of_a_relation_joins_the_relations(monkeypatch, max_len):
+    # x*x lies in the ideal, as x*x*x*x does. No row uses the second
+    # relation, as no candidate is left at length 4, so x*x is a basis path
+    # and the relation folds to x*x on e1: that fold joins the relations,
+    # and the second build answers
     q = make_quiver(2, [("x", 1, 1), ("a", 2, 1)])
     rels = [rel(q, (1, ["x", "x", "x"])), rel(q, (1, ["x", "x"]), (1, ["x", "x", "x", "x"]))]
     generators = []
@@ -424,10 +483,58 @@ def test_a_nonzero_fold_of_a_relation_joins_the_relations(monkeypatch, max_len, 
     alg = build_algebra(q, rels, QQ, max_len)
     assert ([str(p) for p in alg.basis], alg.loewy) == (["e1", "e2", "x", "a", "x*a"], 3)
     given = ["x*x*x", "x*x + x*x*x*x"]
-    assert generators == [given, given + ["x*x*a"]][:builds]
+    assert generators == [given, given + ["x*x"]]
     assert [x.format(QQ) for x in alg.relations] == given
     # the all-products elimination answers max_len 4 with x*x*a in its basis
     basis, _, loewy = all_products_algebra(q, alg.relations, QQ, 4)
     assert (basis, loewy) == (alg.basis + (path_from_labels(q, ["x", "x", "a"]),), 4)
     basis, _, loewy = all_products_algebra(q, alg.relations, QQ, 5)
     assert (basis, loewy) == (alg.basis, alg.loewy)
+
+
+def test_a_basis_path_of_length_max_len_is_refused_before_the_certificate():
+    # the same presentation at max_len 3: the Loewy length is 3, but x*x*a
+    # is a basis path of length 3 before the certificate could remove it
+    q = make_quiver(2, [("x", 1, 1), ("a", 2, 1)])
+    rels = [rel(q, (1, ["x", "x", "x"])), rel(q, (1, ["x", "x"]), (1, ["x", "x", "x", "x"]))]
+    with pytest.raises(NotAdmissible, match=r"^no m <= 3 has all length-m paths reducing to zero; "):
+        build_algebra(q, rels, QQ, 3)
+
+
+@pytest.mark.parametrize("max_len", [4, 5, 6, 7])
+def test_a_row_that_leaves_basis_paths_alone_joins_the_relations(monkeypatch, max_len):
+    # x1*x0 = r - r*x0 + x1*x0**3 lies in the ideal, for r the third
+    # relation. The row of r on e1 makes x1*x0*x0 a pivot with form x1*x0;
+    # at length 4 the row of r on x0 folds x1*x0**3 to zero and x1*x0*x0 to
+    # x1*x0, which it leaves alone: x1*x0 joins the relations, and the
+    # second build answers
+    f = Field(2)
+    q = make_quiver(1, [("x0", 1, 1), ("x1", 1, 1)])
+    rels = [rel(q, (1, ["x1", "x1"])), rel(q, (1, ["x0"] * 3)), rel(q, (1, ["x1", "x0", "x0"]), (1, ["x1", "x0"]))]
+    generators = []
+    table = algebra._arrow_table
+
+    def recording(quiver, relations, field, window):
+        generators.append([x.format(field) for x in relations])
+        return table(quiver, relations, field, window)
+
+    monkeypatch.setattr(algebra, "_arrow_table", recording)
+    alg = build_algebra(q, rels, f, max_len)
+    assert ([str(p) for p in alg.basis], alg.loewy) == (["e1", "x0", "x1", "x0*x0", "x0*x1", "x0*x0*x1"], 4)
+    given = ["x1*x1", "x0*x0*x0", "x1*x0 + x1*x0*x0"]
+    assert generators == [given, given + ["x1*x0"]]
+    assert [x.format(f) for x in alg.relations] == given
+
+
+def test_the_loewy_length_is_read_off_the_certified_table():
+    # before the certificate x0*x0*x0*x1 is a pivot with form -x0*x0*x1, so
+    # x0**k*x1 would never vanish; the certificate folds x0**4 on x1 to
+    # x0*x0*x1, which joins the relations, and the Loewy length is 4
+    f = Field(2)
+    q = make_quiver(2, [("x0", 1, 1), ("x1", 2, 1)])
+    rels = [rel(q, (1, ["x0", "x0", "x1"]), (1, ["x0", "x0", "x0", "x1"])), rel(q, (1, ["x0"] * 4))]
+    alg = build_algebra(q, rels, f, 6)
+    assert ([str(p) for p in alg.basis], alg.loewy) == (
+        ["e1", "e2", "x0", "x1", "x0*x0", "x0*x1", "x0*x0*x0"],
+        4,
+    )

@@ -592,18 +592,21 @@ def test_random_algebras_match_the_all_products_elimination(case):
         assert (alg.basis, alg.loewy) == (basis, loewy)
         assert {p: nf_path(alg, p) for p in normal_forms} == normal_forms
         return
-    # a new answer: a wider window of the oracle confirms it, or else the
-    # table agrees with the window's normal forms and every relation is
-    # zero as a product of the table's dense arrow matrices
-    for wider in (max_len + 1, max_len + 2):
-        basis2, normal_forms2, loewy2 = all_products_algebra(quiver, rels, f, wider)
-        if loewy2 is not None and _closed(quiver, basis2):
-            assert (alg.basis, alg.loewy) == (basis2, loewy2)
-            assert {p: nf_path(alg, p) for p in normal_forms2} == normal_forms2
-            return
-    for b in alg.basis:
-        for a in quiver.arrows_out(b.end):
-            assert nf_path(alg, extend(b, a)) == normal_forms[extend(b, a)], (b, a)
+    # a new answer. The oracle's rows lie in I, so where its normal forms
+    # at some window agree with every table entry a*b, each entry is
+    # congruent to a*b modulo I and the basis spans KQ/I. Every relation is
+    # zero as a product of the table's dense arrow matrices, so KQ/I acts on
+    # the span of the basis, each basis path being the image of its start
+    # idempotent: the basis is independent too, and the table is KQ/I. The
+    # oracle may keep paths of I at the top of its window, so wider windows
+    # reach the entries, whose length is at most the Loewy length
+    entries = [extend(b, a) for b in alg.basis for a in quiver.arrows_out(b.end)]
+    for wider in range(max_len, max_len + 4):
+        forms = all_products_algebra(quiver, rels, f, wider)[1]
+        if all(nf_path(alg, p) == forms[p] for p in entries):
+            break
+    else:
+        raise AssertionError("no window up to max_len + 3 gives the oracle the table's entries")
     n = alg.dim
     mats = {a: [[x.get(i, {}).get(j, f.zero()) for i in range(n)] for j in range(n)] for a, x in alg.arrows.items()}
     for rel in alg.relations:
@@ -612,6 +615,14 @@ def test_random_algebras_match_the_all_products_elimination(case):
             m = functools.reduce(lambda m, label: naive_mat_mul(f, mats[label], m), w.arrows, identity(f, n))
             total = [[f.add(t, f.mul(c, y)) for t, y in zip(rt, rm)] for rt, rm in zip(total, m)]
         assert all(f.is_zero(t) for row in total for t in row), rel.format(f)
+    # the Loewy length: the smallest m at which every product of m arrow
+    # matrices is zero
+    products, loewy = {tuple(map(tuple, identity(f, n)))}, 0
+    while products and loewy <= max_len:
+        products = {tuple(map(tuple, naive_mat_mul(f, mats[a], m))) for m in products for a in mats}
+        products = {m for m in products if not all(f.is_zero(t) for row in m for t in row)}
+        loewy += 1
+    assert alg.loewy == loewy
 
 
 @given(alg=bound_algebras(mixed=True))
