@@ -26,13 +26,15 @@ Groebner restart). As I lies in J^2, so does w: a restart never meets a
 relation with a term of length < 2. The leading path of w was a basis
 path; in every later build the row of w on its start idempotent makes it
 a pivot when it is a candidate. So no two restarts find the same leading
-path, and as these paths are shorter than max_len, the loop ends.
+path, and as these paths are no longer than max_len, the loop ends.
 
 The table is then certified. A path whose fold is zero lies in I. If every
 relation r folds to zero on every basis path, then so does every p*r*q, as
 fold(p*r*q) = p*fold(r*fold(q)), so the table is exactly KQ/I. With
 one-term relations only, every path folds to itself or to zero, and the
-check is not needed. A nonzero fold is a combination of basis paths in I
+check is not needed. Otherwise the walk goes one length past max_len, so
+that every a*b, b a basis path, has its entry, and a basis path left at
+that length refuses. A nonzero fold is a combination of basis paths in I
 and restarts the build as a row does (Bergman's diamond lemma, 1978).
 """
 
@@ -46,6 +48,7 @@ from .linalg import Echelon, Map, SparseRow, apply, fold
 from .quiver import Element, PathWord, Quiver, deglex_key, extend, idempotent, validate_relation
 
 PATH_BUDGET = 500_000
+TOO_SHORT = "no m <= {} has all length-m paths reducing to zero; the ideal may not be admissible or max_len is too small"
 
 
 def relation_image(field: Field, maps: dict[str, Map], rel: Element, vec: SparseRow) -> SparseRow:
@@ -154,18 +157,18 @@ def build_algebra(
     """Construct KQ/I, certifying it and its Loewy length <= max_len.
 
     _arrow_table grows the basis and the table one length at a time, up to
-    max_len; a relation among basis paths that its rows find joins the
-    relations for a new build. When a relation has several terms, every
-    relation is then folded on every basis path, and a nonzero fold joins
-    the relations in the same way (the module docstring says why this is
-    sound and ends). The Loewy length is the smallest m at which the forms
-    of the length-m paths span zero, read off the certified table; a basis
-    path of length max_len refuses before the certificate.
+    max_len, or when a relation has several terms up to max_len + 1, where
+    no basis path may be left; a relation among basis paths that its rows
+    find joins the relations for a new build. When a relation has several terms,
+    every relation is then folded on every basis path, and a nonzero fold
+    joins the relations in the same way (the module docstring says why this
+    is sound and ends). The Loewy length is the smallest m at which the
+    forms of the length-m paths span zero, read off the certified table.
 
     Raises BadRelation for malformed generators, NotAdmissible when no
     m <= max_len has all length-m paths reducing to zero, and
     SearchTooLarge when the basis paths and the candidates of one length
-    pass PATH_BUDGET.
+    up to max_len pass PATH_BUDGET.
     """
     canon: list[Element] = []
     for rel in relations:
@@ -184,9 +187,7 @@ def build_algebra(
     one = field.one()
     while True:
         basis, arrows, parent, ext, w = _arrow_table(quiver, generators, field, max_len)
-        # the certificate, unless a row found w or a basis path has length
-        # max_len (then J^max_len is not zero)
-        if w is None and basis[-1].length < max_len:
+        if w is None:
             folds = (relation_image(field, arrows, rel, {i: one}) for rel in checked for i in range(len(basis)))
             w = next(filter(None, folds), None)
         if w is None:
@@ -194,20 +195,18 @@ def build_algebra(
         # w lies in I (the module docstring says why): a relation among basis paths
         generators.append(Element({basis[j]: c for j, c in w.items()}))
     # the Loewy length: the smallest m at which the forms of the paths of
-    # length m span zero. When the ideal is graded by length, they span the
-    # basis paths of length m (Algebra.lengths_grade_radical), and the
-    # level loop, which runs apply and Echelon on every level, is skipped
+    # length m span zero, past the longest basis path (nonzero in J^m). When
+    # the ideal is graded by length, they span the basis paths of length m
+    # (Algebra.lengths_grade_radical), and the level loop, which runs apply
+    # and Echelon on every level, is skipped
     alg = Algebra(quiver, field, tuple(relations), max_len, basis, arrows, parent, ext, basis[-1].length + 1)
-    if not alg.is_homogeneous_ideal():
+    if alg.loewy <= max_len and not alg.is_homogeneous_ideal():
         level, alg.loewy = Echelon(field, ({v: one} for v in range(quiver.n))), 0
         while level.rows and alg.loewy <= max_len:
             level = Echelon(field, (apply(field, x, row) for x in arrows.values() for row in level.rows.values()))
             alg.loewy += 1
     if alg.loewy > max_len:
-        raise NotAdmissible(
-            f"no m <= {max_len} has all length-m paths reducing to zero; "
-            "the ideal may not be admissible or max_len is too small"
-        )
+        raise NotAdmissible(TOO_SHORT.format(max_len))
     return alg
 
 
@@ -232,12 +231,14 @@ def _arrow_table(
     ext: list[dict[str, int]] = [{} for _ in basis]
     arrows: dict[str, Map] = {a.label: {} for a in quiver.arrows}
     starts = [0, quiver.n]  # the basis paths of length l sit at starts[l]:starts[l + 1]
-    for l in range(1, max_len + 1):
+    for l in range(1, max_len + 1 + several):
         grown = ((extend(basis[b], a), b) for b in range(starts[l - 1], starts[l]) for a in quiver.arrows_out(basis[b].end))
         cands = [(p, b) for p, b in grown if tips.isdisjoint(p.arrows[-k:] for k in tip_lens)]
         if not cands:
             break
         if starts[l] + len(cands) > PATH_BUDGET:
+            if l > max_len:
+                raise NotAdmissible(TOO_SHORT.format(max_len))
             raise SearchTooLarge(f"more than {PATH_BUDGET} paths of length <= {max_len}")
         cands.sort(key=lambda c: deglex_key(quiver, c[0]))
         # candidate k stands for itself at column -1 - k, so the pivot of a
@@ -254,6 +255,9 @@ def _arrow_table(
             # a pivot at a basis column: the row left basis paths alone
             if (c := ideal.insert(row)) is not None and c >= 0:
                 return tuple(basis), arrows, tuple(parent), tuple(ext), ideal.rows[c]
+        # past max_len every candidate must be a pivot
+        if l > max_len and len(ideal.rows) < len(cands):
+            raise NotAdmissible(TOO_SHORT.format(max_len))
         # a candidate that is no pivot is a basis path; a pivot is minus the
         # rest of its row, whose candidates come earlier
         place = {}

@@ -14,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .config import DEFAULT_LIMITS
@@ -57,7 +57,6 @@ from .stability import Weight, classify_stability, stable_factors, theta_of
 class CliFlags:
     field: str | None = None
     seed: int | None = None
-    json: bool = False
     max_sweep: int | None = None
     candidates_text: str | None = None
 
@@ -66,7 +65,6 @@ class CliFlags:
 class Report:
     command: str
     seed: int
-    version: str
     result: dict
     certificates: dict
     human: str
@@ -74,7 +72,7 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "tool": "quivermoduli",
-            "version": self.version,
+            "version": __version__,
             "command": self.command,
             "seed": self.seed,
             "result": self.result,
@@ -479,17 +477,13 @@ COMMANDS = tuple(_TABLE)
 def run_command(doc: InputDocument, command: str, flags: CliFlags) -> Report:
     if command not in _TABLE:
         raise ValueError(f"unknown command {command!r}")
-    limits = DEFAULT_LIMITS
-    if flags.seed is not None:
-        limits = limits.with_seed(flags.seed)
-    if flags.max_sweep is not None:
-        limits = limits.with_sweep(flags.max_sweep)
+    given = {"seed": flags.seed, "sweep": flags.max_sweep}
+    limits = replace(DEFAULT_LIMITS, **{k: v for k, v in given.items() if v is not None})
     alg = doc_algebra(doc, parse_field_name(flags.field) if flags.field else None)
     result, certificates, lines = _TABLE[command][0](doc, alg, flags, limits)
     return Report(
         command=command,
         seed=limits.seed,
-        version=__version__,
         result=result,
         certificates=certificates,
         human="\n".join(lines),
@@ -543,7 +537,6 @@ def main(argv: list[str] | None = None) -> int:
         flags = CliFlags(
             field=args.field,
             seed=args.seed,
-            json=args.json,
             max_sweep=args.max_sweep,
             candidates_text=candidates_text,
         )
@@ -555,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ValueError, ZeroDivisionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if flags.json:
+    if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.human)

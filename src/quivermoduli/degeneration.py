@@ -26,7 +26,6 @@ summand search behind it is exact over Q and over F_q alike.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .algebra import Algebra
@@ -97,12 +96,12 @@ def _top(piece: Rep) -> int:
     return top_dims(piece.alg, piece).index(1) + 1
 
 
-def _require_top(alg: Algebra, P: ProjectiveCover, C: SubmodulePoint) -> None:
+def _require_top(P: ProjectiveCover, C: SubmodulePoint) -> None:
     """Refuse a submodule C outside JP: P/C then has a smaller top than
     the one the cover was built for."""
     if not in_radical(P, C):
         raise TopMismatch(
-            f"quotient has top {top_dims(alg, coker_rep(P, C))}, "
+            f"quotient has top {top_dims(P.alg, coker_rep(P, C))}, "
             f"cover was built for {P.top.mult}"
         )
 
@@ -154,13 +153,13 @@ def no_proper_topstable_deg(
     This function runs the refusals, in this order: C must be a submodule
     of P (NotSubmodule) inside JP (TopMismatch), with no quotient built.
     The verdict itself is _closed_orbit, which the maximality sweep calls
-    on certified points. The verdict is exact and searches nothing, so
-    limits and seed are unused.
+    on certified points; it reads P.alg, which alg must equal. The verdict
+    is exact and searches nothing, so limits and seed are unused.
     """
     # the refusal coker_rep would give, without building the quotient
     _graded_span(P.rep, C.span)
-    _require_top(alg, P, C)
-    return _closed_orbit(alg, P, C)
+    _require_top(P, C)
+    return _closed_orbit(P, C)
 
 
 def _block_pieces(P: ProjectiveCover, C: SubmodulePoint) -> list[Rep] | None:
@@ -188,7 +187,6 @@ def _block_pieces(P: ProjectiveCover, C: SubmodulePoint) -> list[Rep] | None:
 
 
 def _closed_orbit(
-    alg: Algebra,
     P: ProjectiveCover,
     C: SubmodulePoint,
     rank: int | None = None,
@@ -203,7 +201,7 @@ def _closed_orbit(
     if P.top.simple:
         kernel_dims = [(P.gens[0], (C.dim,))]
     else:
-        pieces = _block_pieces(P, C) or decompose_local(alg, _quotient(P.rep, C.span))
+        pieces = _block_pieces(P, C) or decompose_local(P.alg, _quotient(P.rep, C.span))
         if pieces is NotSumOfLocals:
             return DegenerationVerdict(
                 False, "module is not a direct sum of local modules"
@@ -214,7 +212,7 @@ def _closed_orbit(
         kernel_dims = []
         for v in sorted(by_vertex):
             group = sorted(by_vertex[v], key=lambda piece: -piece.total)
-            cover = len(alg.basis_at(v))
+            cover = len(P.alg.basis_at(v))
             kernel_dims.append((v, tuple(cover - piece.total for piece in group)))
             for big, small in zip(group, group[1:]):
                 if not _top_epi_exists(big, small):
@@ -389,8 +387,7 @@ def maximal_topdeg_candidates(
                     f"chart with {len(pres.variables)} variables exceeds "
                     f"the sweep budget {limits.sweep}"
                 )
-        rng = random.Random(limits.seed)
-        points = (pt for _, _, pt in stratum_points(charts, limits, rng))
+        points = (pt for _, _, pt in stratum_points(charts, limits))
     else:
         points = candidates
 
@@ -399,10 +396,10 @@ def maximal_topdeg_candidates(
     for pt in points:
         if candidates is not None:
             _graded_span(P.rep, pt.span)
-            _require_top(alg, P, pt)
+            _require_top(P, pt)
         if any(_stab_residues(P, pt, endo, endo.unipotent)):
             continue
-        verdict = _closed_orbit(alg, P, pt, rank=0)
+        verdict = _closed_orbit(P, pt, rank=0)
         if verdict.holds is not True:
             continue
         if M is not None and not hom_order_leq(M, _quotient(P.rep, pt.span)):

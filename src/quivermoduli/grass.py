@@ -717,12 +717,15 @@ def _chart_sweepable(pres: ChartPresentation, limits: SearchLimits) -> bool:
     return nvars == 0 or (f.is_finite and f.order**nvars <= limits.sweep)
 
 
+CHART_SAMPLES = 64  # random tuples _chart_points tries on a chart too large to sweep
+
+
 def _chart_points(
     pres: ChartPresentation, limits: SearchLimits, rng: random.Random, pin: bool
 ) -> list[list[Scalar]]:
     """Equation-satisfying coordinate tuples of a chart: all of them when
     _chart_sweepable (only those with the pinned variables at zero, given
-    pin), else a sample (zeros, units, then seeded randoms)."""
+    pin), else a sample (zeros, units, then CHART_SAMPLES draws from rng)."""
     f = pres.cover.alg.field
     nvars = len(pres.variables)
 
@@ -738,7 +741,7 @@ def _chart_points(
         unit = [f.zero()] * nvars
         unit[k] = f.one()
         cands.append(unit)
-    for _ in range(limits.iso_tries):
+    for _ in range(CHART_SAMPLES):
         cands.append([f.random(rng) for _ in range(nvars)])
     seen = set()
     pts = []
@@ -753,14 +756,14 @@ def _chart_points(
 
 
 def stratum_points(
-    charts: Iterable[ChartPresentation], limits: SearchLimits, rng: random.Random
+    charts: Iterable[ChartPresentation], limits: SearchLimits
 ) -> Iterator[tuple[ChartPresentation, list[Scalar], SubmodulePoint]]:
     """Each distinct point of the charts once, as (chart, coordinates,
     point), at the first chart and coordinates that reach it.
 
     The charts must come as whole strata, each in skeleta_with_dims order.
     They are taken one at a time, so a caller that stops early leaves the
-    later charts unbuilt and the rng unread.
+    later charts unbuilt; samples draw on one random.Random(limits.seed).
 
     A point C lies on the chart of sigma exactly when sigma is a skeleton
     of M = P/C, so the first chart to reach C is that of its first
@@ -786,6 +789,7 @@ def stratum_points(
     pins stay off from then on. Points are still checked against those
     already yielded, which also covers non-monomial ideals, where nothing
     is pinned."""
+    rng = random.Random(limits.seed)
     seen: set[tuple] = set()
     swept = True
     for pres in charts:
@@ -831,7 +835,6 @@ def moduli_report(
                 ),
                 exhaustive=True,
             )
-    rng = random.Random(limits.seed)
     if isinstance(d, int):
         dvecs = [
             dv
@@ -848,7 +851,7 @@ def moduli_report(
                 charts.append(chart_equations(P, sigma))
                 yield charts[-1]
 
-    for pres, vals, C in stratum_points(presentations(), limits, rng):
+    for pres, vals, C in stratum_points(presentations(), limits):
         ok, g = endo_invariant(P, C)
         if not ok:
             labels = ", ".join(

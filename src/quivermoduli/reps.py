@@ -276,6 +276,10 @@ def _hom_maps(M: Rep, N: Rep) -> list[Map]:
     return out
 
 
+ISO_TRIES = 64  # seeded random top maps is_isomorphic tries before its grid
+ISO_ENUM = 4096  # max points of the grid of top maps is_isomorphic walks
+
+
 def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: int | None = None):
     """True / False / Unknown, by one route over every field.
 
@@ -283,13 +287,13 @@ def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: i
     Krull-Schmidt: if M or N is a sum of local modules (_pieces), both must
     be, with pieces of equal d matched by _top_epi_exists. Otherwise
     Nakayama: x is an isomorphism exactly when its top map (_top_map) is,
-    so only a basis b_1..b_k of the top maps is searched, by seeded random
-    tries, then on the grid S_1 x ... x S_k, S_j the first min(q, r_j + 1)
-    scalars, r_j the rank of b_j. The product of the top determinants of
-    sum t_j b_j has degree <= r_j in t_j, so when it is a nonzero
-    polynomial it is nonzero on the grid (Combinatorial Nullstellensatz);
-    if q <= r_j, S_j is all of K. Unknown only when the grid has more than
-    limits.iso_enum points.
+    so only a basis b_1..b_k of the top maps is searched, by ISO_TRIES
+    random tries (seeded by seed, else limits.seed), then on the grid
+    S_1 x ... x S_k, S_j the first min(q, r_j + 1) scalars, r_j the rank
+    of b_j. The product of the top determinants of sum t_j b_j has degree
+    <= r_j in t_j, so when it is a nonzero polynomial it is nonzero on the
+    grid (Combinatorial Nullstellensatz); if q <= r_j, S_j is all of K.
+    Unknown only when the grid has more than ISO_ENUM points.
     """
     if M.d != N.d:
         return False
@@ -329,11 +333,11 @@ def is_isomorphic(M: Rep, N: Rep, limits: SearchLimits = DEFAULT_LIMITS, seed: i
         return len(Echelon(f, combine(f, coeffs, tops).values())) == top
 
     rng = random.Random(limits.seed if seed is None else seed)
-    if any(invertible([f.random(rng) for _ in tops]) for _ in range(limits.iso_tries)):
+    if any(invertible([f.random(rng) for _ in tops]) for _ in range(ISO_TRIES)):
         return True
     sizes = [len(Echelon(f, t.values())) + 1 for t in tops]
     grid = [[f.of_int(c) for c in range(min(f.order, s) if f.is_finite else s)] for s in sizes]
-    if math.prod(len(s) for s in grid) > limits.iso_enum:
+    if math.prod(len(s) for s in grid) > ISO_ENUM:
         return Unknown
     return any(invertible(c) for c in itertools.product(*grid))
 
@@ -356,6 +360,9 @@ def _projective_coeffs(f: Field, k: int):
             yield [zero] * lead + [one] + list(tail)
 
 
+SUBMODULE_SPACES = 1 << 15  # max distinct submodules submodule_spans tracks
+
+
 def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[Vector]]:
     """All submodules as RREF row lists.
 
@@ -367,8 +374,8 @@ def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[
     time: every U found so far also yields U + C, unless U already holds
     C's generator g. Its echelon form is U's with the residue of g modulo U
     placed and C's rows inserted; g is reduced once. After the last C the
-    lattice holds every sum of cyclics, i.e. every submodule. The sweep
-    budget caps q^|d|, not the number of vectors closed.
+    lattice holds every sum of cyclics, i.e. every submodule. limits.sweep
+    caps q^|d|, not the vectors closed, and SUBMODULE_SPACES the lattice.
     """
     f = M.field
     if not f.is_finite:
@@ -399,7 +406,7 @@ def submodule_spans(M: Rep, limits: SearchLimits = DEFAULT_LIMITS) -> list[list[
             if key not in seen:
                 seen.add(key)
                 lattice.append(total)
-                if len(seen) > limits.submodule_spaces:
+                if len(seen) > SUBMODULE_SPACES:
                     raise SearchTooLarge("submodule count exceeds budget")
     return [span.rref(n) for span in lattice]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass
 
 from quivermoduli.degeneration import no_proper_topstable_deg
@@ -953,13 +954,14 @@ def dense_relation_equations(pres) -> list:
 # -- stratum sweeps --------------------------------------------------------------
 
 
-def plain_stratum_points(charts, limits, rng):
+def plain_stratum_points(charts, limits):
     """Each distinct point of the charts once, as (chart, coordinates,
     point), at the first chart and coordinates that reach it: every
     coordinate tuple of a sweepable chart is tried, tuples off the
     equations are dropped by coords_to_point, and repeats by a seen-set.
     A chart over the sweep budget gets the same seeded sample as in
     grass.stratum_points."""
+    rng = random.Random(limits.seed)
     seen = set()
     for pres in charts:
         f = pres.cover.alg.field

@@ -492,13 +492,63 @@ def test_a_nonzero_fold_of_a_relation_joins_the_relations(monkeypatch, max_len):
     assert (basis, loewy) == (alg.basis, alg.loewy)
 
 
-def test_a_basis_path_of_length_max_len_is_refused_before_the_certificate():
-    # the same presentation at max_len 3: the Loewy length is 3, but x*x*a
-    # is a basis path of length 3 before the certificate could remove it
+REFUSED_AT_3 = r"^no m <= 3 has all length-m paths reducing to zero; the ideal may not be admissible or max_len is too small$"
+
+
+def test_a_basis_path_of_length_max_len_is_certified_by_one_more_length():
+    # the same presentation at max_len 3: x*x*a is a basis path of length 3
+    # until the certificate folds the second relation on e1 to x*x. The
+    # walk goes to length 4, where every extension of x*x*a has the tip
+    # x*x*x, so the table is whole and the certificate may run
     q = make_quiver(2, [("x", 1, 1), ("a", 2, 1)])
     rels = [rel(q, (1, ["x", "x", "x"])), rel(q, (1, ["x", "x"]), (1, ["x", "x", "x", "x"]))]
-    with pytest.raises(NotAdmissible, match=r"^no m <= 3 has all length-m paths reducing to zero; "):
-        build_algebra(q, rels, QQ, 3)
+    alg = build_algebra(q, rels, QQ, 3)
+    assert ([str(p) for p in alg.basis], alg.loewy) == (["e1", "e2", "x", "a", "x*a"], 3)
+
+
+def _free_loops_and_w(k):
+    """k free loops at vertex 1, and a loop w at vertex 2 with w*w + w*w*w
+    over F2: vertex 1 has a basis path of every length, and w*w*w is a
+    pivot with form w*w."""
+    loops = [(f"x{i}", 1, 1) for i in range(k)]
+    q = make_quiver(2, loops + [("w", 2, 2)])
+    return q, [rel(q, (1, ["w", "w"]), (1, ["w", "w", "w"]))]
+
+
+def test_a_basis_path_one_length_past_max_len_refuses_in_the_walk():
+    q, rels = _free_loops_and_w(1)
+    with pytest.raises(NotAdmissible, match=REFUSED_AT_3) as err:
+        build_algebra(q, rels, Field(2), 3)
+    assert err.traceback[-1].name == "_arrow_table"
+
+
+def test_a_basis_path_of_length_max_len_refuses_after_the_certificate_without_the_level_loop(monkeypatch):
+    # b*a = e*d*c is not graded by length, so the Loewy length would need
+    # the level loop; x*x*x*x is a basis path of length max_len, and the
+    # walk's last length holds none (x**5 is a tip), so the certificate runs
+    # and x*x*x*x refuses at once
+    q = make_quiver(6, [("a", 1, 2), ("b", 2, 3), ("c", 1, 4), ("d", 4, 5), ("e", 5, 3), ("x", 6, 6)])
+    rels = [rel(q, (1, ["b", "a"]), (-1, ["e", "d", "c"])), rel(q, (1, ["x"] * 5))]
+    # with x*x*x a tip instead, the level loop answers
+    alg = build_algebra(q, [rels[0], rel(q, (1, ["x"] * 3))], QQ, 4)
+    assert (alg.is_homogeneous_ideal(), alg.loewy) == (False, 4)
+    applied = []
+    monkeypatch.setattr(algebra, "apply", lambda *args: applied.append(args))
+    with pytest.raises(NotAdmissible, match=r"^no m <= 4 has all length-m paths reducing to zero; "):
+        build_algebra(q, rels, QQ, 4)
+    assert applied == []
+
+
+def test_the_path_budget_past_max_len_refuses_as_the_window_does(monkeypatch):
+    # x0, x1 free: 10 paths up to length 2, then 9 candidates at length 3
+    # (8 words in x0, x1, and w*w*w); the 16 at length 4 pass a budget of 33
+    q, rels = _free_loops_and_w(2)
+    monkeypatch.setattr(algebra, "PATH_BUDGET", 33)
+    with pytest.raises(NotAdmissible, match=REFUSED_AT_3):
+        build_algebra(q, rels, Field(2), 3)
+    monkeypatch.setattr(algebra, "PATH_BUDGET", 18)
+    with pytest.raises(SearchTooLarge, match=r"^more than 18 paths of length <= 3$"):
+        build_algebra(q, rels, Field(2), 3)
 
 
 @pytest.mark.parametrize("max_len", [4, 5, 6, 7])

@@ -4,13 +4,14 @@ parse errors, document builders, frozen command output, and exit codes."""
 import io
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from quivermoduli import cli, grass
+from quivermoduli import cli, degeneration, grass
 from quivermoduli.cli import main
 from quivermoduli.dsl import (
     doc_algebra,
@@ -21,9 +22,10 @@ from quivermoduli.dsl import (
     parse_points,
 )
 from quivermoduli.errors import TypeMismatch, UnknownLabel
+from quivermoduli.fields import parse_field_name
 from quivermoduli.grass import endo_space, projective_cover, skeleta_of_point
 
-from oracles import render_document
+from oracles import path_from_labels, render_document
 
 LOOP_BRIDGE = """\
 quiver {
@@ -338,6 +340,53 @@ def test_point_generator_matches_chart_coordinates():
     assert C.rows == ((Fraction(0), Fraction(1), Fraction(-1, 5)),)
 
 
+FRACTIONS = """\
+quiver {
+  vertices: 1 2 3;
+  arrows: a: 1 -> 2, b: 1 -> 2, c: 2 -> 3;
+}
+algebra {
+  field: Q;
+  max_len: 3;
+  relations: [1*c*a - 2/5*c*b];
+}
+module { d: (1, 2, 1); a: [[1], [0]]; b: [[0], [1]]; c: [[1/5, 1/2]]; }
+weight { theta: (-2, 1, 0); }
+top    { mult: (1, 0, 0); }
+point  { generators: [(1/2*b - 1/4*a).z1]; }
+"""
+
+
+@pytest.mark.parametrize(
+    "name, c_b, c_row, b_coeff",
+    [("Q", Fraction(5, 2), [Fraction(1, 5), Fraction(1, 2)], Fraction(-2)), ("F3", 1, [2, 2], 1)],
+)
+def test_fraction_coefficients_are_read_in_the_field(name, c_b, c_row, b_coeff):
+    # c*b = 5/2 c*a, and the module satisfies the relation (doc_module
+    # checks it); the generator 1/2 b - 1/4 a is a + b_coeff*b once scaled
+    doc = parse_input(FRACTIONS)
+    alg = doc_algebra(doc, parse_field_name(name))
+    b, c_a = (alg.basis.index(path_from_labels(alg.quiver, w)) for w in (["b"], ["c", "a"]))
+    assert alg.arrows["c"][b] == {c_a: c_b}
+    assert doc_module(doc, alg).mats["c"] == [c_row]
+    C = doc_point(projective_cover(alg, doc.top), doc.points[0])
+    assert C.rows[0] == (0, 1, b_coeff, 0)
+
+
+@pytest.mark.parametrize(
+    "old, new, command",
+    [("2/5*c*b", "2/3*c*b", "algebra-info"), ("1/5, 1/2", "1/3, 1/2", "stability"), ("1/2*b", "1/3*b", "point")],
+    ids=["relation", "module", "point"],
+)
+def test_a_denominator_that_vanishes_in_the_field_exits_with_1(tmp_path, capsys, old, new, command):
+    text = FRACTIONS.replace(old, new)
+    assert run_cli(tmp_path, capsys, text, command, "--field", "F3") == (
+        1,
+        "",
+        "error: denominator 3 vanishes in F_3\n",
+    )
+
+
 def test_point_copy_marker_must_name_a_cover_summand():
     doc = parse_input(KRONECKER_Q_POINT.replace(".z1", ".z2"))
     alg = doc_algebra(doc)
@@ -487,6 +536,30 @@ def test_orbit_command_reports_the_moving_endomorphism(tmp_path, capsys):
     assert data["certificates"] == {"moved_by": "z1 -> a*z1"}
 
 
+FORK_MERGE_SIMPLE_TOP = """\
+# the merge algebra with a simple top: the base point is spanned by b*z1
+# and c*b*z1 = c*a*z1
+quiver {
+  vertices: 1 2 3;
+  arrows: a: 1 -> 2, b: 1 -> 2, c: 2 -> 3;
+}
+algebra {
+  field: F2;
+  max_len: 3;
+  relations: [1*c*a - 1*c*b];
+}
+top    { mult: (1, 0, 0); }
+dimvec { d: (1, 1, 0); }
+point  { generators: [(1*b).z1]; }
+"""
+
+
+def test_orbit_command_says_when_a_point_is_invariant(tmp_path, capsys):
+    code, out, _ = run_cli(tmp_path, capsys, FORK_MERGE_SIMPLE_TOP, "orbit")
+    assert code == 0
+    assert out.splitlines() == ["orbit dimensions: aut 0, unipotent 0, graded 0", "invariant under End(P): yes"]
+
+
 def test_stability_command_verdict(tmp_path, capsys):
     code, out, _ = run_cli(tmp_path, capsys, KRONECKER_F3, "stability")
     assert code == 0
@@ -558,6 +631,33 @@ def test_maxdeg_sweep_over_f3_is_exhaustive(tmp_path, capsys):
     assert "    witness: z1 -> a*z1" in lines
 
 
+def test_the_hom_order_filter_drops_points_the_base_point_does_not_dominate(tmp_path, capsys, monkeypatch):
+    # the sweep of d (1, 1, 0) keeps three points; with the base point M =
+    # P/C, only the points whose quotient N has dim Hom(X, M) <= dim Hom(X, N)
+    # for every test module X are kept, here C itself
+    without_base = FORK_MERGE_SIMPLE_TOP.replace("point  { generators: [(1*b).z1]; }\n", "")
+    code, out, _ = run_cli(tmp_path, capsys, without_base, "maxdeg-test")
+    assert code == 0
+    assert out.splitlines()[0] == "3 maximal points (exhaustive sweep)"
+    kept = []
+    real = degeneration.hom_order_leq
+
+    def recording(M, N, tests=None):
+        kept.append(real(M, N, tests))
+        return kept[-1]
+
+    monkeypatch.setattr(degeneration, "hom_order_leq", recording)
+    code, out, _ = run_cli(tmp_path, capsys, FORK_MERGE_SIMPLE_TOP, "maxdeg-test")
+    assert code == 0
+    assert sorted(kept) == [False, False, True]
+    assert out.splitlines()[3:] == [
+        "1 maximal point (exhaustive sweep)",
+        "  point with rows:",
+        "    [0, 0, 1, 0]",
+        "    [0, 0, 0, 1]",
+    ]
+
+
 def test_maxdeg_candidate_file_reports_the_hom_gap(tmp_path, capsys):
     cand = tmp_path / "candidates.qm"
     cand.write_text(MIXED_TOPS_CANDIDATES)
@@ -575,6 +675,59 @@ def test_maxdeg_candidate_file_reports_the_hom_gap(tmp_path, capsys):
     assert len(data["result"]["survivors"]) == 2
     for s in data["result"]["survivors"]:
         assert s["reason"].startswith("local summands chain")
+
+
+def test_the_seed_flag_is_the_seed_of_the_report(tmp_path, capsys):
+    for args, seed in (([], 0), (["--seed", "5"], 5)):
+        code, out, _ = run_cli(tmp_path, capsys, LOOP_BRIDGE, "algebra-info", "--json", *args)
+        assert code == 0 and json.loads(out)["seed"] == seed
+
+
+KRONECKER3_Q = """\
+quiver {
+  vertices: 1 2;
+  arrows: a1: 1 -> 2, a2: 1 -> 2, a3: 1 -> 2;
+}
+algebra {
+  field: Q;
+  max_len: 2;
+}
+top    { mult: (1, 1); }
+dimvec { d: (1, 2); }
+"""
+
+
+def test_a_seeded_moduli_report_over_q_samples_its_charts_with_that_seed(tmp_path, capsys, monkeypatch):
+    # over Q no chart with variables is swept, so every chart is sampled
+    states = []
+    real = grass._chart_points
+
+    def recording(pres, limits, rng, pin):
+        states.append(rng.getstate())
+        return real(pres, limits, rng, pin)
+
+    monkeypatch.setattr(grass, "_chart_points", recording)
+    code, out, _ = run_cli(tmp_path, capsys, KRONECKER3_Q, "moduli-report", "--seed", "5", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["seed"] == 5
+    assert (data["result"]["kind"], data["result"]["reason"]) == (
+        "Unknown",
+        "sampled points were all invariant but the sweep was not exhaustive",
+    )
+    assert len(states) > 1 and states[0] == random.Random(5).getstate()
+
+
+def test_the_max_sweep_flag_refuses_a_stratum_over_its_budget(tmp_path, capsys):
+    # the stratum of LOOP_BRIDGE over F3 has a chart with one variable
+    args = ("maxdeg-test", "--field", "F3", "--max-sweep")
+    assert run_cli(tmp_path, capsys, LOOP_BRIDGE, *args, "2") == (
+        1,
+        "",
+        "error: chart with 1 variables exceeds the sweep budget 2\n",
+    )
+    code, out, _ = run_cli(tmp_path, capsys, LOOP_BRIDGE, *args, "3")
+    assert code == 0 and "1 maximal point (exhaustive sweep)" in out.splitlines()
 
 
 def test_reports_are_byte_identical_between_runs(tmp_path, capsys):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from collections import Counter
 
 import pytest
@@ -372,7 +371,7 @@ def test_sweep_refuses_an_over_budget_stratum_before_sweeping(monkeypatch):
     alg = loop_bridge_over(Field(3))
     P = projective_cover(alg, (1, 0))
     with pytest.raises(SearchTooLarge) as err:
-        maximal_topdeg_candidates(alg, P, (2, 1), limits=SearchLimits().with_sweep(2))
+        maximal_topdeg_candidates(alg, P, (2, 1), limits=SearchLimits(sweep=2))
     assert str(err.value) == "chart with 1 variables exceeds the sweep budget 2"
     assert swept == []
     # the patched name is the one the sweep calls: within budget it is hit
@@ -569,7 +568,7 @@ def sweep_fq_stratum(i):
     alg = make(Field(p))
     P = projective_cover(alg, top)
     charts = [chart_equations(P, sigma) for sigma in skeleta_with_dims(P, d)]
-    points = [C for _, _, C in stratum_points(charts, DEFAULT_LIMITS, random.Random(0))]
+    points = [C for _, _, C in stratum_points(charts, DEFAULT_LIMITS)]
     return alg, P, d, points
 
 

@@ -19,7 +19,7 @@ from quivermoduli import (
     grass,
     make_quiver,
 )
-from quivermoduli.config import DEFAULT_LIMITS
+from quivermoduli.config import DEFAULT_LIMITS, SearchLimits
 from quivermoduli.degeneration import one_param_limit
 from quivermoduli.grass import (
     TopSpec,
@@ -620,7 +620,7 @@ def test_pins_stay_off_after_a_sampled_chart(monkeypatch):
     q = make_quiver(2, [("a", 1, 2), ("b", 1, 2), ("c", 2, 2)])
     alg = build_algebra(q, monomials(q, [("c", "a"), ("c", "c")]), Field(3), 4)
     P = projective_cover(alg, (2, 1))
-    limits = DEFAULT_LIMITS.with_sweep(3**5)
+    limits = SearchLimits(sweep=3**5)
     charts = [chart_equations(P, s) for s in skeleta_with_dims(P, (2, 6))]
     swept = [grass._chart_sweepable(pres, limits) for pres in charts]
     assert swept[:2] == [True, False] and True in swept[2:]
@@ -628,10 +628,14 @@ def test_pins_stay_off_after_a_sampled_chart(monkeypatch):
     def triples(points):
         return [(pres.sigma, vals, C.rows) for pres, vals, C in points]
 
-    got = triples(grass.stratum_points(charts, limits, random.Random(0)))
-    expected = triples(plain_stratum_points(charts, limits, random.Random(0)))
+    got = triples(grass.stratum_points(charts, limits))
+    expected = triples(plain_stratum_points(charts, limits))
     assert got == expected
     assert len(got) == 398
+    # the sample of the sampled chart is drawn with limits.seed
+    seeded = SearchLimits(sweep=3**5, seed=5)
+    other = triples(grass.stratum_points(charts, seeded))
+    assert other == triples(plain_stratum_points(charts, seeded)) != got
 
     verdict = moduli_report(alg, (2, 1), (2, 6), limits)
     monkeypatch.setattr(grass, "stratum_points", plain_stratum_points)

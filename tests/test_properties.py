@@ -83,7 +83,7 @@ from oracles import (
 )
 from test_degeneration import SWEEP_FQ_STRATA, sweep_fq_stratum
 from quivermoduli import Element, Field, QQ, build_algebra, make_quiver
-from quivermoduli.config import DEFAULT_LIMITS, SearchLimits
+from quivermoduli.config import DEFAULT_LIMITS
 from quivermoduli.degeneration import (
     DegenerationVerdict,
     _block_pieces,
@@ -385,8 +385,8 @@ def _triples(points):
 
 def test_stratum_sweep_matches_the_plain_sweep_oracle():
     for name, P, charts in _sweepable_strata():
-        got = stratum_points(charts, DEFAULT_LIMITS, random.Random(0))
-        expected = plain_stratum_points(charts, DEFAULT_LIMITS, random.Random(0))
+        got = stratum_points(charts, DEFAULT_LIMITS)
+        expected = plain_stratum_points(charts, DEFAULT_LIMITS)
         assert _triples(got) == _triples(expected), name
     assert len(_sweepable_strata()) >= 250
 
@@ -532,7 +532,7 @@ def _count_both_sides(alg, top):
         if reps_count is None:
             continue
         charts = [chart_equations(P, sigma) for sigma in skeleta_with_dims(P, d)]
-        points = sum(1 for _ in stratum_points(charts, DEFAULT_LIMITS, random.Random(0)))
+        points = sum(1 for _ in stratum_points(charts, DEFAULT_LIMITS))
         h = sum(P.dims[v - 1] - d[v - 1] for v in P.gens)
         left = points * q**h * math.prod(_gl_order(q, x) for x in d)
         assert left == aut * reps_count, (alg.quiver, alg.relations, q, top, d, points, reps_count)
@@ -681,7 +681,7 @@ def test_pinned_coordinates_cut_out_the_first_skeleton_cell():
             assert all(pres.pinned == () for pres in charts), name
             continue
         for pres in charts:
-            for _, vals, C in plain_stratum_points([pres], DEFAULT_LIMITS, random.Random(0)):
+            for _, vals, C in plain_stratum_points([pres], DEFAULT_LIMITS):
                 in_cell = all(f.is_zero(vals[k]) for k in pres.pinned)
                 assert in_cell == (skeleta_of_point(P, C)[0] == pres.sigma), name
                 checked += 1
@@ -1049,9 +1049,6 @@ def test_subquotients_match_the_dense_routes_on_the_split_pieces_over_q(case):
 # ------------------------------------- isomorphism against the full blocks
 
 
-NO_TRIES = SearchLimits(iso_tries=0)
-
-
 @st.composite
 def iso_pairs(draw, fields=(Field(2), Field(3), QQ)):
     """(M, N) with M.d == N.d. M is one module drawn as small_reps draws it,
@@ -1085,7 +1082,9 @@ def test_isomorphism_matches_the_full_block_oracle(pair):
     M, N = pair
     expected = iso_oracle(M, N)
     assert is_isomorphic(M, N) is expected
-    assert is_isomorphic(M, N, NO_TRIES) is expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reps, "ISO_TRIES", 0)
+        assert is_isomorphic(M, N) is expected
 
 
 def _jordan_pair(alg, *blocks):
@@ -1564,7 +1563,7 @@ def test_the_condition_ii_filter_keeps_what_the_full_verdicts_keep():
     # splitting it; the old sweep gave every point its full verdict
     cases = []
     for name, P, charts in _sweepable_strata():
-        points = [C for _, _, C in stratum_points(charts, DEFAULT_LIMITS, random.Random(0))]
+        points = [C for _, _, C in stratum_points(charts, DEFAULT_LIMITS)]
         cases.append((name, P, charts[0].dims, points, True))
     cases += [(name, P, pres.dims, _all_chart_points(pres), False) for name, P, pres in _verdict_charts()]
     moved = Counter()

@@ -339,11 +339,13 @@ def test_vector_budget_refuses_before_any_closure(kronecker_f2, monkeypatch):
         submodule_spans(P, SearchLimits(sweep=7))
 
 
-def test_space_budget_caps_the_lattice_size(kronecker_f2):
+def test_space_budget_caps_the_lattice_size(monkeypatch, kronecker_f2):
     P = rep_of_projective(kronecker_f2, 1)  # 6 submodules, {0} and P included
-    assert len(submodule_spans(P, SearchLimits(submodule_spaces=6))) == 6
+    monkeypatch.setattr(reps, "SUBMODULE_SPACES", 6)
+    assert len(submodule_spans(P)) == 6
+    monkeypatch.setattr(reps, "SUBMODULE_SPACES", 5)
     with pytest.raises(SearchTooLarge, match=r"^submodule count exceeds budget$"):
-        submodule_spans(P, SearchLimits(submodule_spaces=5))
+        submodule_spans(P)
 
 
 # -- the callers' side of Echelon's contract ------------------------------------
@@ -578,21 +580,23 @@ def test_rational_top_map_grid_decides_without_random_tries(kronecker, monkeypat
         return real(m)
 
     monkeypatch.setattr(polys, "poly_det", counting)
-    no_tries = SearchLimits(iso_tries=0)
+    monkeypatch.setattr(reps, "ISO_TRIES", 0)
     M = kron_pair(kronecker, [[1, 1], [0, 1]])
     assert decompose_local(kronecker, M) is NotSumOfLocals
     g = random_group_element(QQ, M.d, random.Random(5))
-    assert is_isomorphic(M, base_change(M, g), no_tries) is True
-    assert is_isomorphic(M, kron_pair(kronecker, [[2, 1], [0, 2]]), no_tries) is False
-    assert is_isomorphic(M, base_change(M, g), SearchLimits(iso_tries=0, iso_enum=1)) is Unknown
+    assert is_isomorphic(M, base_change(M, g)) is True
+    assert is_isomorphic(M, kron_pair(kronecker, [[2, 1], [0, 2]])) is False
+    with monkeypatch.context() as mp:
+        mp.setattr(reps, "ISO_ENUM", 1)
+        assert is_isomorphic(M, base_change(M, g)) is Unknown
     # S1 (+) I2, I2 the injective at 2, is not a sum of locals either; its
     # top maps have rank one, so each needs the values 0 and 1 of its grid
     f = kronecker.field
     SI = rep_of_matrices(kronecker, (3, 1), {"a1": [[f.one(), f.zero(), f.zero()]], "a2": [[f.zero(), f.one(), f.zero()]]})
     assert decompose_local(kronecker, SI) is NotSumOfLocals
-    assert is_isomorphic(SI, SI, no_tries) is True
+    assert is_isomorphic(SI, SI) is True
     S = zero_rep(kronecker, (2, 0))
-    assert is_isomorphic(S, S, no_tries) is True
+    assert is_isomorphic(S, S) is True
     assert dets == []
 
 
